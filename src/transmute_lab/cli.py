@@ -9,8 +9,8 @@ deterministic CSV or JSON tables.
 
 Configuration is a flat key=value text file ('#' comments); command-line
 flags override file values.  Output is byte-deterministic: floats render at
-17 significant digits, rows keep input order (also under the worker pool
-capped by TRANSMUTE_LAB_THREADS), and no timestamps enter the data body.
+17 significant digits, rows are evaluated in one thread in input order, and
+no timestamps enter the data body.
 Exit codes: 0 success, 1 numerical failure (partial output suppressed),
 2 usage or configuration error.
 """
@@ -18,11 +18,10 @@ Exit codes: 0 success, 1 numerical failure (partial output suppressed),
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .amplitude import (
@@ -34,7 +33,7 @@ from .amplitude import (
     transmutation_schedule,
 )
 from .energy_plane import ComplexEnergy, PhysicalScales, wavenumber
-from .errors import NoBoundStateError, TransmuteLabError, UnitarityViolationError
+from .errors import DomainError, NoBoundStateError, TransmuteLabError, UnitarityViolationError
 from .observables import (
     f_from_tau,
     optical_theorem_defect,
@@ -47,7 +46,13 @@ from .regulators import (
     regulator_from_name,
     slide_kernel,
 )
-from .tolerances import POLE_GUARD
+from .tolerances import (
+    FLOW_GROUP_RTOL,
+    POLE_GUARD,
+    ROUTE_AGREEMENT_RTOL,
+    THEOREM_ENVELOPE_RTOL,
+    UNITARITY_DEFECT_TOL,
+)
 from .oracle.well import well_bound_state, well_from_coupling, well_phase_shift
 
 __all__ = ["main"]
@@ -95,8 +100,8 @@ def _parse_grid(text: str) -> list[float]:
     try:
         if len(parts) == 1:
             value = float(parts[0])
-            if value <= 0.0:
-                raise UsageError(f"grid values must be positive, got {value}")
+            if not (0.0 < value < math.inf):
+                raise UsageError(f"grid values must be positive and finite, got {value}")
             return [value]
         if len(parts) != 3:
             raise ValueError
@@ -105,8 +110,8 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"bad grid {text!r}; expected v or lo:hi:n[,log]") from None
     if n < 1:
         raise UsageError("grid needs at least one point")
-    if lo <= 0.0 or hi <= 0.0:
-        raise UsageError("grid bounds must be positive")
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise UsageError(f"grid bounds must be positive and finite, got {lo} and {hi}")
     if n == 1:
         return [lo]
     if spacing == "log":
@@ -178,29 +183,15 @@ class Options:
 
 
 def _scales(opts: Options) -> PhysicalScales:
-    return PhysicalScales(opts.get_float("kinetic_constant", 1.0))
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("TRANSMUTE_LAB_THREADS", "").strip()
-    if not raw:
-        return 0
     try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"TRANSMUTE_LAB_THREADS must be an integer, got {raw!r}") from None
-    return max(0, n)
+        return PhysicalScales(opts.get_float("kinetic_constant", 1.0))
+    except DomainError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _ordered_map(fn, items):
-    """Map preserving input order; optional worker pool for grid rows."""
-    threads = _thread_count()
-    if threads == 0:
-        threads = min(8, os.cpu_count() or 1)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """Map in input order, in the calling thread."""
+    return [fn(x) for x in items]
 
 
 # ----------------------------------------------------------------------
@@ -257,21 +248,25 @@ class Table:
 
 
 def _emit(table: Table, opts: Options) -> None:
+    """Render the whole table before opening --out, so that a render that
+    raises leaves no partial file."""
     fmt = opts.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown output format {fmt!r}")
+    buf = io.StringIO()
+    if fmt == "csv":
+        table.write_csv(buf)
+    else:
+        table.write_json(buf)
     out = opts.get("out")
     if out is None:
-        if fmt == "csv":
-            table.write_csv(sys.stdout)
-        else:
-            table.write_json(sys.stdout)
+        sys.stdout.write(buf.getvalue())
         return
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        if fmt == "csv":
-            table.write_csv(fh)
-        else:
-            table.write_json(fh)
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(buf.getvalue())
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {out}: {exc}") from None
 
 
 def _fit_line(xs: list[float], ys: list[float]) -> tuple[float, float]:
@@ -350,7 +345,7 @@ def cmd_flow(opts: Options) -> Table:
             inv_next = complex(rows[i + 1][2], rows[i + 1][3])
             kernel = scales.kinetic_constant * slide_kernel(reg, points[i + 1], points[i], scales)
             max_defect = max(max_defect, abs(inv_next - (inv_i - kernel)))
-    defect_tol = float(opts.get("flow_defect_tol") or 1e-12)
+    defect_tol = opts.get_float("flow_defect_tol", FLOW_GROUP_RTOL)
     if max_defect > defect_tol:
         raise TransmuteLabError(
             f"flow composition defect {max_defect:.3e} exceeds {defect_tol:.1e}"
@@ -472,7 +467,7 @@ def cmd_theorem(opts: Options) -> Table:
     peak_lambda = magnitude * math.exp(FOUR_PI / eps)
     beyond = [(lam, row_) for lam, row_ in zip(schedule, rows) if lam > peak_lambda]
     monotone = all(b[1][1] < a[1][1] for a, b in zip(beyond, beyond[1:]))
-    envelope_ok = all(r[3] is None or r[1] <= r[3] * (1.0 + 1e-12) for r in rows)
+    envelope_ok = all(r[3] is None or r[1] <= r[3] * (1.0 + THEOREM_ENVELOPE_RTOL) for r in rows)
     footer: dict[str, object] = {
         "peak_lambda": peak_lambda,
         "monotone_beyond_peak": monotone,
@@ -557,7 +552,7 @@ def cmd_scatter(opts: Options) -> Table:
     lam = opts.get_float("lambda", 1.0)
     length = opts.get_float("a", 1.0)
     e_b = opts.get_float("e_b", 1.0)
-    unitarity_tol = float(opts.get("unitarity_defect_tol") or 1e-9)
+    unitarity_tol = opts.get_float("unitarity_defect_tol", UNITARITY_DEFECT_TOL)
 
     if model == "renormalized" and e_b <= 0.0:
         raise UsageError(f"e_b must be positive, got {e_b}")
@@ -595,7 +590,7 @@ def cmd_scatter(opts: Options) -> Table:
     rows = _ordered_map(row, energies)
     for r in rows:
         # the two target-length routes must agree row by row
-        if abs(r[5] - r[6]) > 1e-12 * max(abs(r[6]), 1e-300):
+        if abs(r[5] - r[6]) > ROUTE_AGREEMENT_RTOL * max(abs(r[6]), 1e-300):
             raise TransmuteLabError(
                 f"target-length routes disagree at E = {r[0]!r}: {r[5]!r} vs {r[6]!r}"
             )
@@ -669,14 +664,13 @@ def main(argv: list[str] | None = None) -> int:
         opts = Options(file_values, flag_values)
         for name, value in _parse_tol_overrides(args.tol_override).items():
             opts.values[name] = repr(value)
-        table = _COMMANDS[args.command](opts)
+        _emit(_COMMANDS[args.command](opts), opts)
     except UsageError as exc:
         print(f"transmute-lab: usage error: {exc}", file=sys.stderr)
         return 2
     except TransmuteLabError as exc:
         print(f"transmute-lab: numerical failure: {exc}", file=sys.stderr)
         return 1
-    _emit(table, opts)
     return 0
 
 

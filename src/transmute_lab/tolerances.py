@@ -11,6 +11,13 @@ POLE_GUARD = 1e-14
 # Composition of the exact sliding relation must close to this relative level.
 FLOW_GROUP_RTOL = 1e-12
 
+# Rounding slack on |tau_Lambda| <= cutoff envelope in the theorem table.
+THEOREM_ENVELOPE_RTOL = 1e-12
+
+# Total target length via the optical theorem vs via -Im(tau)/k: the two
+# routes must agree row by row to this relative level.
+ROUTE_AGREEMENT_RTOL = 1e-12
+
 # Direct regulated evaluation vs transport from an arbitrary anchor.
 ANCHOR_INDEPENDENCE_RTOL = 1e-10
 

@@ -1,15 +1,22 @@
 """End-to-end command tests: emitted tables, determinism, exit codes and
 config/flag precedence."""
 
+import inspect
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
+import transmute_lab
+from transmute_lab import cli
 from transmute_lab.cli import main
+from transmute_lab.errors import TransmuteLabError
+from transmute_lab.tolerances import UNITARITY_DEFECT_TOL
 
 FOUR_PI = 4.0 * math.pi
 
@@ -344,10 +351,80 @@ class TestJson:
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "cli.csv"
+    # the child imports the same package copy as this test, installed or not
+    src = os.path.dirname(os.path.dirname(transmute_lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "transmute_lab.cli", "scatter", "--energy", "1", "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def assert_one_line_error(capsys, code, expected):
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err
+
+
+def test_benchmark_interface():
+    # bench/ calls cli._ordered_map directly and wraps Table.write_* by name
+    calling_thread = threading.get_ident()
+    items = [5, 3, 9, 1, 7]
+    assert cli._ordered_map(lambda x: (x, threading.get_ident()), items) == [
+        (x, calling_thread) for x in items
+    ]
+    assert cli._ordered_map(str, []) == []
+    for method in (cli.Table.write_csv, cli.Table.write_json):
+        assert list(inspect.signature(method).parameters) == ["self", "stream"]
+    table = cli.Table("t", "d", {"k": "v"}, [("x", "")], rows=[[1.0]], footer={"rows": 1})
+    csv_buf, json_buf = io.StringIO(), io.StringIO()
+    table.write_csv(csv_buf)
+    table.write_json(json_buf)
+    assert csv_buf.getvalue().splitlines()[-2:] == ["1.0000000000000000e+00", "# rows=1"]
+    assert json.loads(json_buf.getvalue())["rows"] == [[1.0]]
+
+
+class TestBoundaryErrors:
+    @pytest.mark.parametrize("command,config", [
+        ("flow", "flow_defect_tol = abc\n"),
+        ("scatter", "unitarity_defect_tol = x\n"),
+        ("scatter", "format = xml\n"),
+        ("scatter", "kinetic_constant = 0\n"),
+    ])
+    def test_bad_config_value(self, tmp_path, capsys, command, config):
+        code, out = run_cli([command, "--energy", "1"], tmp_path, config_text=config)
+        assert_one_line_error(capsys, code, 2)
+        assert not out.exists()
+
+    def test_tolerance_defaults_come_from_tolerances(self, tmp_path):
+        code, out = run_cli(["scatter", "--energy", "1"], tmp_path)
+        assert code == 0
+        _, _, footer = parse_csv(out)
+        assert float(footer["unitarity_defect_tol"]) == UNITARITY_DEFECT_TOL
+
+    @pytest.mark.parametrize("grid", ["nan", "inf", "1:inf:3", "1:nan:3,log", "nan:1:3"])
+    def test_non_finite_grid(self, tmp_path, capsys, grid):
+        code, out = run_cli(["scatter", "--energy", grid], tmp_path)
+        assert_one_line_error(capsys, code, 2)
+        assert not out.exists()
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["scatter", "--energy", "1", "--out", str(out)])
+        assert_one_line_error(capsys, code, 2)
+        assert not out.parent.exists()
+
+    def test_failed_render_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
+        def failing_render(self, stream):
+            stream.write("# transmute-lab partial\n")
+            raise TransmuteLabError("render failed")
+
+        monkeypatch.setattr(cli.Table, "write_csv", failing_render)
+        code, out = run_cli(["scatter", "--energy", "1"], tmp_path)
+        assert_one_line_error(capsys, code, 1)
+        assert not out.exists()
