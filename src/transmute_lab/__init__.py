@@ -57,7 +57,6 @@ from .observables import (
     unitarity_defect,
 )
 from .regulators import (
-    CircularWell,
     GaussianFormFactor,
     PureDelta,
     Regulator,

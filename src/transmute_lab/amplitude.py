@@ -39,6 +39,7 @@ from .energy_plane import (
     ComplexEnergy,
     PhysicalScales,
     as_energy,
+    log_bracket_root,
     principal_log_ratio,
 )
 from .errors import (
@@ -48,18 +49,16 @@ from .errors import (
     PoleSingularityError,
 )
 from .regulators import (
-    GaussianFormFactor,
     PureDelta,
     Regulator,
     SharpCutoff,
     dimensionless_resolvent,
     form_factor_squared,
     nominal_cutoff,
-    regulator_name,
     resolvent_derivative,
     slide_kernel,
 )
-from .tolerances import POLE_GUARD, POLE_SEARCH_LOG_TOL
+from .tolerances import POLE_GUARD
 
 __all__ = [
     "Amplitude",
@@ -261,12 +260,11 @@ def bound_state_pole(
     """Locate the bound state: the root of 1 + eps*I(-E) = 0 on the negative
     real axis (limit from above).
 
-    The root is bracketed in (Lambda*1e-300, Lambda), with Lambda the
-    regulator's nominal cutoff, and refined by bisection plus secant steps in
-    ln E; E_B spans hundreds of orders of magnitude in eps, and log
-    coordinates keep the conditioning uniform.  For the sharp cutoff the
-    solution is Lambda / (e^{4 pi/eps} - 1), i.e. Lambda e^{-4 pi/eps} up to
-    O(E_B/Lambda).
+    The root is searched by log_bracket_root in ln E, between the nominal
+    cutoff Lambda and Lambda*1e-300; E_B spans hundreds of orders of
+    magnitude in eps, and log coordinates keep the conditioning uniform.
+    For the sharp cutoff the solution is Lambda / (e^{4 pi/eps} - 1), i.e.
+    Lambda e^{-4 pi/eps} up to O(E_B/Lambda).
     """
     _check_coupling(epsilon)
     if isinstance(reg, PureDelta):
@@ -274,45 +272,13 @@ def bound_state_pole(
             "the unregulated contact interaction never binds (tau is identically zero)",
             exact=True,
         )
-    if not isinstance(reg, (SharpCutoff, GaussianFormFactor)):
-        raise DomainError(f"bound_state_pole supports separable regulators, got {regulator_name(reg)}")
 
     def mismatch(x: float) -> float:
         value = dimensionless_resolvent(reg, ComplexEnergy(-math.exp(x), 0.0), scales)
         return 1.0 + epsilon * value.real
 
     lam = nominal_cutoff(reg, scales)
-    x_lo = math.log(lam) + math.log(1e-300)
-    x_hi = math.log(lam)
-    f_lo = mismatch(x_lo)
-    f_hi = mismatch(x_hi)
-    if not (f_lo < 0.0 < f_hi):
-        raise NoBoundStateError(
-            f"no pole bracketed in (Lambda*1e-300, Lambda) for eps = {epsilon}",
-            exact=False,
-        )
-    for _ in range(200):
-        x_mid = 0.5 * (x_lo + x_hi)
-        f_mid = mismatch(x_mid)
-        if f_mid < 0.0:
-            x_lo, f_lo = x_mid, f_mid
-        else:
-            x_hi, f_hi = x_mid, f_mid
-        if x_hi - x_lo < POLE_SEARCH_LOG_TOL:
-            break
-    # secant polish inside the final bracket
-    xa, fa, xb, fb = x_lo, f_lo, x_hi, f_hi
-    x_root = 0.5 * (xa + xb)
-    for _ in range(4):
-        if fb == fa:
-            break
-        x_sec = xb - fb * (xb - xa) / (fb - fa)
-        if not (min(xa, xb) <= x_sec <= max(xa, xb)):
-            break
-        xa, fa = xb, fb
-        xb, fb = x_sec, mismatch(x_sec)
-        x_root = xb
-    energy = math.exp(x_root)
+    energy = math.exp(log_bracket_root(mismatch, lam, math.log(lam)))
     residue = 1.0 / resolvent_derivative(reg, energy, scales)
     return BoundState(energy=energy, residue=residue)
 

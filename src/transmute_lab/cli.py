@@ -41,8 +41,9 @@ from .observables import (
     tau_from_phase_shift,
 )
 from .regulators import (
-    GaussianFormFactor,
+    REGULATOR_NAMES,
     SharpCutoff,
+    nominal_cutoff,
     regulator_from_name,
     slide_kernel,
 )
@@ -53,7 +54,7 @@ from .tolerances import (
     THEOREM_ENVELOPE_RTOL,
     UNITARITY_DEFECT_TOL,
 )
-from .oracle.well import well_bound_state, well_from_coupling, well_phase_shift
+from .oracle.well import WellParameters, well_bound_state, well_from_coupling, well_phase_shift
 
 __all__ = ["main"]
 
@@ -284,9 +285,28 @@ def _fit_line(xs: list[float], ys: list[float]) -> tuple[float, float]:
     return slope, my - slope * mx
 
 
-def _build_regulator(name: str, opts: Options):
-    lam = opts.get_float("lambda", 1.0)
-    length = opts.get_float("a", 1.0)
+def _positive(opts: Options, key: str, squared: bool = False) -> float:
+    """A scalar key that must be positive and finite; a length is squared by
+    the model, so its square must not underflow or overflow either."""
+    value = opts.get_float(key, 1.0)
+    if not 0.0 < value < math.inf:
+        raise UsageError(f"{key} must be positive and finite, got {value!r}")
+    if squared and not sys.float_info.min <= value * value < math.inf:
+        raise UsageError(f"{key} = {value!r} is out of range: its square underflows or overflows")
+    return value
+
+
+def _model(name: str, opts: Options, scales: PhysicalScales, epsilon: float | None = None):
+    """The model that a regulator name and its scale keys select: a separable
+    regulator, or for circular-well the oracle's well of radius a at
+    coupling epsilon.  Without a coupling (flow) only the separable
+    regulators are accepted."""
+    lam, length = _positive(opts, "lambda"), _positive(opts, "a", squared=True)
+    if name == "circular-well" and epsilon is not None:
+        return well_from_coupling(epsilon, length, scales)
+    if name not in REGULATOR_NAMES:
+        names = REGULATOR_NAMES if epsilon is None else REGULATOR_NAMES + ("circular-well",)
+        raise UsageError(f"regulator must be one of {', '.join(names)}; got {name!r}")
     return regulator_from_name(name, cutoff=lam, length=length)
 
 
@@ -318,8 +338,7 @@ def cmd_flow(opts: Options) -> Table:
         tau0 = complex(opts.get_float("tau0_re", FOUR_PI), opts.get_float("tau0_im", 0.0))
     except TransmuteLabError as exc:
         raise UsageError(f"invalid flow anchor: {exc}") from exc
-    reg_name = opts.get("regulator", "pure-delta")
-    reg = _build_regulator(reg_name, opts)
+    reg = _model(opts.get("regulator", "pure-delta"), opts, scales)
     phase = opts.get_float("z_phase", 0.5 * math.pi)
     magnitudes = opts.get_grid("energy", "1:2980.9579870417283:9,log")
     points = [_point_on_ray(m, phase) for m in magnitudes]
@@ -374,39 +393,22 @@ def cmd_bind(opts: Options) -> Table:
     scales = _scales(opts)
     eps_grid = opts.get_grid("epsilon", "1:4:3,log")
     names = [n.strip() for n in (opts.get("regulator") or "sharp-cutoff,gaussian,circular-well,pure-delta").split(",")]
-    lam = opts.get_float("lambda", 1.0)
-    length = opts.get_float("a", 1.0)
-    kappa = scales.kinetic_constant
-
-    def solve(name: str, eps: float):
-        if name == "pure-delta":
-            return None, None
-        if name == "sharp-cutoff":
-            nominal = lam
-            solver = bound_state_pole(eps, SharpCutoff(lam), scales).energy
-        elif name == "gaussian":
-            nominal = kappa / length**2
-            solver = bound_state_pole(eps, GaussianFormFactor(length), scales).energy
-        elif name == "circular-well":
-            nominal = kappa / length**2
-            solver = well_bound_state(well_from_coupling(eps, length, scales), scales)
-        else:
-            raise UsageError(f"unknown regulator {name!r} for bind")
-        return solver, nominal * math.exp(-FOUR_PI / eps)
-
     rows = []
     fits: dict[str, tuple[float, float]] = {}
     for name in names:
         xs, ys = [], []
         for eps in eps_grid:
-            if name == "pure-delta":
-                rows.append([eps, name, None, None, None, "NO_BOUND_STATE"])
-                continue
+            model = _model(name, opts, scales, eps)
             try:
-                solver, closed = solve(name, eps)
+                if isinstance(model, WellParameters):
+                    # the well's nominal cutoff is that of a gaussian of the same length
+                    solver, nominal = well_bound_state(model, scales), scales.kinetic_constant / model.radius**2
+                else:
+                    solver, nominal = bound_state_pole(eps, model, scales).energy, nominal_cutoff(model, scales)
             except NoBoundStateError:
                 rows.append([eps, name, None, None, None, "NO_BOUND_STATE"])
                 continue
+            closed = nominal * math.exp(-FOUR_PI / eps)
             rel = (solver - closed) / closed
             rows.append([eps, name, solver, closed, rel, "OK"])
             xs.append(-FOUR_PI / eps)
@@ -546,31 +548,19 @@ def cmd_scatter(opts: Options) -> Table:
     """Continuum observables for a chosen model on an energy grid, with the
     two target-length routes cross-checked row by row."""
     scales = _scales(opts)
-    model = opts.get("model") or opts.get("regulator") or "renormalized"
+    name = opts.get("model") or opts.get("regulator") or "renormalized"
     energies = opts.get_grid("energy", "1e-3:1e3:13,log")
-    eps = opts.get_float("epsilon", 1.0)
-    lam = opts.get_float("lambda", 1.0)
-    length = opts.get_float("a", 1.0)
-    e_b = opts.get_float("e_b", 1.0)
     unitarity_tol = opts.get_float("unitarity_defect_tol", UNITARITY_DEFECT_TOL)
-
-    if model == "renormalized" and e_b <= 0.0:
-        raise UsageError(f"e_b must be positive, got {e_b}")
-    if model not in ("renormalized", "pure-delta", "sharp-cutoff", "gaussian", "circular-well"):
-        raise UsageError(f"unknown scatter model {model!r}")
-    well = well_from_coupling(eps, length, scales) if model == "circular-well" else None
-
-    def tau_at(energy: float) -> complex:
-        if model == "renormalized":
-            return renormalized_amplitude(e_b, ComplexEnergy.continuum(energy)).tau
-        if model == "pure-delta":
-            return 0.0 + 0.0j
-        if model == "sharp-cutoff":
-            return on_shell_amplitude(eps, SharpCutoff(lam), energy, scales).tau
-        if model == "gaussian":
-            return on_shell_amplitude(eps, GaussianFormFactor(length), energy, scales).tau
-        delta = well_phase_shift(well, wavenumber(energy, scales), scales)
-        return tau_from_phase_shift(delta)
+    if name == "renormalized":
+        e_b = _positive(opts, "e_b")
+        tau_at = lambda energy: renormalized_amplitude(e_b, ComplexEnergy.continuum(energy)).tau
+    else:
+        eps = _positive(opts, "epsilon")
+        model = _model(name, opts, scales, eps)
+        if isinstance(model, WellParameters):
+            tau_at = lambda energy: tau_from_phase_shift(well_phase_shift(model, wavenumber(energy, scales), scales))
+        else:
+            tau_at = lambda energy: on_shell_amplitude(eps, model, energy, scales).tau
 
     def row(energy: float):
         k = wavenumber(energy, scales)
@@ -597,7 +587,7 @@ def cmd_scatter(opts: Options) -> Table:
     n_violations = sum(1 for r in rows if r[9] != "OK")
     return Table(
         command="scatter",
-        description=f"continuum observables for the {model} model",
+        description=f"continuum observables for the {name} model",
         config=opts.effective(),
         columns=[
             ("E", "continuum energy (E + i0+)"),

@@ -16,14 +16,20 @@ Internal natural units set the single dimensionful combination
 kinetic_constant = hbar^2/(2*mu) to 1 (and hbar = 1 for the time domain),
 so E = k^2.  The model itself has no intrinsic energy scale; the unit
 system is imposed here and converted only at the CLI boundary.
+
+Both bound-state solvers (separable poles, circular well) search in ln E
+with the one root finder here, log_bracket_root.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, NoBoundStateError
+from .tolerances import POLE_SEARCH_LOG_TOL
 
 __all__ = [
     "PhysicalScales",
@@ -34,6 +40,9 @@ __all__ = [
     "principal_log_ratio",
     "wavenumber",
 ]
+# log_bracket_root stays out of __all__: bench/spans.py wraps these names,
+# and a span around the solver would hide its evaluations from the counts
+# of solver work.
 
 # Wavenumbers are plain positive floats in units of 1/length.
 Wavenumber = float
@@ -156,3 +165,53 @@ def wavenumber(energy: float, scales: PhysicalScales = NATURAL_UNITS) -> Wavenum
     if not (energy > 0.0) or not math.isfinite(energy):
         raise DomainError(f"wavenumber requires E > 0, got {energy}")
     return math.sqrt(energy / scales.kinetic_constant)
+
+
+def log_bracket_root(f, nominal: float, x_top: float, scan=()) -> float:
+    """ln E of the bound-state root of f(ln E) below x_top.
+
+    The bracket's lower limit is nominal * 1e-300, with nominal the
+    regulator's nominal cutoff, and never below the smallest normal double.
+    f is evaluated at x_top, at the points of the decreasing sequence
+    ``scan`` above the limit, and at the limit; the first sign change
+    brackets the root, which bisection refines to POLE_SEARCH_LOG_TOL and
+    four secant steps polish.  Raises NoBoundStateError(exact=False) when f
+    keeps its sign down to the limit.
+    """
+    x_floor = max(math.log(nominal) + math.log(1e-300), math.log(sys.float_info.min))
+    if not x_floor < x_top:
+        raise NoBoundStateError("bound-state search range lies below nominal*1e-300", exact=False)
+    xb, fb = x_top, f(x_top)
+    if fb == 0.0:
+        return x_top
+    for x in itertools.chain(scan, (x_floor,)):
+        x = max(x, x_floor)
+        fa = f(x)
+        if fa == 0.0:
+            return x
+        if (fa > 0.0) != (fb > 0.0):
+            break
+        if x == x_floor:
+            raise NoBoundStateError("no bound state bracketed above nominal*1e-300", exact=False)
+        xb, fb = x, fa
+    xa = x
+    for _ in range(200):
+        xm = 0.5 * (xa + xb)
+        fm = f(xm)
+        if fm != 0.0 and (fm > 0.0) == (fa > 0.0):
+            xa, fa = xm, fm
+        else:
+            xb, fb = xm, fm
+        if xb - xa < POLE_SEARCH_LOG_TOL:
+            break
+    x_root = 0.5 * (xa + xb)
+    for _ in range(4):
+        if fb == fa:
+            break
+        x_sec = xb - fb * (xb - xa) / (fb - fa)
+        if not (min(xa, xb) <= x_sec <= max(xa, xb)):
+            break
+        xa, fa = xb, fb
+        xb, fb = x_sec, f(x_sec)
+        x_root = xb
+    return x_root

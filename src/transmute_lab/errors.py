@@ -25,8 +25,8 @@ class DivergenceError(TransmuteLabError):
 
 
 class UnsupportedRegulatorError(TransmuteLabError):
-    """Operation not defined for this regulator (genuine finite-range wells
-    are handled only by the brute-force oracle)."""
+    """Operation not defined for this regulator (the pure delta carries no
+    scale and no finite resolvent)."""
 
 
 class PoleSingularityError(TransmuteLabError):

@@ -26,10 +26,8 @@ from ..errors import (
     DomainError,
     PrecisionFailureError,
     SingularInputError,
-    UnsupportedRegulatorError,
 )
 from ..regulators import (
-    CircularWell,
     PureDelta,
     Regulator,
     SharpCutoff,
@@ -204,8 +202,6 @@ def quadrature_resolvent(
     ze = as_energy(z)
     if isinstance(reg, PureDelta):
         raise DivergenceError("the unregulated resolvent integral diverges; nothing to quadrate")
-    if isinstance(reg, CircularWell):
-        raise UnsupportedRegulatorError("circular well has no separable resolvent")
     if ze.is_zero:
         raise SingularInputError("resolvent integral singular at z = 0")
     upper = _upper_limit(reg)

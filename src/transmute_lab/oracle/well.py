@@ -26,11 +26,12 @@ amplitude.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from ..energy_plane import NATURAL_UNITS, PhysicalScales
-from ..errors import DomainError, TransmuteLabError
+from ..energy_plane import NATURAL_UNITS, PhysicalScales, log_bracket_root
+from ..errors import DomainError
 from ..special import bessel_j0, bessel_j1, bessel_k0, bessel_k1, bessel_y0, bessel_y1
 
 __all__ = [
@@ -84,57 +85,22 @@ def _matching(well: WellParameters, energy: float, kappa: float) -> float:
 def well_bound_state(well: WellParameters, scales: PhysicalScales = NATURAL_UNITS) -> float:
     """Ground-state binding energy E_B > 0 (pole of the amplitude at -E_B).
 
-    The root of the matching condition is isolated in (0, depth), searched in
-    ln E to keep conditioning uniform over the exponentially wide range the
-    shallow-well regime produces, and refined by bisection plus secant
-    polish.  A 2D attractive well always binds, so failure to bracket is a
-    numerical error, not a physics statement.
+    The root of the matching condition is isolated in (0, depth) and
+    searched by log_bracket_root in ln E, which keeps conditioning uniform
+    over the exponentially wide shallow-well range.  A 2D attractive well
+    always binds, but below eps ~ 0.018 E_B ~ (kappa/a^2) e^{-4 pi/eps} lies
+    below the search limit (kappa/a^2) * 1e-300, and the search raises
+    NoBoundStateError(exact=False) as the separable pole search does.
     """
     kappa = scales.kinetic_constant
     v0 = well.depth
     f = lambda x: _matching(well, math.exp(x), kappa)
     x_hi = math.log(v0) + math.log1p(-1e-12)
     x_lo = math.log(v0) - 650.0
-    f_hi = f(x_hi)
-    # scan downward from the well depth: the first sign change brackets the
-    # ground state (largest E_B; interior solution without nodes)
-    n_scan = 500
-    x_prev, f_prev = x_hi, f_hi
-    bracket = None
-    for i in range(1, n_scan + 1):
-        x = x_hi + (x_lo - x_hi) * i / n_scan
-        fx = f(x)
-        if fx == 0.0:
-            return math.exp(x)
-        if f_prev == 0.0 or (fx > 0.0) != (f_prev > 0.0):
-            bracket = (x, fx, x_prev, f_prev)
-            break
-        x_prev, f_prev = x, fx
-    if bracket is None:
-        raise TransmuteLabError(
-            "well bound-state matching root not bracketed (should be unreachable for valid wells)"
-        )
-    xa, fa, xb, fb = bracket
-    for _ in range(200):
-        xm = 0.5 * (xa + xb)
-        fm = f(xm)
-        if (fm > 0.0) == (fa > 0.0):
-            xa, fa = xm, fm
-        else:
-            xb, fb = xm, fm
-        if abs(xb - xa) < 1e-13:
-            break
-    x_root = 0.5 * (xa + xb)
-    for _ in range(4):
-        if fb == fa:
-            break
-        x_sec = xb - fb * (xb - xa) / (fb - fa)
-        if not (min(xa, xb) <= x_sec <= max(xa, xb)):
-            break
-        xa, fa = xb, fb
-        xb, fb = x_sec, f(x_sec)
-        x_root = xb
-    return math.exp(x_root)
+    # scan down from the well depth in steps of 650/500: the first sign
+    # change brackets the ground state (largest E_B; no interior node)
+    scan = (x_hi + (x_lo - x_hi) * i / 500 for i in itertools.count(1))
+    return math.exp(log_bracket_root(f, kappa / well.radius**2, x_hi, scan))
 
 
 def well_phase_shift(well: WellParameters, k: float, scales: PhysicalScales = NATURAL_UNITS) -> float:

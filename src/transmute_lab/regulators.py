@@ -23,8 +23,10 @@ The variants:
                     logarithm; precisely the freedom that makes the generated
                     bound-state scale conventional.
 * gaussian          |<k|v>|^2 = exp(-k^2 a^2).
-* circular-well     a genuine attractive well of radius a, not a form
-                    factor; handled only by the brute-force oracle module.
+
+The circular well of radius a is a genuine finite-range potential, not a
+form factor, so it is no regulator here: its one type is the oracle's
+WellParameters (transmute_lab.oracle.well), solved by Bessel matching.
 
 Closed forms (kappa = kinetic_constant, b = a^2/kappa):
 
@@ -61,7 +63,6 @@ __all__ = [
     "PureDelta",
     "SharpCutoff",
     "GaussianFormFactor",
-    "CircularWell",
     "Regulator",
     "REGULATOR_NAMES",
     "regulator_from_name",
@@ -103,24 +104,9 @@ class GaussianFormFactor:
             raise DomainError(f"length must be positive and finite, got {self.length}")
 
 
-@dataclass(frozen=True)
-class CircularWell:
-    """Attractive circular well of the given radius.
+Regulator = Union[PureDelta, SharpCutoff, GaussianFormFactor]
 
-    A genuine finite-range potential rather than a separable form factor;
-    its bound states and phase shifts live in the oracle module.
-    """
-
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0) or not math.isfinite(self.radius):
-            raise DomainError(f"radius must be positive and finite, got {self.radius}")
-
-
-Regulator = Union[PureDelta, SharpCutoff, GaussianFormFactor, CircularWell]
-
-REGULATOR_NAMES = ("pure-delta", "sharp-cutoff", "gaussian", "circular-well")
+REGULATOR_NAMES = ("pure-delta", "sharp-cutoff", "gaussian")
 
 
 def regulator_from_name(name: str, cutoff: float | None = None, length: float | None = None) -> Regulator:
@@ -135,10 +121,6 @@ def regulator_from_name(name: str, cutoff: float | None = None, length: float | 
         if length is None:
             raise DomainError("gaussian requires a smearing length")
         return GaussianFormFactor(length)
-    if name == "circular-well":
-        if length is None:
-            raise DomainError("circular-well requires a radius")
-        return CircularWell(length)
     raise DomainError(f"unknown regulator {name!r}; expected one of {REGULATOR_NAMES}")
 
 
@@ -147,9 +129,7 @@ def regulator_name(reg: Regulator) -> str:
         return "pure-delta"
     if isinstance(reg, SharpCutoff):
         return "sharp-cutoff"
-    if isinstance(reg, GaussianFormFactor):
-        return "gaussian"
-    return "circular-well"
+    return "gaussian"
 
 
 def nominal_cutoff(reg: Regulator, scales: PhysicalScales = NATURAL_UNITS) -> float:
@@ -163,8 +143,6 @@ def nominal_cutoff(reg: Regulator, scales: PhysicalScales = NATURAL_UNITS) -> fl
         return reg.cutoff
     if isinstance(reg, GaussianFormFactor):
         return scales.kinetic_constant / reg.length**2
-    if isinstance(reg, CircularWell):
-        return scales.kinetic_constant / reg.radius**2
     raise UnsupportedRegulatorError("the pure delta carries no scale")
 
 
@@ -176,17 +154,13 @@ def form_factor_squared(reg: Regulator, k: float, scales: PhysicalScales = NATUR
         return 1.0
     if isinstance(reg, SharpCutoff):
         return 1.0 if scales.kinetic_constant * k * k <= reg.cutoff else 0.0
-    if isinstance(reg, GaussianFormFactor):
-        return math.exp(-(k * reg.length) ** 2)
-    raise UnsupportedRegulatorError("circular well has no separable form factor")
+    return math.exp(-(k * reg.length) ** 2)
 
 
 def spectral_weight(reg: Regulator, energy: float, scales: PhysicalScales = NATURAL_UNITS) -> float:
     """Q(E) = |<k(E)|v>|^2 / (4 pi kinetic_constant) for E >= 0."""
     if energy < 0.0:
         raise DomainError(f"spectral weight requires E >= 0, got {energy}")
-    if isinstance(reg, CircularWell):
-        raise UnsupportedRegulatorError("circular well has no separable spectral weight")
     kappa = scales.kinetic_constant
     base = 1.0 / (4.0 * math.pi * kappa)
     if isinstance(reg, PureDelta):
@@ -209,9 +183,7 @@ def decay_amplitude(reg: Regulator, t: float, scales: PhysicalScales = NATURAL_U
         return 1.0 / (4.0 * math.pi * kappa * 1j * t)
     if isinstance(reg, SharpCutoff):
         return (1.0 - cmath.exp(-1j * reg.cutoff * t)) / (4.0 * math.pi * kappa * 1j * t)
-    if isinstance(reg, GaussianFormFactor):
-        return 1.0 / (4.0 * math.pi * (reg.length**2 + 1j * kappa * t))
-    raise UnsupportedRegulatorError("circular well has no separable decay amplitude")
+    return 1.0 / (4.0 * math.pi * (reg.length**2 + 1j * kappa * t))
 
 
 def _gaussian_resolvent(reg: GaussianFormFactor, z: ComplexEnergy, kappa: float) -> complex:
@@ -248,9 +220,7 @@ def resolvent_element(reg: Regulator, z, scales: PhysicalScales = NATURAL_UNITS)
             raise SingularInputError("g(z) is singular at the cutoff edge z = Lambda")
         shifted = ComplexEnergy(ze.re - reg.cutoff, ze.im)
         return principal_log_ratio(ze, shifted) / (4.0 * math.pi * kappa)
-    if isinstance(reg, GaussianFormFactor):
-        return _gaussian_resolvent(reg, ze, kappa)
-    raise UnsupportedRegulatorError("circular well has no separable resolvent element")
+    return _gaussian_resolvent(reg, ze, kappa)
 
 
 def dimensionless_resolvent(reg: Regulator, z, scales: PhysicalScales = NATURAL_UNITS) -> complex:

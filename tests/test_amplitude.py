@@ -23,6 +23,7 @@ from transmute_lab.energy_plane import ComplexEnergy, PhysicalScales, principal_
 from transmute_lab.errors import DomainError, NoBoundStateError, PoleSingularityError
 from transmute_lab.oracle.quadrature import quadrature_resolvent, upper_half_residue
 from transmute_lab.regulators import GaussianFormFactor, PureDelta, SharpCutoff
+from transmute_lab.tolerances import ANCHOR_INDEPENDENCE_RTOL, RESIDUE_RTOL
 from test_energy_plane import random_upper_half_point
 
 mp.mp.dps = 30
@@ -130,7 +131,7 @@ class TestSlide:
                 for z in z_list:
                     direct = regulated_amplitude(eps, reg, z).tau
                     slid = slide_amplitude(anchor, z, reg).tau
-                    assert abs(slid - direct) <= 1e-10 * abs(direct)
+                    assert abs(slid - direct) <= ANCHOR_INDEPENDENCE_RTOL * abs(direct)
 
     def test_pole_signal_carries_location(self):
         anchor = FlowPoint(ComplexEnergy(0.0, 1.0), Amplitude(complex(FOUR_PI)))
@@ -173,8 +174,8 @@ class TestRenormalized:
         res1 = upper_half_residue(f, -e_b, r1)
         res2 = upper_half_residue(f, -e_b, r2)
         refined = (r1 * res2 - r2 * res1) / (r1 - r2)
-        assert refined.real == pytest.approx(FOUR_PI * e_b, rel=1e-6)
-        assert abs(refined.imag) <= 1e-6 * FOUR_PI * e_b
+        assert refined.real == pytest.approx(FOUR_PI * e_b, rel=RESIDUE_RTOL)
+        assert abs(refined.imag) <= RESIDUE_RTOL * FOUR_PI * e_b
 
     def test_scale_free(self):
         # only z/E_B enters
@@ -190,6 +191,13 @@ class TestBoundStatePole:
                 found = bound_state_pole(eps, SharpCutoff(lam)).energy
                 exact = lam / math.expm1(FOUR_PI / eps)
                 assert found == pytest.approx(exact, rel=1e-12)
+
+    def test_tiny_cutoff_search_limit(self):
+        # Lambda * 1e-300 underflows; the search stops at the smallest normal
+        # double instead of evaluating g at z = 0
+        lam = 1e-30
+        found = bound_state_pole(1.0, SharpCutoff(lam)).energy
+        assert found == pytest.approx(lam / math.expm1(FOUR_PI), rel=1e-12)
 
     def test_closed_form_band(self):
         # relative deviation from Lambda e^{-4 pi/eps} is at most 2 E_B/Lambda

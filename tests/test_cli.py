@@ -267,6 +267,12 @@ class TestExitCodes:
         code = main(["flow", "--config", str(tmp_path / "missing.txt")])
         assert code == 2
 
+    def test_flow_rejects_circular_well(self, tmp_path, capsys):
+        # the circular well lives only in the oracle; flow has no coupling
+        # to build it from
+        code, _ = run_cli(["flow", "--regulator", "circular-well"], tmp_path)
+        assert_one_line_error(capsys, code, 2)
+
     def test_numerical_failure_suppresses_output(self, tmp_path):
         # a grid point exactly on the cutoff edge is a singular input
         cfg = "model = sharp-cutoff\nepsilon = 1\nlambda = 4\n"
@@ -428,3 +434,31 @@ class TestBoundaryErrors:
         code, out = run_cli(["scatter", "--energy", "1"], tmp_path)
         assert_one_line_error(capsys, code, 1)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1e-300", "1e-30", "0.5", "1e30", "1e300"])
+@pytest.mark.parametrize("key", ["lambda", "epsilon", "a"])
+@pytest.mark.parametrize("regulator", ["pure-delta", "sharp-cutoff", "gaussian", "circular-well"])
+@pytest.mark.parametrize("command", ["flow", "bind", "scatter"])
+def test_scale_sweep(command, regulator, key, value, tmp_path, capsys):
+    # any scale ends in exit 0, 1 or 2 with at most one stderr line and an
+    # output file only on success; a nonpositive or non-finite value of a
+    # key the command and regulator use is a usage error
+    args = [command, "--regulator", regulator]
+    if command == "scatter":
+        args += ["--energy", "0.3:3:3,log"]
+    config = f"a = {value}\n" if key == "a" else None
+    if config is None:
+        args.append(f"--{key}={value}")
+    code, out = run_cli(args, tmp_path, config_text=config)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and len(err.strip().splitlines()) <= 1, err
+    assert out.exists() == (code == 0)
+    uses = {
+        "lambda": regulator == "sharp-cutoff",
+        "a": regulator in ("gaussian", "circular-well"),
+        "epsilon": command != "flow",
+    }[key]
+    if uses and value in ("nan", "inf", "-1", "0"):
+        assert code == 2

@@ -30,6 +30,7 @@ from transmute_lab.regulators import (
     slide_kernel,
     spectral_weight,
 )
+from transmute_lab.tolerances import QUADRATURE_MATCH_RTOL
 
 
 class TestIntegrate:
@@ -83,7 +84,7 @@ class TestResolventOracle:
                               ComplexEnergy(-0.6 * mag, 0.8 * mag)):
                     closed = resolvent_element(reg, point)
                     quad, _ = quadrature_resolvent(reg, point)
-                    assert abs(quad - closed) <= 1e-8 * abs(closed), (reg, point)
+                    assert abs(quad - closed) <= QUADRATURE_MATCH_RTOL * abs(closed), (reg, point)
 
     def test_boundary_sokhotski_imaginary_part(self):
         # Im g(E + i0+) = -pi Q(E) exactly from the decomposition
@@ -97,7 +98,7 @@ class TestResolventOracle:
             for energy in (0.5, 3.0, 20.0):
                 closed = resolvent_element(reg, ComplexEnergy.continuum(energy))
                 quad, _ = quadrature_resolvent(reg, ComplexEnergy.continuum(energy))
-                assert abs(quad - closed) <= 1e-8 * abs(closed)
+                assert abs(quad - closed) <= QUADRATURE_MATCH_RTOL * abs(closed)
 
     def test_boundary_above_cutoff_is_real(self):
         reg = SharpCutoff(10.0)

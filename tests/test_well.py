@@ -12,7 +12,7 @@ from scipy.special import j0 as sp_j0, j1 as sp_j1, k0 as sp_k0, k1 as sp_k1, y0
 
 from transmute_lab.amplitude import renormalized_amplitude
 from transmute_lab.energy_plane import PhysicalScales, wavenumber
-from transmute_lab.errors import DomainError
+from transmute_lab.errors import DomainError, NoBoundStateError
 from transmute_lab.observables import tau_from_phase_shift
 from transmute_lab.oracle.well import (
     WellParameters,
@@ -101,6 +101,23 @@ class TestWellBoundState:
         # even a very shallow well has a (tiny) bound state
         e_b = well_bound_state(well_from_coupling(0.25, 1.0))
         assert 0.0 < e_b < 1e-20
+
+    def test_shallow_well_near_search_limit(self):
+        # ln E_B ~ -675, just above the search limit ln(1e-300) = -690.8;
+        # shallow-well matching gives
+        # ln(E_B a^2/kappa) = -4 pi/eps + ln 4 - 2 gamma_E + 1/2 + O(eps)
+        eps = 0.0186
+        log_e_b = math.log(well_bound_state(well_from_coupling(eps, 1.0)))
+        expected = -FOUR_PI / eps + math.log(4.0) - 2.0 * np.euler_gamma + 0.5
+        assert log_e_b == pytest.approx(expected, abs=1e-3)
+
+    @pytest.mark.parametrize("eps", [0.015, 1e-300])
+    def test_no_bound_state_below_search_limit(self, eps):
+        # E_B ~ (kappa/a^2) e^{-4 pi/eps} lies below (kappa/a^2) * 1e-300:
+        # an inexact NoBoundStateError, as for the separable regulators
+        with pytest.raises(NoBoundStateError) as err:
+            well_bound_state(well_from_coupling(eps, 1.0))
+        assert not err.value.exact
 
 
 class TestWellPhaseShift:
