@@ -26,6 +26,11 @@ whose scale E_B is inherited entirely from the regulator: the limit
 Lambda -> inf, eps -> 0+ with Lambda e^{-4 pi/eps} held fixed reproduces it
 for any chosen E_B.  Both limiting processes are implemented as schedule
 scans below.
+
+The *_array functions evaluate tau over numpy arrays for whole tables: the
+renormalized form, the sharp cutoff and the pure delta in closed form, the
+gaussian through the scalar functions point by point.  The scalar functions
+stay the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -34,13 +39,17 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .energy_plane import (
     NATURAL_UNITS,
     ComplexEnergy,
     PhysicalScales,
     as_energy,
+    complex_divide_array,
     log_bracket_root,
     principal_log_ratio,
+    principal_log_ratio_array,
 )
 from .errors import (
     DivergenceError,
@@ -56,6 +65,7 @@ from .regulators import (
     form_factor_squared,
     nominal_cutoff,
     resolvent_derivative,
+    sharp_resolvent_array,
     slide_kernel,
 )
 from .tolerances import POLE_GUARD
@@ -74,6 +84,10 @@ __all__ = [
     "amplitudes_over_cutoffs",
     "transmutation_schedule",
     "cutoff_envelope",
+    "renormalized_amplitude_array",
+    "sharp_amplitude_array",
+    "on_shell_amplitude_array",
+    "cutoff_envelope_array",
 ]
 
 
@@ -361,3 +375,76 @@ def cutoff_envelope(epsilon: float, magnitude: float, lam: float) -> float | Non
     if shifted <= 0.0:
         return None
     return 4.0 * math.pi / shifted
+
+
+def renormalized_amplitude_array(bound_energy: float, re, im=0.0) -> np.ndarray:
+    """renormalized_amplitude elementwise over arrays of Re z and Im z."""
+    if not (bound_energy > 0.0) or not math.isfinite(bound_energy):
+        raise DomainError(f"bound-state energy must be positive, got {bound_energy}")
+    log_ratio = principal_log_ratio_array(-bound_energy, 0.0, re, im)
+    if (np.hypot(log_ratio.real, log_ratio.imag) < POLE_GUARD).any():
+        raise PoleSingularityError(
+            "renormalized amplitude evaluated at its bound-state pole",
+            pole_energy=-bound_energy,
+        )
+    return complex_divide_array(4.0 * math.pi, log_ratio)
+
+
+def sharp_amplitude_array(
+    epsilon: float,
+    cutoff,
+    re,
+    im,
+    scales: PhysicalScales = NATURAL_UNITS,
+) -> np.ndarray:
+    """regulated_amplitude of the sharp cutoff, tau = -eps / (1 + eps*I(z)),
+    elementwise over broadcastable arrays of cutoffs and of Re z, Im z: a
+    cutoff schedule at one z, or one cutoff over an energy grid."""
+    _check_coupling(epsilon)
+    resolvent = scales.kinetic_constant * sharp_resolvent_array(cutoff, re, im, scales)
+    denom = 1.0 + epsilon * resolvent
+    at_pole = np.hypot(denom.real, denom.imag) < POLE_GUARD
+    if at_pole.any():
+        i = int(np.argmax(at_pole))
+        pole = _closed_form_pole(epsilon, SharpCutoff(float(np.broadcast_to(cutoff, denom.shape).flat[i])))
+        raise PoleSingularityError(
+            f"amplitude evaluated at a bound-state pole (|1 + eps*I| = {abs(denom.flat[i]):.3e})",
+            pole_energy=None if pole is None else -pole,
+        )
+    return complex_divide_array(-epsilon, denom)
+
+
+def on_shell_amplitude_array(
+    epsilon: float,
+    reg: Regulator,
+    energies,
+    scales: PhysicalScales = NATURAL_UNITS,
+) -> np.ndarray:
+    """on_shell_amplitude elementwise over an array of continuum energies."""
+    energies = np.asarray(energies, dtype=float)
+    if not (energies > 0.0).all():
+        raise DomainError(f"on-shell amplitude requires E > 0, got {energies[~(energies > 0.0)][0]}")
+    if isinstance(reg, PureDelta):
+        return np.zeros(energies.shape, dtype=complex)
+    if not isinstance(reg, SharpCutoff):
+        return np.array([on_shell_amplitude(epsilon, reg, e, scales).tau for e in energies.tolist()],
+                        dtype=complex)
+    # the on-shell weight of form_factor_squared: kappa k^2 <= Lambda, with
+    # k = sqrt(E/kappa) rounded as there
+    kappa = scales.kinetic_constant
+    k = np.sqrt(energies / kappa)
+    inside = kappa * k * k <= reg.cutoff
+    tau = np.zeros(energies.shape, dtype=complex)
+    if inside.any():
+        tau[inside] = sharp_amplitude_array(epsilon, reg.cutoff, energies[inside], 0.0, scales)
+    return tau
+
+
+def cutoff_envelope_array(epsilon: float, magnitude: float, cutoffs) -> np.ndarray:
+    """cutoff_envelope elementwise over an array of cutoffs, with NaN where
+    the bound is vacuous (None in the scalar form)."""
+    cutoffs = np.asarray(cutoffs, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shifted = np.log((cutoffs - magnitude) / magnitude) - 4.0 * math.pi / epsilon
+        bound = 4.0 * math.pi / shifted
+    return np.where((cutoffs > magnitude) & (shifted > 0.0), bound, np.nan)

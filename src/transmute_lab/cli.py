@@ -8,9 +8,14 @@ deterministic CSV or JSON tables.
     transmute-lab scatter    continuum observables on an energy grid
 
 Configuration is a flat key=value text file ('#' comments); command-line
-flags override file values.  Output is byte-deterministic: floats render at
-17 significant digits, rows are evaluated in one thread in input order, and
-no timestamps enter the data body.
+flags override file values.  Output is byte-deterministic across runs on one
+machine and numpy build: floats render at 17 significant digits, tables are
+evaluated in one thread (flow, scatter and theorem as numpy columns, bind
+and transmute row by row), and no timestamps enter the data body.  numpy's
+elementary functions may round differently from the C library's, so
+array-evaluated tables may differ from earlier versions in the last digits,
+within the 8-ulp budget of tests/test_array_forms.py.  A non-finite cell is
+a numerical failure.
 Exit codes: 0 success, 1 numerical failure (partial output suppressed),
 2 usage or configuration error.
 """
@@ -24,28 +29,25 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .amplitude import (
     bound_state_pole,
-    cutoff_envelope,
-    on_shell_amplitude,
-    regulated_amplitude,
+    cutoff_envelope_array,
+    on_shell_amplitude_array,
     renormalized_amplitude,
+    renormalized_amplitude_array,
+    sharp_amplitude_array,
     transmutation_schedule,
 )
-from .energy_plane import ComplexEnergy, PhysicalScales, wavenumber
-from .errors import DomainError, NoBoundStateError, TransmuteLabError, UnitarityViolationError
-from .observables import (
-    f_from_tau,
-    optical_theorem_defect,
-    phase_shift_from_tau,
-    tau_from_phase_shift,
-)
+from .energy_plane import ComplexEnergy, PhysicalScales, complex_divide_array, wavenumber
+from .errors import DomainError, NoBoundStateError, TransmuteLabError
+from .observables import continuum_observables_array, tau_from_phase_shift
 from .regulators import (
     REGULATOR_NAMES,
-    SharpCutoff,
     nominal_cutoff,
     regulator_from_name,
-    slide_kernel,
+    slide_kernels_along,
 )
 from .tolerances import (
     FLOW_GROUP_RTOL,
@@ -211,13 +213,25 @@ def _fmt(value) -> str:
     return f"{value:.16e}"
 
 
+# cell types that a %-template renders exactly as _fmt does
+_CELL_FORMATS = {float: "%.16e", int: "%d", str: "%s", type(None): "%.0s"}
+
+
+def _row_template(kinds: tuple) -> str | None:
+    """The %-template of a row whose cells have these types, or None when a
+    type has no template (bool, numpy scalars) and _fmt renders the row."""
+    if not all(kind in _CELL_FORMATS for kind in kinds):
+        return None
+    return ",".join(_CELL_FORMATS[kind] for kind in kinds) + "\n"
+
+
 @dataclass
 class Table:
     command: str
     description: str
     config: dict[str, str]
     columns: list[tuple[str, str]]
-    rows: list[list] = field(default_factory=list)
+    rows: list[list | tuple] = field(default_factory=list)
     footer: dict[str, object] = field(default_factory=dict)
 
     def write_csv(self, stream) -> None:
@@ -230,8 +244,15 @@ class Table:
         for name, desc in self.columns:
             w(f"#   {name}: {desc}\n")
         w(",".join(name for name, _ in self.columns) + "\n")
+        # one template per distinct row of cell types: a table has one or a
+        # few (None cells and status strings vary by row)
+        templates: dict[tuple, str | None] = {}
         for row in self.rows:
-            w(",".join(_fmt(cell) for cell in row) + "\n")
+            kinds = tuple(map(type, row))
+            if kinds not in templates:
+                templates[kinds] = _row_template(kinds)
+            template = templates[kinds]
+            w(template % tuple(row) if template else ",".join(_fmt(cell) for cell in row) + "\n")
         for key, value in sorted(self.footer.items()):
             w(f"# {key}={_fmt(value)}\n")
 
@@ -246,6 +267,28 @@ class Table:
         }
         json.dump(obj, stream, sort_keys=True, indent=2, allow_nan=False)
         stream.write("\n")
+
+
+def _rows(columns: list[tuple[str, str]], cells: list, blank: dict[int, np.ndarray] | None = None) -> list[tuple]:
+    """Table rows from per-column cells: float arrays, or lists of strings.
+    ``blank`` maps a column index to a mask of cells left empty (None).
+    Every other float cell must be finite; the first column that holds a
+    non-finite one makes the table a numerical failure naming its row."""
+    blank = blank or {}
+    out = []
+    for j, ((name, _), col) in enumerate(zip(columns, cells)):
+        if isinstance(col, np.ndarray):
+            empty = blank.get(j)
+            bad = ~np.isfinite(col) if empty is None else ~(np.isfinite(col) | empty)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise TransmuteLabError(f"non-finite {name} = {float(col[i])!r} in row {i + 1}")
+            col = col.tolist()
+            if empty is not None:
+                for i in np.flatnonzero(empty).tolist():
+                    col[i] = None
+        out.append(col)
+    return list(zip(*out))
 
 
 def _emit(table: Table, opts: Options) -> None:
@@ -310,16 +353,34 @@ def _model(name: str, opts: Options, scales: PhysicalScales, epsilon: float | No
     return regulator_from_name(name, cutoff=lam, length=length)
 
 
-def _point_on_ray(magnitude: float, phase: float) -> ComplexEnergy:
+def _finite(opts: Options, key: str, default: float) -> float:
+    value = opts.get_float(key, default)
+    if not math.isfinite(value):
+        raise UsageError(f"{key} must be finite, got {value!r}")
+    return value
+
+
+def _config_energy(opts: Options, key: str, re: float, im: float) -> ComplexEnergy:
+    """The energy point of the keys key_re and key_im."""
+    try:
+        return ComplexEnergy(_finite(opts, f"{key}_re", re), _finite(opts, f"{key}_im", im))
+    except DomainError as exc:
+        raise UsageError(f"invalid {key}: {exc}") from None
+
+
+def _ray(magnitudes: list[float], phase: float) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of the points at these magnitudes on the ray of this phase;
+    the axis phases are exact."""
+    m = np.array(magnitudes)
     if phase == 0.0:
-        return ComplexEnergy(magnitude, 0.0)
+        return m, np.zeros_like(m)
     if phase == 0.5 * math.pi:
-        return ComplexEnergy(0.0, magnitude)
+        return np.zeros_like(m), m
     if phase == math.pi:
-        return ComplexEnergy(-magnitude, 0.0)
+        return -m, np.zeros_like(m)
     if not (0.0 < phase < math.pi):
         raise UsageError(f"ray phase must lie in [0, pi], got {phase}")
-    return ComplexEnergy(magnitude * math.cos(phase), magnitude * math.sin(phase))
+    return m * math.cos(phase), m * math.sin(phase)
 
 
 # ----------------------------------------------------------------------
@@ -331,41 +392,44 @@ def cmd_flow(opts: Options) -> Table:
     and tabulate 1/tau, whose real part runs linearly in ln|z| with slope
     -1/(4 pi) for the exact kernel."""
     scales = _scales(opts)
-    try:
-        z0 = ComplexEnergy(opts.get_float("z0_re", 0.0), opts.get_float("z0_im", 1.0))
-        if z0.is_zero:
-            raise UsageError("flow anchor z0 must be nonzero")
-        tau0 = complex(opts.get_float("tau0_re", FOUR_PI), opts.get_float("tau0_im", 0.0))
-    except TransmuteLabError as exc:
-        raise UsageError(f"invalid flow anchor: {exc}") from exc
+    z0 = _config_energy(opts, "z0", 0.0, 1.0)
+    if z0.is_zero:
+        raise UsageError("flow anchor z0 must be nonzero")
+    tau0 = complex(_finite(opts, "tau0_re", FOUR_PI), _finite(opts, "tau0_im", 0.0))
     reg = _model(opts.get("regulator", "pure-delta"), opts, scales)
     phase = opts.get_float("z_phase", 0.5 * math.pi)
-    magnitudes = opts.get_grid("energy", "1:2980.9579870417283:9,log")
-    points = [_point_on_ray(m, phase) for m in magnitudes]
-
-    def row(point: ComplexEnergy):
+    re, im = _ray(opts.get_grid("energy", "1:2980.9579870417283:9,log"), phase)
+    kappa = scales.kinetic_constant
+    if tau0 == 0:
+        # zero is a fixed point of the flow: tau stays 0 and 1/tau is blank
+        tau = inv = np.zeros(re.shape, dtype=complex)
+        blank_inv, at_pole = np.ones(re.shape, dtype=bool), None
+    else:
         # tabulate 1/tau directly: it runs through amplitude poles smoothly
         # (a pole is just a zero of 1/tau); tau cells stay empty there
-        if tau0 == 0:
-            return [point.re, point.im, None, None, 0.0, 0.0]
-        inv = 1.0 / tau0 - scales.kinetic_constant * slide_kernel(reg, point, z0, scales)
-        if abs(inv) < POLE_GUARD:
-            return [point.re, point.im, inv.real, inv.imag, None, None]
-        tau = 1.0 / inv
-        return [point.re, point.im, inv.real, inv.imag, tau.real, tau.imag]
-
-    rows = _ordered_map(row, points)
+        from_anchor, steps = slide_kernels_along(reg, re, im, z0, scales)
+        inv = 1.0 / tau0 - kappa * from_anchor
+        blank_inv = None
+        at_pole = np.hypot(inv.real, inv.imag) < POLE_GUARD
+        tau = complex_divide_array(1.0, inv)
+    columns = [
+        ("z_re", "Re z of the evaluation point"),
+        ("z_im", "Im z of the evaluation point"),
+        ("re_inv_tau", "Re[1/tau(z)]; exact kernel: 1/tau(z) = 1/tau(z0) - ln(z/z0)/(4 pi)"),
+        ("im_inv_tau", "Im[1/tau(z)] under the same running relation"),
+        ("re_tau", "Re tau(z) = Re[ tau0 / (1 - tau0 * kappa * (g(z)-g(z0))) ]"),
+        ("im_tau", "Im tau(z)"),
+    ]
+    rows = _rows(columns, [re, im, inv.real, inv.imag, tau.real, tau.imag],
+                 {2: blank_inv, 3: blank_inv, 4: at_pole, 5: at_pole})
     # group property row-to-row: re-anchoring 1/tau at row i must reproduce
     # row i+1 through the kernel between consecutive points
     max_defect = 0.0
-    if tau0 != 0:
-        for i in range(len(points) - 1):
-            inv_i = complex(rows[i][2], rows[i][3])
-            inv_next = complex(rows[i + 1][2], rows[i + 1][3])
-            kernel = scales.kinetic_constant * slide_kernel(reg, points[i + 1], points[i], scales)
-            max_defect = max(max_defect, abs(inv_next - (inv_i - kernel)))
+    if tau0 != 0 and steps.size:
+        defect = inv[1:] - (inv[:-1] - kappa * steps)
+        max_defect = float(np.max(np.hypot(defect.real, defect.imag)))
     defect_tol = opts.get_float("flow_defect_tol", FLOW_GROUP_RTOL)
-    if max_defect > defect_tol:
+    if not max_defect <= defect_tol:
         raise TransmuteLabError(
             f"flow composition defect {max_defect:.3e} exceeds {defect_tol:.1e}"
         )
@@ -373,14 +437,7 @@ def cmd_flow(opts: Options) -> Table:
         command="flow",
         description="sliding-scale running of the amplitude from a fixed anchor",
         config=opts.effective(),
-        columns=[
-            ("z_re", "Re z of the evaluation point"),
-            ("z_im", "Im z of the evaluation point"),
-            ("re_inv_tau", "Re[1/tau(z)]; exact kernel: 1/tau(z) = 1/tau(z0) - ln(z/z0)/(4 pi)"),
-            ("im_inv_tau", "Im[1/tau(z)] under the same running relation"),
-            ("re_tau", "Re tau(z) = Re[ tau0 / (1 - tau0 * kappa * (g(z)-g(z0))) ]"),
-            ("im_tau", "Im tau(z)"),
-        ],
+        columns=columns,
         rows=rows,
         footer={"max_flow_defect": max_defect, "rows": len(rows)},
     )
@@ -398,8 +455,8 @@ def cmd_bind(opts: Options) -> Table:
     for name in names:
         xs, ys = [], []
         for eps in eps_grid:
-            model = _model(name, opts, scales, eps)
             try:
+                model = _model(name, opts, scales, eps)
                 if isinstance(model, WellParameters):
                     # the well's nominal cutoff is that of a gaussian of the same length
                     solver, nominal = well_bound_state(model, scales), scales.kinetic_constant / model.radius**2
@@ -453,31 +510,38 @@ def cmd_theorem(opts: Options) -> Table:
     if len(eps_grid) != 1:
         raise UsageError("theorem takes a single epsilon")
     eps = eps_grid[0]
-    z = ComplexEnergy(opts.get_float("z_re", 0.0), opts.get_float("z_im", 1.0))
-    schedule = opts.get_grid("lambda", "1e2:1e12:6,log")
+    z = _config_energy(opts, "z", 0.0, 1.0)
+    schedule = np.array(opts.get_grid("lambda", "1e2:1e12:6,log"))
     magnitude = z.magnitude()
-    for lam in schedule:
-        if lam <= magnitude:
-            raise UsageError(f"cutoff {lam} must exceed |z| = {magnitude}")
+    below = schedule <= magnitude
+    if below.any():
+        raise UsageError(f"cutoff {float(schedule[below][0])} must exceed |z| = {magnitude}")
 
-    def row(lam: float):
-        amp = regulated_amplitude(eps, SharpCutoff(lam), z, scales)
-        naive = FOUR_PI / math.log(lam / magnitude)
-        return [lam, abs(amp.tau), naive, cutoff_envelope(eps, magnitude, lam)]
-
-    rows = _ordered_map(row, schedule)
+    tau = sharp_amplitude_array(eps, schedule, z.re, z.im, scales)
+    abs_tau = np.hypot(tau.real, tau.imag)
+    naive = FOUR_PI / np.log(schedule / magnitude)
+    envelope = cutoff_envelope_array(eps, magnitude, schedule)
+    vacuous = np.isnan(envelope)
+    columns = [
+        ("Lambda", "sharp kinetic-energy cutoff"),
+        ("abs_tau", "|tau_Lambda(z)| = |eps / (1 + eps*I(z, Lambda))|"),
+        ("bound_4pi_over_lnLambda", "asymptote 4 pi / ln(Lambda/|z|)"),
+        ("envelope_bound", "rigorous bound 4 pi / (ln((Lambda-|z|)/|z|) - 4 pi/eps) beyond the peak"),
+    ]
+    rows = _rows(columns, [schedule, abs_tau, naive, envelope], {3: vacuous})
     peak_lambda = magnitude * math.exp(FOUR_PI / eps)
-    beyond = [(lam, row_) for lam, row_ in zip(schedule, rows) if lam > peak_lambda]
-    monotone = all(b[1][1] < a[1][1] for a, b in zip(beyond, beyond[1:]))
-    envelope_ok = all(r[3] is None or r[1] <= r[3] * (1.0 + THEOREM_ENVELOPE_RTOL) for r in rows)
+    beyond = schedule > peak_lambda
+    tail = abs_tau[beyond]
+    monotone = bool(np.all(tail[1:] < tail[:-1]))
+    envelope_ok = bool(np.all(vacuous | (abs_tau <= envelope * (1.0 + THEOREM_ENVELOPE_RTOL))))
     footer: dict[str, object] = {
         "peak_lambda": peak_lambda,
         "monotone_beyond_peak": monotone,
         "envelope_respected": envelope_ok,
         "rows": len(rows),
     }
-    if len(beyond) >= 2:
-        slope, _ = _fit_line([math.log(lam) for lam, _ in beyond], [1.0 / r[1] for _, r in beyond])
+    if tail.size >= 2:
+        slope, _ = _fit_line(np.log(schedule[beyond]).tolist(), (1.0 / tail).tolist())
         footer["fit_slope_beyond_peak"] = slope
         footer["fit_slope_target"] = 1.0 / FOUR_PI
     if not monotone:
@@ -488,12 +552,7 @@ def cmd_theorem(opts: Options) -> Table:
         command="theorem",
         description="cutoff removal at fixed coupling: the amplitude of the unregulated model is zero",
         config=opts.effective(),
-        columns=[
-            ("Lambda", "sharp kinetic-energy cutoff"),
-            ("abs_tau", "|tau_Lambda(z)| = |eps / (1 + eps*I(z, Lambda))|"),
-            ("bound_4pi_over_lnLambda", "asymptote 4 pi / ln(Lambda/|z|)"),
-            ("envelope_bound", "rigorous bound 4 pi / (ln((Lambda-|z|)/|z|) - 4 pi/eps) beyond the peak"),
-        ],
+        columns=columns,
         rows=rows,
         footer=footer,
     )
@@ -504,13 +563,17 @@ def cmd_transmute(opts: Options) -> Table:
     the coupling to zero along Lambda_n = E_B 10^n, eps_n = 4 pi/ln(Lambda_n/E_B);
     the regulated amplitude converges to 4 pi / ln(-E_B/z) one decade per step."""
     scales = _scales(opts)
-    e_b = opts.get_float("e_b", 1.0)
-    z = ComplexEnergy(opts.get_float("z_re", 2.0), opts.get_float("z_im", 0.0))
+    e_b = _positive(opts, "e_b")
+    z = _config_energy(opts, "z", 2.0, 0.0)
     steps = opts.get_int("steps", 10)
-    if e_b <= 0.0:
-        raise UsageError(f"e_b must be positive, got {e_b}")
     if steps < 2:
         raise UsageError("transmute needs steps >= 2")
+    try:
+        top_finite = math.isfinite(e_b * 10.0**steps)
+    except OverflowError:
+        top_finite = False
+    if not top_finite:
+        raise UsageError(f"steps = {steps} is too large: the last cutoff e_b * 10**steps overflows")
     schedule = transmutation_schedule(e_b, z, steps, scales)
     target = renormalized_amplitude(e_b, z).tau
     rows = [
@@ -552,57 +615,49 @@ def cmd_scatter(opts: Options) -> Table:
     energies = opts.get_grid("energy", "1e-3:1e3:13,log")
     unitarity_tol = opts.get_float("unitarity_defect_tol", UNITARITY_DEFECT_TOL)
     if name == "renormalized":
-        e_b = _positive(opts, "e_b")
-        tau_at = lambda energy: renormalized_amplitude(e_b, ComplexEnergy.continuum(energy)).tau
+        tau = renormalized_amplitude_array(_positive(opts, "e_b"), energies)
     else:
         eps = _positive(opts, "epsilon")
         model = _model(name, opts, scales, eps)
         if isinstance(model, WellParameters):
-            tau_at = lambda energy: tau_from_phase_shift(well_phase_shift(model, wavenumber(energy, scales), scales))
+            tau = np.array(_ordered_map(
+                lambda energy: tau_from_phase_shift(well_phase_shift(model, wavenumber(energy, scales), scales)),
+                energies), dtype=complex)
         else:
-            tau_at = lambda energy: on_shell_amplitude(eps, model, energy, scales).tau
-
-    def row(energy: float):
-        k = wavenumber(energy, scales)
-        tau = tau_at(energy)
-        f = f_from_tau(tau, k)
-        l_optical = math.sqrt(8.0 * math.pi / k) * f.imag
-        l_from_tau = -tau.imag / k
-        defect = optical_theorem_defect(tau, k)
-        status = "OK"
-        delta0 = None
-        try:
-            delta0 = phase_shift_from_tau(tau, defect_tol=unitarity_tol)
-        except UnitarityViolationError:
-            status = "UNITARITY_VIOLATION"
-        return [energy, k, f.real, f.imag, abs(f) ** 2, l_optical, l_from_tau, delta0, defect, status]
-
-    rows = _ordered_map(row, energies)
-    for r in rows:
-        # the two target-length routes must agree row by row
-        if abs(r[5] - r[6]) > ROUTE_AGREEMENT_RTOL * max(abs(r[6]), 1e-300):
-            raise TransmuteLabError(
-                f"target-length routes disagree at E = {r[0]!r}: {r[5]!r} vs {r[6]!r}"
-            )
-    n_violations = sum(1 for r in rows if r[9] != "OK")
+            tau = on_shell_amplitude_array(eps, model, energies, scales)
+    obs = continuum_observables_array(tau, energies, scales, unitarity_tol)
+    violation = obs["violation"]
+    columns = [
+        ("E", "continuum energy (E + i0+)"),
+        ("k", "wavenumber sqrt(E/kinetic_constant)"),
+        ("re_f", "Re f(E), f = -sqrt(1/(8 pi k)) tau"),
+        ("im_f", "Im f(E)"),
+        ("dL_dtheta", "differential target length |f|^2"),
+        ("L_optical", "total target length sqrt(8 pi/k) Im f (optical theorem)"),
+        ("L_from_im_tau", "total target length -(1/k) Im tau"),
+        ("delta0", "phase shift in (-pi/2, pi/2] with tau = -4 e^{i delta0} sin delta0"),
+        ("unitarity_defect", "2 pi |f|^2 - sqrt(8 pi/k) Im f; zero for elastic unitary rows"),
+        ("status", "OK or UNITARITY_VIOLATION"),
+    ]
+    statuses = np.where(violation, "UNITARITY_VIOLATION", "OK").tolist()
+    rows = _rows(columns, [np.array(energies), obs["k"], obs["f"].real, obs["f"].imag, obs["dL_dtheta"],
+                           obs["L_optical"], obs["L_from_im_tau"], obs["phase_shift"], obs["optical_defect"],
+                           statuses], {7: violation})
+    # the two target-length routes must agree row by row
+    l_optical, l_from_tau = obs["L_optical"], obs["L_from_im_tau"]
+    disagree = np.abs(l_optical - l_from_tau) > ROUTE_AGREEMENT_RTOL * np.maximum(np.abs(l_from_tau), 1e-300)
+    if disagree.any():
+        i = int(np.argmax(disagree))
+        raise TransmuteLabError(
+            f"target-length routes disagree at E = {energies[i]!r}: {float(l_optical[i])!r} vs {float(l_from_tau[i])!r}"
+        )
     return Table(
         command="scatter",
         description=f"continuum observables for the {name} model",
         config=opts.effective(),
-        columns=[
-            ("E", "continuum energy (E + i0+)"),
-            ("k", "wavenumber sqrt(E/kinetic_constant)"),
-            ("re_f", "Re f(E), f = -sqrt(1/(8 pi k)) tau"),
-            ("im_f", "Im f(E)"),
-            ("dL_dtheta", "differential target length |f|^2"),
-            ("L_optical", "total target length sqrt(8 pi/k) Im f (optical theorem)"),
-            ("L_from_im_tau", "total target length -(1/k) Im tau"),
-            ("delta0", "phase shift in (-pi/2, pi/2] with tau = -4 e^{i delta0} sin delta0"),
-            ("unitarity_defect", "2 pi |f|^2 - sqrt(8 pi/k) Im f; zero for elastic unitary rows"),
-            ("status", "OK or UNITARITY_VIOLATION"),
-        ],
+        columns=columns,
         rows=rows,
-        footer={"rows": len(rows), "unitarity_violations": n_violations,
+        footer={"rows": len(rows), "unitarity_violations": int(violation.sum()),
                 "unitarity_defect_tol": unitarity_tol},
     )
 
@@ -654,7 +709,11 @@ def main(argv: list[str] | None = None) -> int:
         opts = Options(file_values, flag_values)
         for name, value in _parse_tol_overrides(args.tol_override).items():
             opts.values[name] = repr(value)
-        _emit(_COMMANDS[args.command](opts), opts)
+        # a non-finite column value is reported by the cell check in _rows,
+        # not by a numpy warning on stderr
+        with np.errstate(all="ignore"):
+            table = _COMMANDS[args.command](opts)
+        _emit(table, opts)
     except UsageError as exc:
         print(f"transmute-lab: usage error: {exc}", file=sys.stderr)
         return 2

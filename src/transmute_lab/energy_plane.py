@@ -19,6 +19,10 @@ system is imposed here and converted only at the CLI boundary.
 
 Both bound-state solvers (separable poles, circular well) search in ln E
 with the one root finder here, log_bracket_root.
+
+principal_log_ratio_array is the elementwise form of the logarithm over
+arrays of real and imaginary parts, for tables evaluated as numpy columns;
+complex_divide_array divides as the scalar code does.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NoBoundStateError
 from .tolerances import POLE_SEARCH_LOG_TOL
@@ -38,6 +44,8 @@ __all__ = [
     "Wavenumber",
     "as_energy",
     "principal_log_ratio",
+    "principal_log_ratio_array",
+    "complex_divide_array",
     "wavenumber",
 ]
 # log_bracket_root stays out of __all__: bench/spans.py wraps these names,
@@ -158,6 +166,54 @@ def principal_log_ratio(z, z0) -> complex:
     else:
         log_mag = math.log(ratio)
     return complex(log_mag, ze.arg_from_above() - z0e.arg_from_above())
+
+
+def _arg_from_above_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    # im == 0 holds for -0.0 too, so the negative axis keeps arg = pi where
+    # atan2(-0.0, re) would give -pi
+    return np.where(im > 0.0, np.arctan2(im, re), np.where(re > 0.0, 0.0, math.pi))
+
+
+def principal_log_ratio_array(re, im, re0, im0) -> np.ndarray:
+    """ln(z/z0) elementwise, on the branch of principal_log_ratio, for z =
+    re + i*im and z0 = re0 + i*im0 given as broadcastable arrays of real and
+    imaginary parts (Im >= 0; Im = 0 is the limit from above)."""
+    re, im, re0, im0 = (np.asarray(v, dtype=float) for v in (re, im, re0, im0))
+    if (im < 0.0).any() or (im0 < 0.0).any():
+        raise DomainError("energy must lie in the closed upper half plane")
+    mag, mag0 = np.hypot(re, im), np.hypot(re0, im0)
+    if not (mag.all() and mag0.all()):
+        raise DomainError("principal_log_ratio requires nonzero energies")
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        ratio = mag / mag0
+        log_mag = np.log(ratio)
+    far = (ratio == 0.0) | np.isinf(ratio)
+    if far.any():
+        # magnitudes too far apart for a single quotient, as in the scalar form
+        log_mag = np.where(far, np.log(mag) - np.log(mag0), log_mag)
+    out = np.empty(log_mag.shape, dtype=complex)
+    out.real = log_mag
+    out.imag = _arg_from_above_array(re, im) - _arg_from_above_array(re0, im0)
+    return out
+
+
+def complex_divide_array(a, b) -> np.ndarray:
+    """a / b elementwise over broadcastable complex arrays, rounded as
+    Python's complex division (Smith's method) rounds it, where numpy's
+    division rounds differently: array columns then keep the last bits of
+    the scalar functions, and with them the unitarity defect that a status
+    reads against its tolerance."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    real_major = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(real_major, bi / br, br / bi)
+        denom = np.where(real_major, br + bi * ratio, br * ratio + bi)
+        re = np.where(real_major, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(real_major, ai - ar * ratio, ai * ratio - ar) / denom
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def wavenumber(energy: float, scales: PhysicalScales = NATURAL_UNITS) -> Wavenumber:

@@ -17,6 +17,9 @@ resonance; the unique phase parametrization in (-pi/2, pi/2] is then
 with delta0 = pi/2 exactly where Re(1/tau) = 0 (in the renormalized model,
 at E = E_B).  The target length is the 2D analog of a total cross section
 and carries the same length unit as 1/k.
+
+continuum_observables_array forms all of these over a whole energy grid in
+one numpy pass.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .amplitude import Amplitude
-from .energy_plane import NATURAL_UNITS, PhysicalScales, Wavenumber, as_energy, wavenumber
+from .energy_plane import NATURAL_UNITS, PhysicalScales, Wavenumber, as_energy, complex_divide_array, wavenumber
 from .errors import DomainError, UnitarityViolationError
 from .tolerances import IM_TAU_POSITIVE_TOL, UNITARITY_DEFECT_TOL
 
@@ -39,6 +44,7 @@ __all__ = [
     "unitarity_defect",
     "tau_from_phase_shift",
     "continuum_observables",
+    "continuum_observables_array",
 ]
 
 
@@ -150,3 +156,44 @@ def continuum_observables(tau, energy: float, scales: PhysicalScales = NATURAL_U
         phase_shift=phase_shift_from_tau(t),
         tau=t,
     )
+
+
+def continuum_observables_array(
+    tau,
+    energies,
+    scales: PhysicalScales = NATURAL_UNITS,
+    defect_tol: float = UNITARITY_DEFECT_TOL,
+) -> dict[str, np.ndarray]:
+    """Observables over arrays of continuum energies and their amplitudes,
+    elementwise as wavenumber, f_from_tau, optical_theorem_defect and
+    phase_shift_from_tau form them.  Returns arrays keyed k, f, dL_dtheta,
+    L_optical (the optical-theorem route), L_from_im_tau (-Im tau / k,
+    unclipped), optical_defect, phase_shift and violation; a row whose
+    unitarity defect exceeds defect_tol is flagged in violation and its
+    phase shift is NaN."""
+    tau = np.asarray(tau, dtype=complex)
+    k = np.sqrt(np.asarray(energies, dtype=float) / scales.kinetic_constant)
+    if not (k > 0.0).all():
+        raise DomainError(f"continuum wavenumber must be positive, got {k[~(k > 0.0)][0]}")
+    f = -np.sqrt(1.0 / (8.0 * math.pi * k)) * tau
+    dl_dtheta = np.hypot(f.real, f.imag) ** 2
+    l_optical = np.sqrt(8.0 * math.pi / k) * f.imag
+    zero = tau == 0
+    inverse = complex_divide_array(1.0, tau)
+    x = inverse.real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phase = np.arctan(-1.0 / (4.0 * x))
+    violation = ~zero & (np.abs(inverse.imag - 0.25) > defect_tol)
+    phase = np.where(x == 0.0, 0.5 * math.pi, phase)
+    phase[zero] = 0.0
+    phase[violation] = np.nan
+    return {
+        "k": k,
+        "f": f,
+        "dL_dtheta": dl_dtheta,
+        "L_optical": l_optical,
+        "L_from_im_tau": -tau.imag / k,
+        "optical_defect": 2.0 * math.pi * dl_dtheta - l_optical,
+        "phase_shift": phase,
+        "violation": violation,
+    }

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from ..energy_plane import NATURAL_UNITS, PhysicalScales, log_bracket_root
-from ..errors import DomainError
+from ..errors import DomainError, NoBoundStateError
 from ..special import bessel_j0, bessel_j1, bessel_k0, bessel_k1, bessel_y0, bessel_y1
 
 __all__ = [
@@ -62,10 +62,17 @@ class WellParameters:
 
 
 def well_from_coupling(epsilon: float, radius: float, scales: PhysicalScales = NATURAL_UNITS) -> WellParameters:
-    """Well with the same spatial integral as a contact coupling eps."""
+    """Well with the same spatial integral as a contact coupling eps.
+
+    A depth that underflows to zero raises NoBoundStateError(exact=False):
+    the ground state of such a well, below its depth, lies below the bound
+    state search limit (kappa/a^2) * 1e-300.
+    """
     if not (epsilon > 0.0):
         raise DomainError(f"coupling must be positive, got {epsilon}")
     depth = epsilon * scales.kinetic_constant / (math.pi * radius**2)
+    if depth == 0.0:
+        raise NoBoundStateError(f"well depth eps*kappa/(pi a^2) underflows at eps = {epsilon}", exact=False)
     return WellParameters(radius=radius, depth=depth)
 
 

@@ -35,6 +35,10 @@ Closed forms (kappa = kinetic_constant, b = a^2/kappa):
 
 Boundary values E + i0+ follow from the branch policy of energy_plane (for
 the gaussian this is the limit e^{-bE}(Ei(bE) - i pi) / (4 pi kappa)).
+
+The *_array functions evaluate the same forms over numpy arrays of points:
+the sharp cutoff and the pure-delta kernel in closed form, the gaussian
+through resolvent_element point by point.
 """
 
 from __future__ import annotations
@@ -44,12 +48,16 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .energy_plane import (
     NATURAL_UNITS,
     ComplexEnergy,
     PhysicalScales,
     as_energy,
+    complex_divide_array,
     principal_log_ratio,
+    principal_log_ratio_array,
 )
 from .errors import (
     DivergenceError,
@@ -73,6 +81,8 @@ __all__ = [
     "resolvent_element",
     "dimensionless_resolvent",
     "slide_kernel",
+    "sharp_resolvent_array",
+    "slide_kernels_along",
     "nominal_cutoff",
 ]
 
@@ -263,3 +273,37 @@ def slide_kernel(reg: Regulator, z, z0, scales: PhysicalScales = NATURAL_UNITS) 
     # coincident regular points cancel exactly; coincident singular points
     # raise from resolvent_element
     return resolvent_element(reg, ze, scales) - resolvent_element(reg, z0e, scales)
+
+
+def sharp_resolvent_array(cutoff, re, im, scales: PhysicalScales = NATURAL_UNITS) -> np.ndarray:
+    """resolvent_element of the sharp cutoff, g(z) = ln[z/(z - Lambda)] /
+    (4 pi kappa), elementwise over broadcastable arrays of cutoffs Lambda and
+    of Re z, Im z, with the same singular points."""
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    on_axis = im == 0.0
+    if (on_axis & (re == 0.0)).any():
+        raise SingularInputError("g(z) is singular at z = 0 (continuum endpoint)")
+    if (on_axis & (re == cutoff)).any():
+        raise SingularInputError("g(z) is singular at the cutoff edge z = Lambda")
+    log_ratio = principal_log_ratio_array(re, im, re - cutoff, im)
+    return complex_divide_array(log_ratio, 4.0 * math.pi * scales.kinetic_constant)
+
+
+def slide_kernels_along(reg: Regulator, re, im, z0, scales: PhysicalScales = NATURAL_UNITS):
+    """Sliding kernels along a path of points z_i = re_i + i*im_i: the
+    kernel G(z_i, z0) from the anchor to every point, and G(z_{i+1}, z_i)
+    between neighbours, each elementwise equal to slide_kernel."""
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    z0e = as_energy(z0)
+    if isinstance(reg, PureDelta):
+        if z0e.is_zero or ((re == 0.0) & (im == 0.0)).any():
+            raise SingularInputError("sliding kernel is singular at z = 0")
+        scale = 4.0 * math.pi * scales.kinetic_constant
+        return (complex_divide_array(principal_log_ratio_array(re, im, z0e.re, z0e.im), scale),
+                complex_divide_array(principal_log_ratio_array(re[1:], im[1:], re[:-1], im[:-1]), scale))
+    if isinstance(reg, SharpCutoff):
+        g = sharp_resolvent_array(reg.cutoff, re, im, scales)
+    else:
+        g = np.array([resolvent_element(reg, ComplexEnergy(r, i), scales)
+                      for r, i in zip(re.tolist(), im.tolist())], dtype=complex)
+    return g - resolvent_element(reg, z0e, scales), g[1:] - g[:-1]

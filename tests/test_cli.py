@@ -10,13 +10,14 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import transmute_lab
 from transmute_lab import cli
 from transmute_lab.cli import main
 from transmute_lab.errors import TransmuteLabError
-from transmute_lab.tolerances import UNITARITY_DEFECT_TOL
+from transmute_lab.tolerances import FLOW_GROUP_RTOL, ROUTE_AGREEMENT_RTOL, UNITARITY_DEFECT_TOL
 
 FOUR_PI = 4.0 * math.pi
 
@@ -76,7 +77,7 @@ class TestFlow:
         n = len(xs)
         mx, my = sum(xs) / n, sum(ys) / n
         slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
-        assert slope == pytest.approx(-1.0 / FOUR_PI, rel=1e-12)
+        assert slope == pytest.approx(-1.0 / FOUR_PI, rel=FLOW_GROUP_RTOL)
         assert float(footer["max_flow_defect"]) <= 1e-13
 
     def test_pole_row_keeps_inverse_column(self, tmp_path):
@@ -131,6 +132,15 @@ class TestBind:
         gauss = float(footer["prefactor_vs_sharp_cutoff_gaussian"])
         well = float(footer["prefactor_vs_sharp_cutoff_circular_well"])
         assert 0.1 < gauss < 1.0 < well < 10.0
+
+    def test_underflowing_well_depth_has_no_bound_state(self, tmp_path):
+        # eps*kappa/(pi a^2) underflows to zero: the well's ground state lies
+        # below the search limit, like the sharp cutoff's at the same eps
+        code, out = run_cli(["bind", "--regulator", "sharp-cutoff,circular-well", "--epsilon", "1e-300"],
+                            tmp_path, config_text="a = 1e30\n")
+        assert code == 0
+        header, rows, _ = parse_csv(out)
+        assert [cell(r, header, "status") for r in rows] == ["NO_BOUND_STATE", "NO_BOUND_STATE"]
 
     def test_pure_delta_rows(self, tmp_path):
         code, out = run_cli(["bind", "--epsilon", "1", "--regulator", "pure-delta"], tmp_path)
@@ -189,7 +199,7 @@ class TestScatter:
         for row in rows:
             l_opt = float(cell(row, header, "L_optical"))
             l_tau = float(cell(row, header, "L_from_im_tau"))
-            assert abs(l_opt - l_tau) <= 1e-12 * max(abs(l_tau), 1e-300)
+            assert abs(l_opt - l_tau) <= ROUTE_AGREEMENT_RTOL * max(abs(l_tau), 1e-300)
             assert cell(row, header, "status") == "OK"
 
     def test_pure_delta_all_zero(self, tmp_path):
@@ -395,17 +405,59 @@ def test_benchmark_interface():
     assert json.loads(json_buf.getvalue())["rows"] == [[1.0]]
 
 
+class TestRender:
+    def test_row_templates_render_as_fmt(self):
+        # rows whose cell types vary (None, strings, ints, bools, numpy
+        # floats) render exactly as the per-cell formatter does
+        rows = [
+            [1.0, -0.0, 5e-324, 1.7976931348623157e308, "OK", 3],
+            [math.pi, None, -1e-300, 2.0, "UNITARITY_VIOLATION", -7],
+            [1.0, True, 0.1, None, None, 0],
+            [np.float64(0.1), 2.5, 1e22, 1.0, "OK", 3],
+            (1.0 / 3.0, 1e-5, 123456789.0, -2.0, "OK", 11),
+        ]
+        table = cli.Table("t", "d", {}, [(f"c{j}", "") for j in range(6)], rows=rows)
+        buf = io.StringIO()
+        table.write_csv(buf)
+        body = buf.getvalue().splitlines()[-len(rows):]
+        assert body == [",".join(cli._fmt(c) for c in row) for row in rows]
+
+
 class TestBoundaryErrors:
     @pytest.mark.parametrize("command,config", [
         ("flow", "flow_defect_tol = abc\n"),
         ("scatter", "unitarity_defect_tol = x\n"),
         ("scatter", "format = xml\n"),
         ("scatter", "kinetic_constant = 0\n"),
+        ("flow", "tau0_re = nan\n"),
+        ("flow", "tau0_im = inf\n"),
+        ("flow", "z0_re = -inf\n"),
+        ("theorem", "z_re = nan\n"),
+        ("theorem", "z_im = inf\n"),
+        ("theorem", "z_im = -1\n"),
+        ("transmute", "z_re = nan\n"),
+        ("transmute", "z_im = -inf\n"),
+        ("transmute", "e_b = nan\n"),
+        ("transmute", "e_b = inf\n"),
+        ("transmute", "steps = 309\n"),
+        ("transmute", "steps = 400\n"),
+        ("transmute", "e_b = 1e10\nsteps = 299\n"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, command, config):
         code, out = run_cli([command, "--energy", "1"], tmp_path, config_text=config)
         assert_one_line_error(capsys, code, 2)
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_cell_is_numerical_failure(self, tmp_path, capsys, fmt):
+        # 1/tau0 overflows, so the 1/tau cells are infinite
+        code, out = run_cli(["flow", "--format", fmt], tmp_path, f"out.{fmt}", config_text="tau0_re = 1e-320\n")
+        assert_one_line_error(capsys, code, 1)
+        assert not out.exists()
+
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, capsys):
+        run_cli(["flow"], tmp_path, config_text="tau0_re = 1e-320\n")
+        assert "re_inv_tau = inf in row 1" in capsys.readouterr().err
 
     def test_tolerance_defaults_come_from_tolerances(self, tmp_path):
         code, out = run_cli(["scatter", "--energy", "1"], tmp_path)

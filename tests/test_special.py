@@ -25,6 +25,7 @@ from transmute_lab.special import (
     expi,
     expi_scaled,
 )
+from transmute_lab.tolerances import SPECIAL_FUNCTION_RTOL
 
 mp.mp.dps = 30
 
@@ -55,7 +56,7 @@ def envelope_rel_error(value, reference, x):
 )
 def test_cylinder_functions_against_mpmath(ours, ref):
     for x in GRID:
-        assert envelope_rel_error(ours(x), float(ref(mp.mpf(x))), x) < 1e-10, x
+        assert envelope_rel_error(ours(x), float(ref(mp.mpf(x))), x) < SPECIAL_FUNCTION_RTOL, x
 
 
 @pytest.mark.parametrize(
@@ -73,7 +74,7 @@ def test_modified_functions_against_mpmath(ours, ref):
         if ours in (bessel_i0, bessel_i1) and x > 200.0:
             continue  # I overflows the double range long before 700
         rel = abs(ours(x) - float(ref(mp.mpf(x)))) / abs(float(ref(mp.mpf(x))))
-        assert rel < 1e-10, x
+        assert rel < SPECIAL_FUNCTION_RTOL, x
 
 
 def test_scaled_k_no_underflow():
