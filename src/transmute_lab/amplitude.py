@@ -36,6 +36,7 @@ stay the reference they are tested against.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,7 @@ from .energy_plane import (
     as_energy,
     complex_divide_array,
     log_bracket_root,
+    log_search_floor,
     principal_log_ratio,
     principal_log_ratio_array,
 )
@@ -68,6 +70,7 @@ from .regulators import (
     sharp_resolvent_array,
     slide_kernel,
 )
+from .special import EULER_GAMMA
 from .tolerances import POLE_GUARD
 
 __all__ = [
@@ -257,12 +260,18 @@ def renormalized_amplitude(bound_energy: float, z) -> Amplitude:
     return Amplitude(4.0 * math.pi / log_ratio)
 
 
+def _sharp_log_pole(epsilon: float, cutoff: float) -> float:
+    """ln E of the exact sharp-cutoff pole Lambda / expm1(4 pi/eps), as
+    ln Lambda - ln expm1(4 pi/eps) with ln expm1(t) = t + ln(1 - e^{-t}):
+    finite for every coupling, where expm1 itself overflows below eps ~ 0.018."""
+    t = 4.0 * math.pi / epsilon
+    return math.log(cutoff) - (t + math.log(-math.expm1(-t)))
+
+
 def _closed_form_pole(epsilon: float, reg: Regulator) -> float | None:
     """Exact pole energy where available (sharp cutoff)."""
     if isinstance(reg, SharpCutoff):
-        x = 4.0 * math.pi / epsilon
-        if x < 700.0:
-            return reg.cutoff / math.expm1(x)
+        return math.exp(_sharp_log_pole(epsilon, reg.cutoff))
     return None
 
 
@@ -274,11 +283,15 @@ def bound_state_pole(
     """Locate the bound state: the root of 1 + eps*I(-E) = 0 on the negative
     real axis (limit from above).
 
-    The root is searched by log_bracket_root in ln E, between the nominal
-    cutoff Lambda and Lambda*1e-300; E_B spans hundreds of orders of
-    magnitude in eps, and log coordinates keep the conditioning uniform.
-    For the sharp cutoff the solution is Lambda / (e^{4 pi/eps} - 1), i.e.
-    Lambda e^{-4 pi/eps} up to O(E_B/Lambda).
+    E_B spans hundreds of orders of magnitude in eps, so the root is sought
+    in ln E, between the nominal cutoff Lambda and the floor of
+    log_search_floor (Lambda*1e-300, never below the smallest normal
+    double); a root outside that range raises NoBoundStateError(exact=False).
+    For the sharp cutoff the root is exact, E_B = Lambda / (e^{4 pi/eps} - 1),
+    i.e. Lambda e^{-4 pi/eps} up to O(E_B/Lambda), and nothing is searched.
+    The gaussian root is bracketed around its small-coupling asymptote
+    ln E_B = ln(kappa/a^2) - gamma_E - 4 pi/eps and refined by
+    log_bracket_root.
     """
     _check_coupling(epsilon)
     if isinstance(reg, PureDelta):
@@ -286,13 +299,24 @@ def bound_state_pole(
             "the unregulated contact interaction never binds (tau is identically zero)",
             exact=True,
         )
-
-    def mismatch(x: float) -> float:
-        value = dimensionless_resolvent(reg, ComplexEnergy(-math.exp(x), 0.0), scales)
-        return 1.0 + epsilon * value.real
-
     lam = nominal_cutoff(reg, scales)
-    energy = math.exp(log_bracket_root(mismatch, lam, math.log(lam)))
+    x_top = math.log(lam)
+    if isinstance(reg, SharpCutoff):
+        x_root = _sharp_log_pole(epsilon, reg.cutoff)
+        if not log_search_floor(lam) <= x_root <= x_top:
+            raise NoBoundStateError("bound state lies outside [Lambda*1e-300, Lambda]", exact=False)
+    else:
+        def mismatch(x: float) -> float:
+            value = dimensionless_resolvent(reg, ComplexEnergy(-math.exp(x), 0.0), scales)
+            return 1.0 + epsilon * value.real
+
+        # the bracket [guess - 2, guess + 2], then brackets twice as wide
+        # below it; log_bracket_root checks the top first, so a root above
+        # guess + 2 is bracketed from there
+        guess = x_top - EULER_GAMMA - 4.0 * math.pi / epsilon
+        scan = (guess + 6.0 - 2.0**k for k in itertools.count(2))
+        x_root = log_bracket_root(mismatch, lam, x_top, scan)
+    energy = math.exp(x_root)
     residue = 1.0 / resolvent_derivative(reg, energy, scales)
     return BoundState(energy=energy, residue=residue)
 

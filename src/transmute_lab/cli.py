@@ -61,6 +61,7 @@ from .oracle.well import WellParameters, well_bound_state, well_from_coupling, w
 __all__ = ["main"]
 
 FOUR_PI = 4.0 * math.pi
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class UsageError(Exception):
@@ -504,7 +505,9 @@ def cmd_bind(opts: Options) -> Table:
 def cmd_theorem(opts: Options) -> Table:
     """Remove the cutoff at fixed coupling: |tau_Lambda(z)| rises to a peak
     where the generated bound state sweeps past |z|, then falls to zero like
-    4 pi / ln(Lambda/|z|).  Monotone decrease is asserted beyond the peak."""
+    4 pi / ln(Lambda/|z|).  Monotone decrease is asserted beyond the peak,
+    which the footer reports as peak_lambda, or as ln_peak_lambda where
+    |z| e^{4 pi/eps} overflows."""
     scales = _scales(opts)
     eps_grid = opts.get_grid("epsilon", "1")
     if len(eps_grid) != 1:
@@ -529,17 +532,23 @@ def cmd_theorem(opts: Options) -> Table:
         ("envelope_bound", "rigorous bound 4 pi / (ln((Lambda-|z|)/|z|) - 4 pi/eps) beyond the peak"),
     ]
     rows = _rows(columns, [schedule, abs_tau, naive, envelope], {3: vacuous})
-    peak_lambda = magnitude * math.exp(FOUR_PI / eps)
-    beyond = schedule > peak_lambda
+    # the peak |z| e^{4 pi/eps} overflows for eps below about 0.0177 at
+    # |z| = 1: decide in ln Lambda, and report ln Lambda where it overflows
+    ln_peak = math.log(magnitude) + FOUR_PI / eps
+    beyond = np.log(schedule) > ln_peak
     tail = abs_tau[beyond]
     monotone = bool(np.all(tail[1:] < tail[:-1]))
     envelope_ok = bool(np.all(vacuous | (abs_tau <= envelope * (1.0 + THEOREM_ENVELOPE_RTOL))))
     footer: dict[str, object] = {
-        "peak_lambda": peak_lambda,
         "monotone_beyond_peak": monotone,
         "envelope_respected": envelope_ok,
         "rows": len(rows),
     }
+    peak = magnitude * math.exp(FOUR_PI / eps) if FOUR_PI / eps < _LN_FLOAT_MAX else math.inf
+    if math.isfinite(peak):
+        footer["peak_lambda"] = peak
+    else:
+        footer["ln_peak_lambda"] = ln_peak
     if tail.size >= 2:
         slope, _ = _fit_line(np.log(schedule[beyond]).tolist(), (1.0 / tail).tolist())
         footer["fit_slope_beyond_peak"] = slope

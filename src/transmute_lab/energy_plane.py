@@ -18,7 +18,8 @@ so E = k^2.  The model itself has no intrinsic energy scale; the unit
 system is imposed here and converted only at the CLI boundary.
 
 Both bound-state solvers (separable poles, circular well) search in ln E
-with the one root finder here, log_bracket_root.
+with the one root finder here, log_bracket_root: a bracket from a scan that
+starts where the root is expected, then one run of Chandrupatla's method.
 
 principal_log_ratio_array is the elementwise form of the logarithm over
 arrays of real and imaginary parts, for tables evaluated as numpy columns;
@@ -48,9 +49,9 @@ __all__ = [
     "complex_divide_array",
     "wavenumber",
 ]
-# log_bracket_root stays out of __all__: bench/spans.py wraps these names,
-# and a span around the solver would hide its evaluations from the counts
-# of solver work.
+# log_bracket_root and log_search_floor stay out of __all__: bench/spans.py
+# wraps these names, and a span around the solver would hide its evaluations
+# from the counts of solver work.
 
 # Wavenumbers are plain positive floats in units of 1/length.
 Wavenumber = float
@@ -223,18 +224,25 @@ def wavenumber(energy: float, scales: PhysicalScales = NATURAL_UNITS) -> Wavenum
     return math.sqrt(energy / scales.kinetic_constant)
 
 
-def log_bracket_root(f, nominal: float, x_top: float, scan=()) -> float:
-    """ln E of the bound-state root of f(ln E) below x_top.
+def log_search_floor(nominal: float) -> float:
+    """Lowest ln E a bound-state search reaches: ln(nominal * 1e-300), with
+    nominal the regulator's nominal cutoff, and never below the smallest
+    normal double."""
+    return max(math.log(nominal) + math.log(1e-300), math.log(sys.float_info.min))
 
-    The bracket's lower limit is nominal * 1e-300, with nominal the
-    regulator's nominal cutoff, and never below the smallest normal double.
-    f is evaluated at x_top, at the points of the decreasing sequence
-    ``scan`` above the limit, and at the limit; the first sign change
-    brackets the root, which bisection refines to POLE_SEARCH_LOG_TOL and
-    four secant steps polish.  Raises NoBoundStateError(exact=False) when f
-    keeps its sign down to the limit.
+
+def log_bracket_root(f, nominal: float, x_top: float, scan=()) -> float:
+    """ln E of the bound-state root of f(ln E) between log_search_floor(nominal)
+    and x_top.
+
+    f is evaluated at x_top, then at the points of the decreasing sequence
+    ``scan`` (points at or above the last one are skipped), and at the
+    floor; the first sign change brackets the root, and one run of
+    Chandrupatla's method refines it to POLE_SEARCH_LOG_TOL * max(1, |ln E|).
+    Raises NoBoundStateError(exact=False) when f keeps its sign down to the
+    floor.
     """
-    x_floor = max(math.log(nominal) + math.log(1e-300), math.log(sys.float_info.min))
+    x_floor = log_search_floor(nominal)
     if not x_floor < x_top:
         raise NoBoundStateError("bound-state search range lies below nominal*1e-300", exact=False)
     xb, fb = x_top, f(x_top)
@@ -242,32 +250,43 @@ def log_bracket_root(f, nominal: float, x_top: float, scan=()) -> float:
         return x_top
     for x in itertools.chain(scan, (x_floor,)):
         x = max(x, x_floor)
+        if x >= xb:
+            continue
         fa = f(x)
         if fa == 0.0:
             return x
         if (fa > 0.0) != (fb > 0.0):
-            break
+            return _chandrupatla(f, x, fa, xb, fb)
         if x == x_floor:
             raise NoBoundStateError("no bound state bracketed above nominal*1e-300", exact=False)
         xb, fb = x, fa
-    xa = x
-    for _ in range(200):
-        xm = 0.5 * (xa + xb)
-        fm = f(xm)
-        if fm != 0.0 and (fm > 0.0) == (fa > 0.0):
-            xa, fa = xm, fm
+
+
+def _chandrupatla(f, a: float, fa: float, b: float, fb: float) -> float:
+    """Root of f in the bracket [a, b] (fa, fb of opposite signs) by
+    Chandrupatla's method (Adv. Eng. Softw. 28, 1997), a safeguarded hybrid
+    in the spirit of Brent's (1973, ch. 4): inverse quadratic interpolation
+    through the newest point a, its bracket partner b and the point c it
+    replaced, where the three points allow it, and bisection otherwise.  The
+    root lies within POLE_SEARCH_LOG_TOL * max(1, |x|) of the returned x."""
+    t = 0.5
+    while True:
+        x = a + t * (b - a)
+        fx = f(x)
+        if (fx > 0.0) == (fa > 0.0):
+            c, fc = a, fa
         else:
-            xb, fb = xm, fm
-        if xb - xa < POLE_SEARCH_LOG_TOL:
-            break
-    x_root = 0.5 * (xa + xb)
-    for _ in range(4):
-        if fb == fa:
-            break
-        x_sec = xb - fb * (xb - xa) / (fb - fa)
-        if not (min(xa, xb) <= x_sec <= max(xa, xb)):
-            break
-        xa, fa = xb, fb
-        xb, fb = x_sec, f(x_sec)
-        x_root = xb
-    return x_root
+            c, fc = b, fb
+            b, fb = a, fa
+        a, fa = x, fx
+        xm, fm = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+        tl = 0.5 * POLE_SEARCH_LOG_TOL * max(1.0, abs(xm)) / abs(b - a)
+        if tl > 0.5 or fm == 0.0:
+            return xm
+        xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        else:
+            t = 0.5
+        # never closer to either end than tl: the bracket keeps shrinking
+        t = min(1.0 - tl, max(tl, t))

@@ -30,9 +30,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ..energy_plane import NATURAL_UNITS, PhysicalScales, log_bracket_root
+from ..energy_plane import NATURAL_UNITS, PhysicalScales, log_bracket_root, log_search_floor
 from ..errors import DomainError, NoBoundStateError
-from ..special import bessel_j0, bessel_j1, bessel_k0, bessel_k1, bessel_y0, bessel_y1
+from ..special import EULER_GAMMA, bessel_j0, bessel_j1, bessel_k0, bessel_k1, bessel_y0, bessel_y1
 
 __all__ = [
     "WellParameters",
@@ -45,6 +45,9 @@ __all__ = [
 
 # first zero of J0: the ground state keeps k_in * a below this
 _J0_FIRST_ZERO = 2.404825557695773
+
+# shallow-well asymptote ln(E_B a^2/kappa) = -4 pi/eps + _SHALLOW_LOG_OFFSET + O(eps)
+_SHALLOW_LOG_OFFSET = math.log(4.0) - 2.0 * EULER_GAMMA + 0.5
 
 
 @dataclass(frozen=True)
@@ -94,20 +97,28 @@ def well_bound_state(well: WellParameters, scales: PhysicalScales = NATURAL_UNIT
 
     The root of the matching condition is isolated in (0, depth) and
     searched by log_bracket_root in ln E, which keeps conditioning uniform
-    over the exponentially wide shallow-well range.  A 2D attractive well
-    always binds, but below eps ~ 0.018 E_B ~ (kappa/a^2) e^{-4 pi/eps} lies
-    below the search limit (kappa/a^2) * 1e-300, and the search raises
-    NoBoundStateError(exact=False) as the separable pole search does.
+    over the exponentially wide shallow-well range: a scan down from the
+    depth in steps of 1.3 brackets the ground state (the largest E_B, no
+    interior node), and Chandrupatla's method refines it.  A 2D attractive
+    well always binds, but below eps ~ 0.018 E_B ~ (kappa/a^2) e^{-4 pi/eps}
+    lies below the search limit (kappa/a^2) * 1e-300, and the search raises
+    NoBoundStateError(exact=False) as the separable pole search does.  When
+    the shallow-well asymptote lies more than 2 below that limit, it raises
+    at once, without the scan.
     """
     kappa = scales.kinetic_constant
     v0 = well.depth
+    nominal = kappa / well.radius**2
+    # ln nominal - 4 pi/eps + offset < floor - 2, solved for eps so that a
+    # coupling that underflows to zero needs no division
+    x_gap = math.log(nominal) - log_search_floor(nominal) + _SHALLOW_LOG_OFFSET + 2.0
+    if coupling_of_well(well, scales) * x_gap < 4.0 * math.pi:
+        raise NoBoundStateError("shallow-well bound state lies below nominal*1e-300", exact=False)
     f = lambda x: _matching(well, math.exp(x), kappa)
     x_hi = math.log(v0) + math.log1p(-1e-12)
     x_lo = math.log(v0) - 650.0
-    # scan down from the well depth in steps of 650/500: the first sign
-    # change brackets the ground state (largest E_B; no interior node)
     scan = (x_hi + (x_lo - x_hi) * i / 500 for i in itertools.count(1))
-    return math.exp(log_bracket_root(f, kappa / well.radius**2, x_hi, scan))
+    return math.exp(log_bracket_root(f, nominal, x_hi, scan))
 
 
 def well_phase_shift(well: WellParameters, k: float, scales: PhysicalScales = NATURAL_UNITS) -> float:

@@ -168,6 +168,32 @@ class TestTheorem:
         code, _ = run_cli(["theorem", "--lambda", "0.5"], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("eps", [0.01, 1e-30])
+    def test_overflowing_peak_reported_in_log_space(self, tmp_path, fmt, eps):
+        # |z| e^{4 pi/eps} overflows: the footer carries ln of the peak, and
+        # every schedule point lies below it
+        code, out = run_cli(["theorem", "--epsilon", repr(eps), "--lambda", "1e2:1e300:5,log",
+                             "--format", fmt], tmp_path, name=f"out.{fmt}")
+        assert code == 0
+        text = out.read_text(encoding="utf-8")
+        assert "inf" not in text.lower() and "nan" not in text.lower()
+        if fmt == "json":
+            footer = json.loads(text)["footer"]
+        else:
+            footer = {k: json.loads(v) for k, v in parse_csv(out)[2].items()}
+        assert "peak_lambda" not in footer
+        assert footer["ln_peak_lambda"] == pytest.approx(FOUR_PI / eps, rel=1e-15)
+        assert "fit_slope_beyond_peak" not in footer
+
+    def test_peak_stays_linear_while_finite(self, tmp_path):
+        # at eps = 0.0178 the peak is about 4e306; one cutoff lies beyond it
+        code, out = run_cli(["theorem", "--epsilon", "0.0178", "--lambda", "1e2:1e307:2,log"], tmp_path)
+        assert code == 0
+        footer = parse_csv(out)[2]
+        assert float(footer["peak_lambda"]) == pytest.approx(math.exp(FOUR_PI / 0.0178), rel=1e-12)
+        assert "ln_peak_lambda" not in footer
+
 
 class TestTransmute:
     def test_deviation_column_decreases(self, tmp_path):
