@@ -29,8 +29,8 @@ scans below.
 
 The *_array functions evaluate tau over numpy arrays for whole tables: the
 renormalized form, the sharp cutoff and the pure delta in closed form, the
-gaussian through the scalar functions point by point.  The scalar functions
-stay the reference they are tested against.
+gaussian through the array forms of E1 and Ei.  The scalar functions stay
+the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .regulators import (
     SharpCutoff,
     dimensionless_resolvent,
     form_factor_squared,
+    gaussian_resolvent_array,
     nominal_cutoff,
     resolvent_derivative,
     sharp_resolvent_array,
@@ -395,7 +396,10 @@ def cutoff_envelope(epsilon: float, magnitude: float, lam: float) -> float | Non
     |1/tau| >= |Re(1/eps + I)|; None where the bound is vacuous."""
     if lam <= magnitude:
         return None
-    shifted = math.log((lam - magnitude) / magnitude) - 4.0 * math.pi / epsilon
+    ratio = (lam - magnitude) / magnitude
+    # where the ratio overflows, its log from the logs of its terms
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(lam - magnitude) - math.log(magnitude)
+    shifted = log_ratio - 4.0 * math.pi / epsilon
     if shifted <= 0.0:
         return None
     return 4.0 * math.pi / shifted
@@ -426,14 +430,24 @@ def sharp_amplitude_array(
     cutoff schedule at one z, or one cutoff over an energy grid."""
     _check_coupling(epsilon)
     resolvent = scales.kinetic_constant * sharp_resolvent_array(cutoff, re, im, scales)
+
+    def pole_energy(i: int) -> float:
+        return -_closed_form_pole(epsilon, SharpCutoff(float(np.broadcast_to(cutoff, resolvent.shape).flat[i])))
+
+    return _tau_array(epsilon, resolvent, pole_energy)
+
+
+def _tau_array(epsilon: float, resolvent: np.ndarray, pole_energy) -> np.ndarray:
+    """tau = -eps / (1 + eps*I) over an array of dimensionless resolvents I,
+    raising as regulated_amplitude does at the first row on a pole, with
+    pole_energy(row) as the pole it names."""
     denom = 1.0 + epsilon * resolvent
     at_pole = np.hypot(denom.real, denom.imag) < POLE_GUARD
     if at_pole.any():
         i = int(np.argmax(at_pole))
-        pole = _closed_form_pole(epsilon, SharpCutoff(float(np.broadcast_to(cutoff, denom.shape).flat[i])))
         raise PoleSingularityError(
             f"amplitude evaluated at a bound-state pole (|1 + eps*I| = {abs(denom.flat[i]):.3e})",
-            pole_energy=None if pole is None else -pole,
+            pole_energy=pole_energy(i),
         )
     return complex_divide_array(-epsilon, denom)
 
@@ -450,17 +464,24 @@ def on_shell_amplitude_array(
         raise DomainError(f"on-shell amplitude requires E > 0, got {energies[~(energies > 0.0)][0]}")
     if isinstance(reg, PureDelta):
         return np.zeros(energies.shape, dtype=complex)
-    if not isinstance(reg, SharpCutoff):
-        return np.array([on_shell_amplitude(epsilon, reg, e, scales).tau for e in energies.tolist()],
-                        dtype=complex)
-    # the on-shell weight of form_factor_squared: kappa k^2 <= Lambda, with
-    # k = sqrt(E/kappa) rounded as there
+    # the on-shell weight of form_factor_squared, with k = sqrt(E/kappa)
+    # rounded as there: kappa k^2 <= Lambda, or exp(-(k a)^2)
     kappa = scales.kinetic_constant
     k = np.sqrt(energies / kappa)
-    inside = kappa * k * k <= reg.cutoff
     tau = np.zeros(energies.shape, dtype=complex)
+    if isinstance(reg, SharpCutoff):
+        inside = kappa * k * k <= reg.cutoff
+        if inside.any():
+            tau[inside] = sharp_amplitude_array(epsilon, reg.cutoff, energies[inside], 0.0, scales)
+        return tau
+    weight = np.exp(-(k * reg.length) ** 2)
+    inside = weight != 0.0
     if inside.any():
-        tau[inside] = sharp_amplitude_array(epsilon, reg.cutoff, energies[inside], 0.0, scales)
+        _check_coupling(epsilon)
+        resolvent = kappa * gaussian_resolvent_array(reg.length, energies[inside], 0.0, scales)
+        base = _tau_array(epsilon, resolvent, lambda i: None)
+        # tau * weight, as a complex times a float
+        tau.real[inside], tau.imag[inside] = base.real * weight[inside], base.imag * weight[inside]
     return tau
 
 
@@ -468,7 +489,14 @@ def cutoff_envelope_array(epsilon: float, magnitude: float, cutoffs) -> np.ndarr
     """cutoff_envelope elementwise over an array of cutoffs, with NaN where
     the bound is vacuous (None in the scalar form)."""
     cutoffs = np.asarray(cutoffs, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shifted = np.log((cutoffs - magnitude) / magnitude) - 4.0 * math.pi / epsilon
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = (cutoffs - magnitude) / magnitude
+        log_ratio = np.log(ratio)
+        overflow = np.isposinf(ratio)
+        if overflow.any():
+            # Lambda/|z| beyond the double range: the log from the logs of
+            # its terms, as in cutoff_envelope
+            log_ratio[overflow] = np.log(cutoffs[overflow] - magnitude) - math.log(magnitude)
+        shifted = log_ratio - 4.0 * math.pi / epsilon
         bound = 4.0 * math.pi / shifted
     return np.where((cutoffs > magnitude) & (shifted > 0.0), bound, np.nan)

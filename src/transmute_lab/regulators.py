@@ -38,7 +38,7 @@ the gaussian this is the limit e^{-bE}(Ei(bE) - i pi) / (4 pi kappa)).
 
 The *_array functions evaluate the same forms over numpy arrays of points:
 the sharp cutoff and the pure-delta kernel in closed form, the gaussian
-through resolvent_element point by point.
+through the array forms of E1 and Ei.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .errors import (
     SingularInputError,
     UnsupportedRegulatorError,
 )
-from .special import exp1_scaled, expi_scaled
+from .special import exp1_scaled, exp1_scaled_array, expi_scaled, expi_scaled_array
 
 __all__ = [
     "PureDelta",
@@ -82,6 +82,7 @@ __all__ = [
     "dimensionless_resolvent",
     "slide_kernel",
     "sharp_resolvent_array",
+    "gaussian_resolvent_array",
     "slide_kernels_along",
     "nominal_cutoff",
 ]
@@ -289,6 +290,33 @@ def sharp_resolvent_array(cutoff, re, im, scales: PhysicalScales = NATURAL_UNITS
     return complex_divide_array(log_ratio, 4.0 * math.pi * scales.kinetic_constant)
 
 
+def gaussian_resolvent_array(length: float, re, im, scales: PhysicalScales = NATURAL_UNITS) -> np.ndarray:
+    """resolvent_element of the gaussian form factor elementwise over
+    broadcastable arrays of Re z, Im z: continuum points (Im z = 0 < Re z)
+    through Ei, every other point through E1, with the same singular point."""
+    re, im = np.broadcast_arrays(np.asarray(re, dtype=float), np.asarray(im, dtype=float))
+    if ((im == 0.0) & (re == 0.0)).any():
+        raise SingularInputError("g(z) is singular at z = 0 (continuum endpoint)")
+    kappa = scales.kinetic_constant
+    b = length**2 / kappa
+    pref = 1.0 / (4.0 * math.pi * kappa)
+    boundary = (im == 0.0) & (re > 0.0)
+    g = np.empty(re.shape, dtype=complex)
+    if boundary.any():
+        # Sokhotski limit on the continuum: e^{-bE} (Ei(bE) - i pi)
+        x = b * re[boundary]
+        g.real[boundary] = pref * expi_scaled_array(x)
+        g.imag[boundary] = pref * (-math.pi * np.exp(-x))
+    interior = ~boundary
+    if interior.any():
+        # -(e^{w} E1(w)) with w = -b z, as in _gaussian_resolvent
+        w = np.empty(int(interior.sum()), dtype=complex)
+        w.real, w.imag = -b * re[interior], -b * im[interior]
+        e1 = exp1_scaled_array(w)
+        g.real[interior], g.imag[interior] = -pref * e1.real, -pref * e1.imag
+    return g
+
+
 def slide_kernels_along(reg: Regulator, re, im, z0, scales: PhysicalScales = NATURAL_UNITS):
     """Sliding kernels along a path of points z_i = re_i + i*im_i: the
     kernel G(z_i, z0) from the anchor to every point, and G(z_{i+1}, z_i)
@@ -304,6 +332,5 @@ def slide_kernels_along(reg: Regulator, re, im, z0, scales: PhysicalScales = NAT
     if isinstance(reg, SharpCutoff):
         g = sharp_resolvent_array(reg.cutoff, re, im, scales)
     else:
-        g = np.array([resolvent_element(reg, ComplexEnergy(r, i), scales)
-                      for r, i in zip(re.tolist(), im.tolist())], dtype=complex)
+        g = gaussian_resolvent_array(reg.length, re, im, scales)
     return g - resolvent_element(reg, z0e, scales), g[1:] - g[:-1]

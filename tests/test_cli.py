@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import transmute_lab
-from transmute_lab import cli
+from transmute_lab import cli, special
 from transmute_lab.cli import main
 from transmute_lab.errors import TransmuteLabError
 from transmute_lab.tolerances import FLOW_GROUP_RTOL, ROUTE_AGREEMENT_RTOL, UNITARITY_DEFECT_TOL
@@ -95,6 +95,15 @@ class TestFlow:
         for row in rows:
             assert float(cell(row, header, "re_tau")) == 0.0
             assert float(cell(row, header, "im_tau")) == 0.0
+
+    @pytest.mark.parametrize("z0_re", ["1e3", "1e8", "1e300"])
+    def test_gaussian_anchor_near_the_continuum_far_out(self, tmp_path, z0_re):
+        # g(z0) at z0 = z0_re + 1i was nan, and the table exited 1
+        cfg = f"regulator = gaussian\nz0_re = {z0_re}\n"
+        code, out = run_cli(["flow"], tmp_path, config_text=cfg)
+        assert code == 0
+        header, rows, _ = parse_csv(out)
+        assert all(math.isfinite(float(cell(row, header, "re_inv_tau"))) for row in rows)
 
     def test_single_point_echoes_anchor(self, tmp_path):
         cfg = "tau0_re = 2.5\ntau0_im = -0.5\nz0_im = 1\n"
@@ -185,6 +194,25 @@ class TestTheorem:
         assert "peak_lambda" not in footer
         assert footer["ln_peak_lambda"] == pytest.approx(FOUR_PI / eps, rel=1e-15)
         assert "fit_slope_beyond_peak" not in footer
+
+    @pytest.mark.parametrize("lam,cfg", [
+        ("1e2:1e300:5,log", "z_re = 0\nz_im = 1e-10\n"),
+        (None, "z_re = 1e-320\nz_im = 0\n"),
+    ], ids=["tiny-z", "subnormal-z"])
+    def test_envelope_where_lambda_over_z_overflows(self, tmp_path, lam, cfg):
+        # (Lambda - |z|)/|z| overflows: the envelope comes from the logs of
+        # the terms instead of reading 0, and the table stays valid
+        args = ["theorem"] + ([] if lam is None else ["--lambda", lam])
+        code, out = run_cli(args, tmp_path, config_text=cfg)
+        assert code == 0
+        header, rows, footer = parse_csv(out)
+        assert footer["envelope_respected"] == "true"
+        magnitude = 1e-10 if lam else 1e-320
+        for row in rows:
+            lam_value, envelope = float(cell(row, header, "Lambda")), float(cell(row, header, "envelope_bound"))
+            shifted = math.log(lam_value - magnitude) - math.log(magnitude) - FOUR_PI
+            assert envelope == pytest.approx(FOUR_PI / shifted, rel=1e-12)
+            assert float(cell(row, header, "abs_tau")) <= envelope
 
     def test_peak_stays_linear_while_finite(self, tmp_path):
         # at eps = 0.0178 the peak is about 4e306; one cutoff lies beyond it
@@ -429,6 +457,14 @@ def test_benchmark_interface():
     table.write_json(json_buf)
     assert csv_buf.getvalue().splitlines()[-2:] == ["1.0000000000000000e+00", "# rows=1"]
     assert json.loads(json_buf.getvalue())["rows"] == [[1.0]]
+    # bench/worker.py times these special functions by name, one scalar
+    # argument per call
+    for name, arg in [("exp1_scaled", 5.0 - 3.0j), ("expi_scaled", 7.0), ("bessel_j0", 3.0),
+                      ("bessel_y0", 3.0), ("bessel_k0", 3.0), ("bessel_k1", 3.0)]:
+        fn = getattr(special, name)
+        params = list(inspect.signature(fn).parameters.values())
+        assert len(params) == 1 and params[0].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert type(fn(arg)) in (float, complex)
 
 
 class TestRender:

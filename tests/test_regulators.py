@@ -4,6 +4,8 @@ the quadrature oracle."""
 
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from transmute_lab.energy_plane import ComplexEnergy, PhysicalScales, principal_log_ratio
@@ -19,6 +21,7 @@ from transmute_lab.regulators import (
     SharpCutoff,
     decay_amplitude,
     dimensionless_resolvent,
+    gaussian_resolvent_array,
     regulator_from_name,
     regulator_name,
     resolvent_derivative,
@@ -26,7 +29,7 @@ from transmute_lab.regulators import (
     slide_kernel,
     spectral_weight,
 )
-from transmute_lab.tolerances import QUADRATURE_MATCH_RTOL
+from transmute_lab.tolerances import QUADRATURE_MATCH_RTOL, SPECIAL_FUNCTION_RTOL
 
 FOUR_PI = 4.0 * math.pi
 
@@ -135,6 +138,33 @@ class TestResolvent:
             resolvent_element(SharpCutoff(5.0), ComplexEnergy(5.0, 0.0))
         with pytest.raises(SingularInputError):
             resolvent_element(SharpCutoff(5.0), ComplexEnergy(0.0, 0.0))
+
+    @pytest.mark.parametrize("z", [1e3 + 1e-3j, 1e3 + 1j, 1e5 + 1e3j, 1e8 + 1j, 1e300 + 1j])
+    def test_gaussian_near_the_continuum_far_out(self, z):
+        # these interior points gave nan+nanj while E1 took the power series
+        # near the negative axis at any |w|
+        reg = GaussianFormFactor(1.0)
+        with mp.workdps(30):
+            w = mp.mpc(-z.real, -z.imag)
+            ref = complex(-mp.exp(w) * mp.e1(w) / (4 * mp.pi))
+        for value in (resolvent_element(reg, z), gaussian_resolvent_array(1.0, z.real, z.imag)[()]):
+            assert abs(value - ref) <= SPECIAL_FUNCTION_RTOL * abs(ref)
+
+    def test_gaussian_array_branches_and_errors(self):
+        # continuum points through Ei, the negative axis (either zero sign)
+        # and interior points through E1, as resolvent_element
+        reg = GaussianFormFactor(0.8)
+        s2 = PhysicalScales(2.0)
+        re = np.array([2.0, 2.0, -4.0, -4.0, 1.5, 0.0, -1e4])
+        im = np.array([0.0, -0.0, 0.0, -0.0, 2.5, 0.3, 1e-3])
+        values = gaussian_resolvent_array(reg.length, re, im, s2)
+        for r, i, v in zip(re.tolist(), im.tolist(), values.tolist()):
+            assert v == pytest.approx(resolvent_element(reg, ComplexEnergy(r, i), s2), rel=1e-14)
+        with pytest.raises(SingularInputError) as scalar:
+            resolvent_element(reg, ComplexEnergy(0.0, 0.0))
+        with pytest.raises(SingularInputError) as array:
+            gaussian_resolvent_array(reg.length, [1.0, 0.0], [0.0, -0.0])
+        assert str(array.value) == str(scalar.value)
 
     def test_kinetic_constant_covariance(self):
         # holding lengths fixed, energies scale with kappa and g scales as 1/kappa

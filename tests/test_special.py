@@ -5,7 +5,9 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transmute_lab.errors import DomainError
 from transmute_lab.special import (
@@ -22,8 +24,10 @@ from transmute_lab.special import (
     bessel_y1,
     exp1,
     exp1_scaled,
+    exp1_scaled_array,
     expi,
     expi_scaled,
+    expi_scaled_array,
 )
 from transmute_lab.tolerances import SPECIAL_FUNCTION_RTOL
 
@@ -188,3 +192,94 @@ class TestExponentialIntegrals:
 
     def test_euler_gamma_pin(self):
         assert EULER_GAMMA == pytest.approx(float(mp.euler), abs=1e-16)
+
+
+# e^w E1(w) over the closed lower half plane: |w| log-uniform over the double
+# range and the phase uniform in [-pi, 0], with both ends drawn on their own;
+# the negative axis with Im w = +0.0 and -0.0 (both the lower lip of the
+# cut); and points just below it, Im w = -|w| 10^e with e uniform in [-20, 0]
+PROPERTIES = settings(max_examples=200, derandomize=True, deadline=None)
+magnitudes = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+phases = st.one_of(st.floats(-math.pi, 0.0), st.sampled_from([0.0, -0.5 * math.pi]))
+
+
+@st.composite
+def lower_half_plane(draw):
+    r = draw(magnitudes)
+    kind = draw(st.sampled_from(["phase", "lip", "below-lip"]))
+    if kind == "lip":
+        return complex(-r, draw(st.sampled_from([0.0, -0.0])))
+    if kind == "below-lip":
+        return complex(-r, -r * 10.0 ** draw(st.floats(-20.0, 0.0)))
+    phase = draw(phases)
+    return complex(r * math.cos(phase), r * math.sin(phase))
+
+
+def exp1_scaled_mp(w: complex) -> complex:
+    """e^w E1(w) by mpmath, with the negative axis as the lower lip,
+    e^{-x} (-Ei(x) + i pi) at w = -x."""
+    with mp.workdps(30):
+        if w.imag == 0.0 and w.real < 0.0:
+            x = mp.mpf(-w.real)
+            return complex(-mp.exp(-x) * mp.ei(x), math.pi * mp.exp(-x))
+        wm = mp.mpc(w.real, w.imag)
+        return complex(mp.exp(wm) * mp.e1(wm))
+
+
+def assert_exp1_close(got, w):
+    ref = exp1_scaled_mp(w)
+    assert abs(got - ref) <= SPECIAL_FUNCTION_RTOL * abs(ref), (w, got, ref)
+
+
+class TestExponentialIntegralProperties:
+    @PROPERTIES
+    @given(w=lower_half_plane())
+    def test_exp1_scaled_against_mpmath(self, w):
+        assert_exp1_close(exp1_scaled(w), w)
+
+    @PROPERTIES
+    @given(ws=st.lists(lower_half_plane(), min_size=1, max_size=20))
+    def test_exp1_scaled_array_against_mpmath(self, ws):
+        for w, got in zip(ws, exp1_scaled_array(np.array(ws)).tolist()):
+            assert_exp1_close(got, w)
+
+    @PROPERTIES
+    @given(xs=st.lists(magnitudes, min_size=1, max_size=20))
+    def test_expi_scaled_array_against_mpmath(self, xs):
+        for x, got in zip(xs, expi_scaled_array(np.array(xs)).tolist()):
+            with mp.workdps(30):
+                ref = float(mp.exp(-mp.mpf(x)) * mp.ei(mp.mpf(x)))
+            assert abs(got - ref) <= SPECIAL_FUNCTION_RTOL * abs(ref), x
+
+    def test_array_keeps_shape(self):
+        w = np.array([[0.5 - 0.5j, -3.0 + 0.0j], [-30.0 - 20.0j, 1e5 - 1e5j]])
+        values = exp1_scaled_array(w)
+        assert values.shape == (2, 2)
+        assert values.ravel().tolist() == exp1_scaled_array(w.ravel()).tolist()
+
+    @pytest.mark.parametrize("w", [np.array([1.0 - 1.0j, 0.0]), np.array([-2.0 - 0.0j, 1.0 + 1.0j]),
+                                   np.array([0.0 + 1e-300j])],
+                             ids=["zero", "upper-half-plane", "zero-first"])
+    def test_array_domain_errors_match_scalar(self, w):
+        with pytest.raises(DomainError) as scalar:
+            for v in w.tolist():
+                exp1_scaled(v)
+        with pytest.raises(DomainError) as array:
+            exp1_scaled_array(w)
+        assert str(array.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
+    def test_expi_array_domain_errors_match_scalar(self, x):
+        with pytest.raises(DomainError) as scalar:
+            expi_scaled(x)
+        with pytest.raises(DomainError) as array:
+            expi_scaled_array(np.array([2.0, x]))
+        assert str(array.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("w", [-1e3 - 1e-3j, -1e3 - 1j, -1e5 - 1e3j, -1e8 - 1j, -1e300 - 1j, -40.0 - 1e-3j],
+                             ids=["1e3-1e-3i", "1e3-1i", "1e5-1e3i", "1e8-1i", "1e300-1i", "40-1e-3i"])
+    def test_finite_near_the_negative_axis_far_out(self, w):
+        # the power series overflowed here before the asymptotic branch was
+        # taken first for |w| >= 40
+        assert_exp1_close(exp1_scaled(w), w)
+        assert_exp1_close(complex(exp1_scaled_array(np.array([w]))[0]), w)
