@@ -44,11 +44,8 @@ from .errors import (
     SingularInputError,
     TransmuteLabError,
     UnitarityViolationError,
-    UnsupportedRegulatorError,
 )
 from .observables import (
-    ScatteringObservables,
-    continuum_observables,
     f_from_tau,
     optical_theorem_defect,
     phase_shift_from_tau,

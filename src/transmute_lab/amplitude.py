@@ -27,10 +27,14 @@ Lambda -> inf, eps -> 0+ with Lambda e^{-4 pi/eps} held fixed reproduces it
 for any chosen E_B.  Both limiting processes are implemented as schedule
 scans below.
 
-The *_array functions evaluate tau over numpy arrays for whole tables: the
-renormalized form, the sharp cutoff and the pure delta in closed form, the
-gaussian through the array forms of E1 and Ei.  The scalar functions stay
-the reference they are tested against.
+Each closed form has one implementation, an *_array function over numpy
+arrays of couplings, cutoffs and energies; regulated_amplitude,
+on_shell_amplitude, renormalized_amplitude and cutoff_envelope are its 0-d
+calls, and amplitudes_over_cutoffs and transmutation_schedule one array call
+each.  bound_state_pole alone evaluates point by point, through the scalar
+negative_axis_resolvent and resolvent_derivative of regulators, because a
+0-d array call costs 16-26 times a scalar one and a pole takes about 8
+evaluations.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from .energy_plane import (
     as_energy,
     complex_divide_array,
     log_bracket_root,
+    log_ratio_array,
     log_search_floor,
-    principal_log_ratio,
     principal_log_ratio_array,
 )
 from .errors import (
@@ -60,15 +64,14 @@ from .errors import (
     PoleSingularityError,
 )
 from .regulators import (
+    GaussianFormFactor,
     PureDelta,
     Regulator,
     SharpCutoff,
-    dimensionless_resolvent,
-    form_factor_squared,
-    gaussian_resolvent_array,
+    negative_axis_resolvent,
     nominal_cutoff,
+    resolvent_array,
     resolvent_derivative,
-    sharp_resolvent_array,
     slide_kernel,
 )
 from .special import EULER_GAMMA
@@ -89,7 +92,7 @@ __all__ = [
     "transmutation_schedule",
     "cutoff_envelope",
     "renormalized_amplitude_array",
-    "sharp_amplitude_array",
+    "regulated_amplitude_array",
     "on_shell_amplitude_array",
     "cutoff_envelope_array",
 ]
@@ -108,12 +111,6 @@ class Amplitude:
 
     def __complex__(self) -> complex:
         return self.tau
-
-    @property
-    def inverse(self) -> complex:
-        if self.tau == 0:
-            raise DomainError("1/tau undefined for the zero amplitude")
-        return 1.0 / self.tau
 
 
 ZERO_AMPLITUDE = Amplitude(0.0 + 0.0j, exact_zero=True)
@@ -153,9 +150,12 @@ class TransmutationStep:
     deviation: float
 
 
-def _check_coupling(epsilon: float) -> None:
-    if not (epsilon > 0.0) or not math.isfinite(epsilon):
-        raise DomainError(f"coupling must be positive (attractive), got {epsilon}")
+def _check_coupling(epsilon) -> None:
+    """Couplings, a float or an array, must be positive and finite."""
+    eps = np.asarray(epsilon, dtype=float)
+    bad = ~((eps > 0.0) & np.isfinite(eps))
+    if bad.any():
+        raise DomainError(f"coupling must be positive (attractive), got {eps[bad][0]}")
 
 
 def regulated_amplitude(
@@ -164,26 +164,12 @@ def regulated_amplitude(
     z,
     scales: PhysicalScales = NATURAL_UNITS,
 ) -> Amplitude:
-    """tau(z) = -eps / (1 + eps*I(z)) for a regulated interaction.
-
-    The pure delta returns the exact zero amplitude: its divergent I is
-    surfaced by the resolvent and consumed here, which is the content of the
-    no-scattering theorem rather than an error condition.
-    """
-    _check_coupling(epsilon)
+    """tau(z) = -eps / (1 + eps*I(z)) for a regulated interaction: the 0-d
+    case of regulated_amplitude_array.  The pure delta returns the exact zero
+    amplitude."""
     ze = as_energy(z)
-    try:
-        resolvent = dimensionless_resolvent(reg, ze, scales)
-    except DivergenceError:
-        return ZERO_AMPLITUDE
-    denom = 1.0 + epsilon * resolvent
-    if abs(denom) < POLE_GUARD:
-        pole = _closed_form_pole(epsilon, reg)
-        raise PoleSingularityError(
-            f"amplitude evaluated at a bound-state pole (|1 + eps*I| = {abs(denom):.3e})",
-            pole_energy=None if pole is None else -pole,
-        )
-    return Amplitude(-epsilon / denom)
+    tau = complex(regulated_amplitude_array(epsilon, reg, [ze.re], [ze.im], scales)[0])
+    return ZERO_AMPLITUDE if isinstance(reg, PureDelta) else Amplitude(tau)
 
 
 def on_shell_amplitude(
@@ -192,23 +178,10 @@ def on_shell_amplitude(
     energy: float,
     scales: PhysicalScales = NATURAL_UNITS,
 ) -> Amplitude:
-    """Physical on-shell amplitude at continuum energy E.
-
-    The scattering matrix element carries the form factor at the on-shell
-    wavenumber on both sides, tau_on(E) = |<k(E)|v>|^2 tau(E + i0+), which is
-    what elastic unitarity constrains.  For the sharp cutoff below Lambda
-    this is tau itself; above Lambda the model has no phase space and the
-    on-shell amplitude vanishes.
-    """
-    if not (energy > 0.0):
-        raise DomainError(f"on-shell amplitude requires E > 0, got {energy}")
-    if isinstance(reg, PureDelta):
-        return ZERO_AMPLITUDE
-    weight = form_factor_squared(reg, math.sqrt(energy / scales.kinetic_constant), scales)
-    if weight == 0.0:
-        return Amplitude(0.0 + 0.0j)
-    base = regulated_amplitude(epsilon, reg, ComplexEnergy.continuum(energy), scales)
-    return Amplitude(base.tau * weight, base.exact_zero)
+    """Physical on-shell amplitude at continuum energy E: the 0-d case of
+    on_shell_amplitude_array."""
+    tau = complex(on_shell_amplitude_array(epsilon, reg, [energy], scales)[0])
+    return ZERO_AMPLITUDE if isinstance(reg, PureDelta) else Amplitude(tau)
 
 
 def slide_amplitude(
@@ -242,23 +215,10 @@ def slide_amplitude(
 
 
 def renormalized_amplitude(bound_energy: float, z) -> Amplitude:
-    """Closed-form amplitude with a bound-state pole at z = -bound_energy:
-
-        tau(z) = 4 pi / ln(-E_B / z),
-
-    with -E_B read as the limit from above (argument pi).  Dimensionless and
-    scale-free: only the ratio z/E_B enters.
-    """
-    if not (bound_energy > 0.0) or not math.isfinite(bound_energy):
-        raise DomainError(f"bound-state energy must be positive, got {bound_energy}")
+    """Closed-form amplitude 4 pi / ln(-E_B / z) at one point: the 0-d case
+    of renormalized_amplitude_array."""
     ze = as_energy(z)
-    log_ratio = principal_log_ratio(ComplexEnergy(-bound_energy, 0.0), ze)
-    if abs(log_ratio) < POLE_GUARD:
-        raise PoleSingularityError(
-            "renormalized amplitude evaluated at its bound-state pole",
-            pole_energy=-bound_energy,
-        )
-    return Amplitude(4.0 * math.pi / log_ratio)
+    return Amplitude(complex(renormalized_amplitude_array(bound_energy, [ze.re], [ze.im])[0]))
 
 
 def _sharp_log_pole(epsilon: float, cutoff: float) -> float:
@@ -267,13 +227,6 @@ def _sharp_log_pole(epsilon: float, cutoff: float) -> float:
     finite for every coupling, where expm1 itself overflows below eps ~ 0.018."""
     t = 4.0 * math.pi / epsilon
     return math.log(cutoff) - (t + math.log(-math.expm1(-t)))
-
-
-def _closed_form_pole(epsilon: float, reg: Regulator) -> float | None:
-    """Exact pole energy where available (sharp cutoff)."""
-    if isinstance(reg, SharpCutoff):
-        return math.exp(_sharp_log_pole(epsilon, reg.cutoff))
-    return None
 
 
 def bound_state_pole(
@@ -308,8 +261,7 @@ def bound_state_pole(
             raise NoBoundStateError("bound state lies outside [Lambda*1e-300, Lambda]", exact=False)
     else:
         def mismatch(x: float) -> float:
-            value = dimensionless_resolvent(reg, ComplexEnergy(-math.exp(x), 0.0), scales)
-            return 1.0 + epsilon * value.real
+            return 1.0 + epsilon * negative_axis_resolvent(reg, math.exp(x), scales)
 
         # the bracket [guess - 2, guess + 2], then brackets twice as wide
         # below it; log_bracket_root checks the top first, so a root above
@@ -342,15 +294,14 @@ def amplitudes_over_cutoffs(
     _check_coupling(epsilon)
     ze = as_energy(z)
     magnitude = ze.magnitude()
-    cutoffs = list(cutoffs)
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+    cutoffs = np.array(list(cutoffs), dtype=float)
+    if (cutoffs[1:] <= cutoffs[:-1]).any():
         raise DomainError("cutoff schedule must be strictly increasing")
-    out = []
-    for lam in cutoffs:
-        if lam <= magnitude:
-            raise DomainError(f"cutoff {lam} must exceed |z| = {magnitude}")
-        out.append(regulated_amplitude(epsilon, SharpCutoff(lam), ze, scales))
-    return out
+    bad = ~((cutoffs > magnitude) & np.isfinite(cutoffs))
+    if bad.any():
+        raise DomainError(f"cutoff {cutoffs[bad][0]} must be finite and exceed |z| = {magnitude}")
+    tau = regulated_amplitude_array(epsilon, cutoffs, ze.re, ze.im, scales)
+    return [Amplitude(t) for t in tau.tolist()]
 
 
 def transmutation_schedule(
@@ -373,40 +324,34 @@ def transmutation_schedule(
     if steps < 2:
         raise DomainError("transmutation schedule needs at least 2 steps")
     ze = as_energy(z)
-    target = renormalized_amplitude(bound_energy, ze)
-    out = []
-    for n in range(1, steps + 1):
-        lam = bound_energy * 10.0**n
-        eps_n = 4.0 * math.pi / (n * math.log(10.0))
-        amp = regulated_amplitude(eps_n, SharpCutoff(lam), ze, scales)
-        out.append(
-            TransmutationStep(
-                index=n,
-                cutoff=lam,
-                coupling=eps_n,
-                amplitude=amp,
-                deviation=abs(amp.tau - target.tau),
-            )
-        )
-    return out
+    target = renormalized_amplitude(bound_energy, ze).tau
+    index = range(1, steps + 1)
+    cutoffs = [bound_energy * 10.0**n for n in index]
+    if not math.isfinite(cutoffs[-1]):
+        raise DomainError(f"the last cutoff E_B * 10**{steps} overflows")
+    couplings = [4.0 * math.pi / (n * math.log(10.0)) for n in index]
+    tau = regulated_amplitude_array(np.array(couplings), np.array(cutoffs), ze.re, ze.im, scales)
+    return [
+        TransmutationStep(index=n, cutoff=lam, coupling=eps_n, amplitude=Amplitude(t), deviation=abs(t - target))
+        for n, lam, eps_n, t in zip(index, cutoffs, couplings, tau.tolist())
+    ]
 
 
 def cutoff_envelope(epsilon: float, magnitude: float, lam: float) -> float | None:
-    """Rigorous bound on |tau_Lambda(z)| beyond the resonance region, from
-    |1/tau| >= |Re(1/eps + I)|; None where the bound is vacuous."""
-    if lam <= magnitude:
-        return None
-    ratio = (lam - magnitude) / magnitude
-    # where the ratio overflows, its log from the logs of its terms
-    log_ratio = math.log(ratio) if ratio < math.inf else math.log(lam - magnitude) - math.log(magnitude)
-    shifted = log_ratio - 4.0 * math.pi / epsilon
-    if shifted <= 0.0:
-        return None
-    return 4.0 * math.pi / shifted
+    """The bound of cutoff_envelope_array at one cutoff; None where it is
+    vacuous."""
+    bound = float(cutoff_envelope_array(epsilon, magnitude, [lam])[0])
+    return None if math.isnan(bound) else bound
 
 
 def renormalized_amplitude_array(bound_energy: float, re, im=0.0) -> np.ndarray:
-    """renormalized_amplitude elementwise over arrays of Re z and Im z."""
+    """Closed-form amplitude with a bound-state pole at z = -bound_energy,
+
+        tau(z) = 4 pi / ln(-E_B / z),
+
+    elementwise over arrays of Re z and Im z, with -E_B read as the limit
+    from above (argument pi).  Dimensionless and scale-free: only the ratio
+    z/E_B enters."""
     if not (bound_energy > 0.0) or not math.isfinite(bound_energy):
         raise DomainError(f"bound-state energy must be positive, got {bound_energy}")
     log_ratio = principal_log_ratio_array(-bound_energy, 0.0, re, im)
@@ -418,38 +363,44 @@ def renormalized_amplitude_array(bound_energy: float, re, im=0.0) -> np.ndarray:
     return complex_divide_array(4.0 * math.pi, log_ratio)
 
 
-def sharp_amplitude_array(
-    epsilon: float,
-    cutoff,
+def regulated_amplitude_array(
+    epsilon,
+    reg,
     re,
-    im,
+    im=0.0,
     scales: PhysicalScales = NATURAL_UNITS,
 ) -> np.ndarray:
-    """regulated_amplitude of the sharp cutoff, tau = -eps / (1 + eps*I(z)),
-    elementwise over broadcastable arrays of cutoffs and of Re z, Im z: a
-    cutoff schedule at one z, or one cutoff over an energy grid."""
+    """tau(z) = -eps / (1 + eps*I(z)) elementwise over broadcastable arrays of
+    couplings eps and of Re z, Im z.  reg is a regulator, or an array of
+    sharp cutoffs that broadcasts with them, as in resolvent_array: a cutoff
+    schedule.
+
+    The pure delta gives zeros: its divergent I is surfaced by the resolvent
+    and consumed here, which is the content of the no-scattering theorem
+    rather than an error condition.  A row on a pole, |1 + eps*I| <
+    POLE_GUARD, raises PoleSingularityError with the pole energy where it is
+    exact: -Lambda/expm1(4 pi/eps) for the sharp cutoff.
+    """
     _check_coupling(epsilon)
-    resolvent = scales.kinetic_constant * sharp_resolvent_array(cutoff, re, im, scales)
-
-    def pole_energy(i: int) -> float:
-        return -_closed_form_pole(epsilon, SharpCutoff(float(np.broadcast_to(cutoff, resolvent.shape).flat[i])))
-
-    return _tau_array(epsilon, resolvent, pole_energy)
-
-
-def _tau_array(epsilon: float, resolvent: np.ndarray, pole_energy) -> np.ndarray:
-    """tau = -eps / (1 + eps*I) over an array of dimensionless resolvents I,
-    raising as regulated_amplitude does at the first row on a pole, with
-    pole_energy(row) as the pole it names."""
-    denom = 1.0 + epsilon * resolvent
+    try:
+        resolvent = scales.kinetic_constant * resolvent_array(reg, re, im, scales)
+    except DivergenceError:
+        return np.zeros(np.broadcast_shapes(np.shape(epsilon), np.shape(re), np.shape(im)), dtype=complex)
+    eps = np.asarray(epsilon, dtype=float)
+    denom = 1.0 + eps * resolvent
     at_pole = np.hypot(denom.real, denom.imag) < POLE_GUARD
     if at_pole.any():
         i = int(np.argmax(at_pole))
+        pole = None
+        if not isinstance(reg, GaussianFormFactor):
+            cutoff = reg.cutoff if isinstance(reg, SharpCutoff) else reg
+            eps_i, lam_i = (float(np.broadcast_to(v, denom.shape).flat[i]) for v in (eps, cutoff))
+            pole = -math.exp(_sharp_log_pole(eps_i, lam_i))
         raise PoleSingularityError(
             f"amplitude evaluated at a bound-state pole (|1 + eps*I| = {abs(denom.flat[i]):.3e})",
-            pole_energy=pole_energy(i),
+            pole_energy=pole,
         )
-    return complex_divide_array(-epsilon, denom)
+    return complex_divide_array(-eps, denom)
 
 
 def on_shell_amplitude_array(
@@ -458,45 +409,44 @@ def on_shell_amplitude_array(
     energies,
     scales: PhysicalScales = NATURAL_UNITS,
 ) -> np.ndarray:
-    """on_shell_amplitude elementwise over an array of continuum energies."""
+    """Physical on-shell amplitude over an array of continuum energies E.
+
+    The scattering matrix element carries the form factor at the on-shell
+    wavenumber on both sides, tau_on(E) = |<k(E)|v>|^2 tau(E + i0+), which is
+    what elastic unitarity constrains.  For the sharp cutoff below Lambda
+    this is tau itself; above Lambda the model has no phase space and the
+    on-shell amplitude vanishes.
+    """
     energies = np.asarray(energies, dtype=float)
     if not (energies > 0.0).all():
         raise DomainError(f"on-shell amplitude requires E > 0, got {energies[~(energies > 0.0)][0]}")
+    tau = np.zeros(energies.shape, dtype=complex)
     if isinstance(reg, PureDelta):
-        return np.zeros(energies.shape, dtype=complex)
-    # the on-shell weight of form_factor_squared, with k = sqrt(E/kappa)
-    # rounded as there: kappa k^2 <= Lambda, or exp(-(k a)^2)
+        return tau
+    # the weight of form_factor_squared, with k = sqrt(E/kappa) rounded as
+    # there: kappa k^2 <= Lambda, or exp(-(k a)^2)
     kappa = scales.kinetic_constant
     k = np.sqrt(energies / kappa)
-    tau = np.zeros(energies.shape, dtype=complex)
     if isinstance(reg, SharpCutoff):
-        inside = kappa * k * k <= reg.cutoff
-        if inside.any():
-            tau[inside] = sharp_amplitude_array(epsilon, reg.cutoff, energies[inside], 0.0, scales)
-        return tau
-    weight = np.exp(-(k * reg.length) ** 2)
+        weight = (kappa * k * k <= reg.cutoff).astype(float)
+    else:
+        weight = np.exp(-(k * reg.length) ** 2)
     inside = weight != 0.0
     if inside.any():
-        _check_coupling(epsilon)
-        resolvent = kappa * gaussian_resolvent_array(reg.length, energies[inside], 0.0, scales)
-        base = _tau_array(epsilon, resolvent, lambda i: None)
+        base = regulated_amplitude_array(epsilon, reg, energies[inside], 0.0, scales)
         # tau * weight, as a complex times a float
         tau.real[inside], tau.imag[inside] = base.real * weight[inside], base.imag * weight[inside]
     return tau
 
 
 def cutoff_envelope_array(epsilon: float, magnitude: float, cutoffs) -> np.ndarray:
-    """cutoff_envelope elementwise over an array of cutoffs, with NaN where
-    the bound is vacuous (None in the scalar form)."""
+    """Rigorous bound on |tau_Lambda(z)| beyond the resonance region, from
+    |1/tau| >= |Re(1/eps + I)|, elementwise over an array of cutoffs at
+    |z| = magnitude: 4 pi / (ln[(Lambda - |z|)/|z|] - 4 pi/eps), and NaN
+    where the bound is vacuous."""
     cutoffs = np.asarray(cutoffs, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = (cutoffs - magnitude) / magnitude
-        log_ratio = np.log(ratio)
-        overflow = np.isposinf(ratio)
-        if overflow.any():
-            # Lambda/|z| beyond the double range: the log from the logs of
-            # its terms, as in cutoff_envelope
-            log_ratio[overflow] = np.log(cutoffs[overflow] - magnitude) - math.log(magnitude)
-        shifted = log_ratio - 4.0 * math.pi / epsilon
+    above = cutoffs > magnitude
+    shifted = log_ratio_array(np.where(above, cutoffs - magnitude, magnitude), magnitude) - 4.0 * math.pi / epsilon
+    with np.errstate(divide="ignore"):
         bound = 4.0 * math.pi / shifted
-    return np.where((cutoffs > magnitude) & (shifted > 0.0), bound, np.nan)
+    return np.where(above & (shifted > 0.0), bound, np.nan)

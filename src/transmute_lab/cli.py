@@ -10,9 +10,13 @@ deterministic CSV or JSON tables.
 Configuration is a flat key=value text file ('#' comments); command-line
 flags override file values.  Output is byte-deterministic across runs on one
 machine and numpy build: floats render at 17 significant digits, tables are
-evaluated in one thread (flow, scatter and theorem as numpy columns, bind
-and transmute row by row), and no timestamps enter the data body.  numpy's
-elementary functions may round differently from the C library's, so
+evaluated in one thread, and no timestamps enter the data body.  flow,
+scatter, theorem and transmute are evaluated as numpy columns, through the
+one array form of each closed form.  Only bind runs row by row: its root
+searches evaluate one point at a time, about 8 times per pole, through the
+scalar code kept for them (the negative-axis resolvent, exp1_scaled and the
+Bessel functions), since a 0-d array call costs 16-26 times a scalar one.
+numpy's elementary functions may round differently from the C library's, so
 array-evaluated tables may differ from earlier versions in the last digits,
 within the 8-ulp budget of tests/test_array_forms.py.  A non-finite cell is
 a numerical failure.
@@ -35,12 +39,12 @@ from .amplitude import (
     bound_state_pole,
     cutoff_envelope_array,
     on_shell_amplitude_array,
+    regulated_amplitude_array,
     renormalized_amplitude,
     renormalized_amplitude_array,
-    sharp_amplitude_array,
     transmutation_schedule,
 )
-from .energy_plane import ComplexEnergy, PhysicalScales, complex_divide_array, wavenumber
+from .energy_plane import ComplexEnergy, PhysicalScales, complex_divide_array, log_ratio_array, wavenumber
 from .errors import DomainError, NoBoundStateError, TransmuteLabError
 from .observables import continuum_observables_array, tau_from_phase_shift
 from .regulators import (
@@ -520,9 +524,9 @@ def cmd_theorem(opts: Options) -> Table:
     if below.any():
         raise UsageError(f"cutoff {float(schedule[below][0])} must exceed |z| = {magnitude}")
 
-    tau = sharp_amplitude_array(eps, schedule, z.re, z.im, scales)
+    tau = regulated_amplitude_array(eps, schedule, z.re, z.im, scales)
     abs_tau = np.hypot(tau.real, tau.imag)
-    naive = FOUR_PI / np.log(schedule / magnitude)
+    naive = FOUR_PI / log_ratio_array(schedule, magnitude)
     envelope = cutoff_envelope_array(eps, magnitude, schedule)
     vacuous = np.isnan(envelope)
     columns = [
@@ -684,9 +688,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as a UsageError,
+    one line and exit 2, in place of argparse's usage block."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="transmute-lab", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="transmute-lab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=(fn.__doc__ or "").split("\n")[0])
@@ -703,9 +714,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         file_values = _read_config_file(args.config) if args.config else {}
         flag_values = {
             "regulator": args.regulator,

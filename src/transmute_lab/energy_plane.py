@@ -21,9 +21,13 @@ Both bound-state solvers (separable poles, circular well) search in ln E
 with the one root finder here, log_bracket_root: a bracket from a scan that
 starts where the root is expected, then one run of Chandrupatla's method.
 
-principal_log_ratio_array is the elementwise form of the logarithm over
-arrays of real and imaginary parts, for tables evaluated as numpy columns;
-complex_divide_array divides as the scalar code does.
+principal_log_ratio_array is the one implementation of that logarithm,
+over arrays of real and imaginary parts; principal_log_ratio is its 0-d
+call.  Throughout the package a scalar name calls its array form on
+one-element arrays, not 0-d ones: numpy evaluates some elementary functions
+of 0-d arrays through the C library and of arrays through its own loops,
+which round differently, and a scalar name must equal the array rows to the
+bit.  complex_divide_array divides as Python's complex division does.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "as_energy",
     "principal_log_ratio",
     "principal_log_ratio_array",
+    "log_ratio_array",
     "complex_divide_array",
     "wavenumber",
 ]
@@ -125,9 +130,7 @@ class ComplexEnergy:
         """Argument in [0, pi] under the limit-from-above convention."""
         if self.is_zero:
             raise DomainError("argument of zero energy is undefined")
-        if self.im > 0.0:
-            return math.atan2(self.im, self.re)
-        return 0.0 if self.re > 0.0 else math.pi
+        return float(_arg_from_above_array(np.array([self.re]), np.array([self.im]))[0])
 
     def scaled(self, factor: float) -> "ComplexEnergy":
         if factor <= 0.0:
@@ -153,45 +156,46 @@ def principal_log_ratio(z, z0) -> complex:
 
     Returns ln|z/z0| + i*(arg z - arg z0) with both arguments taken in
     [0, pi]; the imaginary part therefore lies in [-pi, pi], and argument
-    differences compose additively without winding.
+    differences compose additively without winding.  The 0-d case of
+    principal_log_ratio_array.
     """
-    ze = as_energy(z)
-    z0e = as_energy(z0)
-    if ze.is_zero or z0e.is_zero:
-        raise DomainError("principal_log_ratio requires nonzero energies")
-    ratio = ze.magnitude() / z0e.magnitude()
-    if ratio == 0.0 or math.isinf(ratio):
-        # magnitudes too far apart for a single quotient; give up exactness
-        # of power-of-two scaling in favor of range
-        log_mag = math.log(ze.magnitude()) - math.log(z0e.magnitude())
-    else:
-        log_mag = math.log(ratio)
-    return complex(log_mag, ze.arg_from_above() - z0e.arg_from_above())
+    ze, z0e = as_energy(z), as_energy(z0)
+    return complex(principal_log_ratio_array([ze.re], [ze.im], [z0e.re], [z0e.im])[0])
 
 
 def _arg_from_above_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    # im == 0 holds for -0.0 too, so the negative axis keeps arg = pi where
-    # atan2(-0.0, re) would give -pi
-    return np.where(im > 0.0, np.arctan2(im, re), np.where(re > 0.0, 0.0, math.pi))
+    # |Im z| turns -0.0 into +0.0, so the negative axis keeps arg = pi where
+    # atan2(-0.0, re) would give -pi; atan2(+0.0, re) is exactly 0 or pi
+    return np.arctan2(np.abs(im), re)
+
+
+def log_ratio_array(num, den) -> np.ndarray:
+    """ln(num/den) elementwise over broadcastable arrays of positive numbers,
+    finite wherever both are: where the quotient overflows or falls below
+    the normal range (a subnormal quotient has lost digits), ln num - ln den
+    instead, which gives up exactness of power-of-two scaling for range."""
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        ratio = num / den
+        log = np.log(ratio)
+        far = (ratio < sys.float_info.min) | np.isinf(ratio)
+        if far.any():
+            log = np.where(far, np.log(num) - np.log(den), log)
+    return log
 
 
 def principal_log_ratio_array(re, im, re0, im0) -> np.ndarray:
     """ln(z/z0) elementwise, on the branch of principal_log_ratio, for z =
     re + i*im and z0 = re0 + i*im0 given as broadcastable arrays of real and
-    imaginary parts (Im >= 0; Im = 0 is the limit from above)."""
+    imaginary parts (Im >= 0; Im = 0 is the limit from above), with
+    ln|z/z0| from log_ratio_array."""
     re, im, re0, im0 = (np.asarray(v, dtype=float) for v in (re, im, re0, im0))
     if (im < 0.0).any() or (im0 < 0.0).any():
         raise DomainError("energy must lie in the closed upper half plane")
     mag, mag0 = np.hypot(re, im), np.hypot(re0, im0)
     if not (mag.all() and mag0.all()):
         raise DomainError("principal_log_ratio requires nonzero energies")
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        ratio = mag / mag0
-        log_mag = np.log(ratio)
-    far = (ratio == 0.0) | np.isinf(ratio)
-    if far.any():
-        # magnitudes too far apart for a single quotient, as in the scalar form
-        log_mag = np.where(far, np.log(mag) - np.log(mag0), log_mag)
+    log_mag = log_ratio_array(mag, mag0)
     out = np.empty(log_mag.shape, dtype=complex)
     out.real = log_mag
     out.imag = _arg_from_above_array(re, im) - _arg_from_above_array(re0, im0)
@@ -202,8 +206,8 @@ def complex_divide_array(a, b) -> np.ndarray:
     """a / b elementwise over broadcastable complex arrays, rounded as
     Python's complex division (Smith's method) rounds it, where numpy's
     division rounds differently: array columns then keep the last bits of
-    the scalar functions, and with them the unitarity defect that a status
-    reads against its tolerance."""
+    Python's complex arithmetic, which the scalar observables use, and with
+    them the unitarity defect that a status reads against its tolerance."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     real_major = np.abs(br) >= np.abs(bi)

@@ -24,11 +24,6 @@ class DivergenceError(TransmuteLabError):
     """The requested quantity is a divergent integral; no finite value exists."""
 
 
-class UnsupportedRegulatorError(TransmuteLabError):
-    """Operation not defined for this regulator (the pure delta carries no
-    scale and no finite resolvent)."""
-
-
 class PoleSingularityError(TransmuteLabError):
     """Evaluation landed on (or within guard distance of) an amplitude pole.
 

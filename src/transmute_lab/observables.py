@@ -26,39 +26,23 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .amplitude import Amplitude
-from .energy_plane import NATURAL_UNITS, PhysicalScales, Wavenumber, as_energy, complex_divide_array, wavenumber
+from .energy_plane import NATURAL_UNITS, PhysicalScales, Wavenumber, complex_divide_array
 from .errors import DomainError, UnitarityViolationError
 from .tolerances import IM_TAU_POSITIVE_TOL, UNITARITY_DEFECT_TOL
 
 __all__ = [
-    "ScatteringObservables",
     "f_from_tau",
     "total_target_length",
     "phase_shift_from_tau",
     "optical_theorem_defect",
     "unitarity_defect",
     "tau_from_phase_shift",
-    "continuum_observables",
     "continuum_observables_array",
 ]
-
-
-@dataclass(frozen=True)
-class ScatteringObservables:
-    """Observables at one continuum energy."""
-
-    energy: float
-    k: float
-    f: complex
-    dL_dtheta: float
-    total_length: float
-    phase_shift: float
-    tau: complex
 
 
 def _as_tau(tau) -> complex:
@@ -135,29 +119,6 @@ def optical_theorem_defect(tau, k: Wavenumber) -> float:
     return 2.0 * math.pi * abs(f) ** 2 - math.sqrt(8.0 * math.pi / k) * f.imag
 
 
-def continuum_observables(tau, energy: float, scales: PhysicalScales = NATURAL_UNITS) -> ScatteringObservables:
-    """Bundle all observables at continuum energy E > 0.
-
-    The energy must be a boundary value: observables exist only on the
-    continuum, so interior points are rejected.
-    """
-    ze = as_energy(energy)
-    if ze.im != 0.0 or ze.re <= 0.0:
-        raise DomainError("observables are defined on the continuum E + i0+ only")
-    k = wavenumber(ze.re, scales)
-    t = _as_tau(tau)
-    f = f_from_tau(t, k)
-    return ScatteringObservables(
-        energy=ze.re,
-        k=k,
-        f=f,
-        dL_dtheta=abs(f) ** 2,
-        total_length=total_target_length(t, k),
-        phase_shift=phase_shift_from_tau(t),
-        tau=t,
-    )
-
-
 def continuum_observables_array(
     tau,
     energies,
@@ -172,7 +133,8 @@ def continuum_observables_array(
     unitarity defect exceeds defect_tol is flagged in violation and its
     phase shift is NaN."""
     tau = np.asarray(tau, dtype=complex)
-    k = np.sqrt(np.asarray(energies, dtype=float) / scales.kinetic_constant)
+    with np.errstate(invalid="ignore"):
+        k = np.sqrt(np.asarray(energies, dtype=float) / scales.kinetic_constant)
     if not (k > 0.0).all():
         raise DomainError(f"continuum wavenumber must be positive, got {k[~(k > 0.0)][0]}")
     f = -np.sqrt(1.0 / (8.0 * math.pi * k)) * tau

@@ -35,13 +35,17 @@ The Bessel series are accumulated with math.fsum so the only error left is
 term roundoff.
 
 exp1_scaled_array and expi_scaled_array evaluate e^w E1(w) and e^{-x} Ei(x)
-over numpy arrays by the same branches: each branch runs over the elements
-its mask selects, each series or continued fraction stops element by
-element, and the Stieltjes rule is one matrix-vector product.  They round
-complex arithmetic as numpy does, so inside the power-series bands, where
-terms cancel, they may differ from the scalar forms by some hundred ulps;
-both stay within about 1e-12 of the value there.  The scalar forms stay for
-callers that evaluate one point at a time (the bound-state root finders).
+over numpy arrays: each branch runs over the elements its mask selects,
+each series or continued fraction stops element by element, and the
+Stieltjes rule is one matrix-vector product.  expi_scaled_array is the one
+implementation of Ei; expi_scaled and expi are its 0-d calls.  exp1_scaled
+and the Bessel functions stay scalar, because the bound-state searches (the
+gaussian pole, the circular well) evaluate them one point at a time and a
+0-d array call costs some 20 times a scalar one.  exp1_scaled takes the
+branches of exp1_scaled_array in the same order; it rounds complex
+arithmetic as Python does, so inside the power-series bands, where terms
+cancel, the two forms may differ by some hundred ulps, both within about
+1e-12 of the value.
 """
 
 from __future__ import annotations
@@ -477,43 +481,15 @@ def exp1(w: complex) -> complex:
     return cmath.exp(-w) * exp1_scaled(w)
 
 
-def _expi_series(x: float) -> float:
-    # Ei(x) = gamma + ln x + sum x^k/(k k!)
-    total = 0.0
-    term = 1.0
-    for k in range(1, _MAX_EXPINT_SERIES_TERMS):
-        term *= x / k
-        total += term / k
-        if term / k < 1e-18 * abs(total):
-            break
-    return EULER_GAMMA + math.log(x) + total
-
-
 def expi_scaled(x: float) -> float:
-    """e^{-x} Ei(x) for x > 0, stable for arbitrarily large x."""
-    _require_positive(x, "expi_scaled")
-    if x <= _EI_SERIES_MAX:
-        return math.exp(-x) * _expi_series(x)
-    # asymptotic sum (1/x) * sum k!/x^k truncated at the smallest term
-    total = 1.0
-    term = 1.0
-    prev = 1.0
-    for k in range(1, _MAX_ASYMPTOTIC_TERMS):
-        term *= k / x
-        if term > prev:
-            break
-        prev = term
-        total += term
-        if term < 1e-18 * total:
-            break
-    return total / x
+    """e^{-x} Ei(x) for x > 0, stable for arbitrarily large x: the 0-d case
+    of expi_scaled_array."""
+    return float(expi_scaled_array([x])[0])
 
 
 def expi(x: float) -> float:
     """Exponential integral Ei(x) for x > 0 (principal value)."""
     _require_positive(x, "expi")
-    if x <= _EI_SERIES_MAX:
-        return _expi_series(x)
     return math.exp(x) * expi_scaled(x)
 
 
@@ -595,7 +571,8 @@ def _e1_lower_lip_array(w: np.ndarray) -> np.ndarray:
 
 
 def expi_scaled_array(x) -> np.ndarray:
-    """expi_scaled elementwise over an array of x > 0, by the same branches."""
+    """e^{-x} Ei(x) elementwise over an array of x > 0: the power series for
+    x <= _EI_SERIES_MAX, the asymptotic series above."""
     x = np.asarray(x, dtype=float)
     bad = ~((x > 0.0) & np.isfinite(x))
     if bad.any():

@@ -151,8 +151,8 @@ class TestEvaluationCounts:
     @pytest.fixture
     def resolvent_calls(self, monkeypatch):
         calls = []
-        inner = amplitude.dimensionless_resolvent
-        monkeypatch.setattr(amplitude, "dimensionless_resolvent", lambda *a: calls.append(1) or inner(*a))
+        inner = amplitude.negative_axis_resolvent
+        monkeypatch.setattr(amplitude, "negative_axis_resolvent", lambda *a: calls.append(1) or inner(*a))
         return calls
 
     def test_sharp_cutoff_evaluates_nothing(self, resolvent_calls):

@@ -1,6 +1,7 @@
 """End-to-end command tests: emitted tables, determinism, exit codes and
 config/flag precedence."""
 
+import contextlib
 import inspect
 import io
 import json
@@ -8,10 +9,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import transmute_lab
 from transmute_lab import cli, special
@@ -213,6 +217,23 @@ class TestTheorem:
             shifted = math.log(lam_value - magnitude) - math.log(magnitude) - FOUR_PI
             assert envelope == pytest.approx(FOUR_PI / shifted, rel=1e-12)
             assert float(cell(row, header, "abs_tau")) <= envelope
+
+    @pytest.mark.parametrize("lam,cfg", [
+        ("1e2:1e300:5,log", "z_re = 0\nz_im = 1e-10\n"),
+        (None, "z_re = 1e-320\nz_im = 0\n"),
+    ], ids=["tiny-z", "subnormal-z"])
+    def test_asymptote_where_lambda_over_z_overflows(self, tmp_path, lam, cfg):
+        # Lambda/|z| overflows: the asymptote 4 pi/ln(Lambda/|z|) comes from
+        # ln Lambda - ln|z| instead of reading 0
+        args = ["theorem"] + ([] if lam is None else ["--lambda", lam])
+        code, out = run_cli(args, tmp_path, config_text=cfg)
+        assert code == 0
+        header, rows, _ = parse_csv(out)
+        magnitude = 1e-10 if lam else 1e-320
+        for row in rows:
+            lam_value = float(cell(row, header, "Lambda"))
+            expected = FOUR_PI / (math.log(lam_value) - math.log(magnitude))
+            assert float(cell(row, header, "bound_4pi_over_lnLambda")) == pytest.approx(expected, rel=1e-12)
 
     def test_peak_stays_linear_while_finite(self, tmp_path):
         # at eps = 0.0178 the peak is about 4e306; one cutoff lies beyond it
@@ -576,3 +597,67 @@ def test_scale_sweep(command, regulator, key, value, tmp_path, capsys):
     }[key]
     if uses and value in ("nan", "inf", "-1", "0"):
         assert code == 2
+
+
+# ----------------------------------------------------------------------
+# fuzz: random command lines and config files over all five commands
+# ----------------------------------------------------------------------
+
+FUZZ = settings(max_examples=100, derandomize=True, deadline=None)
+_good = st.sampled_from(["1", "0.5", "2e3", "0.01", "15", "4.5e-7", "1e-300", "1e300", "1e-320", "1e308", "3"])
+_bad = st.sampled_from(["-1", "0", "-0", "nan", "inf", "-inf", "x", ""])
+# one bad value in four
+_numbers = st.one_of(_good, _good, _good, _bad)
+_grids = st.builds(lambda lo, hi, n, log: f"{lo}:{hi}:{n}" + (",log" if log else ""), _numbers, _numbers,
+                   st.sampled_from(["1", "2", "5", "8", "8", "8", "0", "2.5"]), st.booleans())
+_names = st.sampled_from(["pure-delta", "sharp-cutoff", "gaussian", "circular-well", "renormalized",
+                          "sharp-cutoff,gaussian", "gaussian, circular-well", "lattice"])
+_values = st.one_of(_numbers, _grids, _names)
+_flags = {
+    "--regulator": _names,
+    "--epsilon": st.one_of(_numbers, _grids),
+    "--lambda": st.one_of(_numbers, _grids),
+    "--energy": st.one_of(_numbers, _grids),
+    "--format": st.sampled_from(["csv", "json", "json", "xml"]),
+    "--tol-override": st.builds("{}={}".format, st.sampled_from(["unitarity_defect_tol", "flow_defect_tol"]),
+                                _numbers),
+}
+_config_keys = ["z_re", "z_im", "z0_re", "z0_im", "tau0_re", "tau0_im", "z_phase", "a", "lambda", "epsilon",
+                "energy", "e_b", "steps", "kinetic_constant", "model", "regulator", "unitarity_defect_tol",
+                "flow_defect_tol", "format", "unknown_key"]
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["flow", "bind", "theorem", "transmute", "scatter"] * 4 + ["bogus"]))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(_flags)), max_size=4, unique=True)):
+        value = draw(_flags[flag])
+        argv += [f"{flag}={value}"] if value.startswith("-") else [flag, value]
+    lines = [f"{key} = {draw(_values)}" for key in draw(st.lists(st.sampled_from(_config_keys), max_size=3))]
+    if draw(st.integers(0, 5)) == 0:
+        lines.append(draw(st.sampled_from(["no equals sign", "= 1", "--bogus = 1", "steps = 1e400"])))
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(1, draw(st.sampled_from(["--bogus", "-x", "--epsilon"])))
+    return argv, "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(case=command_lines())
+def test_fuzzed_command_lines(case):
+    # any command line and config ends in exit 0, 1 or 2; a failure prints
+    # exactly one stderr line, success writes the output file, and no
+    # traceback ever escapes main
+    argv, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out, cfg = os.path.join(tmp, "out"), os.path.join(tmp, "cfg.txt")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(config)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--config", cfg, "--out", out])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        assert lines == [] if code == 0 else len(lines) == 1, lines
+        assert os.path.exists(out) == (code == 0)

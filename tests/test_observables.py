@@ -3,13 +3,14 @@ round trips and the two target-length routes."""
 
 import math
 
+import numpy as np
 import pytest
 
 from transmute_lab.amplitude import on_shell_amplitude, renormalized_amplitude
 from transmute_lab.energy_plane import wavenumber
 from transmute_lab.errors import DomainError, UnitarityViolationError
 from transmute_lab.observables import (
-    continuum_observables,
+    continuum_observables_array,
     f_from_tau,
     optical_theorem_defect,
     phase_shift_from_tau,
@@ -153,16 +154,18 @@ class TestUnitarityInvariants:
 
 class TestBundle:
     def test_resonance_row(self):
-        obs = continuum_observables(renormalized_amplitude(1.0, 1.0), 1.0)
-        assert obs.total_length == pytest.approx(4.0, rel=1e-14)
-        assert obs.phase_shift == 0.5 * math.pi
-        assert obs.dL_dtheta == pytest.approx(abs(obs.f) ** 2)
+        obs = continuum_observables_array(np.array([renormalized_amplitude(1.0, 1.0).tau]), [1.0])
+        assert obs["L_from_im_tau"][0] == pytest.approx(4.0, rel=1e-14)
+        assert obs["L_optical"][0] == pytest.approx(4.0, rel=1e-14)
+        assert obs["phase_shift"][0] == 0.5 * math.pi
+        assert obs["dL_dtheta"][0] == pytest.approx(abs(obs["f"][0]) ** 2)
 
     def test_round_trip_identity_tolerance(self):
-        obs = continuum_observables(renormalized_amplitude(1.0, 5.0), 5.0)
-        rebuilt = tau_from_phase_shift(obs.phase_shift)
-        assert abs(rebuilt - obs.tau) <= 1e-12 * abs(obs.tau)
+        tau = renormalized_amplitude(1.0, 5.0).tau
+        obs = continuum_observables_array(np.array([tau]), [5.0])
+        rebuilt = tau_from_phase_shift(float(obs["phase_shift"][0]))
+        assert abs(rebuilt - tau) <= 1e-12 * abs(tau)
 
     def test_interior_point_rejected(self):
         with pytest.raises(DomainError):
-            continuum_observables(-4j, -1.0)
+            continuum_observables_array(np.array([-4j]), [-1.0])

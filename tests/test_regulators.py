@@ -21,9 +21,10 @@ from transmute_lab.regulators import (
     SharpCutoff,
     decay_amplitude,
     dimensionless_resolvent,
-    gaussian_resolvent_array,
+    negative_axis_resolvent,
     regulator_from_name,
     regulator_name,
+    resolvent_array,
     resolvent_derivative,
     resolvent_element,
     slide_kernel,
@@ -147,24 +148,61 @@ class TestResolvent:
         with mp.workdps(30):
             w = mp.mpc(-z.real, -z.imag)
             ref = complex(-mp.exp(w) * mp.e1(w) / (4 * mp.pi))
-        for value in (resolvent_element(reg, z), gaussian_resolvent_array(1.0, z.real, z.imag)[()]):
+        for value in (resolvent_element(reg, z), resolvent_array(reg, z.real, z.imag)[()]):
             assert abs(value - ref) <= SPECIAL_FUNCTION_RTOL * abs(ref)
 
     def test_gaussian_array_branches_and_errors(self):
         # continuum points through Ei, the negative axis (either zero sign)
-        # and interior points through E1, as resolvent_element
+        # and interior points through E1, each against mpmath at 30 digits
         reg = GaussianFormFactor(0.8)
         s2 = PhysicalScales(2.0)
+        b, pref = reg.length**2 / 2.0, 1.0 / (FOUR_PI * 2.0)
         re = np.array([2.0, 2.0, -4.0, -4.0, 1.5, 0.0, -1e4])
         im = np.array([0.0, -0.0, 0.0, -0.0, 2.5, 0.3, 1e-3])
-        values = gaussian_resolvent_array(reg.length, re, im, s2)
-        for r, i, v in zip(re.tolist(), im.tolist(), values.tolist()):
-            assert v == pytest.approx(resolvent_element(reg, ComplexEnergy(r, i), s2), rel=1e-14)
+        values = resolvent_array(reg, re, im, s2)
+        with mp.workdps(30):
+            for r, i, v in zip(re.tolist(), im.tolist(), values.tolist()):
+                if i == 0.0 and r > 0.0:
+                    x = mp.mpf(b * r)
+                    ref = pref * complex(mp.exp(-x) * mp.ei(x), -math.pi * mp.exp(-x))
+                else:
+                    w = mp.mpc(-b * r, -b * i)
+                    ref = -pref * complex(mp.exp(w) * mp.e1(w))
+                assert abs(v - ref) <= 1e-14 * abs(ref)
         with pytest.raises(SingularInputError) as scalar:
             resolvent_element(reg, ComplexEnergy(0.0, 0.0))
         with pytest.raises(SingularInputError) as array:
-            gaussian_resolvent_array(reg.length, [1.0, 0.0], [0.0, -0.0])
+            resolvent_array(reg, [1.0, 0.0], [0.0, -0.0])
         assert str(array.value) == str(scalar.value)
+
+    def test_cutoff_schedule_broadcasts(self):
+        # an array of sharp cutoffs in place of the regulator: one point
+        # over a schedule, each row the closed form ln[z/(z - Lambda)]/(4 pi)
+        cutoffs = np.array([3.0, 50.0, 1e9])
+        values = resolvent_array(cutoffs, 1.0, 2.0)
+        with mp.workdps(30):
+            for lam, v in zip(cutoffs.tolist(), values.tolist()):
+                z = mp.mpc(1.0, 2.0)
+                assert abs(v - complex(mp.log(z / (z - lam)) / (4 * mp.pi))) <= 1e-15 * abs(v)
+        with pytest.raises(SingularInputError):
+            resolvent_array(cutoffs, 50.0, -0.0)
+
+    def test_negative_axis_resolvent_against_mpmath(self):
+        # J(E) = kappa g(-E): ln(E/(E + Lambda))/(4 pi) for the sharp
+        # cutoff, -e^{bE} E1(bE)/(4 pi) for the gaussian
+        s3 = PhysicalScales(3.0)
+        for energy in (1e-300, 1e-12, 0.04, 1.7, 90.0, 1e5):
+            with mp.workdps(40):
+                e = mp.mpf(energy)
+                sharp = float(mp.log(e / (e + 9)) / (4 * mp.pi))
+                x = mp.mpf(0.6) ** 2 / 3 * e
+                gaussian = float(-mp.exp(x) * mp.e1(x) / (4 * mp.pi))
+            assert negative_axis_resolvent(SharpCutoff(9.0), energy, s3) == pytest.approx(sharp, rel=1e-15)
+            assert negative_axis_resolvent(GaussianFormFactor(0.6), energy, s3) == pytest.approx(gaussian, rel=1e-14)
+        with pytest.raises(DomainError):
+            negative_axis_resolvent(PureDelta(), 1.0)
+        with pytest.raises(DomainError):
+            negative_axis_resolvent(SharpCutoff(1.0), 0.0)
 
     def test_kinetic_constant_covariance(self):
         # holding lengths fixed, energies scale with kappa and g scales as 1/kappa
@@ -179,10 +217,7 @@ class TestResolvent:
         for reg in (SharpCutoff(9.0), GaussianFormFactor(0.6)):
             for energy in (1e-4, 0.2, 2.0):
                 h = 1e-5 * energy
-                fd = (
-                    dimensionless_resolvent(reg, ComplexEnergy(-(energy + h), 0.0)).real
-                    - dimensionless_resolvent(reg, ComplexEnergy(-(energy - h), 0.0)).real
-                ) / (2.0 * h)
+                fd = (negative_axis_resolvent(reg, energy + h) - negative_axis_resolvent(reg, energy - h)) / (2.0 * h)
                 assert resolvent_derivative(reg, energy) == pytest.approx(fd, rel=1e-8)
 
 
