@@ -40,7 +40,6 @@ evaluations.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -243,9 +242,8 @@ def bound_state_pole(
     double); a root outside that range raises NoBoundStateError(exact=False).
     For the sharp cutoff the root is exact, E_B = Lambda / (e^{4 pi/eps} - 1),
     i.e. Lambda e^{-4 pi/eps} up to O(E_B/Lambda), and nothing is searched.
-    The gaussian root is bracketed around its small-coupling asymptote
-    ln E_B = ln(kappa/a^2) - gamma_E - 4 pi/eps and refined by
-    log_bracket_root.
+    The gaussian root is searched by log_bracket_root from its
+    small-coupling asymptote ln E_B = ln(kappa/a^2) - gamma_E - 4 pi/eps.
     """
     _check_coupling(epsilon)
     if isinstance(reg, PureDelta):
@@ -263,12 +261,8 @@ def bound_state_pole(
         def mismatch(x: float) -> float:
             return 1.0 + epsilon * negative_axis_resolvent(reg, math.exp(x), scales)
 
-        # the bracket [guess - 2, guess + 2], then brackets twice as wide
-        # below it; log_bracket_root checks the top first, so a root above
-        # guess + 2 is bracketed from there
         guess = x_top - EULER_GAMMA - 4.0 * math.pi / epsilon
-        scan = (guess + 6.0 - 2.0**k for k in itertools.count(2))
-        x_root = log_bracket_root(mismatch, lam, x_top, scan)
+        x_root = log_bracket_root(mismatch, log_search_floor(lam), x_top, guess)
     energy = math.exp(x_root)
     residue = 1.0 / resolvent_derivative(reg, energy, scales)
     return BoundState(energy=energy, residue=residue)

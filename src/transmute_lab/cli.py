@@ -132,14 +132,20 @@ def _parse_grid(text: str) -> list[float]:
     return pts
 
 
+# the tolerances some command reads, and so the only names --tol-override takes
+_TOLERANCE_KEYS = ("flow_defect_tol", "unitarity_defect_tol")
+
+
 def _parse_tol_overrides(pairs: list[str]) -> dict[str, float]:
     out: dict[str, float] = {}
     for pair in pairs:
         if "=" not in pair:
             raise UsageError(f"--tol-override expects name=value, got {pair!r}")
-        name, value = pair.split("=", 1)
+        name, value = (part.strip() for part in pair.split("=", 1))
+        if name not in _TOLERANCE_KEYS:
+            raise UsageError(f"unknown tolerance {name!r}; --tol-override takes {' or '.join(_TOLERANCE_KEYS)}")
         try:
-            out[name.strip()] = float(value)
+            out[name] = float(value)
         except ValueError:
             raise UsageError(f"tolerance override {pair!r} is not a number") from None
     return out

@@ -18,8 +18,9 @@ so E = k^2.  The model itself has no intrinsic energy scale; the unit
 system is imposed here and converted only at the CLI boundary.
 
 Both bound-state solvers (separable poles, circular well) search in ln E
-with the one root finder here, log_bracket_root: a bracket from a scan that
-starts where the root is expected, then one run of Chandrupatla's method.
+with the one root finder here, log_bracket_root, under one bracket policy:
+from the caller's asymptotic estimate outward in doubling steps, then one
+run of Chandrupatla's method.
 
 principal_log_ratio_array is the one implementation of that logarithm,
 over arrays of real and imaginary parts; principal_log_ratio is its 0-d
@@ -235,25 +236,25 @@ def log_search_floor(nominal: float) -> float:
     return max(math.log(nominal) + math.log(1e-300), math.log(sys.float_info.min))
 
 
-def log_bracket_root(f, nominal: float, x_top: float, scan=()) -> float:
-    """ln E of the bound-state root of f(ln E) between log_search_floor(nominal)
-    and x_top.
+def log_bracket_root(f, x_floor: float, x_top: float, guess: float) -> float:
+    """ln E of the bound-state root of f(ln E) between x_floor and x_top,
+    searched outward from the estimate ``guess``.
 
-    f is evaluated at x_top, then at the points of the decreasing sequence
-    ``scan`` (points at or above the last one are skipped), and at the
-    floor; the first sign change brackets the root, and one run of
-    Chandrupatla's method refines it to POLE_SEARCH_LOG_TOL * max(1, |ln E|).
-    Raises NoBoundStateError(exact=False) when f keeps its sign down to the
-    floor.
+    f is evaluated at x_top, then at guess + 2 and guess - 2, then at points
+    twice as far apart each time (guess - 10, guess - 26, ...), each clamped
+    to x_floor; points at or above the last one are skipped.  The first sign
+    change brackets the root, and one run of Chandrupatla's method refines it
+    to POLE_SEARCH_LOG_TOL * max(1, |ln E|).  Raises
+    NoBoundStateError(exact=False) when f keeps its sign down to x_floor, so
+    a guess below the floor costs two evaluations.
     """
-    x_floor = log_search_floor(nominal)
     if not x_floor < x_top:
-        raise NoBoundStateError("bound-state search range lies below nominal*1e-300", exact=False)
+        raise NoBoundStateError("bound-state search range is empty", exact=False)
     xb, fb = x_top, f(x_top)
     if fb == 0.0:
         return x_top
-    for x in itertools.chain(scan, (x_floor,)):
-        x = max(x, x_floor)
+    for k in itertools.count(2):
+        x = max(guess + 6.0 - 2.0**k, x_floor)
         if x >= xb:
             continue
         fa = f(x)
@@ -262,7 +263,7 @@ def log_bracket_root(f, nominal: float, x_top: float, scan=()) -> float:
         if (fa > 0.0) != (fb > 0.0):
             return _chandrupatla(f, x, fa, xb, fb)
         if x == x_floor:
-            raise NoBoundStateError("no bound state bracketed above nominal*1e-300", exact=False)
+            raise NoBoundStateError("no bound state bracketed above the search floor", exact=False)
         xb, fb = x, fa
 
 

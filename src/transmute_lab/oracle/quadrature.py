@@ -81,7 +81,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-13
     rel_tol: float = 1e-11
     max_subdivisions: int = 4000
-    singularity_subtraction: bool = True
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
@@ -218,8 +217,6 @@ def quadrature_resolvent(
     if math.isfinite(upper) and e0 > upper:
         # pole lies outside the support; plain real integral
         return integrate(lambda e: q(e) / (e0 - e), 0.0, upper, spec)
-    if not spec.singularity_subtraction:
-        raise DomainError("boundary evaluation requires singularity_subtraction=True")
     q0 = q(e0)
     h = 1e-6 * e0
     qp0 = (q(e0 + h) - q(e0 - h)) / (2.0 * h)

@@ -26,13 +26,12 @@ amplitude.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from ..energy_plane import NATURAL_UNITS, PhysicalScales, log_bracket_root, log_search_floor
 from ..errors import DomainError, NoBoundStateError
-from ..special import EULER_GAMMA, bessel_j0, bessel_j1, bessel_k0, bessel_k1, bessel_y0, bessel_y1
+from ..special import EULER_GAMMA, bessel_j0, bessel_j1, bessel_k0_scaled, bessel_k1_scaled, bessel_y0, bessel_y1
 
 __all__ = [
     "WellParameters",
@@ -43,8 +42,9 @@ __all__ = [
     "bound_energy_from_phase",
 ]
 
-# first zero of J0: the ground state keeps k_in * a below this
-_J0_FIRST_ZERO = 2.404825557695773
+# first zero of J1: the ground state has k_in a < j0,1 and every excited
+# state k_in a > j1,1, since a root needs J1/J0 > 0
+_J1_FIRST_ZERO = 3.8317059702075125
 
 # shallow-well asymptote ln(E_B a^2/kappa) = -4 pi/eps + _SHALLOW_LOG_OFFSET + O(eps)
 _SHALLOW_LOG_OFFSET = math.log(4.0) - 2.0 * EULER_GAMMA + 0.5
@@ -85,40 +85,39 @@ def coupling_of_well(well: WellParameters, scales: PhysicalScales = NATURAL_UNIT
 
 def _matching(well: WellParameters, energy: float, kappa: float) -> float:
     """Bound-state matching function, cross-multiplied so both J0 and K0
-    zeros are harmless; positive at E -> 0+, negative at E -> depth-."""
+    zeros are harmless and scaled by e^{gamma a} so K0 and K1 do not
+    underflow; positive at E -> 0+, negative at E -> depth-."""
     a = well.radius
     k_in = math.sqrt((well.depth - energy) / kappa)
     gamma = math.sqrt(energy / kappa)
-    return k_in * bessel_j1(k_in * a) * bessel_k0(gamma * a) - gamma * bessel_k1(gamma * a) * bessel_j0(k_in * a)
+    return (k_in * bessel_j1(k_in * a) * bessel_k0_scaled(gamma * a)
+            - gamma * bessel_k1_scaled(gamma * a) * bessel_j0(k_in * a))
 
 
 def well_bound_state(well: WellParameters, scales: PhysicalScales = NATURAL_UNITS) -> float:
     """Ground-state binding energy E_B > 0 (pole of the amplitude at -E_B).
 
-    The root of the matching condition is isolated in (0, depth) and
-    searched by log_bracket_root in ln E, which keeps conditioning uniform
-    over the exponentially wide shallow-well range: a scan down from the
-    depth in steps of 1.3 brackets the ground state (the largest E_B, no
-    interior node), and Chandrupatla's method refines it.  A 2D attractive
-    well always binds, but below eps ~ 0.018 E_B ~ (kappa/a^2) e^{-4 pi/eps}
-    lies below the search limit (kappa/a^2) * 1e-300, and the search raises
-    NoBoundStateError(exact=False) as the separable pole search does.  When
-    the shallow-well asymptote lies more than 2 below that limit, it raises
-    at once, without the scan.
+    log_bracket_root searches the matching root in ln E, outward from the
+    shallow-well asymptote, between the search limit (kappa/a^2) * 1e-300
+    and depth * (1 - 1e-12).  In a deep well (depth > j1,1^2 kappa/a^2) the
+    floor rises to ln(depth - j1,1^2 kappa/a^2), where the matching function
+    is -gamma K1 J0(j1,1) > 0 and below which every excited state lies, so
+    the bracket holds the ground state alone.  A 2D attractive well always
+    binds, but the search raises NoBoundStateError(exact=False), as the
+    separable pole search does, below eps ~ 0.018, where
+    E_B ~ (kappa/a^2) e^{-4 pi/eps} lies under the limit, and above
+    eps ~ 2e13, where E_B lies above depth * (1 - 1e-12).
     """
-    kappa = scales.kinetic_constant
-    v0 = well.depth
+    kappa, v0 = scales.kinetic_constant, well.depth
     nominal = kappa / well.radius**2
-    # ln nominal - 4 pi/eps + offset < floor - 2, solved for eps so that a
-    # coupling that underflows to zero needs no division
-    x_gap = math.log(nominal) - log_search_floor(nominal) + _SHALLOW_LOG_OFFSET + 2.0
-    if coupling_of_well(well, scales) * x_gap < 4.0 * math.pi:
-        raise NoBoundStateError("shallow-well bound state lies below nominal*1e-300", exact=False)
+    x_floor = log_search_floor(nominal)
+    if v0 > _J1_FIRST_ZERO**2 * nominal:
+        x_floor = max(x_floor, math.log(v0 - _J1_FIRST_ZERO**2 * nominal))
+    eps = coupling_of_well(well, scales)
+    # a coupling that underflows to zero puts the asymptote at -inf, with no division
+    guess = math.log(nominal) + _SHALLOW_LOG_OFFSET - 4.0 * math.pi / eps if eps > 0.0 else -math.inf
     f = lambda x: _matching(well, math.exp(x), kappa)
-    x_hi = math.log(v0) + math.log1p(-1e-12)
-    x_lo = math.log(v0) - 650.0
-    scan = (x_hi + (x_lo - x_hi) * i / 500 for i in itertools.count(1))
-    return math.exp(log_bracket_root(f, nominal, x_hi, scan))
+    return math.exp(log_bracket_root(f, x_floor, math.log(v0) + math.log1p(-1e-12), guess))
 
 
 def well_phase_shift(well: WellParameters, k: float, scales: PhysicalScales = NATURAL_UNITS) -> float:

@@ -389,19 +389,33 @@ class TestObservables:
                 defect, terms = 2 * mp.pi * dl - l_optical, 2 * mp.pi * dl + abs(l_optical)
                 x = (1 / t).real if tau != 0 else None
                 delta0 = 0.0 if x is None else (mp.pi / 2 if x == 0 else mp.atan(-1 / (4 * x)))
+                # Im(1/tau) - 1/4, against the terms it is the difference of
+                u_defect = 0 if x is None else (1 / t).imag - mp.mpf(0.25)
+                u_terms = 0 if x is None else abs((1 / t).imag) + mp.mpf(0.25)
             assert_within_budget(obs["f"][i], complex(f))
             assert_within_budget(obs["dL_dtheta"][i], float(dl))
             assert_within_budget(obs["L_optical"][i], float(l_optical))
             assert_within_budget(obs["L_from_im_tau"][i], -tau.imag / k)
             assert_within_budget(obs["optical_defect"][i], float(defect), float(terms))
-            # the violation flag is the scalar decision, to the bit
-            try:
-                phase_shift_from_tau(tau, defect_tol=tol)
-            except UnitarityViolationError:
-                assert obs["violation"][i] and math.isnan(obs["phase_shift"][i])
-            else:
+            assert_within_budget(obs["unitarity_defect"][i], float(u_defect), float(u_terms))
+            # the violation flag is the exact decision wherever the defect's
+            # rounding budget cannot reach the tolerance
+            slack = ULP_BUDGET * EPS * float(u_terms)
+            if abs(u_defect) > tol + slack:
+                assert obs["violation"][i]
+            elif abs(u_defect) < tol - slack:
                 assert not obs["violation"][i]
+            if obs["violation"][i]:
+                assert math.isnan(obs["phase_shift"][i])
+            else:
                 assert_within_budget(obs["phase_shift"][i], float(delta0))
+            # the scalar name is a one-element call: the same row, to the bit
+            try:
+                scalar = phase_shift_from_tau(tau, defect_tol=tol)
+            except UnitarityViolationError:
+                assert obs["violation"][i]
+            else:
+                assert scalar == obs["phase_shift"][i]
         assert obs["violation"].any() and not obs["violation"].all()
 
     def test_resonance_row_is_exact(self):

@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import exp1, j0, j1, k0, k1
+from scipy.special import exp1, j0, j1, k0e, k1e
 
 from transmute_lab import amplitude
 from transmute_lab.amplitude import bound_state_pole
@@ -26,6 +26,9 @@ ROOTS = settings(max_examples=60, derandomize=True, deadline=None)
 couplings = st.floats(math.log(0.015), math.log(60.0)).map(math.exp)
 scales = st.floats(-30.0, 30.0).map(lambda e: 10.0**e)
 kappas = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+deep_couplings = st.floats(math.log(0.015), math.log(1e9)).map(math.exp)
+
+J0_FIRST_ZERO = 2.404825557695773
 
 
 def root_tol(x: float) -> float:
@@ -52,14 +55,20 @@ def assert_root_or_no_bound_state(solve, mismatch, x_floor: float, x_top: float)
 
 
 def well_mismatch(well: WellParameters, kappa: float):
+    # scaled by e^{gamma a}, which keeps the sign where K0 and K1 underflow,
+    # and at its E -> depth limit above the depth
     a, v0 = well.radius, well.depth
 
     def f(x):
         energy = math.exp(x)
-        k_in, gamma = math.sqrt((v0 - energy) / kappa), math.sqrt(energy / kappa)
-        return k_in * j1(k_in * a) * k0(gamma * a) - gamma * k1(gamma * a) * j0(k_in * a)
+        k_in, gamma = math.sqrt(max(v0 - energy, 0.0) / kappa), math.sqrt(energy / kappa)
+        return k_in * j1(k_in * a) * k0e(gamma * a) - gamma * k1e(gamma * a) * j0(k_in * a)
 
     return f
+
+
+def well_top(well: WellParameters) -> float:
+    return math.log(well.depth) + math.log1p(-1e-12)
 
 
 class TestRootProperties:
@@ -98,27 +107,47 @@ class TestRootProperties:
         well = well_from_coupling(eps, radius, PhysicalScales(kappa))
         assert_root_or_no_bound_state(
             lambda: math.log(well_bound_state(well, PhysicalScales(kappa))),
-            well_mismatch(well, kappa), log_search_floor(kappa / radius**2),
-            math.log(well.depth) + math.log1p(-1e-12))
+            well_mismatch(well, kappa), log_search_floor(kappa / radius**2), well_top(well))
+
+    @ROOTS
+    @given(eps=deep_couplings, radius=scales, kappa=kappas)
+    def test_well_root_is_the_ground_state(self, eps, radius, kappa):
+        # a deep well has excited states too; the root must be the one with
+        # no interior node, k_in a < j0,1, within the root's tolerance
+        well = well_from_coupling(eps, radius, PhysicalScales(kappa))
+        try:
+            x = math.log(well_bound_state(well, PhysicalScales(kappa)))
+        except NoBoundStateError:
+            assert not changes_sign(well_mismatch(well, kappa), log_search_floor(kappa / radius**2), well_top(well))
+            return
+        assert changes_sign(well_mismatch(well, kappa), x - root_tol(x), x + root_tol(x))
+        k_in = math.sqrt(max(well.depth - math.exp(x + root_tol(x)), 0.0) / kappa)
+        assert k_in * radius < J0_FIRST_ZERO
 
 
 class TestSearchLimit:
     @pytest.mark.parametrize("eps", [*np.linspace(0.0170, 0.0190, 81).tolist(), 1e-300])
-    def test_well_shortcut_keeps_the_scan_decision(self, eps, monkeypatch):
-        # the asymptote test only skips scans that end in NO_BOUND_STATE:
-        # with an infinite offset it never fires and the full scan decides
+    def test_well_shortcut_keeps_the_scan_decision(self, eps):
+        # around the search limit a search that starts at the asymptote
+        # decides as a scan over the whole range would: NO_BOUND_STATE
+        # exactly where the mismatch keeps its sign from floor to top
         well = well_from_coupling(eps, 1.0)
+        assert_root_or_no_bound_state(
+            lambda: math.log(well_bound_state(well)), well_mismatch(well, 1.0), log_search_floor(1.0),
+            well_top(well))
 
-        def binds():
-            try:
-                well_bound_state(well)
-            except NoBoundStateError:
-                return False
-            return True
-
-        fast = binds()
-        monkeypatch.setattr(well_module, "_SHALLOW_LOG_OFFSET", math.inf)
-        assert fast == binds()
+    @pytest.mark.parametrize("eps", np.geomspace(1e9, 1e14, 11).tolist())
+    def test_deep_well_binds_up_to_the_top(self, eps):
+        # NO_BOUND_STATE only where the ground state lies above the search
+        # top depth * (1 - 1e-12), whose k_in a is then past j0,1: from
+        # eps ~ 2e13 on
+        well = well_from_coupling(eps, 1.0)
+        try:
+            x = math.log(well_bound_state(well))
+        except NoBoundStateError:
+            assert eps > 1e13 and math.sqrt(well.depth - math.exp(well_top(well))) > J0_FIRST_ZERO
+            return
+        assert changes_sign(well_mismatch(well, 1.0), x - root_tol(x), x + root_tol(x))
 
     def test_sharp_limits(self):
         # a root above Lambda (eps > 4 pi/ln 2) or below Lambda*1e-300 is
@@ -135,13 +164,34 @@ class TestLogBracketRoot:
     def test_refines_to_tolerance(self, root):
         # a steep and a flat branch on either side of the root
         f = lambda x: math.expm1(min(3.0 * (x - root), 50.0)) if x > root else 1e-3 * (x - root)
-        x = log_bracket_root(f, 1.0, 1.0, iter([root + 0.7, root - 5.0]))
+        x = log_bracket_root(f, log_search_floor(1.0), 1.0, root - 1.3)
         assert abs(x - root) <= root_tol(root)
 
     def test_no_sign_change_down_to_the_floor(self):
         with pytest.raises(NoBoundStateError) as err:
-            log_bracket_root(lambda x: 1.0, 1.0, 0.0, iter([-1.0, -10.0]))
+            log_bracket_root(lambda x: 1.0, log_search_floor(1.0), 0.0, -1.0)
         assert not err.value.exact
+
+    @pytest.mark.parametrize("guess, points", [
+        # the top, guess +- 2, then steps twice as wide, clamped to the floor
+        (-10.0, [0.0, -8.0, -12.0, -20.0, -36.0, -68.0, -100.0]),
+        # points at or above the last one are skipped
+        (1.0, [0.0, -1.0, -9.0, -25.0, -57.0, -100.0]),
+        # a guess below the floor costs two evaluations, and so does -inf
+        (-150.0, [0.0, -100.0]),
+        (-math.inf, [0.0, -100.0]),
+    ])
+    def test_evaluation_points(self, guess, points):
+        seen = []
+        with pytest.raises(NoBoundStateError):
+            log_bracket_root(lambda x: seen.append(x) or 1.0, -100.0, 0.0, guess)
+        assert seen == points
+
+    def test_empty_range_evaluates_nothing(self):
+        seen = []
+        with pytest.raises(NoBoundStateError) as err:
+            log_bracket_root(lambda x: seen.append(x) or 1.0, 0.0, 0.0, -1.0)
+        assert not err.value.exact and seen == []
 
 
 class TestEvaluationCounts:
@@ -166,19 +216,18 @@ class TestEvaluationCounts:
             bound_state_pole(eps, GaussianFormFactor(1.0))
             assert len(resolvent_calls) <= 12, eps
 
-    def test_well_scan_plus_refinement(self, monkeypatch):
-        # the top, the scan in steps of 1.3 from the depth down past the
-        # root, then at most 10 matching evaluations of the refinement
+    def test_well_at_most_twelve(self, monkeypatch):
+        # the search starts at the shallow-well asymptote, and a guess 2 or
+        # more below the floor ends after the top and the floor
         calls = []
         inner = well_module._matching
         monkeypatch.setattr(well_module, "_matching", lambda *a: calls.append(1) or inner(*a))
-        for eps in np.geomspace(0.3, 15.0, 13).tolist():
+        for eps in np.geomspace(0.3, 15.0, 25).tolist():
             calls.clear()
-            well = well_from_coupling(eps, 1.0)
-            energy = well_bound_state(well)
-            assert len(calls) <= (math.log(well.depth) - math.log(energy)) / 1.3 + 12, eps
-        for eps in (0.015, 1e-300):
+            well_bound_state(well_from_coupling(eps, 1.0))
+            assert len(calls) <= 12, eps
+        for eps in (0.012, 0.015, 1e-300):
             calls.clear()
             with pytest.raises(NoBoundStateError):
                 well_bound_state(well_from_coupling(eps, 1.0))
-            assert calls == []
+            assert len(calls) <= 2, eps

@@ -416,6 +416,15 @@ class TestTolOverride:
         code, _ = run_cli(["scatter", "--tol-override", "nonsense"], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["POLE_GUARD", "unitarity_defect_tol_", "e_b", ""])
+    def test_unknown_name_is_usage_error(self, name, capsys):
+        # a name no command reads would be echoed in the config and ignored
+        code = main(["bind", "--epsilon", "1", "--regulator", "sharp-cutoff", "--tol-override", f"{name}=1e-3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("transmute-lab: usage error: unknown tolerance")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestTheoremUsage:
     def test_epsilon_grid_rejected(self, tmp_path):
@@ -619,8 +628,8 @@ _flags = {
     "--lambda": st.one_of(_numbers, _grids),
     "--energy": st.one_of(_numbers, _grids),
     "--format": st.sampled_from(["csv", "json", "json", "xml"]),
-    "--tol-override": st.builds("{}={}".format, st.sampled_from(["unitarity_defect_tol", "flow_defect_tol"]),
-                                _numbers),
+    "--tol-override": st.builds("{}={}".format, st.sampled_from(["unitarity_defect_tol", "flow_defect_tol",
+                                                                 "POLE_GUARD", "unknown_tol"]), _numbers),
 }
 _config_keys = ["z_re", "z_im", "z0_re", "z0_im", "tau0_re", "tau0_im", "z_phase", "a", "lambda", "epsilon",
                 "energy", "e_b", "steps", "kinetic_constant", "model", "regulator", "unitarity_defect_tol",

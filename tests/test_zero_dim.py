@@ -27,6 +27,15 @@ from transmute_lab.amplitude import (
 )
 from transmute_lab.energy_plane import ComplexEnergy, PhysicalScales, principal_log_ratio, principal_log_ratio_array
 from transmute_lab.errors import TransmuteLabError
+from transmute_lab.observables import (
+    continuum_observables_array,
+    f_from_tau,
+    optical_theorem_defect,
+    phase_shift_from_tau,
+    tau_from_phase_shift,
+    total_target_length,
+    unitarity_defect,
+)
 from transmute_lab.oracle import well as well_module
 from transmute_lab.oracle.well import well_bound_state, well_from_coupling
 from transmute_lab.regulators import (
@@ -177,6 +186,24 @@ class TestArrayEqualsZeroDim:
         z = [ComplexEnergy(*p) for p in path]
         assert from_anchor.tolist() == [slide_kernel(reg, p, ComplexEnergy(*z0), kappa) for p in z]
         assert steps.tolist() == [slide_kernel(reg, b, a, kappa) for a, b in zip(z, z[1:])]
+
+    @ZERO_DIM
+    @given(deltas=st.lists(st.floats(-0.5 * math.pi, 0.5 * math.pi), min_size=1, max_size=6),
+           broken=st.lists(st.complex_numbers(max_magnitude=9.0), max_size=4),
+           energy=magnitudes, tol=st.sampled_from([1e-9, 1e-20]))
+    def test_observables(self, deltas, broken, energy, tol):
+        taus = [tau_from_phase_shift(d) for d in deltas] + [0j, *broken]
+        energies = np.geomspace(energy, 4.0 * energy, len(taus))
+        obs = continuum_observables_array(np.array(taus), energies, defect_tol=tol)
+        k = obs["k"].tolist()
+        assert obs["f"].tolist() == [f_from_tau(t, q) for t, q in zip(taus, k)]
+        assert obs["optical_defect"].tolist() == [optical_theorem_defect(t, q) for t, q in zip(taus, k)]
+        assert obs["unitarity_defect"].tolist() == [unitarity_defect(t) for t in taus]
+        lengths = [evaluated(total_target_length, t, q) for t, q in zip(taus, k)]
+        assert [max(v, 0.0) for v, n in zip(obs["L_from_im_tau"].tolist(), lengths) if n is not None] == [
+            n for n in lengths if n is not None]
+        phases = [evaluated(phase_shift_from_tau, t, tol) for t in taus]
+        same(np.where(obs["violation"], None, obs["phase_shift"]), np.array(phases, dtype=object))
 
 
 def _raises(name):
