@@ -140,13 +140,16 @@ class BoundState:
 
 @dataclass(frozen=True)
 class TransmutationStep:
-    """One step of the renormalization limiting process."""
+    """One step of the renormalization limiting process: the regulated
+    amplitude and its deviation |tau_n - closed_form| from the renormalized
+    closed form 4 pi / ln(-E_B/z), which every step shares."""
 
     index: int
     cutoff: float
     coupling: float
     amplitude: Amplitude
     deviation: float
+    closed_form: complex
 
 
 def _check_coupling(epsilon) -> None:
@@ -326,7 +329,8 @@ def transmutation_schedule(
     couplings = [4.0 * math.pi / (n * math.log(10.0)) for n in index]
     tau = regulated_amplitude_array(np.array(couplings), np.array(cutoffs), ze.re, ze.im, scales)
     return [
-        TransmutationStep(index=n, cutoff=lam, coupling=eps_n, amplitude=Amplitude(t), deviation=abs(t - target))
+        TransmutationStep(index=n, cutoff=lam, coupling=eps_n, amplitude=Amplitude(t), deviation=abs(t - target),
+                          closed_form=target)
         for n, lam, eps_n, t in zip(index, cutoffs, couplings, tau.tolist())
     ]
 

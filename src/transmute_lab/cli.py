@@ -27,9 +27,11 @@ Exit codes: 0 success, 1 numerical failure (partial output suppressed),
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -40,7 +42,6 @@ from .amplitude import (
     cutoff_envelope_array,
     on_shell_amplitude_array,
     regulated_amplitude_array,
-    renormalized_amplitude,
     renormalized_amplitude_array,
     transmutation_schedule,
 )
@@ -236,6 +237,57 @@ def _row_template(kinds: tuple) -> str | None:
     return ",".join(_CELL_FORMATS[kind] for kind in kinds) + "\n"
 
 
+# cell types that a %-template renders exactly as json.dump does: float and
+# int through their repr, None as null (the %.0s consumes the cell)
+_JSON_CELL_FORMATS = {float: "%r", int: "%d", type(None): "%.0snull"}
+# a row cell sits at depth 3 of the JSON document, indented by 2 per depth
+_JSON_CELL_INDENT = "\n      "
+# a non-finite float that %r wrote: a cell line of its own, where a string
+# cell would start with a quote
+_NON_FINITE_CELL = re.compile(r"^ {6}(-?inf|nan),?$", re.MULTILINE)
+
+
+def _json_cell(cell) -> str:
+    """A cell that no template covers, as json.dump renders it in a row."""
+    if type(cell) is str:
+        # a string renders alike at any indent, and json.dumps without
+        # arguments skips building an encoder: a third of the cost
+        return json.dumps(cell)
+    return json.dumps(cell, sort_keys=True, indent=2, allow_nan=False).replace("\n", _JSON_CELL_INDENT)
+
+
+def _json_row_template(kinds: tuple) -> tuple[str, tuple[int, ...]]:
+    """The %-template of a JSON row whose cells have these types, and the
+    positions of the cells that _json_cell renders first."""
+    if not kinds:
+        return "    []", ()
+    cells = ("," + _JSON_CELL_INDENT).join(_JSON_CELL_FORMATS.get(kind, "%s") for kind in kinds)
+    return "    [" + _JSON_CELL_INDENT + cells + "\n    ]", tuple(
+        j for j, kind in enumerate(kinds) if kind not in _JSON_CELL_FORMATS)
+
+
+def _json_rows(rows) -> str:
+    """The rows array as json.dump(indent=2, allow_nan=False) writes it in
+    a table document, through one %-template per distinct row of cell types."""
+    templates: dict[tuple, tuple[str, tuple[int, ...]]] = {}
+    parts = []
+    for row in rows:
+        kinds = tuple(map(type, row))
+        if kinds not in templates:
+            templates[kinds] = _json_row_template(kinds)
+        template, rendered = templates[kinds]
+        if rendered:
+            row = list(row)
+            for j in rendered:
+                row[j] = _json_cell(row[j])
+        parts.append(template % tuple(row))
+    text = ",\n".join(parts)
+    # json.dump refuses non-finite floats; %r writes them as inf or nan
+    if ("inf" in text or "nan" in text) and (bad := _NON_FINITE_CELL.search(text)):
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad.group(1)}")
+    return text
+
+
 @dataclass
 class Table:
     command: str
@@ -268,15 +320,22 @@ class Table:
             w(f"# {key}={_fmt(value)}\n")
 
     def write_json(self, stream) -> None:
+        """The table as json.dump(obj, sort_keys=True, indent=2,
+        allow_nan=False) writes it; the rows go through _json_rows, since
+        with indent json.dump always runs its pure-Python encoder."""
         obj = {
             "command": self.command,
             "description": self.description,
             "config": self.config,
             "columns": [{"name": n, "description": d} for n, d in self.columns],
-            "rows": self.rows,
+            "rows": [],
             "footer": {k: v for k, v in self.footer.items()},
         }
-        json.dump(obj, stream, sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        if self.rows:
+            # "rows" sorts last: the document ends with its empty list, "[]\n}"
+            text = text[:-4] + "[\n" + _json_rows(self.rows) + "\n  ]\n}"
+        stream.write(text)
         stream.write("\n")
 
 
@@ -594,7 +653,7 @@ def cmd_transmute(opts: Options) -> Table:
     if not top_finite:
         raise UsageError(f"steps = {steps} is too large: the last cutoff e_b * 10**steps overflows")
     schedule = transmutation_schedule(e_b, z, steps, scales)
-    target = renormalized_amplitude(e_b, z).tau
+    target = schedule[0].closed_form
     rows = [
         [s.index, s.cutoff, s.coupling, s.amplitude.tau.real, s.amplitude.tau.imag, s.deviation]
         for s in schedule
@@ -702,7 +761,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first main call of a process and
+    shared by the later ones: parse_args leaves it unchanged, and the append
+    action copies its default list before appending."""
     parser = _Parser(prog="transmute-lab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():

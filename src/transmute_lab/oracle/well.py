@@ -27,6 +27,7 @@ amplitude.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ..energy_plane import NATURAL_UNITS, PhysicalScales, log_bracket_root, log_search_floor
@@ -50,6 +51,15 @@ _J1_FIRST_ZERO = 3.8317059702075125
 _SHALLOW_LOG_OFFSET = math.log(4.0) - 2.0 * EULER_GAMMA + 0.5
 
 
+def _check_radius(radius: float) -> None:
+    """The model divides by radius**2, so its square must not underflow or
+    overflow either."""
+    if not (radius > 0.0 and math.isfinite(radius)):
+        raise DomainError(f"well radius must be positive, got {radius}")
+    if not sys.float_info.min <= radius * radius < math.inf:
+        raise DomainError(f"well radius {radius!r} is out of range: its square underflows or overflows")
+
+
 @dataclass(frozen=True)
 class WellParameters:
     """Attractive circular well: value -depth inside r < radius, 0 outside."""
@@ -58,8 +68,7 @@ class WellParameters:
     depth: float
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise DomainError(f"well radius must be positive, got {self.radius}")
+        _check_radius(self.radius)
         if not (self.depth > 0.0 and math.isfinite(self.depth)):
             raise DomainError(f"well depth must be positive, got {self.depth}")
 
@@ -73,6 +82,7 @@ def well_from_coupling(epsilon: float, radius: float, scales: PhysicalScales = N
     """
     if not (epsilon > 0.0):
         raise DomainError(f"coupling must be positive, got {epsilon}")
+    _check_radius(radius)
     depth = epsilon * scales.kinetic_constant / (math.pi * radius**2)
     if depth == 0.0:
         raise NoBoundStateError(f"well depth eps*kappa/(pi a^2) underflows at eps = {epsilon}", exact=False)

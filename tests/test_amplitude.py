@@ -5,7 +5,9 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from transmute_lab.amplitude import (
     Amplitude,
@@ -14,16 +16,24 @@ from transmute_lab.amplitude import (
     bound_state_pole,
     cutoff_envelope,
     on_shell_amplitude,
+    on_shell_amplitude_array,
     regulated_amplitude,
+    regulated_amplitude_array,
     renormalized_amplitude,
+    renormalized_amplitude_array,
     slide_amplitude,
     transmutation_schedule,
 )
 from transmute_lab.energy_plane import ComplexEnergy, PhysicalScales, principal_log_ratio
-from transmute_lab.errors import DomainError, NoBoundStateError, PoleSingularityError
+from transmute_lab.errors import DomainError, NoBoundStateError, PoleSingularityError, TransmuteLabError
 from transmute_lab.oracle.quadrature import quadrature_resolvent, upper_half_residue
 from transmute_lab.regulators import GaussianFormFactor, PureDelta, SharpCutoff
-from transmute_lab.tolerances import ANCHOR_INDEPENDENCE_RTOL, RESIDUE_RTOL
+from transmute_lab.tolerances import (
+    ANCHOR_INDEPENDENCE_RTOL,
+    FLOW_GROUP_RTOL,
+    RESIDUE_RTOL,
+    SPECIAL_FUNCTION_RTOL,
+)
 from test_energy_plane import random_upper_half_point
 
 mp.mp.dps = 30
@@ -313,6 +323,13 @@ class TestTransmutation:
         steps = transmutation_schedule(0.3, ComplexEnergy(-0.1, 0.9), 6)
         assert steps[-1].deviation < steps[0].deviation
 
+    def test_steps_carry_the_closed_form(self):
+        z = ComplexEnergy(-0.1, 0.9)
+        target = renormalized_amplitude(0.3, z).tau
+        for step in transmutation_schedule(0.3, z, 6):
+            assert step.closed_form == target
+            assert step.deviation == abs(step.amplitude.tau - target)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             transmutation_schedule(0.0, ComplexEnergy(0.0, 1.0), 5)
@@ -377,3 +394,153 @@ class TestOnShell:
     def test_pure_delta(self):
         amp = on_shell_amplitude(1.0, PureDelta(), 1.0)
         assert amp.tau == 0 and amp.exact_zero
+
+
+PROPERTIES = settings(max_examples=60, derandomize=True, deadline=None)
+
+magnitudes = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+regs = st.sampled_from([SharpCutoff(1.0), SharpCutoff(1e3), GaussianFormFactor(1.0), GaussianFormFactor(0.1)])
+
+
+# interior phases keep Im z, and with it |z - Lambda|, at 1e-12 or more: a
+# quotient of magnitudes beyond the normal range gives up the exactness of
+# power-of-two scaling (energy_plane.log_ratio_array)
+phases = st.floats(1e-9, math.pi - 1e-9)
+
+
+@st.composite
+def upper_points(draw):
+    """A nonzero point of the closed upper half plane: interior, continuum
+    or negative axis, the axes with Im = +0.0 or -0.0."""
+    r = draw(magnitudes)
+    kind = draw(st.sampled_from(["interior", "continuum", "negative"]))
+    if kind == "interior":
+        phase = draw(phases)
+        return r * math.cos(phase), r * math.sin(phase)
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    return (r, zero) if kind == "continuum" else (-r, zero)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def evaluate(fn, *args):
+    """fn(*args) as bytes, or the class of the error it raises (a row on a
+    pole, or on the sharp cutoff's edge)."""
+    try:
+        return bits(fn(*args))
+    except TransmuteLabError as exc:
+        return type(exc)
+
+
+class TestKappaInvariance:
+    """The amplitude is dimensionless: kinetic_constant enters only with the
+    energies, through z/Lambda, z a^2/kappa and z/E_B.  Multiplying
+    kinetic_constant and every energy by the same power of two, lengths
+    fixed, changes no bit."""
+
+    @PROPERTIES
+    @given(reg=regs, eps=st.floats(0.05, 20.0), point=upper_points(), k=st.integers(-40, 40),
+           kappa=st.sampled_from([1.0, 3.5, 0.25]))
+    def test_regulated(self, reg, eps, point, k, kappa):
+        s = 2.0**k
+        scaled = SharpCutoff(reg.cutoff * s) if isinstance(reg, SharpCutoff) else reg
+        re, im = point
+        base = evaluate(regulated_amplitude_array, eps, reg, [re], [im], PhysicalScales(kappa))
+        assert evaluate(regulated_amplitude_array, eps, scaled, [re * s], [im * s],
+                        PhysicalScales(kappa * s)) == base
+
+    @PROPERTIES
+    @given(reg=regs, eps=st.floats(0.05, 20.0), energies=st.lists(magnitudes, min_size=1, max_size=5),
+           k=st.integers(-40, 40), kappa=st.sampled_from([1.0, 3.5, 0.25]))
+    def test_on_shell(self, reg, eps, energies, k, kappa):
+        s = 2.0**k
+        scaled = SharpCutoff(reg.cutoff * s) if isinstance(reg, SharpCutoff) else reg
+        base = evaluate(on_shell_amplitude_array, eps, reg, energies, PhysicalScales(kappa))
+        assert evaluate(on_shell_amplitude_array, eps, scaled, [e * s for e in energies],
+                        PhysicalScales(kappa * s)) == base
+
+    @PROPERTIES
+    @given(e_b=magnitudes, point=upper_points(), k=st.integers(-40, 40))
+    def test_renormalized(self, e_b, point, k):
+        # no kinetic_constant enters: the energies carry the unit
+        s = 2.0**k
+        re, im = point
+        base = evaluate(renormalized_amplitude_array, e_b, [re], [im])
+        assert evaluate(renormalized_amplitude_array, e_b * s, [re * s], [im * s]) == base
+
+
+def renormalized_inverse_mp(e_b, z):
+    """1/tau = ln(-E_B/z)/(4 pi) on mpmath's principal branch, which is
+    analytic off the cut z > 0, lower half plane included."""
+    return mp.log(-mp.mpf(e_b) / z) / (4 * mp.pi)
+
+
+def regulated_inverse_mp(eps, reg, z):
+    """1/tau = -(1/eps + I(z)) with I from the closed forms on mpmath's
+    principal branches, analytic off the cut (z in [0, Lambda] for the
+    sharp cutoff, z >= 0 for the gaussian), lower half plane included."""
+    if isinstance(reg, SharpCutoff):
+        resolvent = mp.log(z / (z - reg.cutoff)) / (4 * mp.pi)
+    else:
+        w = -mp.mpf(reg.length) ** 2 * z
+        resolvent = -mp.exp(w) * mp.e1(w) / (4 * mp.pi)
+    return -(1 / mp.mpf(eps) + resolvent)
+
+
+class TestSchwarzReflection:
+    """tau(conj z) = conj tau(z) off the cut.  The package evaluates only the
+    closed upper half plane, so the property is checked twice: on the real
+    axis off the cut, where Im = -0.0 makes conj z a point the package takes
+    and tau must be real; and in the interior, against the closed form
+    continued into the lower half plane by mpmath at conj z."""
+
+    @PROPERTIES
+    @given(reg=regs, eps=st.floats(0.05, 20.0), r=magnitudes, above_cutoff=st.booleans())
+    def test_regulated_on_the_axis(self, reg, eps, r, above_cutoff):
+        # off the cut: the negative axis, or beyond the sharp cutoff's edge
+        x = reg.cutoff * (1.0 + r) if above_cutoff and isinstance(reg, SharpCutoff) else -r
+        try:
+            tau = regulated_amplitude_array(eps, reg, [x, x], [0.0, -0.0])
+        except PoleSingularityError:
+            assume(False)
+        assert tau[1] == tau[0].conjugate()
+        assert tau[0].imag == 0.0
+
+    @PROPERTIES
+    @given(e_b=magnitudes, r=magnitudes)
+    def test_renormalized_on_the_axis(self, e_b, r):
+        try:
+            tau = renormalized_amplitude_array(e_b, [-r, -r], [0.0, -0.0])
+        except PoleSingularityError:
+            assume(False)
+        assert tau[1] == tau[0].conjugate()
+        assert tau[0].imag == 0.0
+
+    @PROPERTIES
+    @given(reg=regs, eps=st.floats(0.05, 20.0), r=magnitudes,
+           phase=phases)
+    def test_regulated_in_the_interior(self, reg, eps, r, phase):
+        re, im = r * math.cos(phase), r * math.sin(phase)
+        try:
+            tau = complex(regulated_amplitude_array(eps, reg, [re], [im])[0])
+        except PoleSingularityError:
+            assume(False)
+        with mp.workdps(40):
+            reflected = complex(regulated_inverse_mp(eps, reg, mp.mpc(re, -im)))
+            # 1/tau against the size of its terms, 1/eps and |I|
+            scale = 1.0 / eps + abs(1.0 / eps + reflected)
+        rtol = FLOW_GROUP_RTOL if isinstance(reg, SharpCutoff) else SPECIAL_FUNCTION_RTOL
+        assert abs(1.0 / tau - reflected.conjugate()) <= rtol * scale
+
+    @PROPERTIES
+    @given(e_b=magnitudes, r=magnitudes, phase=phases)
+    def test_renormalized_in_the_interior(self, e_b, r, phase):
+        re, im = r * math.cos(phase), r * math.sin(phase)
+        tau = complex(renormalized_amplitude_array(e_b, [re], [im])[0])
+        with mp.workdps(40):
+            reflected = complex(renormalized_inverse_mp(e_b, mp.mpc(re, -im)))
+        # 1/tau against the size of its terms, ln|E_B/z| and arg
+        scale = (abs(math.log(e_b / r)) + math.pi) / FOUR_PI
+        assert abs(1.0 / tau - reflected.conjugate()) <= FLOW_GROUP_RTOL * scale

@@ -515,6 +515,117 @@ class TestRender:
         assert body == [",".join(cli._fmt(c) for c in row) for row in rows]
 
 
+def reference_json(table):
+    """The table as json.dump wrote it before its rows went through
+    templates."""
+    obj = {
+        "command": table.command,
+        "description": table.description,
+        "config": table.config,
+        "columns": [{"name": n, "description": d} for n, d in table.columns],
+        "rows": table.rows,
+        "footer": dict(table.footer),
+    }
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def json_of(table):
+    buf = io.StringIO()
+    table.write_json(buf)
+    return buf.getvalue()
+
+
+RENDER = settings(max_examples=200, derandomize=True, deadline=None)
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e22, 1e-7, 1e16,
+                                     1.7976931348623157e308]))
+_cells = st.one_of(
+    _finite, _finite, st.integers(), st.integers(-10, 10), st.none(), st.booleans(),
+    _finite.map(np.float64),
+    st.text(), st.sampled_from(["OK", "NO_BOUND_STATE", 'a "quoted" \\ cell', "\u00e9\u2211\U0001f600", "inf", "nan",
+                                "-inf", "\n      nan", "%s %d %%"]),
+    # cells that no template covers render at the depth of a row cell
+    st.lists(_finite, max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+_table_rows = st.lists(st.one_of(st.lists(_cells, max_size=6), st.lists(_cells, max_size=6).map(tuple)), max_size=8)
+
+
+class TestJsonTemplates:
+    @RENDER
+    @given(rows=_table_rows, footer=st.dictionaries(st.text(max_size=4), _finite, max_size=3))
+    def test_rows_render_as_json_dump(self, rows, footer):
+        table = cli.Table("scatter", "d \u00e9", {"b": "2", "a": "x\"y"}, [("E", "energy"), ("k", "")],
+                          rows=rows, footer=footer)
+        assert json_of(table) == reference_json(table)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf), np.float64(math.nan)])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_non_finite_cell_raises(self, bad, where):
+        # as json.dump(allow_nan=False) does: a non-finite float is never
+        # written as inf or nan
+        rows = [[1.0, "OK", None], [2.0, "inf", 3]]
+        rows[1][where] = bad
+        table = cli.Table("t", "d", {}, [("a", ""), ("b", ""), ("c", "")], rows=rows)
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            reference_json(table)
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            json_of(table)
+
+    def test_string_cells_spelling_inf_and_nan(self):
+        table = cli.Table("t", "d", {}, [("a", ""), ("b", "")], rows=[["nan", 1.0], ("inf", "-inf")])
+        assert json_of(table) == reference_json(table)
+
+
+def _mixed_command_lines(tmp_path):
+    """Command lines over all five commands and both formats, with config
+    files, repeated --tol-override, and usage errors and numerical failures
+    in between."""
+    transmute_cfg = tmp_path / "transmute.cfg"
+    transmute_cfg.write_text("steps = 12\nformat = json\n", encoding="utf-8")
+    edge_cfg = tmp_path / "edge.cfg"
+    edge_cfg.write_text("model = sharp-cutoff\nepsilon = 1\nlambda = 4\n", encoding="utf-8")
+    return [
+        ["flow"],
+        ["scatter", "--tol-override", "unitarity_defect_tol=1e-20", "--tol-override", "flow_defect_tol=1e-9"],
+        ["scatter", "--format", "json"],
+        ["bind", "--epsilon", "1:4:3,log", "--format", "json"],
+        ["scatter", "--energy", "banana"],
+        ["transmute", "--config", str(transmute_cfg)],
+        ["theorem", "--epsilon", "1", "--lambda", "1e2:1e12:6,log"],
+        ["scatter", "--energy", "1:4:2,log", "--config", str(edge_cfg)],
+        ["flow", "--regulator", "gaussian", "--format", "json", "--tol-override", "flow_defect_tol=1e-9"],
+        ["bind", "--tol-override", "POLE_GUARD=1e-3"],
+        ["theorem", "--epsilon", "1", "--format", "json"],
+        ["transmute"],
+        ["bind", "--regulator", "circular-well", "--epsilon", "0.5:2:3,log"],
+        ["flow", "--bogus"],
+        ["scatter", "--regulator", "gaussian", "--epsilon", "1.5", "--energy", "1e-2:1e2:5,log", "--format", "json"],
+        ["scatter"],
+    ]
+
+
+def test_repeated_main_matches_fresh_processes(tmp_path):
+    # one process calls main over and over: every result equals that of a
+    # fresh interpreter, which builds its parser at its one main call, so the
+    # shared parser carries nothing from one call to the next (the
+    # --tol-override default list included)
+    src = os.path.dirname(os.path.dirname(transmute_lab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = _mixed_command_lines(tmp_path)
+    in_process = []
+    for _ in range(2):
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            in_process.append((code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")))
+    assert {code for code, _, _ in in_process} == {0, 1, 2}
+    for argv, first, again in zip(runs, in_process, in_process[len(runs):]):
+        proc = subprocess.run([sys.executable, "-m", "transmute_lab.cli", *argv], capture_output=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == first, argv
+        assert again == first, argv
+
+
 class TestBoundaryErrors:
     @pytest.mark.parametrize("command,config", [
         ("flow", "flow_defect_tol = abc\n"),

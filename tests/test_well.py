@@ -191,3 +191,12 @@ class TestCoupling:
             WellParameters(0.0, 1.0)
         with pytest.raises(DomainError):
             well_from_coupling(-1.0, 1.0)
+
+    @pytest.mark.parametrize("radius", [1e-200, 1e200])
+    def test_radius_whose_square_leaves_the_double_range(self, radius):
+        # the model divides by radius**2: its underflow or overflow is a
+        # DomainError, not a ZeroDivisionError or OverflowError
+        with pytest.raises(DomainError, match="square underflows or overflows"):
+            WellParameters(radius=radius, depth=1.0)
+        with pytest.raises(DomainError, match="square underflows or overflows"):
+            well_from_coupling(1.0, radius)
