@@ -45,9 +45,9 @@ from .amplitude import (
     renormalized_amplitude_array,
     transmutation_schedule,
 )
-from .energy_plane import ComplexEnergy, PhysicalScales, complex_divide_array, log_ratio_array, wavenumber
+from .energy_plane import ComplexEnergy, PhysicalScales, complex_divide_array, log_ratio_array
 from .errors import DomainError, NoBoundStateError, TransmuteLabError
-from .observables import continuum_observables_array, tau_from_phase_shift
+from .observables import continuum_observables_array, tau_from_phase_shift_array
 from .regulators import (
     REGULATOR_NAMES,
     nominal_cutoff,
@@ -61,7 +61,7 @@ from .tolerances import (
     THEOREM_ENVELOPE_RTOL,
     UNITARITY_DEFECT_TOL,
 )
-from .oracle.well import WellParameters, well_bound_state, well_from_coupling, well_phase_shift
+from .oracle.well import WellParameters, well_bound_state, well_from_coupling, well_phase_shift_array
 
 __all__ = ["main"]
 
@@ -205,7 +205,8 @@ def _scales(opts: Options) -> PhysicalScales:
 
 
 def _ordered_map(fn, items):
-    """Map in input order, in the calling thread."""
+    """Map in input order, in the calling thread.  No command calls it any
+    more; the benchmark in bench/ still wraps and calls it."""
     return [fn(x) for x in items]
 
 
@@ -698,9 +699,8 @@ def cmd_scatter(opts: Options) -> Table:
         eps = _positive(opts, "epsilon")
         model = _model(name, opts, scales, eps)
         if isinstance(model, WellParameters):
-            tau = np.array(_ordered_map(
-                lambda energy: tau_from_phase_shift(well_phase_shift(model, wavenumber(energy, scales), scales)),
-                energies), dtype=complex)
+            k = np.sqrt(np.asarray(energies) / scales.kinetic_constant)
+            tau = tau_from_phase_shift_array(well_phase_shift_array(model, k, scales))
         else:
             tau = on_shell_amplitude_array(eps, model, energies, scales)
     obs = continuum_observables_array(tau, energies, scales, unitarity_tol)

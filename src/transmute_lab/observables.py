@@ -20,12 +20,12 @@ and carries the same length unit as 1/k.
 
 continuum_observables_array forms all of these over a whole energy grid in
 one numpy pass; f_from_tau and the other scalar names are its one-element
-calls, so they equal its rows to the bit.
+calls, so they equal its rows to the bit.  tau_from_phase_shift is likewise
+the one-element call of tau_from_phase_shift_array.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -42,6 +42,7 @@ __all__ = [
     "optical_theorem_defect",
     "unitarity_defect",
     "tau_from_phase_shift",
+    "tau_from_phase_shift_array",
     "continuum_observables_array",
 ]
 
@@ -125,9 +126,17 @@ def phase_shift_from_tau(tau, defect_tol: float = UNITARITY_DEFECT_TOL) -> float
     return float(obs["phase_shift"][0])
 
 
+def tau_from_phase_shift_array(delta0) -> np.ndarray:
+    """Unitary amplitudes -4 e^{i delta0} sin(delta0) elementwise over an
+    array of phase shifts."""
+    delta0 = np.asarray(delta0, dtype=float)
+    return -4.0 * np.exp(1j * delta0) * np.sin(delta0)
+
+
 def tau_from_phase_shift(delta0: float) -> complex:
-    """Unitary amplitude -4 e^{i delta0} sin(delta0)."""
-    return -4.0 * cmath.exp(1j * delta0) * math.sin(delta0)
+    """Unitary amplitude -4 e^{i delta0} sin(delta0): the one-element call of
+    tau_from_phase_shift_array."""
+    return complex(tau_from_phase_shift_array([delta0])[0])
 
 
 def optical_theorem_defect(tau, k: Wavenumber) -> float:

@@ -18,7 +18,6 @@ from ..special import (  # noqa: F401
     bessel_k1,
     bessel_k0_scaled,
     bessel_k1_scaled,
-    exp1,
     exp1_scaled,
     expi,
     expi_scaled,

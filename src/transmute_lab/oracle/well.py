@@ -22,6 +22,11 @@ J0 zeros cause no division blowup.  A shallow 2D well always binds, and at
 k a << 1 the phase shift runs logarithmically, cot(d) = ln(E/E_B^eff)/pi up
 to range corrections, which ties the well back to the renormalized
 amplitude.
+
+well_phase_shift_array forms the phase shifts of a whole wavenumber grid
+from one bessel_jy_array pass over the interior and exterior arguments
+[k_in a, k a]; well_phase_shift is its one-element call.  The bound-state
+matching stays scalar: its root search evaluates J, K one point at a time.
 """
 
 from __future__ import annotations
@@ -30,9 +35,11 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..energy_plane import NATURAL_UNITS, PhysicalScales, log_bracket_root, log_search_floor
 from ..errors import DomainError, NoBoundStateError
-from ..special import EULER_GAMMA, bessel_j0, bessel_j1, bessel_k0_scaled, bessel_k1_scaled, bessel_y0, bessel_y1
+from ..special import EULER_GAMMA, bessel_j0, bessel_j1, bessel_jy_array, bessel_k0_scaled, bessel_k1_scaled
 
 __all__ = [
     "WellParameters",
@@ -40,6 +47,7 @@ __all__ = [
     "coupling_of_well",
     "well_bound_state",
     "well_phase_shift",
+    "well_phase_shift_array",
     "bound_energy_from_phase",
 ]
 
@@ -130,29 +138,40 @@ def well_bound_state(well: WellParameters, scales: PhysicalScales = NATURAL_UNIT
     return math.exp(log_bracket_root(f, x_floor, math.log(v0) + math.log1p(-1e-12), guess))
 
 
-def well_phase_shift(well: WellParameters, k: float, scales: PhysicalScales = NATURAL_UNITS) -> float:
-    """s-wave phase shift delta0 in (-pi/2, pi/2] at wavenumber k > 0.
+def well_phase_shift_array(well: WellParameters, k, scales: PhysicalScales = NATURAL_UNITS) -> np.ndarray:
+    """s-wave phase shifts delta0 in (-pi/2, pi/2] elementwise over an array
+    of wavenumbers k > 0.
 
     tan(delta0) = [M J0(ka) + k J0in J1(ka)] / [M Y0(ka) + k J0in Y1(ka)]
     with M = -k_in J1(k_in a) and J0in = J0(k_in a): the cross-multiplied
-    form of logarithmic-derivative matching at r = a.
+    form of logarithmic-derivative matching at r = a.  One bessel_jy_array
+    pass over [k_in a, k a] gives every Bessel value of every row.
     """
-    if not (k > 0.0) or not math.isfinite(k):
-        raise DomainError(f"phase shift requires k > 0, got {k}")
+    k = np.asarray(k, dtype=float)
+    bad = ~((k > 0.0) & np.isfinite(k))
+    if bad.any():
+        raise DomainError(f"phase shift requires k > 0, got {k[bad][0]}")
     kappa = scales.kinetic_constant
     a = well.radius
-    energy = kappa * k * k
-    k_in = math.sqrt((energy + well.depth) / kappa)
-    j0_in = bessel_j0(k_in * a)
-    m = -k_in * bessel_j1(k_in * a)
-    num = m * bessel_j0(k * a) + k * j0_in * bessel_j1(k * a)
-    den = m * bessel_y0(k * a) + k * j0_in * bessel_y1(k * a)
-    delta = math.atan2(num, den)
-    if delta > 0.5 * math.pi:
-        delta -= math.pi
-    elif delta <= -0.5 * math.pi:
-        delta += math.pi
-    return delta
+    flat = k.ravel()
+    energy = kappa * flat * flat
+    k_in = np.sqrt((energy + well.depth) / kappa)
+    j0, y0, j1, y1 = bessel_jy_array(np.concatenate([k_in * a, flat * a]))
+    n = flat.size
+    m = -k_in * j1[:n]
+    k_j0_in = flat * j0[:n]
+    num = m * j0[n:] + k_j0_in * j1[n:]
+    den = m * y0[n:] + k_j0_in * y1[n:]
+    delta = np.arctan2(num, den)
+    delta[delta > 0.5 * math.pi] -= math.pi
+    delta[delta <= -0.5 * math.pi] += math.pi
+    return delta.reshape(k.shape)
+
+
+def well_phase_shift(well: WellParameters, k: float, scales: PhysicalScales = NATURAL_UNITS) -> float:
+    """s-wave phase shift delta0 in (-pi/2, pi/2] at wavenumber k > 0: the
+    one-element call of well_phase_shift_array."""
+    return float(well_phase_shift_array(well, [k], scales)[0])
 
 
 def bound_energy_from_phase(energy: float, delta0: float) -> float:

@@ -18,6 +18,9 @@ argument).  Budgets against mpmath:
   carries some 20 ulps; and for every gaussian kernel from the anchor
   z0 = i, whose g(z0) lies in a series band.
 * Complex division is rounded as Python rounds it and must match exactly.
+* ULP_BUDGET units of the conditioning scale for a well phase shift, whose
+  numerator and denominator are sums of Bessel products that may cancel:
+  the size of those products over |num + i den|.
 """
 
 import math
@@ -49,7 +52,13 @@ from transmute_lab.energy_plane import (
     wavenumber,
 )
 from transmute_lab.errors import PoleSingularityError, SingularInputError, UnitarityViolationError
-from transmute_lab.observables import continuum_observables_array, phase_shift_from_tau, tau_from_phase_shift
+from transmute_lab.observables import (
+    continuum_observables_array,
+    phase_shift_from_tau,
+    tau_from_phase_shift,
+    tau_from_phase_shift_array,
+)
+from transmute_lab.oracle.well import well_from_coupling, well_phase_shift, well_phase_shift_array
 from transmute_lab.regulators import GaussianFormFactor, PureDelta, SharpCutoff, slide_kernel, slide_kernels_along
 from transmute_lab.special import _E1_ASYMPTOTIC_RADIUS, _E1_SERIES_RADIUS
 from transmute_lab.tolerances import POLE_GUARD, UNITARITY_DEFECT_TOL
@@ -153,6 +162,22 @@ def on_shell_mp(eps, reg, energy, scales):
             return 0j, 0.0
         tau, scale = tau_mp(eps, resolvent_mp(reg, energy, 0.0, scales))
         return complex(weight * tau), float(weight * scale)
+
+
+def well_phase_mp(well, k, scales):
+    """The well's phase shift delta0 at the float k_in a and k a that the
+    code rounds, and its conditioning scale: the size of the Bessel products
+    in num and den over |num + i den|."""
+    kappa, a = scales.kinetic_constant, well.radius
+    k_in = math.sqrt((kappa * k * k + well.depth) / kappa)
+    with mp.workdps(DPS):
+        inner, outer = mp.mpf(k_in * a), mp.mpf(k * a)
+        j0_in, y0_in, j1_in, y1_in = (f(n, inner) for n in (0, 1) for f in (mp.besselj, mp.bessely))
+        j0, y0, j1, y1 = (f(n, outer) for n in (0, 1) for f in (mp.besselj, mp.bessely))
+        m = -mp.mpf(k_in) * j1_in
+        num, den = m * j0 + k * j0_in * j1, m * y0 + k * j0_in * y1
+        terms = (k_in * mp.hypot(j1_in, y1_in) + k * mp.hypot(j0_in, y0_in)) * (mp.hypot(j0, y0) + mp.hypot(j1, y1))
+        return float(mp.atan(num / den)), float(terms / mp.hypot(num, den))
 
 
 def log_grid(lo, hi, n):
@@ -423,6 +448,32 @@ class TestObservables:
         assert obs["phase_shift"][0] == 0.5 * math.pi == phase_shift_from_tau(-4j)
 
 
+class TestWellPhaseShift:
+    # the first well is the one whose rows 245 and 246 (1-based) of
+    # 0.011376664526243608:1137.6664526243608:300,log once failed the
+    # benchmark's check
+    @pytest.mark.parametrize("eps,radius", [(0.7130104612422048, 1.0), (2.0, 0.5), (15.0, 3.0), (40.0, 1e-3)])
+    def test_matches_scalar_row_by_row(self, eps, radius):
+        well = well_from_coupling(eps, radius, KAPPA)
+        ks = log_grid(-4.0, 3.0, 40) / radius
+        deltas = well_phase_shift_array(well, ks, KAPPA)
+        for k, delta in zip(ks.tolist(), deltas.tolist()):
+            expected, scale = well_phase_mp(well, k, KAPPA)
+            assert_within_budget(delta, expected, scale)
+            assert -0.5 * math.pi < delta <= 0.5 * math.pi
+            # the scalar name is a one-element call: the same row, to the bit
+            assert well_phase_shift(well, k, KAPPA) == delta
+
+    def test_tau_from_phase_shift_is_a_one_element_call(self):
+        deltas = np.array([random.Random(5).uniform(-0.5 * math.pi, 0.5 * math.pi) for _ in range(50)] + [0.5 * math.pi])
+        taus = tau_from_phase_shift_array(deltas)
+        for delta, tau in zip(deltas.tolist(), taus.tolist()):
+            assert tau_from_phase_shift(delta) == tau
+            with mp.workdps(DPS):
+                expected = complex(-4 * mp.expj(delta) * mp.sin(delta))
+            assert_within_budget(tau, expected, 4.0)
+
+
 class TestTables:
     """Whole CLI tables against mpmath, row by row."""
 
@@ -503,6 +554,23 @@ class TestTables:
             assert (row[2] == row[3] == 0.0) == (on_shell_mp(eps, reg, row[0], NATURAL_UNITS)[0] == 0)
             self.check_scatter_row(row, eps, reg, UNITARITY_DEFECT_TOL)
         assert rows[-1][2] == 0.0 and rows[0][2] != 0.0
+
+    def test_well_scatter_rows(self, tmp_path, capsys):
+        # the column pass of the circular well, from J/Y series rows (k a <= 2)
+        # to integral rows; f carries the phase shift's error through
+        # |d(e^{i delta} sin delta)/d delta| = 1
+        eps = 0.7130104612422048
+        well = well_from_coupling(eps, 1.0)
+        rows = self.run(["scatter", "--regulator", "circular-well", "--epsilon", repr(eps),
+                         "--energy", "0.011376664526243608:1137.6664526243608:300,log"], tmp_path, capsys)
+        for row in rows[::7] + rows[240:250]:
+            k = wavenumber(row[0])
+            delta, scale = well_phase_mp(well, k, NATURAL_UNITS)
+            f_scale = math.sqrt(1.0 / (8.0 * math.pi * k))
+            with mp.workdps(DPS):
+                f = complex(4 * f_scale * mp.expj(delta) * mp.sin(delta))
+            assert_within_budget(row[2] + 1j * row[3], f, 4.0 * f_scale * (scale + 1.0))
+            assert row[9] == "OK"
 
     def test_flow_pole_row(self, tmp_path, capsys):
         # 1/tau vanishes at |z| = e on the imaginary axis: tau cells blank

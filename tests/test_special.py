@@ -22,7 +22,7 @@ from transmute_lab.special import (
     bessel_k1_scaled,
     bessel_y0,
     bessel_y1,
-    exp1,
+    bessel_jy_array,
     exp1_scaled,
     exp1_scaled_array,
     expi,
@@ -33,7 +33,8 @@ from transmute_lab.tolerances import SPECIAL_FUNCTION_RTOL
 
 mp.mp.dps = 30
 
-# log+linear grid straddling both switchovers, out to the contract edge
+# log+linear grid straddling the series/integral switchover at 2, out to
+# the contract edge
 GRID = (
     [0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 1.3, 1.9999, 2.0, 2.0001, 3.0]
     + [4.0 + 0.7 * i for i in range(12)]
@@ -79,6 +80,44 @@ def test_modified_functions_against_mpmath(ours, ref):
             continue  # I overflows the double range long before 700
         rel = abs(ours(x) - float(ref(mp.mpf(x)))) / abs(float(ref(mp.mpf(x))))
         assert rel < SPECIAL_FUNCTION_RTOL, x
+
+
+# x log-uniform in (0, 1e6], with the decades of the integral branch (x > 2)
+# drawn on their own as well
+JY_PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
+cylinder_arguments = st.one_of(st.floats(-2.0, 6.0), st.floats(-300.0, 6.0)).map(lambda e: 10.0**e)
+SCALAR_JY = (bessel_j0, bessel_y0, bessel_j1, bessel_y1)
+
+
+@JY_PROPERTY
+@given(xs=st.lists(cylinder_arguments, min_size=1, max_size=8))
+def test_cylinder_columns_against_mpmath(xs):
+    # J0, Y0, J1, Y1 from one column pass: within 1e-14 of the envelope
+    # hypot(J, Y) everywhere, within SPECIAL_FUNCTION_RTOL of the value
+    # wherever |value| >= 1e-3 of the envelope; the scalar names agree with
+    # the column within 1e-15 of the envelope
+    columns = bessel_jy_array(np.array(xs))
+    for i, x in enumerate(xs):
+        with mp.workdps(30):
+            xm = mp.mpf(x)
+            ref = [mp.besselj(0, xm), mp.bessely(0, xm), mp.besselj(1, xm), mp.bessely(1, xm)]
+            envelopes = [float(mp.hypot(ref[0], ref[1]))] * 2 + [float(mp.hypot(ref[2], ref[3]))] * 2
+            ref = [float(v) for v in ref]
+        for got, value, envelope, scalar in zip((c[i] for c in columns), ref, envelopes, SCALAR_JY):
+            assert abs(got - value) <= 1e-14 * envelope, (x, scalar.__name__)
+            if abs(value) >= 1e-3 * envelope:
+                assert abs(got - value) <= SPECIAL_FUNCTION_RTOL * abs(value), (x, scalar.__name__)
+            assert abs(scalar(x) - got) <= 1e-15 * envelope, (x, scalar.__name__)
+
+
+def test_cylinder_columns_keep_shape_and_domain():
+    x = np.array([[0.5, 2.0], [2.5, 1e3]])
+    for column, flat in zip(bessel_jy_array(x), bessel_jy_array(x.ravel())):
+        assert column.shape == (2, 2)
+        assert column.ravel().tolist() == flat.tolist()
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="bessel_jy_array requires x > 0"):
+            bessel_jy_array(np.array([3.0, bad]))
 
 
 def test_scaled_k_no_underflow():
@@ -155,20 +194,18 @@ class TestExponentialIntegrals:
         for r in (0.1, 1.0, 3.4, 3.6, 8.0, 15.0, 25.0, 39.0, 41.0, 300.0):
             for deg in (0, -20, -45, -80, -90, -100, -120, -150, -179):
                 w = r * cmath.exp(1j * math.radians(deg))
-                ref = complex(mp.e1(mp.mpc(w.real, w.imag)))
-                got = exp1(w)
+                wm = mp.mpc(w.real, w.imag)
+                ref = complex(mp.exp(wm) * mp.e1(wm))
+                got = exp1_scaled(w)
                 assert abs(got - ref) / abs(ref) < 1e-11, (r, deg)
 
     def test_exp1_negative_axis_is_lower_lip(self):
-        # limit from below the cut: E1(-x - i0) = -Ei(x) + i pi
+        # limit from below the cut: e^w E1(w) at w = -x - i0 is
+        # e^{-x} (-Ei(x) + i pi)
         for x in (0.5, 3.0, 20.0):
-            got = exp1(complex(-x, 0.0))
-            assert got.real == pytest.approx(-float(mp.ei(x)), rel=1e-12)
-            assert got.imag == math.pi
-
-    def test_exp1_scaled_matches_exp1(self):
-        for w in (0.5 - 0.2j, 5.0 - 3j, -2.0 - 1j):
-            assert exp1_scaled(w) == pytest.approx(cmath.exp(w) * exp1(w), rel=1e-12)
+            got = exp1_scaled(complex(-x, 0.0))
+            assert got.real == pytest.approx(-float(mp.exp(-x) * mp.ei(x)), rel=1e-12)
+            assert got.imag == math.pi * math.exp(-x)
 
     def test_exp1_scaled_huge_negative_axis(self):
         # e^w E1(w) stays finite where e^{-w} alone would overflow
@@ -178,9 +215,9 @@ class TestExponentialIntegrals:
 
     def test_domains(self):
         with pytest.raises(DomainError):
-            exp1(0.0)
+            exp1_scaled(0.0)
         with pytest.raises(DomainError):
-            exp1(1.0 + 1.0j)
+            exp1_scaled(1.0 + 1.0j)
         with pytest.raises(DomainError):
             expi(-1.0)
         with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ scale."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -173,6 +174,23 @@ class TestWellPhaseShift:
             tau_well = tau_from_phase_shift(well_phase_shift(well, k))
             tau_ren = renormalized_amplitude(e_b_fit, energy).tau
             assert abs(tau_well - tau_ren) <= 0.03 * abs(tau_ren)
+
+    @pytest.mark.parametrize("energy", [136.8618828366563, 142.23448951541366])
+    def test_cancelling_row_against_mpmath(self, energy):
+        # rows 245 and 246 (1-based) of 0.011376664526243608:1137.6664526243608:
+        # 300,log at eps = 0.7130104612422048, the benchmark's seed-4103 well
+        # scatter: num and den cancel some 18-fold, and J/Y accurate only to
+        # their envelope once left delta0 1.6e-12 and 1.2e-12 off
+        well = well_from_coupling(0.7130104612422048, 1.0)
+        k = math.sqrt(energy)
+        with mp.workdps(40):
+            km, a = mp.mpf(k), mp.mpf(well.radius)
+            k_in = mp.sqrt(km * km + mp.mpf(well.depth))
+            m, j0_in = -k_in * mp.besselj(1, k_in * a), mp.besselj(0, k_in * a)
+            num = m * mp.besselj(0, km * a) + km * j0_in * mp.besselj(1, km * a)
+            den = m * mp.bessely(0, km * a) + km * j0_in * mp.bessely(1, km * a)
+            expected = float(mp.atan(num / den))
+        assert abs(well_phase_shift(well, k) - expected) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):
