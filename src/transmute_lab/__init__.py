@@ -59,7 +59,6 @@ from .regulators import (
     Regulator,
     SharpCutoff,
     decay_amplitude,
-    dimensionless_resolvent,
     form_factor_squared,
     regulator_from_name,
     resolvent_element,

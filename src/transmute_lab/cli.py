@@ -14,8 +14,9 @@ evaluated in one thread, and no timestamps enter the data body.  flow,
 scatter, theorem and transmute are evaluated as numpy columns, through the
 one array form of each closed form.  Only bind runs row by row: its root
 searches evaluate one point at a time, about 8 times per pole, through the
-scalar code kept for them (the negative-axis resolvent, exp1_scaled and the
-Bessel functions), since a 0-d array call costs 16-26 times a scalar one.
+scalar code kept for them (the negative-axis resolvent, the real
+exp1_scaled_real and the Bessel functions), since a 0-d array call costs
+over a hundred times a scalar one.
 numpy's elementary functions may round differently from the C library's, so
 array-evaluated tables may differ from earlier versions in the last digits,
 within the 8-ulp budget of tests/test_array_forms.py.  A non-finite cell is
@@ -416,6 +417,12 @@ def _model(name: str, opts: Options, scales: PhysicalScales, epsilon: float | No
     coupling epsilon.  Without a coupling (flow) only the separable
     regulators are accepted."""
     lam, length = _positive(opts, "lambda"), _positive(opts, "a", squared=True)
+    if name in ("gaussian", "circular-well"):
+        # the model divides kinetic_constant by a^2 and a^2 by kinetic_constant
+        kappa, a2 = scales.kinetic_constant, length * length
+        if not (0.0 < kappa / a2 < math.inf and 0.0 < a2 / kappa < math.inf):
+            raise UsageError(f"kinetic_constant = {kappa!r} and a = {length!r} are out of range: "
+                             "kinetic_constant/a^2 or a^2/kinetic_constant underflows or overflows")
     if name == "circular-well" and epsilon is not None:
         return well_from_coupling(epsilon, length, scales)
     if name not in REGULATOR_NAMES:

@@ -12,8 +12,6 @@ from ..special import (  # noqa: F401
     bessel_j1,
     bessel_y0,
     bessel_y1,
-    bessel_i0,
-    bessel_i1,
     bessel_k0,
     bessel_k1,
     bessel_k0_scaled,

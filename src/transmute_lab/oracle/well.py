@@ -86,7 +86,8 @@ def well_from_coupling(epsilon: float, radius: float, scales: PhysicalScales = N
 
     A depth that underflows to zero raises NoBoundStateError(exact=False):
     the ground state of such a well, below its depth, lies below the bound
-    state search limit (kappa/a^2) * 1e-300.
+    state search limit (kappa/a^2) * 1e-300.  A depth that overflows raises
+    DomainError, naming the coupling.
     """
     if not (epsilon > 0.0):
         raise DomainError(f"coupling must be positive, got {epsilon}")
@@ -94,6 +95,8 @@ def well_from_coupling(epsilon: float, radius: float, scales: PhysicalScales = N
     depth = epsilon * scales.kinetic_constant / (math.pi * radius**2)
     if depth == 0.0:
         raise NoBoundStateError(f"well depth eps*kappa/(pi a^2) underflows at eps = {epsilon}", exact=False)
+    if depth == math.inf:
+        raise DomainError(f"well depth eps*kappa/(pi a^2) overflows at eps = {epsilon}")
     return WellParameters(radius=radius, depth=depth)
 
 

@@ -13,10 +13,12 @@ are implemented here from scratch:
   cos x and sin x of the exact x.  Measured over (0, 1e6], the error is
   below 1.3e-15 of the envelope hypot(J, Y), and below 1e-12 of the value
   wherever |value| >= 1e-3 of the envelope.
-* K: ascending series for x <= 2.  Beyond that the Hankel asymptotic series
-  alone cannot reach 1e-10 until x ~ 18 while the series loses exp(2x) digits
-  to cancellation, so the large-x branch evaluates the exact resummation of
-  the asymptotic series,
+* K: the ascending series for x <= 2, from the Horner table of J and Y at
+  q = +x^2/4, whose rows then sum I0 and 2 I1/x; measured over (0, 2], the
+  error is below 4e-15 of the value.  Beyond that the Hankel asymptotic
+  series alone cannot reach 1e-10 until x ~ 18 while the series loses
+  exp(2x) digits to cancellation, so the large-x branch evaluates the exact
+  resummation of the asymptotic series,
 
       K_nu(x) = sqrt(pi/2x) e^{-x} / Gamma(nu+1/2)
                 * Int_0^inf e^{-t} t^{nu-1/2} (1 + t/2x)^{nu-1/2} dt,
@@ -32,34 +34,31 @@ are implemented here from scratch:
   the modified Lentz continued fraction for Re w >= 0; the power series
   again near the negative axis (|w| + Re w <= 9); and a fixed Gauss rule on
   the Stieltjes form e^{-w} Int_0^inf e^{-u}/(w+u) du in the one wedge left.
+  For real x > 0, exp1_scaled_real takes the power series at x <= 1, as a
+  fixed Horner polynomial of 18 terms, and the same Stieltjes rule above.
 * Ei(x) for x > 0: power series for x <= 40, asymptotic series above.
 
-The I and K series are accumulated with math.fsum so the only error left is
-term roundoff.  _K_SWITCH = 2 is the one switch of all six cylinder
-functions.
+_K_SWITCH = 2 is the one switch of all six cylinder functions.
 
 exp1_scaled_array and expi_scaled_array evaluate e^w E1(w) and e^{-x} Ei(x)
 over numpy arrays: each branch runs over the elements its mask selects,
 each series or continued fraction stops element by element, and the
-Stieltjes rule is one matrix-vector product.  expi_scaled_array is the one
-implementation of Ei; expi_scaled and expi are its 0-d calls.
-bessel_jy_array gives J0, Y0, J1 and Y1 together over a numpy array, the
-rule in blocks of 64 rows; the well's phase shifts take all of theirs from
-one such pass.  exp1_scaled and the Bessel names stay scalar, because the
-bound-state searches (the gaussian pole, the circular well) evaluate them
-one point at a time and a one-element array call costs several times a
-scalar one (55-72 us against 2-20 us for J and Y).  The scalar J and Y take
-the series and the rule of bessel_jy_array, the rule summed for one x, and
-agree with it within 1e-15 of the envelope.  exp1_scaled takes the
-branches of exp1_scaled_array in the same order; it rounds complex
-arithmetic as Python does, so inside the power-series bands, where terms
-cancel, the two forms may differ by some hundred ulps, both within about
-1e-12 of the value.
+Stieltjes rule is one matrix-vector product.  They are the one
+implementation of E1 and Ei on their domains; exp1_scaled, expi_scaled and
+expi are their 0-d calls.  bessel_jy_array gives J0, Y0, J1 and Y1 together
+over a numpy array, the rule in blocks of 64 rows; the well's phase shifts
+take all of theirs from one such pass.  The bound-state searches (the
+gaussian pole, the circular well) evaluate one point at a time, where a
+one-element array call costs several times a scalar one (55-72 us against
+2-20 us for J and Y), so they call scalar code that sums the rules of the
+array forms for one x: exp1_scaled_real for the gaussian, the Bessel names
+for the well.  The scalar J and Y take the series and the rule of
+bessel_jy_array, the rule summed for one x, and agree with it within 1e-15
+of the envelope.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 
@@ -73,14 +72,13 @@ __all__ = [
     "bessel_y0",
     "bessel_y1",
     "bessel_jy_array",
-    "bessel_i0",
-    "bessel_i1",
     "bessel_k0",
     "bessel_k1",
     "bessel_k0_scaled",
     "bessel_k1_scaled",
     "exp1_scaled",
     "exp1_scaled_array",
+    "exp1_scaled_real",
     "expi",
     "expi_scaled",
     "expi_scaled_array",
@@ -93,8 +91,6 @@ EULER_GAMMA = 0.5772156649015328606065121
 # asymptotic integral above.
 _K_SWITCH = 2.0
 
-_MAX_SERIES_TERMS = 300
-
 
 def _require_positive(x: float, name: str) -> None:
     if not (x > 0.0) or not math.isfinite(x):
@@ -102,132 +98,15 @@ def _require_positive(x: float, name: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# modified functions I and K
+# ascending series of J, Y and K
 # ----------------------------------------------------------------------
 
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function I0 (series; used by the K series and tests)."""
-    if x < 0.0:
-        x = -x
-    q = 0.25 * x * x
-    term = 1.0
-    terms = [1.0]
-    for k in range(1, _MAX_SERIES_TERMS):
-        term *= q / (k * k)
-        terms.append(term)
-        if term < 1e-20 * terms[0] and term < 1e-20 * max(terms):
-            break
-    return math.fsum(terms)
-
-
-def bessel_i1(x: float) -> float:
-    """Modified Bessel function I1 (series)."""
-    sign = -1.0 if x < 0.0 else 1.0
-    x = abs(x)
-    q = 0.25 * x * x
-    term = 0.5 * x
-    terms = [term]
-    for k in range(1, _MAX_SERIES_TERMS):
-        term *= q / (k * (k + 1))
-        terms.append(term)
-        if term < 1e-20 * max(terms):
-            break
-    return sign * math.fsum(terms)
-
-
-def _k0_series(x: float) -> float:
-    q = 0.25 * x * x
-    term = 1.0
-    harmonic = 0.0
-    terms = []
-    for k in range(1, _MAX_SERIES_TERMS):
-        term *= q / (k * k)
-        harmonic += 1.0 / k
-        terms.append(harmonic * term)
-        if harmonic * term < 1e-20:
-            break
-    return -(math.log(0.5 * x) + EULER_GAMMA) * bessel_i0(x) + math.fsum(terms)
-
-
-def _k1_series(x: float) -> float:
-    q = 0.25 * x * x
-    term = 1.0
-    h_k = 0.0
-    h_k1 = 1.0
-    terms = [(h_k + h_k1 - 2.0 * EULER_GAMMA) * term]
-    for k in range(1, _MAX_SERIES_TERMS):
-        term *= q / (k * (k + 1))
-        h_k += 1.0 / k
-        h_k1 += 1.0 / (k + 1)
-        terms.append((h_k + h_k1 - 2.0 * EULER_GAMMA) * term)
-        if term < 1e-20:
-            break
-    return 1.0 / x + math.log(0.5 * x) * bessel_i1(x) - 0.25 * x * math.fsum(terms)
-
-
-def _composite_gauss(panels, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of n-point Gauss-Legendre rules on each panel."""
-    t, wt = np.polynomial.legendre.leggauss(n)
-    nodes = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * t for a, b in panels])
-    weights = np.concatenate([0.5 * (b - a) * wt for a, b in panels])
-    return nodes, weights
-
-
-# Fixed Gauss-Legendre panels for the resummed asymptotic integral, with the
-# integrand's e^{-u^2} folded into the weights; u <= 9 truncates below 1e-35.
-_K_NODES, _K_WEIGHTS = _composite_gauss(((0.0, 1.5), (1.5, 4.0), (4.0, 9.0)), 60)
-_K_WEIGHTS = _K_WEIGHTS * np.exp(-_K_NODES**2)
-_K_NODES_SQ = _K_NODES**2
-
-
-def bessel_k0_scaled(x: float) -> float:
-    """e^x K0(x), stable for arbitrarily large x."""
-    _require_positive(x, "bessel_k0_scaled")
-    if x <= _K_SWITCH:
-        return math.exp(x) * _k0_series(x)
-    integral = float(_K_WEIGHTS @ (1.0 / np.sqrt(1.0 + _K_NODES_SQ / (2.0 * x))))
-    return math.sqrt(math.pi / (2.0 * x)) * (2.0 / math.sqrt(math.pi)) * integral
-
-
-def bessel_k1_scaled(x: float) -> float:
-    """e^x K1(x), stable for arbitrarily large x."""
-    _require_positive(x, "bessel_k1_scaled")
-    if x <= _K_SWITCH:
-        return math.exp(x) * _k1_series(x)
-    integral = float(_K_WEIGHTS @ (_K_NODES_SQ * np.sqrt(1.0 + _K_NODES_SQ / (2.0 * x))))
-    return math.sqrt(math.pi / (2.0 * x)) * (4.0 / math.sqrt(math.pi)) * integral
-
-
-def bessel_k0(x: float) -> float:
-    """Modified Bessel function K0 for x > 0.
-
-    Underflows to 0 near x ~ 745; use bessel_k0_scaled beyond.
-    """
-    _require_positive(x, "bessel_k0")
-    if x <= _K_SWITCH:
-        return _k0_series(x)
-    return math.exp(-x) * bessel_k0_scaled(x)
-
-
-def bessel_k1(x: float) -> float:
-    """Modified Bessel function K1 for x > 0.
-
-    Underflows to 0 near x ~ 745; use bessel_k1_scaled beyond.
-    """
-    _require_positive(x, "bessel_k1")
-    if x <= _K_SWITCH:
-        return _k1_series(x)
-    return math.exp(-x) * bessel_k1_scaled(x)
-
-
-# ----------------------------------------------------------------------
-# J and Y
-# ----------------------------------------------------------------------
-
-# Coefficients in powers of -x^2/4 of J0, 2 J1/x and the harmonic sums of Y0
-# and Y1 (DLMF 10.8.1-2), each an integer ratio rounded once, with n! H_k an
-# integer for k <= n; at x <= _K_SWITCH the first term left out,
-# k = _JY_SERIES_TERMS, lies below 1e-19.
+# Coefficients of the ascending series, in powers of q = -x^2/4 for J0,
+# 2 J1/x and the harmonic sums of Y0 and Y1 (DLMF 10.8.1-2), and of
+# q = +x^2/4 for I0, 2 I1/x and the harmonic sums of K0 and K1 (DLMF
+# 10.31.1-2); each an integer ratio rounded once, with n! H_k an integer for
+# k <= n.  At x <= _K_SWITCH the first term left out, k = _JY_SERIES_TERMS,
+# lies below 1e-19.
 _JY_SERIES_TERMS = 13
 _F = [math.factorial(k) for k in range(_JY_SERIES_TERMS + 1)]
 
@@ -268,6 +147,80 @@ def _jy_series(x):
     y1 = (2.0 / math.pi) * lead * j1 - 2.0 / (math.pi * x) - (x / (2.0 * math.pi)) * _horner(q, _JY_SERIES[3])
     return j0, y0, j1, y1
 
+
+def _k_series(x: float, order: int) -> float:
+    """K0 or K1 at 0 < x <= _K_SWITCH: at q = +x^2/4 rows 0 and 1 sum I0 and
+    2 I1/x, and with L = ln(x/2) + gamma, K0 = -L I0 - row 2 and
+    K1 = 1/x + L I1 - (x/4) row 3."""
+    q = 0.25 * x * x
+    lead = math.log(0.5 * x) + EULER_GAMMA
+    if order:
+        return 1.0 / x + lead * 0.5 * x * _horner(q, _JY_SERIES[1]) - 0.25 * x * _horner(q, _JY_SERIES[3])
+    return -lead * _horner(q, _JY_SERIES[0]) - _horner(q, _JY_SERIES[2])
+
+
+# ----------------------------------------------------------------------
+# modified functions K
+# ----------------------------------------------------------------------
+
+def _composite_gauss(panels, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of n-point Gauss-Legendre rules on each panel."""
+    t, wt = np.polynomial.legendre.leggauss(n)
+    nodes = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * t for a, b in panels])
+    weights = np.concatenate([0.5 * (b - a) * wt for a, b in panels])
+    return nodes, weights
+
+
+# Fixed Gauss-Legendre panels for the resummed asymptotic integral, with the
+# integrand's e^{-u^2} folded into the weights; u <= 9 truncates below 1e-35.
+_K_NODES, _K_WEIGHTS = _composite_gauss(((0.0, 1.5), (1.5, 4.0), (4.0, 9.0)), 60)
+_K_WEIGHTS = _K_WEIGHTS * np.exp(-_K_NODES**2)
+_K_NODES_SQ = _K_NODES**2
+
+
+def bessel_k0_scaled(x: float) -> float:
+    """e^x K0(x), stable for arbitrarily large x."""
+    _require_positive(x, "bessel_k0_scaled")
+    if x <= _K_SWITCH:
+        return math.exp(x) * _k_series(x, 0)
+    integral = float(_K_WEIGHTS @ (1.0 / np.sqrt(1.0 + _K_NODES_SQ / (2.0 * x))))
+    return math.sqrt(math.pi / (2.0 * x)) * (2.0 / math.sqrt(math.pi)) * integral
+
+
+def bessel_k1_scaled(x: float) -> float:
+    """e^x K1(x), stable for arbitrarily large x."""
+    _require_positive(x, "bessel_k1_scaled")
+    if x <= _K_SWITCH:
+        return math.exp(x) * _k_series(x, 1)
+    integral = float(_K_WEIGHTS @ (_K_NODES_SQ * np.sqrt(1.0 + _K_NODES_SQ / (2.0 * x))))
+    return math.sqrt(math.pi / (2.0 * x)) * (4.0 / math.sqrt(math.pi)) * integral
+
+
+def bessel_k0(x: float) -> float:
+    """Modified Bessel function K0 for x > 0.
+
+    Underflows to 0 near x ~ 745; use bessel_k0_scaled beyond.
+    """
+    _require_positive(x, "bessel_k0")
+    if x <= _K_SWITCH:
+        return _k_series(x, 0)
+    return math.exp(-x) * bessel_k0_scaled(x)
+
+
+def bessel_k1(x: float) -> float:
+    """Modified Bessel function K1 for x > 0.
+
+    Underflows to 0 near x ~ 745; use bessel_k1_scaled beyond.
+    """
+    _require_positive(x, "bessel_k1")
+    if x <= _K_SWITCH:
+        return _k_series(x, 1)
+    return math.exp(-x) * bessel_k1_scaled(x)
+
+
+# ----------------------------------------------------------------------
+# J and Y
+# ----------------------------------------------------------------------
 
 # H^(1)_nu(x) = J_nu(x) + i Y_nu(x) = (2/(pi i)) e^{-i nu pi/2} K_nu(-ix)
 # (DLMF 10.27.8) is the K integral above at z = -ix, where
@@ -385,12 +338,12 @@ def bessel_jy_array(x):
 # exponential integrals
 # ----------------------------------------------------------------------
 
-# Branches of e^w E1(w), shared by exp1_scaled and exp1_scaled_array and taken
-# in this order (DLMF 6.6-6.12): the lower lip of the cut (Im w = 0 > Re w)
-# through Ei; the power series for |w| <= _E1_SERIES_RADIUS; the asymptotic
-# series for |w| >= _E1_ASYMPTOTIC_RADIUS, in every direction, where its
-# optimally truncated error ~e^{-|w|} and the Stokes term i pi e^{w} near the
-# negative axis both lie below 1e-15 of the value; the continued fraction for
+# Branches of e^w E1(w) in exp1_scaled_array, taken in this order (DLMF
+# 6.6-6.12): the lower lip of the cut (Im w = 0 > Re w) through Ei; the power
+# series for |w| <= _E1_SERIES_RADIUS; the asymptotic series for
+# |w| >= _E1_ASYMPTOTIC_RADIUS, in every direction, where its optimally
+# truncated error ~e^{-|w|} and the Stokes term i pi e^{w} near the negative
+# axis both lie below 1e-15 of the value; the continued fraction for
 # Re w >= 0; the power series again near the negative axis,
 # |w| + Re w <= _E1_NEAR_AXIS; the Stieltjes integral in the wedge left over.
 _E1_SERIES_RADIUS = 3.5
@@ -403,65 +356,16 @@ _MAX_EXPINT_SERIES_TERMS = 1200
 _MAX_CF_TERMS = 5000
 _MAX_ASYMPTOTIC_TERMS = 200
 
-
-def _e1_power_series(w: complex) -> complex:
-    # E1(w) = -gamma - ln w + sum_{k>=1} (-1)^{k+1} w^k / (k k!)
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(1, _MAX_EXPINT_SERIES_TERMS):
-        term *= -w / k
-        add = -term / k
-        total += add
-        if abs(add) < 1e-18 * max(1.0, abs(total)):
-            break
-    return -EULER_GAMMA - cmath.log(w) + total
-
-
-def _e1_continued_fraction_scaled(w: complex) -> complex:
-    # modified Lentz on e^w E1(w) = 1/(w + 1 - 1/(w + 3 - 4/(w + 5 - ...)))
-    tiny = 1e-300
-    b = w + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_CF_TERMS):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h
-
-
-def _e1_asymptotic_scaled(w: complex) -> complex:
-    # e^w E1(w) = (1/w) * sum (-1)^k k!/w^k, truncated at the smallest term
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    prev = 1.0
-    for k in range(1, _MAX_ASYMPTOTIC_TERMS):
-        term *= -k / w
-        if abs(term) > prev:
-            break
-        prev = abs(term)
-        total += term
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return total / w
-
-
 # e^w E1(w) = Int_0^inf e^{-u}/(w+u) du, valid off the cut, by a fixed rule
 # with e^{-u} folded into the weights; used only where the pole at u = -w
-# stays far from the contour (|Im w| > 9 in the Stieltjes wedge).
+# stays far from the contour: |Im w| > 9 in the Stieltjes wedge, and w > 1
+# on the positive axis.
 _E1_NODES, _E1_WEIGHTS = _composite_gauss(((0.0, 4.0), (4.0, 12.0), (12.0, 28.0), (28.0, 55.0)), 48)
 _E1_WEIGHTS = _E1_WEIGHTS * np.exp(-_E1_NODES)
 
 
 # Rows per block of the (rows, nodes) matrix, which bounds its memory; the
-# sum over nodes is einsum's own loop, not BLAS, whose threads would spin on
-# other cores after every large enough product.
+# sum over nodes is einsum's own loop, as in _rule_sum.
 _STIELTJES_BLOCK = 512
 
 
@@ -469,42 +373,30 @@ def _e1_stieltjes_scaled_array(w: np.ndarray) -> np.ndarray:
     out = np.empty_like(w)
     for start in range(0, w.size, _STIELTJES_BLOCK):
         block = w[start:start + _STIELTJES_BLOCK]
-        out[start:start + block.size] = np.einsum("ij,j->i", 1.0 / (block[:, None] + _E1_NODES), _E1_WEIGHTS)
+        out[start:start + block.size] = _rule_sum(1.0 / (block[:, None] + _E1_NODES), _E1_WEIGHTS)
     return out
 
 
-def _check_exp1_domain(zero: bool, upper: bool) -> None:
-    if zero:
-        raise DomainError("E1 diverges at w = 0")
-    if upper:
-        raise DomainError("exp1 is implemented for Im w <= 0 only")
+# E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!) (DLMF 6.6.2) at
+# 0 < x <= 1, in Horner form: the first term left out, k = 19, lies below
+# 5e-19 there.
+_E1_REAL_SERIES = [(-1) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 19)]
+
+
+def exp1_scaled_real(x: float) -> float:
+    """e^x E1(x) for real x > 0: the power series at x <= 1, above it the
+    Stieltjes rule of exp1_scaled_array summed for one x.  Measured against
+    mpmath over [1e-300, 1e300], the error is below 1e-15 of the value at
+    x <= 1 and below 1.1e-14 above, the bias of the rule's weights."""
+    _require_positive(x, "exp1_scaled_real")
+    if x <= 1.0:
+        return math.exp(x) * (-EULER_GAMMA - math.log(x) + x * _horner(x, _E1_REAL_SERIES))
+    return float(_rule_sum(1.0 / (x + _E1_NODES), _E1_WEIGHTS))
 
 
 def exp1_scaled(w: complex) -> complex:
-    """e^w E1(w) for w in the closed lower half plane or on the positive real
-    axis (the image of upper-half-plane energies under w = -b*z).
-
-    Natively scaled in every regime, so it stays O(1/w) even where e^w alone
-    would overflow.  Points on the negative real axis are limits from below
-    the cut, consistent with the package branch policy.
-    """
-    w = complex(w)
-    _check_exp1_domain(w == 0, w.imag > 0.0)
-    if w.imag == 0.0 and w.real < 0.0:
-        # lower lip of the cut: e^w E1(w) = -e^{-x} Ei(x) + i pi e^{-x}, x = -w
-        x = -w.real
-        return complex(-expi_scaled(x), math.pi * math.exp(-x))
-    r = abs(w)
-    if r <= _E1_SERIES_RADIUS:
-        return cmath.exp(w) * _e1_power_series(w)
-    if r >= _E1_ASYMPTOTIC_RADIUS:
-        return _e1_asymptotic_scaled(w)
-    if w.real >= 0.0:
-        return _e1_continued_fraction_scaled(w)
-    if r + w.real <= _E1_NEAR_AXIS:
-        # near the negative axis the alternating series stays cancellation-safe
-        return cmath.exp(w) * _e1_power_series(w)
-    return complex(_e1_stieltjes_scaled_array(np.array([w]))[0])
+    """e^w E1(w) at one w: the 0-d case of exp1_scaled_array."""
+    return complex(exp1_scaled_array([w])[0])
 
 
 def expi_scaled(x: float) -> float:
@@ -541,14 +433,14 @@ def _per_element(step, state, terms: int) -> np.ndarray:
     return out
 
 
-def _e1_power_series_step(k, total, term, w):
+def _e1_series_step(k, total, term, w):
     term = term * (-w / k)
     add = -term / k
     total = total + add
     return (total, term, w), np.abs(add) < 1e-18 * np.maximum(1.0, np.abs(total))
 
 
-def _e1_continued_fraction_step(i, h, b, c, d):
+def _e1_lentz_step(i, h, b, c, d):
     a = -float(i * i)
     b = b + 2.0
     d = 1.0 / (a * d + b)
@@ -581,12 +473,12 @@ def _asymptotic_array(w: np.ndarray, sign: float) -> np.ndarray:
 
 def _e1_series_scaled_array(w: np.ndarray) -> np.ndarray:
     state = (np.zeros_like(w), np.ones_like(w), w)
-    return np.exp(w) * (-EULER_GAMMA - np.log(w) + _per_element(_e1_power_series_step, state, _MAX_EXPINT_SERIES_TERMS))
+    return np.exp(w) * (-EULER_GAMMA - np.log(w) + _per_element(_e1_series_step, state, _MAX_EXPINT_SERIES_TERMS))
 
 
-def _e1_continued_fraction_scaled_array(w: np.ndarray) -> np.ndarray:
+def _e1_lentz_scaled_array(w: np.ndarray) -> np.ndarray:
     d = 1.0 / (w + 1.0)
-    return _per_element(_e1_continued_fraction_step, (d, w + 1.0, np.full_like(w, 1.0 / 1e-300), d), _MAX_CF_TERMS)
+    return _per_element(_e1_lentz_step, (d, w + 1.0, np.full_like(w, 1.0 / 1e-300), d), _MAX_CF_TERMS)
 
 
 def _e1_lower_lip_array(w: np.ndarray) -> np.ndarray:
@@ -616,19 +508,28 @@ def expi_scaled_array(x) -> np.ndarray:
 
 
 def exp1_scaled_array(w) -> np.ndarray:
-    """exp1_scaled elementwise over an array of w, by the same branches and
-    with the same domain errors."""
+    """e^w E1(w) elementwise over an array of w in the closed lower half plane
+    or on the positive real axis (the image of upper-half-plane energies
+    under w = -b*z).
+
+    Natively scaled in every regime, so it stays O(1/w) even where e^w alone
+    would overflow.  Points on the negative real axis are limits from below
+    the cut, consistent with the package branch policy.
+    """
     w = np.asarray(w, dtype=complex)
-    _check_exp1_domain((w == 0).any(), (w.imag > 0.0).any())
+    if (w == 0).any():
+        raise DomainError("E1 diverges at w = 0")
+    if (w.imag > 0.0).any():
+        raise DomainError("exp1 is implemented for Im w <= 0 only")
     flat = w.ravel()
     re, r = flat.real, np.abs(flat)
-    # (condition, evaluation) in the order of precedence of exp1_scaled; an
+    # (condition, evaluation) in the order of precedence of the branches; an
     # element takes the first branch whose condition it meets
     branches = [
         ((flat.imag == 0.0) & (re < 0.0), _e1_lower_lip_array),
         (r <= _E1_SERIES_RADIUS, _e1_series_scaled_array),
         (r >= _E1_ASYMPTOTIC_RADIUS, lambda v: _asymptotic_array(v, -1.0)),
-        (re >= 0.0, _e1_continued_fraction_scaled_array),
+        (re >= 0.0, _e1_lentz_scaled_array),
         (r + re <= _E1_NEAR_AXIS, _e1_series_scaled_array),
     ]
     choice = np.select([cond for cond, _ in branches], range(len(branches)), len(branches))

@@ -651,6 +651,28 @@ class TestBoundaryErrors:
         assert_one_line_error(capsys, code, 2)
         assert not out.exists()
 
+    @pytest.mark.parametrize("regulator", ["gaussian", "circular-well"])
+    def test_scale_ratio_out_of_range(self, tmp_path, capsys, regulator):
+        # kinetic_constant/a^2 underflows to 0 and a^2/kinetic_constant
+        # overflows: a usage error naming both keys, not a traceback from
+        # the logarithm of the nominal cutoff
+        code, out = run_cli(["bind", "--regulator", regulator, "--epsilon", "1e300"], tmp_path,
+                            config_text="kinetic_constant = 1e-300\na = 1e100\n")
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+        assert "kinetic_constant" in err and "a = 1e+100" in err
+        assert not out.exists()
+
+    def test_overflowing_well_depth_names_its_row(self, tmp_path, capsys):
+        # eps*kappa/(pi a^2) overflows from eps = 10: exit 1, and the message
+        # names that coupling
+        code, out = run_cli(["bind", "--regulator", "gaussian,circular-well", "--epsilon", "1:100:3,log"], tmp_path,
+                            config_text="kinetic_constant = 1e300\na = 1e-4\n")
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+        assert "overflows at eps = 10.0" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_cell_is_numerical_failure(self, tmp_path, capsys, fmt):
         # 1/tau0 overflows, so the 1/tau cells are infinite

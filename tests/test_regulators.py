@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from transmute_lab.energy_plane import ComplexEnergy, PhysicalScales, principal_log_ratio
+from transmute_lab.energy_plane import NATURAL_UNITS, ComplexEnergy, PhysicalScales, principal_log_ratio
 from transmute_lab.errors import (
     DivergenceError,
     DomainError,
@@ -20,10 +20,8 @@ from transmute_lab.regulators import (
     PureDelta,
     SharpCutoff,
     decay_amplitude,
-    dimensionless_resolvent,
     negative_axis_resolvent,
     regulator_from_name,
-    regulator_name,
     resolvent_array,
     resolvent_derivative,
     resolvent_element,
@@ -33,6 +31,7 @@ from transmute_lab.regulators import (
 from transmute_lab.tolerances import QUADRATURE_MATCH_RTOL, SPECIAL_FUNCTION_RTOL
 
 FOUR_PI = 4.0 * math.pi
+KAPPA = NATURAL_UNITS.kinetic_constant
 
 
 class TestSpectralWeight:
@@ -80,7 +79,7 @@ class TestResolvent:
         with pytest.raises(DivergenceError):
             resolvent_element(PureDelta(), ComplexEnergy(0.0, 1.0))
         with pytest.raises(DivergenceError):
-            dimensionless_resolvent(PureDelta(), ComplexEnergy(-3.0, 0.0))
+            resolvent_element(PureDelta(), ComplexEnergy(-3.0, 0.0))
 
     def test_sharp_cutoff_closed_form_is_log_ratio(self):
         reg = SharpCutoff(100.0)
@@ -95,7 +94,7 @@ class TestResolvent:
             (ComplexEnergy(-2.5, 0.0), math.log(2.5 / lam)),
             (ComplexEnergy(0.0, 1.0), math.log(1.0 / lam) + 1j * math.pi / 2.0),
         ):
-            value = dimensionless_resolvent(SharpCutoff(lam), z)
+            value = KAPPA * resolvent_element(SharpCutoff(lam), z)
             # arg(-z): the negative axis maps to 0, the upper axis to pi/2 - pi
             expected = (neg_log - (0 if z.im == 0 else 1j * math.pi)) / FOUR_PI
             assert value == pytest.approx(expected, rel=3e-9)
@@ -105,13 +104,13 @@ class TestResolvent:
         lam = 1.0
         for eps in (0.7, 1.0, 2.0):
             e_b = lam * math.exp(-FOUR_PI / eps)
-            value = dimensionless_resolvent(SharpCutoff(lam), ComplexEnergy(-e_b, 0.0))
+            value = KAPPA * resolvent_element(SharpCutoff(lam), ComplexEnergy(-e_b, 0.0))
             assert value.imag == 0.0
             assert value.real == pytest.approx(-1.0 / eps, abs=2.0 * e_b / lam)
 
     def test_hand_value_lambda_e4(self):
         # Lambda = e^4 |z|, z = -1: I = ln(1/(1+e^4))/(4 pi), close to -1/pi
-        value = dimensionless_resolvent(SharpCutoff(math.e**4), ComplexEnergy(-1.0, 0.0))
+        value = KAPPA * resolvent_element(SharpCutoff(math.e**4), ComplexEnergy(-1.0, 0.0))
         assert value.real == pytest.approx(math.log(1.0 / (1.0 + math.e**4)) / FOUR_PI, rel=1e-15)
         assert value.real == pytest.approx(-1.0 / math.pi, abs=2e-3)
 
@@ -262,8 +261,8 @@ class TestSlideKernel:
         for z in (ComplexEnergy(0.0, 1.0), ComplexEnergy(-2.0, 0.0), ComplexEnergy(1.0, 1.0)):
             assert z.magnitude() / lam <= 1e-6
             diff = (
-                dimensionless_resolvent(SharpCutoff(lam_p), z)
-                - dimensionless_resolvent(SharpCutoff(lam), z)
+                KAPPA * resolvent_element(SharpCutoff(lam_p), z)
+                - KAPPA * resolvent_element(SharpCutoff(lam), z)
             )
             assert diff.real == pytest.approx(expected, abs=1e-5)
             assert abs(diff.imag) <= 1e-5
@@ -271,7 +270,7 @@ class TestSlideKernel:
 
 class TestNames:
     def test_round_trip(self):
-        assert regulator_name(regulator_from_name("pure-delta")) == "pure-delta"
+        assert regulator_from_name("pure-delta") == PureDelta()
         assert regulator_from_name("sharp-cutoff", cutoff=3.0) == SharpCutoff(3.0)
         assert regulator_from_name("gaussian", length=0.5) == GaussianFormFactor(0.5)
 
