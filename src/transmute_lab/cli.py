@@ -30,10 +30,12 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import json
 import math
 import re
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +65,7 @@ from .tolerances import (
     UNITARITY_DEFECT_TOL,
 )
 from .oracle.well import WellParameters, well_bound_state, well_from_coupling, well_phase_shift_array
+from .render import csv_lines, fmt_cell as _fmt
 
 __all__ = ["main"]
 
@@ -126,8 +129,10 @@ def _parse_grid(text: str) -> list[float]:
         return [lo]
     if spacing == "log":
         la, lb = math.log10(lo), math.log10(hi)
-        # base-10 exponents keep decade schedules exact
-        pts = [10.0 ** (la + (lb - la) * i / (n - 1)) for i in range(n)]
+        # base-10 exponents keep decade schedules exact; the exponents take
+        # the IEEE operations of la + (lb - la) * i / (n - 1) in that order,
+        # and libm pow, not np.power, which may differ in the last bit
+        pts = list(map(math.pow, itertools.repeat(10.0), (la + (lb - la) * np.arange(n) / (n - 1)).tolist()))
     else:
         pts = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     pts[0], pts[-1] = lo, hi
@@ -215,30 +220,6 @@ def _ordered_map(fn, items):
 # table model and deterministic rendering
 # ----------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.16e}"
-
-
-# cell types that a %-template renders exactly as _fmt does
-_CELL_FORMATS = {float: "%.16e", int: "%d", str: "%s", type(None): "%.0s"}
-
-
-def _row_template(kinds: tuple) -> str | None:
-    """The %-template of a row whose cells have these types, or None when a
-    type has no template (bool, numpy scalars) and _fmt renders the row."""
-    if not all(kind in _CELL_FORMATS for kind in kinds):
-        return None
-    return ",".join(_CELL_FORMATS[kind] for kind in kinds) + "\n"
-
-
 # cell types that a %-template renders exactly as json.dump does: float and
 # int through their repr, None as null (the %.0s consumes the cell)
 _JSON_CELL_FORMATS = {float: "%r", int: "%d", type(None): "%.0snull"}
@@ -296,7 +277,7 @@ class Table:
     description: str
     config: dict[str, str]
     columns: list[tuple[str, str]]
-    rows: list[list | tuple] = field(default_factory=list)
+    rows: Sequence[list | tuple] = field(default_factory=list)
     footer: dict[str, object] = field(default_factory=dict)
 
     def write_csv(self, stream) -> None:
@@ -309,15 +290,12 @@ class Table:
         for name, desc in self.columns:
             w(f"#   {name}: {desc}\n")
         w(",".join(name for name, _ in self.columns) + "\n")
-        # one template per distinct row of cell types: a table has one or a
-        # few (None cells and status strings vary by row)
-        templates: dict[tuple, str | None] = {}
-        for row in self.rows:
-            kinds = tuple(map(type, row))
-            if kinds not in templates:
-                templates[kinds] = _row_template(kinds)
-            template = templates[kinds]
-            w(template % tuple(row) if template else ",".join(_fmt(cell) for cell in row) + "\n")
+        if isinstance(self.rows, Columns):
+            cells, blank = self.rows.cells, self.rows.blank
+        else:
+            cells, blank = list(zip(*self.rows, strict=True)), {}
+        for text in csv_lines(cells, blank):
+            w(text)
         for key, value in sorted(self.footer.items()):
             w(f"# {key}={_fmt(value)}\n")
 
@@ -341,13 +319,43 @@ class Table:
         stream.write("\n")
 
 
-def _rows(columns: list[tuple[str, str]], cells: list, blank: dict[int, np.ndarray] | None = None) -> list[tuple]:
+class Columns(Sequence):
+    """The rows of a table held as its columns, as the commands compute
+    them: float arrays, or lists of cells, and per array column the mask of
+    its blank (None) cells.  It reads as the list of row tuples; write_csv
+    renders the columns as they are."""
+
+    def __init__(self, cells: list, blank: dict[int, np.ndarray]):
+        self.cells, self.blank = cells, blank
+
+    def __len__(self) -> int:
+        return len(self.cells[0]) if self.cells else 0
+
+    def __getitem__(self, i):
+        return self._tuples[i]
+
+    def __iter__(self):
+        return iter(self._tuples)
+
+    @functools.cached_property
+    def _tuples(self) -> list[tuple]:
+        out = []
+        for j, col in enumerate(self.cells):
+            if isinstance(col, np.ndarray):
+                col = col.tolist()
+                if (empty := self.blank.get(j)) is not None:
+                    for i in np.flatnonzero(empty).tolist():
+                        col[i] = None
+            out.append(col)
+        return list(zip(*out))
+
+
+def _rows(columns: list[tuple[str, str]], cells: list, blank: dict[int, np.ndarray | None] | None = None) -> Columns:
     """Table rows from per-column cells: float arrays, or lists of strings.
     ``blank`` maps a column index to a mask of cells left empty (None).
     Every other float cell must be finite; the first column that holds a
     non-finite one makes the table a numerical failure naming its row."""
-    blank = blank or {}
-    out = []
+    blank = {j: empty for j, empty in (blank or {}).items() if empty is not None}
     for j, ((name, _), col) in enumerate(zip(columns, cells)):
         if isinstance(col, np.ndarray):
             empty = blank.get(j)
@@ -355,12 +363,7 @@ def _rows(columns: list[tuple[str, str]], cells: list, blank: dict[int, np.ndarr
             if bad.any():
                 i = int(np.argmax(bad))
                 raise TransmuteLabError(f"non-finite {name} = {float(col[i])!r} in row {i + 1}")
-            col = col.tolist()
-            if empty is not None:
-                for i in np.flatnonzero(empty).tolist():
-                    col[i] = None
-        out.append(col)
-    return list(zip(*out))
+    return Columns(cells, blank)
 
 
 def _emit(table: Table, opts: Options) -> None:

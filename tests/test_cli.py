@@ -2,6 +2,7 @@
 config/flag precedence."""
 
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import transmute_lab
-from transmute_lab import cli, special
+from transmute_lab import cli, render, special
 from transmute_lab.cli import main
 from transmute_lab.errors import TransmuteLabError
 from transmute_lab.tolerances import FLOW_GROUP_RTOL, ROUTE_AGREEMENT_RTOL, UNITARITY_DEFECT_TOL
@@ -66,6 +67,15 @@ def parse_csv(path):
 def cell(row, header, name):
     value = row[header.index(name)]
     return None if value == "" else value
+
+
+@pytest.mark.parametrize("lo, hi, n", [(1e-6, 1e6, 5000), (2.5, 3.7e300, 777), (1e-300, 1e-299, 2), (1e3, 1e-3, 13),
+                                        (7.0, 7.0, 4)])
+def test_log_grid_matches_the_per_point_formula(lo, hi, n):
+    la, lb = math.log10(lo), math.log10(hi)
+    expected = [10.0 ** (la + (lb - la) * i / (n - 1)) for i in range(n)]
+    expected[0], expected[-1] = lo, hi
+    assert [v.hex() for v in cli._parse_grid(f"{lo!r}:{hi!r}:{n},log")] == [v.hex() for v in expected]
 
 
 class TestFlow:
@@ -513,6 +523,131 @@ class TestRender:
         table.write_csv(buf)
         body = buf.getvalue().splitlines()[-len(rows):]
         assert body == [",".join(cli._fmt(c) for c in row) for row in rows]
+
+
+def kernel_text(values):
+    """The cells that format_e16 renders, as text."""
+    rows = render.format_e16(np.array(values, dtype=float)).view(np.uint8)
+    return [bytes(row[row != 0xFF]).decode() for row in rows]
+
+
+def percent_e16(values):
+    return ["%.16e" % v for v in values]
+
+
+class TestFloatKernel:
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = [float(f"1e{k}") for k in range(-323, 309)]
+        values = powers + [math.nextafter(p, math.inf) for p in powers] + [math.nextafter(p, 0.0) for p in powers]
+        values += [-v for v in values]
+        assert kernel_text(values) == percent_e16(values)
+
+    def test_floor_of_y_guards_the_lower_range(self):
+        # the double of 1e-277 lies just below 10^-277 while log10 returns
+        # exactly -277: y rounds up to 10^16 at the wrong exponent
+        assert kernel_text([1e-277]) == ["9.9999999999999997e-278"]
+
+    def test_edge_values(self):
+        tiny, huge = sys.float_info.min, sys.float_info.max
+        values = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, huge, -huge, 1e-280, 1e280, 1.0, -1.0, 0.1, 1e22, 1e23]
+        values += [float(i) for i in range(200001)]
+        values += [i + 0.5 for i in range(-2000, 2000)]
+        # exact ties of the 17th digit, which '%.16e' rounds to even: odd
+        # multiples of 2^-j whose 18th digit is a 5
+        values += [(8 * 10**14 + 2 * k + 1) / 2.0**j for k in range(200) for j in range(1, 6)]
+        assert kernel_text(values) == percent_e16(values)
+
+    def test_near_ties_fall_back(self):
+        # doubles whose y lies within 1.5e-14 of a half-integer, on both
+        # sides, where the error of the computed y can cross 1/2
+        values = []
+        for d in (1, -1):
+            # x = m 2^-(s + k): y = m 5^k / 2^s = K + 1/2 + d 2^-s
+            for k, s in ((20, 46), (25, 57), (30, 69)):
+                m = (2 ** (s - 1) + d) * pow(5**k, -1, 2**s) % 2**s
+                m += -(-(10**16 * 2**s // 5**k - m) // 2**s) * 2**s
+                values += [m / 2 ** (s + k) for m in range(m, 2**53, 2**s)]
+            # x = m 2^67: y = m 2^47 / 5^20 = K + 1/2 + d / (2 5^20)
+            m = (5**20 + d) // 2 * pow(2**47, -1, 5**20) % 5**20
+            m += -(-(10**16 * 5**20 // 2**47 - m) // 5**20) * 5**20
+            values += [float(m * 2**67) for m in range(m, 2**53, 5**20)]
+        assert len(values) > 80
+        assert kernel_text(values) == percent_e16(values)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), max_size=64),
+           floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=64))
+    def test_renders_as_percent_format(self, bits, floats):
+        raw = np.array(bits, dtype=np.uint64).view(np.float64).tolist()
+        values = [v for v in raw if math.isfinite(v)] + floats
+        assert kernel_text(values) == percent_e16(values)
+
+    def test_non_finite_cells_render_as_percent_format(self):
+        values = [math.inf, -math.inf, math.nan, 1.0]
+        assert kernel_text(values) == percent_e16(values)
+
+
+# SHA-256 of the CSV of small tables, pinned from the template renderer that
+# wrote one '%.16e' per cell.  Together they hold every kind of cell the
+# commands write: blank cells (a pole row, a zero anchor, the vacuous
+# envelope, the phase shift of a violating row), NO_BOUND_STATE and
+# UNITARITY_VIOLATION rows, the int step index of transmute, and 0.0 and
+# -0.0 cells (sharp cutoff above its cutoff).  Their numbers come from
+# numpy's log and libm; a numpy build whose log rounds differently in the
+# last bit changes a digest without a fault in the renderer.
+GOLDEN_CSV = [
+    (["flow"], None, "7434f403a51cb0fdcab6a097969d759a5d001d1621148b714a879ef166c62f4f"),
+    (["flow", "--energy", "1:10:3,log"], "tau0_re = 0\n",
+     "d1b7feeb24d933bf21d185780145dad78955b9b2e36d29e14e929d84d014f1ea"),
+    (["bind", "--regulator", "sharp-cutoff,pure-delta", "--epsilon", "0.5:2:3,log"], None,
+     "8c4f2a689b46a98f25fff152a753c69ffd04d6d49ca762fedcde4dccc206bc00"),
+    (["scatter", "--energy", "1e-3:1e3:7,log", "--tol-override", "unitarity_defect_tol=1e-20"], None,
+     "d8c026f213ce0b0fcb4f4acd7923c9b14fde3f005faeac4f96028a677186a387"),
+    (["transmute"], None, "1099302dc6aa70ae80dcb83f1461af7976b0abe7ebd53f9e88e11acc3cabad21"),
+    (["scatter", "--regulator", "sharp-cutoff", "--epsilon", "1", "--lambda", "4", "--energy", "1:16:4,log"], None,
+     "623dce438ba71afc91771a06fb4b375fb120f16453a717cd3d4a3ef38d40fc9f"),
+    (["theorem", "--epsilon", "1", "--lambda", "1e2:1e12:6,log"], None,
+     "c72a918cc3fc97bbd6775aceb61dac67a7399641982abb172a9b44da7ba8b47c"),
+]
+
+
+@pytest.mark.parametrize("args, config, digest", GOLDEN_CSV, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_golden_csv_digests(args, config, digest, tmp_path):
+    code, out = run_cli(args, tmp_path, config_text=config)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args", [
+    ["flow"],
+    ["bind", "--regulator", "sharp-cutoff,gaussian,pure-delta", "--epsilon", "0.5:2:3,log"],
+    ["theorem", "--epsilon", "1", "--lambda", "1e2:1e12:6,log"],
+    ["transmute"],
+    ["scatter", "--energy", "1e-3:1e3:13,log", "--tol-override", "unitarity_defect_tol=1e-20"],
+], ids=lambda args: args[0])
+def test_csv_cells_read_back_as_json_cells(args, tmp_path):
+    # the two renderers agree cell by cell: a float to the bit, the sign of
+    # zero too; a blank CSV cell is null; strings and ints alike
+    assert run_cli(args, tmp_path, "out.csv")[0] == 0
+    assert run_cli(args + ["--format", "json"], tmp_path, "out.json")[0] == 0
+    header, csv_rows, _ = parse_csv(tmp_path / "out.csv")
+    doc = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    assert header == [c["name"] for c in doc["columns"]]
+    assert len(csv_rows) == len(doc["rows"]) > 0
+    kinds = set()
+    for csv_row, json_row in zip(csv_rows, doc["rows"]):
+        assert len(csv_row) == len(json_row)
+        for text, value in zip(csv_row, json_row):
+            kinds.add(type(value))
+            if value is None:
+                assert text == ""
+            elif isinstance(value, float):
+                assert float(text).hex() == value.hex()
+            elif isinstance(value, int):
+                assert text == str(value)
+            else:
+                assert text == value
+    assert float in kinds
 
 
 def reference_json(table):
