@@ -31,9 +31,7 @@ import argparse
 import functools
 import io
 import itertools
-import json
 import math
-import re
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -65,7 +63,7 @@ from .tolerances import (
     UNITARITY_DEFECT_TOL,
 )
 from .oracle.well import WellParameters, well_bound_state, well_from_coupling, well_phase_shift_array
-from .render import csv_lines, fmt_cell as _fmt
+from .render import csv_lines, fmt_cell as _fmt, json_cell, json_lines
 
 __all__ = ["main"]
 
@@ -220,64 +218,13 @@ def _ordered_map(fn, items):
 # table model and deterministic rendering
 # ----------------------------------------------------------------------
 
-# cell types that a %-template renders exactly as json.dump does: float and
-# int through their repr, None as null (the %.0s consumes the cell)
-_JSON_CELL_FORMATS = {float: "%r", int: "%d", type(None): "%.0snull"}
-# a row cell sits at depth 3 of the JSON document, indented by 2 per depth
-_JSON_CELL_INDENT = "\n      "
-# a non-finite float that %r wrote: a cell line of its own, where a string
-# cell would start with a quote
-_NON_FINITE_CELL = re.compile(r"^ {6}(-?inf|nan),?$", re.MULTILINE)
-
-
-def _json_cell(cell) -> str:
-    """A cell that no template covers, as json.dump renders it in a row."""
-    if type(cell) is str:
-        # a string renders alike at any indent, and json.dumps without
-        # arguments skips building an encoder: a third of the cost
-        return json.dumps(cell)
-    return json.dumps(cell, sort_keys=True, indent=2, allow_nan=False).replace("\n", _JSON_CELL_INDENT)
-
-
-def _json_row_template(kinds: tuple) -> tuple[str, tuple[int, ...]]:
-    """The %-template of a JSON row whose cells have these types, and the
-    positions of the cells that _json_cell renders first."""
-    if not kinds:
-        return "    []", ()
-    cells = ("," + _JSON_CELL_INDENT).join(_JSON_CELL_FORMATS.get(kind, "%s") for kind in kinds)
-    return "    [" + _JSON_CELL_INDENT + cells + "\n    ]", tuple(
-        j for j, kind in enumerate(kinds) if kind not in _JSON_CELL_FORMATS)
-
-
-def _json_rows(rows) -> str:
-    """The rows array as json.dump(indent=2, allow_nan=False) writes it in
-    a table document, through one %-template per distinct row of cell types."""
-    templates: dict[tuple, tuple[str, tuple[int, ...]]] = {}
-    parts = []
-    for row in rows:
-        kinds = tuple(map(type, row))
-        if kinds not in templates:
-            templates[kinds] = _json_row_template(kinds)
-        template, rendered = templates[kinds]
-        if rendered:
-            row = list(row)
-            for j in rendered:
-                row[j] = _json_cell(row[j])
-        parts.append(template % tuple(row))
-    text = ",\n".join(parts)
-    # json.dump refuses non-finite floats; %r writes them as inf or nan
-    if ("inf" in text or "nan" in text) and (bad := _NON_FINITE_CELL.search(text)):
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad.group(1)}")
-    return text
-
-
 @dataclass
 class Table:
     command: str
     description: str
     config: dict[str, str]
     columns: list[tuple[str, str]]
-    rows: Sequence[list | tuple] = field(default_factory=list)
+    rows: Columns | Sequence[list | tuple] = field(default_factory=list)
     footer: dict[str, object] = field(default_factory=dict)
 
     def write_csv(self, stream) -> None:
@@ -301,53 +248,66 @@ class Table:
 
     def write_json(self, stream) -> None:
         """The table as json.dump(obj, sort_keys=True, indent=2,
-        allow_nan=False) writes it; the rows go through _json_rows, since
-        with indent json.dump always runs its pure-Python encoder."""
-        obj = {
-            "command": self.command,
-            "description": self.description,
-            "config": self.config,
-            "columns": [{"name": n, "description": d} for n, d in self.columns],
-            "rows": [],
-            "footer": {k: v for k, v in self.footer.items()},
-        }
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        allow_nan=False) writes it, with obj the dict of command,
+        description, config, columns (dicts of name and description), rows
+        and footer; since with indent json.dump always runs its pure-Python
+        encoder, the document is written by hand, its rows by json_lines."""
+        head = (f"{{\n  \"columns\": {_json_columns(tuple(self.columns))},\n"
+                f"  \"command\": {json_cell(self.command, _JSON_INDENT)},\n"
+                f"  \"config\": {_json_dict(self.config)},\n"
+                f"  \"description\": {json_cell(self.description, _JSON_INDENT)},\n"
+                f"  \"footer\": {_json_dict(self.footer)},\n"
+                f"  \"rows\": [")
+        w = stream.write
+        w(head)
         if self.rows:
-            # "rows" sorts last: the document ends with its empty list, "[]\n}"
-            text = text[:-4] + "[\n" + _json_rows(self.rows) + "\n  ]\n}"
-        stream.write(text)
-        stream.write("\n")
+            if isinstance(self.rows, Columns):
+                parts = json_lines(self.rows.cells, self.rows.blank)
+            else:
+                # each run of rows of one length as columns: a table of
+                # rows of equal length (every command's) is one run
+                parts = []
+                for length, run in itertools.groupby(self.rows, len):
+                    run = list(run)
+                    parts += json_lines(list(zip(*run)), {}) if length else ["    [],\n"] * len(run)
+            w("\n" + "".join(parts)[:-2] + "\n  ")
+        w("]\n}\n")
 
 
-class Columns(Sequence):
+# a member of the table document sits at depth 1, indented by 2 per depth
+_JSON_INDENT = "\n  "
+
+
+@functools.lru_cache(maxsize=64)
+def _json_columns(columns: tuple[tuple[str, str], ...]) -> str:
+    """The columns member of the table document: each command has one list
+    of columns, so its text is built once."""
+    if not columns:
+        return "[]"
+    return "[" + ",".join(f"\n    {{\n      \"description\": {json_cell(d)},\n      \"name\": {json_cell(n)}\n    }}"
+                          for n, d in columns) + _JSON_INDENT + "]"
+
+
+def _json_dict(mapping: dict) -> str:
+    """A dict with str keys at depth 1 of the table document."""
+    if not mapping:
+        return "{}"
+    members = ",".join(f"\n    {json_cell(key)}: {json_cell(value, _JSON_INDENT + '  ')}"
+                       for key, value in sorted(mapping.items()))
+    return "{" + members + _JSON_INDENT + "}"
+
+
+class Columns:
     """The rows of a table held as its columns, as the commands compute
     them: float arrays, or lists of cells, and per array column the mask of
-    its blank (None) cells.  It reads as the list of row tuples; write_csv
-    renders the columns as they are."""
+    its blank (None) cells.  write_csv and write_json render the columns as
+    they are."""
 
     def __init__(self, cells: list, blank: dict[int, np.ndarray]):
         self.cells, self.blank = cells, blank
 
     def __len__(self) -> int:
         return len(self.cells[0]) if self.cells else 0
-
-    def __getitem__(self, i):
-        return self._tuples[i]
-
-    def __iter__(self):
-        return iter(self._tuples)
-
-    @functools.cached_property
-    def _tuples(self) -> list[tuple]:
-        out = []
-        for j, col in enumerate(self.cells):
-            if isinstance(col, np.ndarray):
-                col = col.tolist()
-                if (empty := self.blank.get(j)) is not None:
-                    for i in np.flatnonzero(empty).tolist():
-                        col[i] = None
-            out.append(col)
-        return list(zip(*out))
 
 
 def _rows(columns: list[tuple[str, str]], cells: list, blank: dict[int, np.ndarray | None] | None = None) -> Columns:

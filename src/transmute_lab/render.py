@@ -1,64 +1,96 @@
-"""CSV cell rendering: every cell as ``fmt_cell`` writes it, with the float
-cells of a table rendered in one numpy pass instead of one ``'%.16e' % v``
-call each.
+"""Table cell rendering: every cell as ``fmt_cell`` (CSV) or ``json_cell``
+(JSON) writes it, with the float cells of a table rendered in one numpy pass
+instead of one ``'%.16e' % v`` or ``repr(v)`` call each.
 
-At 17 significant digits CPython's float formatting leaves its fast path and
-takes the bignum route of David Gay's dtoa, about 0.85 us a cell.  The
-kernel ``format_e16`` renders the same bytes in a fixed number of array
-operations per table:
+Both formats take CPython's bignum route of David Gay's dtoa for every float
+(Gay, "Correctly rounded binary-decimal and decimal-binary conversions",
+1990): '%.16e' since its 17 digits leave the fast path, repr since its
+shortest-digit mode always does; about 0.9 us a cell.  The kernels render
+the same bytes in a fixed number of array operations per table, from one
+digit core, ``digits17``:
 
-1. E = floor(log10|x|).
+1. E = floor(log10|x|), from the binary exponent b of |x| (np.frexp):
+   floor((b - 1) log10 2) or one more, as a table of the smallest double
+   >= 10^(E + 1) tells.  E is exact, so 10^16 <= y < 10^17 below.
 2. y = |x| 10^(16 - E) as the unevaluated sum hp + t, from Dekker's product
    (Numer. Math. 18, 1971).  The table holds 10^(16 - E) as a high part
    rounded to 26 bits and the correctly rounded remainder lo.  |x| is split
-   by Veltkamp into halves ch + cl of 26 bits each, so hp = ch * high and
-   cl * high are exact, and t = cl * high + |x| * lo.  Both terms of t are
-   at most about 2^-26 y, under 1.7e9 where y < 1.1e17, so the rounding of
-   |x| * lo, of lo itself and of the sum leave t within 5.5e-7 of y - hp.
-   Where the power is exact in 26 bits (E from 5 to 16), t and y are exact.
-3. N = hp + rint(t).  N is the correctly rounded 17-digit significand when
-   floor(y) >= 10^16, N < 10^17, and the fraction t - rint(t) is not within
-   1e-6 of 1/2, unless y is exact: then rint rounds a tie to even, as
-   '%.16e' does.  The lower check is on floor(y), by the sign of
-   (hp - 10^16) + t, not on N: 1e-277, whose double lies just below
-   10^-277, has log10 = -277 and y just below 10^16, which rounds to
-   N = 10^16 at the wrong exponent.  A y less than 5.5e-7 below 10^16 may
-   pass; it renders as 1.0000000000000000eE, its correct rounding at E - 1
-   too.
-4. The 17 digits come from a table of the 10^4 four-digit strings, the sign
-   and the lead digit from a table of 20, and the exponent from a table of
-   suffixes.
-5. A cell that step 3 cannot prove, or whose |x| lies outside
-   [1e-280, 1e280], where the products could underflow or overflow, is
-   rendered by '%.16e' itself (Gay, "Correctly rounded binary-decimal and
-   decimal-binary conversions", 1990).  Zeros render exactly, -0.0 too.
+   into a high part ch of 27 bits and cl of 26 (its bits cut), so hp = ch *
+   high and cl * high are exact, and t = cl * high + |x| * lo.  Both terms
+   of t are at most about 2^-26 y, under 1.7e9 where y < 1.1e17, so the
+   rounding of |x| * lo, of lo itself and of the sum leave t within 5.5e-7
+   of y - hp.  Where the power is exact in 26 bits (E from 5 to 16), t and
+   y are exact.
+3. N = hp + rint(t), with the residual t - rint(t).  N is the correctly
+   rounded 17-digit significand where the residual is not within 1e-6 of
+   1/2, unless y is exact: then rint rounds a tie to even, as '%.16e' does.
+   An N of 10^17 (y within 1/2 below it) is 10^16 at E + 1.  A cell that
+   step 3 cannot prove, or whose |x| lies outside [1e-281, 1e280], where the
+   products could underflow or overflow, is rendered by '%.16e' or repr
+   itself.  Zeros render exactly, -0.0 too.
+
+``format_e16`` lays N out as '%.16e': the 17 digits from a table of the
+10^4 four-digit strings, the sign and the lead digit from a table of 20, the
+exponent from a table of suffixes.
+
+``format_repr`` finds repr's shortest digits in y's units.  The half-ulp of
+|x| = f 2^b (np.frexp) is h = 10^(16 - E) 2^(b - 54), in [0.55, 11]; below a
+power of two (f = 1/2) the doubles lie twice as dense, and the interval
+reaches h/2 down.  Every decimal whose digits round-trip lies strictly
+inside the interval around y, so repr takes the integer inside it with the
+most trailing zeros, the nearest to y among those: a multiple of 100 occurs
+there at most once (the interval is at most 22 wide), else the nearest
+multiple of 10 inside, else N itself.  Per level s = 10, 100 the candidates
+are N - (N mod s) and the multiple above it, at distances (N mod s) +
+residual and s minus that.  Rounding up to 10^17 carries to one digit at
+E + 1.  A cell falls back to repr where the end of the interval lies within
+1e-6 of a candidate that the other one does not beat, where two candidates
+lie within 1e-6 of equally near (repr then rounds the last digit to even),
+or on any fallback of step 3.  repr writes a decimal point position E + 1
+below -3 or above 16 in exponent form (at least two exponent digits), the
+others in fixed form, with a trailing '.0' where it has no point.  The cell
+holds the sign, '0.000', the 17 digits each followed by a slot for the
+point, and the exponent suffix, from byte tables; the mask of its layout (by
+digit count and point position or exponent form) drops what the cell does
+not show and sets its point.
 
 Each cell sits in a slot of 4-byte words, padded with 0xFF, a byte that
-never occurs in UTF-8 (a NUL may occur in a string cell), and the rows of a
-block of rows form one matrix: one mask drops the padding of every cell,
-and the text is decoded once.  Strings, ints, None and every other cell that
-is not an exact float go through a per-table lookup of their encoded bytes.
+never occurs in UTF-8 (a NUL may occur in a string cell), inside the frame
+of its row (',' or '\\n' for CSV, '      cell,\\n' for JSON), and the rows of
+a block of rows form one matrix, whose bytes drop the padding of every cell
+at once (bytes.translate) and are decoded once.  Strings, ints, None and
+every other cell that is not a float go through a per-table lookup of their
+encoded bytes.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-__all__ = ["csv_lines", "fmt_cell", "format_e16"]
+__all__ = ["csv_lines", "digits17", "fmt_cell", "format_e16", "format_repr", "json_cell", "json_lines"]
 
 _PAD = 0xFF
 _PAD_WORD = 0xFFFFFFFF
-# a float cell in 4-byte words: sign and lead digit, 16 digits, exponent
-_WORDS = 7
-# the exponents E whose 10^(16 - E) the product takes: |x| in [1e-280, 1e280]
-_E_MIN, _E_MAX = -281, 280
-_LO, _HI = 1e-280, 1e280
-_VELTKAMP = 134217729.0  # 2^27 + 1
+# a '%.16e' cell in 4-byte words: sign and lead digit, 16 digits, exponent
+_E16_WORDS = 7
+# the exponents E whose 10^(16 - E) the product takes: |x| in [1e-281, 1e280]
+_E_MIN, _E_MAX = -282, 280
 _TIE_BAND = 1e-6
+# the operands of the kernels' array operations, as 0-d arrays: a Python
+# number costs each call a conversion, a third of it on small tables
+_LO, _HI = np.array(1e-281), np.array(1e280)
+_HIGH27 = np.array(0xFFFFFFFFFC000000, np.uint64)  # the top 27 bits of a double
+_ZERO, _HALF, _TEN, _100 = np.array(0.0), np.array(0.5), np.array(10.0), np.array(100)
+_10E4, _10E8, _10E17 = (np.array(10**k) for k in (4, 8, 17))
 # rows per block: bounds the temporaries at any table size
 _BLOCK_ROWS = 512
+# cell types whose equal values encode alike: their bytes are looked up by
+# (type, value); a float subclass is rendered as a float
+_KEYED = frozenset((str, int, bool, type(None)))
 
 
 def fmt_cell(value) -> str:
@@ -75,115 +107,321 @@ def fmt_cell(value) -> str:
     return f"{value:.16e}"
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of a into a high and a low half of 26 bits each."""
-    c = _VELTKAMP * a
-    high = c - (c - a)
-    return high, a - high
+def json_cell(value, indent: str = "\n      ") -> str:
+    """One value as json.dump(indent=2, sort_keys=True, allow_nan=False)
+    writes it where its lines are indented so (by default a table cell, at
+    depth 3 of the document)."""
+    if value is None:
+        return "null"
+    kind = type(value)
+    if kind is int:
+        return "%d" % value
+    if kind is str:
+        # a string renders alike at any indent; this is json.dumps's own
+        return encode_basestring_ascii(value)
+    if kind is float and value - value == 0.0:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", indent)
 
 
-def _words(strings: list[bytes], words: int) -> np.ndarray:
-    """Byte strings padded with 0xFF to this many 4-byte words each."""
-    return np.frombuffer(b"".join(s.ljust(4 * words, b"\xff") for s in strings), np.uint32).reshape(-1, words)
+def _words(strings: list[bytes], words: int, dtype=np.uint32) -> np.ndarray:
+    """Byte strings padded with 0xFF to this many words each."""
+    size = np.dtype(dtype).itemsize * words
+    return np.frombuffer(b"".join(s.ljust(size, b"\xff") for s in strings), dtype).reshape(-1, words)
 
 
-_COMMA, _NEWLINE = _words([b",", b"\n"], 1)[:, 0]
+def _by_exponent(values) -> np.ndarray:
+    """A table of these values for E = _E_MIN ... _E_MAX + 1 that is indexed
+    by E itself: a negative E counts from its end."""
+    return np.roll(np.asarray(values), _E_MIN, axis=0)
 
 
 @functools.cache
-def _tables() -> tuple[np.ndarray, ...]:
-    """Per exponent E in [_E_MIN, _E_MAX]: 10^(16 - E) rounded to 26 bits
-    and the remainder, and the suffix 'e+EE'; the sign with the lead digit
-    and its point; the four-digit strings.  Built at the first render, the
-    remainders by int arithmetic only: int true division rounds correctly."""
-    powers = [(10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16)) for e in range(_E_MIN, _E_MAX + 1)]
-    highs = _split(np.array([num / den for num, den in powers]))[0]
+def _powers() -> tuple[np.ndarray, ...]:
+    """Per exponent E: 10^(16 - E) rounded to 26 bits, the remainder, the
+    residual bound of step 3, the smallest double >= 10^(E + 1), and
+    10^(16 - E) 2^-54; per binary exponent b of |x| (a negative b counts
+    from the end) floor((b - 1) log10 2).  Built at the first render, by
+    int arithmetic only: int true division rounds correctly."""
+    exponents = range(_E_MIN, _E_MAX + 2)
+    powers = [(10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16)) for e in exponents]
+    # Veltkamp's split rounds to the top 26 bits
+    p = np.array([num / den for num, den in powers])
+    c = 134217729.0 * p
+    highs = c - (c - p)
     lows = np.array([(num * q - p * den) / (den * q)
                      for (num, den), (p, q) in zip(powers, map(float.as_integer_ratio, highs.tolist()))])
     # where the power is exact in 26 bits, y is exact and rint rounds a tie
     # to even, as '%.16e' does
     limits = np.where(lows == 0.0, 0.5, 0.5 - _TIE_BAND)
-    suffixes = _words([b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)], 2)
-    heads = _words([sign + b"%d." % d for sign in (b"", b"-") for d in range(10)], 1)[:, 0]
+    above = []
+    for e in exponents:
+        num, den = (10 ** (e + 1), 1) if e >= -1 else (1, 10 ** -(e + 1))
+        p, q = (num / den).as_integer_ratio()
+        above.append(num / den if p * den >= num * q else np.nextafter(num / den, np.inf))
+    # exact in this integer form for |b| < 1650
+    b = np.arange(2048)
+    first = (np.where(b < 1024, b, b - 2048) - 1) * 78913 >> 18
+    return tuple(map(_by_exponent, (highs, lows, limits, above, np.ldexp(highs + lows, -54)))) + (first,)
+
+
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The four-digit strings 0000 ... 9999 as 4-byte words."""
     d = np.arange(10**4)
     digits = (np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1) + ord("0")).astype(np.uint8)
-    return highs, lows, limits, suffixes, heads, digits.view(np.uint32)[:, 0]
+    return digits.view(np.uint32)[:, 0]
+
+
+def digits17(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The digit core of both layouts, per v of a 1-d float64 array: the
+    decimal exponent E of |v|, the 17-digit significand N (0 for a zero),
+    the residual y - N in units of N's last digit, and whether N and the
+    residual are proven to within 5.5e-7; see the module docstring."""
+    highs, lows, limits, above, _, first = _powers()
+    a = np.abs(x)
+    zero = a == _ZERO
+    # a zero is rendered as 1.0 with its lead digit 0; NaN turns into 0 here
+    # and into _LO below, so that c == a fails for it, as out of range
+    a = np.fmax(a, zero)
+    c = np.fmax(np.fmin(a, _HI), _LO)
+    # 2^(b-1) <= c < 2^b: E is floor((b - 1) log10 2) or one more
+    e = first[np.frexp(c)[1]]
+    e += c >= above[e]
+    high = highs[e]
+    # c = ch + cl, ch of 27 bits and cl of 26, so that hp and cl * high
+    # are exact
+    ch = (c.view(np.uint64) & _HIGH27).view(np.float64)
+    hp = ch * high
+    t = (c - ch) * high + c * lows[e]
+    r = np.rint(t)
+    n = hp.astype(np.int64)
+    n += r.astype(np.int64)
+    residual = t - r
+    proven = (c == a) & (np.abs(residual) <= limits[e])
+    n[zero] = 0
+    # y within 1/2 below 10^17 rounds to 10^17: 10^16 at E + 1
+    if x.size and n.max() == 10**17:
+        carry = n == _10E17
+        n[carry] = 10**16
+        e[carry] += 1
+        residual[carry] /= 10
+    return e, n, residual, proven
+
+
+def _fallback(out: np.ndarray, x: np.ndarray, proven: np.ndarray, fmt) -> np.ndarray:
+    """Each unproven cell of out rendered by fmt itself."""
+    if not proven.all():
+        unproven = np.flatnonzero(~proven)
+        out[unproven] = _words([fmt(v).encode() for v in x[unproven].tolist()], out.shape[1], out.dtype)
+    return out
+
+
+def _groups(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n // 10^16 and the four-digit groups of n % 10^16."""
+    halves = np.empty((n.size, 2), np.int64)
+    np.divmod(n, _10E8, out=(halves[:, 0], halves[:, 1]))
+    groups = np.empty((n.size, 4), np.int64)
+    np.divmod(halves, _10E4, out=(groups[:, 0::2], groups[:, 1::2]))
+    lead, groups[:, 0] = np.divmod(groups[:, 0], _10E4)
+    return lead, groups
+
+
+@functools.cache
+def _e16_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The suffix 'e+EE' per E; the sign with the lead digit and its
+    point."""
+    suffixes = _by_exponent(_words([b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 2)], 2))
+    heads = _words([sign + b"%d." % d for sign in (b"", b"-") for d in range(10)], 1)[:, 0]
+    return suffixes, heads
 
 
 def format_e16(x: np.ndarray) -> np.ndarray:
     """'%.16e' % v of every v of a float64 array, as an (n, 7) uint32 matrix
     whose rows, viewed as bytes, hold the text padded with 0xFF."""
-    highs, lows, limits, suffixes, heads, digits = _tables()
+    suffixes, heads = _e16_tables()
     x = np.asarray(x, dtype=np.float64).ravel()
-    a = np.abs(x)
-    zero = a == 0.0
-    # a zero is rendered as 1.0 with its lead digit 0; NaN turns into 0 here
-    # and into _LO below, so that c == a fails for it, as out of range
-    a = np.fmax(a, zero)
-    c = np.fmax(np.fmin(a, _HI), _LO)
-    i = np.floor(np.log10(c)).astype(np.intp) - _E_MIN
-    high = highs[i]
-    ch, cl = _split(c)
-    hp = ch * high
-    t = cl * high + c * lows[i]
-    r = np.rint(t)
-    n = hp.astype(np.int64)
-    n += r.astype(np.int64)
-    # hp - 1e16 is exact wherever hp >= 2^53, and the rounded sum keeps the
-    # sign of the exact one
-    proven = (c == a) & ((hp - 1e16) + t >= 0) & (n < 10**17) & (np.abs(t - r) <= limits[i])
-    n[zero] = 0
+    e, n, _, proven = digits17(x)
     # the sign rides above the 17 digits, into the index of the lead digit
-    n += np.signbit(x) * 10**17
-    halves = np.empty((x.size, 2), np.int64)
-    np.divmod(n, 10**8, out=(halves[:, 0], halves[:, 1]))
-    groups = np.empty((x.size, 4), np.int64)
-    np.divmod(halves, 10**4, out=(groups[:, 0::2], groups[:, 1::2]))
-    lead, groups[:, 0] = np.divmod(groups[:, 0], 10**4)
-    out = np.empty((x.size, _WORDS), np.uint32)
-    out[:, 0] = np.take(heads, lead, mode="clip")
-    out[:, 1:5] = digits[groups]
-    out[:, 5:] = np.take(suffixes, i, axis=0)
-    if not proven.all():
-        unproven = np.flatnonzero(~proven)
-        out[unproven] = _words([b"%.16e" % v for v in x[unproven].tolist()], _WORDS)
-    return out
+    np.add(n, _10E17, out=n, where=np.signbit(x))
+    lead, groups = _groups(n)
+    out = np.empty((x.size, _E16_WORDS), np.uint32)
+    heads.take(lead, out=out[:, 0], mode="clip")
+    _digit_words().take(groups, out=out[:, 1:5], mode="wrap")
+    suffixes.take(e, axis=0, out=out[:, 5:], mode="wrap")
+    return _fallback(out, x, proven, "%.16e".__mod__)
 
 
-def _codes(col, keys: dict, encoded: list) -> list[int]:
-    """The lookup codes of a column's cells, -1 at a float or blank cell;
-    cells are keyed by type and value, since True == 1 == 1.0."""
-    codes = []
-    for cell in col:
-        kind = type(cell)
-        if kind is float or cell is None:
-            codes.append(-1)
-            continue
-        code = keys.get((kind, cell))
-        if code is None:
-            code = keys[kind, cell] = len(encoded)
-            # surrogatepass keeps any str, a lone surrogate too; no UTF-8
-            # byte is 0xFF
-            encoded.append(fmt_cell(cell).encode("utf-8", "surrogatepass"))
-        codes.append(code)
-    return codes
+# a repr in 8-byte words: the sign, the fixed form's leading '0.000' and
+# the lead digit, then the other 16 digits, each digit followed by a slot
+# for the point, then the exponent suffix.  The mask of the cell's layout
+# drops, as 0xFF, what it does not show, and sets the point.
+_REPR_WORDS = 6
+# fixed-form point positions -3 ... 16, then the exponent form
+_LAYOUT_POINTS = 21
+# per level s = 10, 100: s, as a column
+_LEVEL_SIZES = np.array([[10.0], [100.0]])
 
 
 @functools.cache
-def _row_template(columns: int, words: int) -> np.ndarray:
-    """A row of empty cells: one slot of 4-byte words per cell, its last
-    word the separator."""
-    template = np.full((columns, words + 1), _PAD_WORD, np.uint32)
-    template[:, -1] = _COMMA
-    template[-1, -1] = _NEWLINE
-    return template
+def _repr_tables() -> tuple[np.ndarray, ...]:
+    """The sign, '0.000' and the lead digit; the four-digit strings, each
+    digit followed by a point slot; per E the exponent suffix 'e+EE'; per
+    four-digit string the mask of its nonzero digits; per bit length of
+    those masks over the 16 digits after the lead digit (bit 8k + j for
+    digit 4k + j + 1) and per E the layout (digit count, and point position
+    or exponent form); per layout its mask."""
+    heads = _words([sign + b"0.000%d\0" % d for sign in (b"\xff", b"-") for d in range(10)], 1, np.uint64)[:, 0]
+    d = np.arange(10**4)
+    digits = np.zeros((10**4, 8), np.uint8)
+    digits[:, ::2] = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1) + ord("0")
+    suffixes = _by_exponent(_words([b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 2)], 1, np.uint64)[:, 0])
+    columns = _by_exponent([20 if not -3 <= e + 1 <= 16 else e + 4 for e in range(_E_MIN, _E_MAX + 2)])
+    nonzero = sum((d // 10 ** (3 - j) % 10 != 0) << j for j in range(4)).astype(np.uint8)
+    bits = np.arange(33)
+    rows = np.where(bits == 0, 0, (bits - 1) // 8 * 4 + (bits - 1) % 8 + 1) * _LAYOUT_POINTS
+    layouts = (rows[:, None] + columns).astype(np.int16)
+    masks = []
+    for count in range(1, 18):
+        for at in range(-3, 18):
+            mask = bytearray(b"\0" + b"\xff" * (8 * _REPR_WORDS - 1))
+            # digit j at byte 6 + 2j, its point slot after it
+            if at == 17:  # the exponent form
+                shown, point = count, 1 if count > 1 else None
+                mask[-8:] = bytes(8)
+            elif at <= 0:
+                shown, point = count, None
+                mask[1:3 - at] = bytes(2 - at)
+            else:
+                shown, point = max(count, at + 1), at
+            for j in range(shown):
+                mask[6 + 2 * j] = 0
+            if point is not None:
+                mask[5 + 2 * point] = ord(".")
+            masks.append(bytes(mask))
+    return heads, digits.view(np.uint64)[:, 0], suffixes, nonzero, layouts, _words(masks, _REPR_WORDS, np.uint64)
 
 
-def csv_lines(cells: list, blank: dict[int, np.ndarray]):
-    """Yield the CSV text of the rows of these columns, one block of rows at
-    a time.  A column is a float64 array or a sequence of cells; ``blank``
-    maps an array column's index to the mask of its blank cells.  Each cell
-    renders as fmt_cell renders it."""
+def format_repr(x: np.ndarray, fallback=repr) -> np.ndarray:
+    """repr(v) of every v of a float64 array, as an (n, 12) uint32 matrix
+    whose rows, viewed as bytes, hold the text padded with 0xFF; a cell
+    whose digits the kernel cannot prove is rendered by fallback(v)."""
+    scales = _powers()[4]
+    heads, digits, suffixes, nonzero, layouts, masks = _repr_tables()
+    x = np.asarray(x, dtype=np.float64).ravel()
+    e, n, residual, proven = digits17(x)
+    # per level s = 10, 100 (rows): R = N mod s, and the distances from y
+    # down to N - R and up to N - R + s
+    f, b = np.frexp(x)
+    rem = np.empty((2, x.size))
+    np.remainder(n, _100, out=rem[1])
+    np.fmod(rem[1], _TEN, out=rem[0])
+    down = rem + residual
+    up = _LEVEL_SIZES - down
+    # their offsets from the ends of the interval, the half-ulp of |v| in
+    # units of N's last digit (below a power of two, f = 1/2, where the
+    # doubles lie twice as dense, half that), and up - down
+    half = np.ldexp(scales[e], b)
+    off = np.empty((3,) + rem.shape)
+    np.subtract(down, half, out=off[0])
+    np.subtract(up, half, out=off[1])
+    np.subtract(up, down, out=off[2])
+    power = np.abs(f) == _HALF
+    if power.any():
+        off[0][:, power] += 0.5 * half[power]
+    inside = off[:2] < _ZERO
+    # the one above is taken where it lies inside, unless the one below
+    # does and is as near
+    nearer = off[2] >= _ZERO
+    lower = inside[0] & nearer
+    higher = inside[1] & ~lower
+    # an end within 1e-6 decides nothing where the other one wins; nor does
+    # a tie
+    if np.abs(off).min(initial=1.0) <= _TIE_BAND:
+        edge = np.abs(off) <= _TIE_BAND
+        doubt = (edge[0] & nearer) | (edge[1] & ~lower) | (edge[2] & inside[0] & inside[1])
+        proven &= ~(doubt[0] | doubt[1])
+    # the shortest digits: the multiple of 100, else of 10, else N itself
+    shift = np.where(higher, _LEVEL_SIZES - rem, -rem)
+    accepted = inside[0] | inside[1]
+    m = n + np.where(accepted[1], shift[1], np.where(accepted[0], shift[0], _ZERO)).astype(np.int64)
+    if x.size and m.max() == 10**17:
+        carry = m == _10E17
+        m[carry] = 10**16
+        e[carry] += 1
+    # the sign rides above the 17 digits, into the index of the lead digit
+    np.add(m, _10E17, out=m, where=np.signbit(x))
+    lead, groups = _groups(m)
+    out = np.empty((x.size, _REPR_WORDS), np.uint64)
+    heads.take(lead, out=out[:, 0], mode="clip")
+    digits.take(groups, out=out[:, 1:5], mode="wrap")
+    suffixes.take(e, out=out[:, 5], mode="wrap")
+    out |= masks.take(layouts[np.frexp(nonzero[groups].view(np.uint32)[:, 0])[1], e], axis=0)
+    return _fallback(out, x, proven, fallback).view(np.uint32)
+
+
+_COMMA, _NEWLINE = b",", b"\n"
+# a JSON row: its cells at depth 3 of the document, the row at depth 2
+_JSON_FRAME = (b"    [\n      ", b"      ", b",\n", b"\n    ],\n")
+
+
+@functools.cache
+def _row_template(columns: int, words: int, frame: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
+    """A row of empty cells: per cell a slot of 4-byte words, its prefix
+    (that of the first cell, or of the others), its cell, and its suffix
+    (that of the others, or of the last cell); and the prefix words."""
+    first, prefix, suffix, last = frame
+    before = -(-max(len(first), len(prefix)) // 4)
+    after = -(-max(len(suffix), len(last)) // 4)
+    template = np.full((columns, before + words + after), _PAD_WORD, np.uint32)
+    if before:
+        template[:, :before] = _words([prefix], before)
+        template[0, :before] = _words([first], before)
+    template[:, before + words:] = _words([suffix], after)
+    template[-1, before + words:] = _words([last], after)
+    return template, before
+
+
+def _codes(col, kinds: set, keys: dict, encoded: list, encode) -> list[int]:
+    """The lookup codes of a column's cells, -1 at a float cell.  Cells are
+    keyed by type and value, since True == 1 == 1.0; a column of one such
+    type needs no pairs."""
+    if len(kinds) == 1 and (kind := next(iter(kinds))) in _KEYED:
+        cells, values = col, keys.setdefault(kind, {})
+    else:
+        cells, values = list(zip(map(type, col), col)), keys.setdefault(None, {})
+    try:
+        for cell in dict.fromkeys(cells):
+            if cell not in values:
+                kind, value = (type(cell), cell) if cells is col else cell
+                if isinstance(value, float):
+                    values[cell] = -1
+                elif kind in _KEYED:
+                    values[cell] = len(encoded)
+                    # surrogatepass keeps any str, a lone surrogate too; no
+                    # UTF-8 byte is 0xFF
+                    encoded.append(encode(value).encode("utf-8", "surrogatepass"))
+                else:
+                    raise TypeError
+        return list(map(values.__getitem__, cells))
+    except TypeError:
+        # a cell that is not hashable, or whose equal values may encode
+        # apart (a tuple holding 0.0 or -0.0): each encoded on its own
+        codes = []
+        for cell in col:
+            if isinstance(cell, float):
+                codes.append(-1)
+            else:
+                codes.append(len(encoded))
+                encoded.append(encode(cell).encode("utf-8", "surrogatepass"))
+        return codes
+
+
+def _lines(cells: list, blank: dict[int, np.ndarray], kernel, float_words: int, encode, frame):
+    """The text of the rows of these columns, one block of rows at a time;
+    see csv_lines."""
     n = len(cells[0]) if cells else 0
     if n == 0:
         return
@@ -199,38 +437,66 @@ def csv_lines(cells: list, blank: dict[int, np.ndarray]):
             if empty is not None:
                 blanks.append((j, empty))
                 col = np.where(empty, 0.0, col)
-        else:
-            kinds = set(map(type, col))
-            if kinds != {float}:
-                codes = np.array(_codes(col, keys, encoded))
-                if float not in kinds and type(None) not in kinds:
-                    others.append((j, codes, None))
-                    continue
-                present = codes >= 0
-                if present.any():
-                    others.append((j, codes, present))
-                if type(None) in kinds:
-                    blanks.append((j, np.array([cell is None for cell in col])))
-                col = [cell if type(cell) is float else 0.0 for cell in col]
+        elif (kinds := set(map(type, col))) != {float}:
+            codes = _codes(col, kinds, keys, encoded, encode)
+            if -1 not in codes:
+                others.append((j, np.array(codes), None))
+                continue
+            col = [cell if code < 0 else 0.0 for cell, code in zip(col, codes)]
+            codes = np.array(codes)
+            present = codes >= 0
+            if present.any():
+                others.append((j, codes, present))
         floats.append(col)
         positions.append(j)
-    values = np.array(floats).T
-    words = max(_WORDS, (max(map(len, encoded), default=0) + 3) // 4)
-    lookup = _words(encoded, words) if encoded else None
-    template = _row_template(len(cells), words)
+    values = np.array(floats, dtype=np.float64).T
+    words = max(float_words, (max(map(len, encoded), default=0) + 3) // 4)
+    lookup = _words(encoded + [encode(None).encode()], words)
+    template, before = _row_template(len(cells), words, frame)
+    cell = slice(before, before + words)
+    if positions and positions[-1] - positions[0] == len(positions) - 1:
+        positions = slice(positions[0], positions[-1] + 1)
     for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         size = min(n - start, _BLOCK_ROWS)
         block = np.empty((size,) + template.shape, np.uint32)
         block[:] = template
         if positions:
-            block[:, positions, :_WORDS] = format_e16(values[rows]).reshape(size, len(positions), _WORDS)
+            block[:, positions, before:before + float_words] = kernel(values[rows]).reshape(
+                size, -1, float_words)
         for j, empty in blanks:
-            block[empty[rows], j, :_WORDS] = _PAD_WORD
+            block[empty[rows], j, cell] = lookup[-1]
         for j, codes, present in others:
             if present is None:
-                block[:, j, :words] = np.take(lookup, codes[rows], axis=0)
+                block[:, j, cell] = lookup[codes[rows]]
             else:
-                block[present[rows].nonzero()[0], j, :words] = np.take(lookup, codes[rows][present[rows]], axis=0)
-        text = block.view(np.uint8)
-        yield text[text != _PAD].tobytes().decode("utf-8", "surrogatepass")
+                block[present[rows], j, cell] = lookup[codes[rows][present[rows]]]
+        yield block.tobytes().translate(None, b"\xff").decode("utf-8", "surrogatepass")
+
+
+def csv_lines(cells: list, blank: dict[int, np.ndarray]):
+    """Yield the CSV text of the rows of these columns, one block of rows at
+    a time.  A column is a float64 array or a sequence of cells; ``blank``
+    maps an array column's index to the mask of its blank cells.  Each cell
+    renders as fmt_cell renders it."""
+    return _lines(cells, blank, format_e16, _E16_WORDS, fmt_cell, (b"", b"", _COMMA, _NEWLINE))
+
+
+def json_lines(cells: list, blank: dict[int, np.ndarray]):
+    """Yield the rows of these columns as elements of the rows array of a
+    JSON table document, each row followed by ',\\n', one block of rows at a
+    time; as csv_lines, with blank cells null and each cell rendered as
+    json.dump(indent=2, sort_keys=True, allow_nan=False) renders it: a float
+    by repr, and a non-finite float raises ValueError."""
+    return _lines(cells, blank, _json_floats, 2 * _REPR_WORDS, json_cell, _JSON_FRAME)
+
+
+def _json_float(value: float) -> str:
+    """A float as json.dump(allow_nan=False) writes it, or refuses to."""
+    if value - value != 0.0:
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return repr(value)
+
+
+def _json_floats(x: np.ndarray) -> np.ndarray:
+    return format_repr(x, _json_float)

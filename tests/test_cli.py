@@ -524,6 +524,17 @@ class TestRender:
         body = buf.getvalue().splitlines()[-len(rows):]
         assert body == [",".join(cli._fmt(c) for c in row) for row in rows]
 
+    def test_numpy_zero_cells_keep_their_sign(self):
+        # np.float64(0.0) == np.float64(-0.0): a lookup keyed by value
+        # would write the first zero's sign for both
+        rows = [[np.float64(0.0), "OK"], [np.float64(-0.0), "OK"]]
+        table = cli.Table("t", "d", {}, [("a", ""), ("b", "")], rows=rows)
+        buf = io.StringIO()
+        table.write_csv(buf)
+        assert buf.getvalue().splitlines()[-2:] == ["0.0000000000000000e+00,OK", "-0.0000000000000000e+00,OK"]
+        assert json.loads(json_of(table))["rows"] == rows
+        assert [math.copysign(1.0, row[0]) for row in json.loads(json_of(table))["rows"]] == [1.0, -1.0]
+
 
 def kernel_text(values):
     """The cells that format_e16 renders, as text."""
@@ -587,6 +598,96 @@ class TestFloatKernel:
         assert kernel_text(values) == percent_e16(values)
 
 
+def repr_text(values):
+    """The cells that format_repr renders, as text."""
+    rows = render.format_repr(np.array(values, dtype=float)).view(np.uint8)
+    return [bytes(row[row != 0xFF]).decode() for row in rows]
+
+
+def reprs(values):
+    return [repr(v) for v in values]
+
+
+def with_neighbours(values):
+    return values + [math.nextafter(v, math.inf) for v in values] + [math.nextafter(v, -math.inf) for v in values]
+
+
+class TestReprKernel:
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = with_neighbours([float(f"1e{k}") for k in range(-323, 309)])
+        values += [-v for v in values]
+        assert repr_text(values) == reprs(values)
+
+    def test_powers_of_two(self):
+        # below a power of two the doubles lie twice as dense: the rounding
+        # interval is asymmetric
+        values = [2.0**k for k in range(-1074, 1024)]
+        values += [-v for v in values]
+        assert repr_text(values) == reprs(values)
+
+    def test_layout_edges(self):
+        # the point position E + 1 picks the form: fixed from -3 to 16,
+        # exponent form with at least two exponent digits outside
+        values = [0.0001, 1e-05, 9999999999999998.0, 1e16, 1e22, 123456789012345.0, 0.00012345678901234567,
+                  1.2345678901234568e-05, 1234567890123456.8, 1.2345678901234568e16, 1.5e300, 2.5e-300]
+        assert repr_text(values) == ["0.0001", "1e-05", "9999999999999998.0", "1e+16", "1e+22", "123456789012345.0",
+                                     "0.00012345678901234567", "1.2345678901234568e-05", "1234567890123456.8",
+                                     "1.2345678901234568e+16", "1.5e+300", "2.5e-300"]
+        assert repr_text(values) == reprs(values)
+
+    def test_edge_values(self):
+        tiny, huge = sys.float_info.min, sys.float_info.max
+        values = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, huge, -huge, 1.0, -1.0, 0.1, 0.5, 2.5, 1e-281, 1e280]
+        values += [float(i) for i in range(-2000, 2000)] + [i / 8 for i in range(-200, 200)]
+        assert repr_text(values) == reprs(values)
+
+    def test_integers_around_two_to_the_53(self):
+        values = [float(2**53 + k) for k in range(-300, 300)] + [float(2**54 + 4 * k) for k in range(-300, 300)]
+        assert repr_text(values) == reprs(values)
+
+    def test_ties_between_shortest_candidates(self):
+        # y = m 5^12 with m odd ends in a 5 and has half-ulp 7.3: two
+        # 16-digit candidates are equally near, and repr rounds to even
+        values = [(2**28 + 2 * k + 1) / 4096 for k in range(0, 20000, 97)]
+        # 1e23 lies halfway between two doubles; an end of its rounding
+        # interval is the candidate itself
+        values += with_neighbours([1e23, 9007199254740993.0])
+        assert repr_text(values) == reprs(values)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), max_size=64),
+           floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=64))
+    def test_renders_as_repr(self, bits, floats):
+        raw = np.array(bits, dtype=np.uint64).view(np.float64).tolist()
+        values = [v for v in raw if math.isfinite(v)] + floats
+        assert repr_text(values) == reprs(values)
+
+    def test_non_finite_cells_render_as_repr(self):
+        values = [math.inf, -math.inf, math.nan, 1.0]
+        assert repr_text(values) == reprs(values)
+
+
+def test_powers_of_ten_are_proven(monkeypatch):
+    # every 10^k from 1e-280 to 1e279 and both its neighbours: the digit
+    # core proves all, '%.16e' renders all in the array pass, and repr all
+    # but 1e23 and the double above it, whose rounding intervals end on
+    # their shortest decimal (1e23 is halfway between the two doubles)
+    values = np.array(with_neighbours([float(f"1e{k}") for k in range(-280, 280)]))
+    assert render.digits17(values)[3].all()
+    fallbacks = []
+    fallback = render._fallback
+
+    def recording(out, x, proven, fmt):
+        fallbacks.extend(x[~proven].tolist())
+        return fallback(out, x, proven, fmt)
+
+    monkeypatch.setattr(render, "_fallback", recording)
+    render.format_e16(values)
+    assert fallbacks == []
+    render.format_repr(values)
+    assert fallbacks == [1e23, 1.0000000000000001e23]
+
+
 # SHA-256 of the CSV of small tables, pinned from the template renderer that
 # wrote one '%.16e' per cell.  Together they hold every kind of cell the
 # commands write: blank cells (a pole row, a zero anchor, the vacuous
@@ -614,6 +715,31 @@ GOLDEN_CSV = [
 @pytest.mark.parametrize("args, config, digest", GOLDEN_CSV, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_golden_csv_digests(args, config, digest, tmp_path):
     code, out = run_cli(args, tmp_path, config_text=config)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the JSON of the same tables, pinned from the template renderer
+# that wrote one repr per float cell; blank cells are null
+GOLDEN_JSON = [
+    (["flow"], None, "dcfb4e9c0c0a5473c43921e74efc0678c1c74e1d30c602090f418bd1ed9680c7"),
+    (["flow", "--energy", "1:10:3,log"], "tau0_re = 0\n",
+     "9d9aa3042800314fa5525fd135a8116433ae661c07b1d284b88114d7801291ed"),
+    (["bind", "--regulator", "sharp-cutoff,pure-delta", "--epsilon", "0.5:2:3,log"], None,
+     "90fcd44f3b1b4800cdc73c4d3b75963c8612200a5ae81006af76ef90d7f8792d"),
+    (["scatter", "--energy", "1e-3:1e3:7,log", "--tol-override", "unitarity_defect_tol=1e-20"], None,
+     "40c1136859095ed4be84e4c29e6016a436cb6c3929522324e169e3daa739affb"),
+    (["transmute"], None, "29ff41b13ba9ef7d7b66dfebecfedbf588db19d0d176f3dcdc325fea57bdc0ac"),
+    (["scatter", "--regulator", "sharp-cutoff", "--epsilon", "1", "--lambda", "4", "--energy", "1:16:4,log"], None,
+     "e0360d2fc074171e12e064243a010476f972c91483e8f3abc63f418087f20f25"),
+    (["theorem", "--epsilon", "1", "--lambda", "1e2:1e12:6,log"], None,
+     "d733b63049aad760ddda8e3f41ca2f1272bf6e46be77b410891d0ad3e0a1d3c4"),
+]
+
+
+@pytest.mark.parametrize("args, config, digest", GOLDEN_JSON, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_golden_json_digests(args, config, digest, tmp_path):
+    code, out = run_cli(args + ["--format", "json"], tmp_path, "out.json", config_text=config)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
