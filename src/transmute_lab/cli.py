@@ -31,6 +31,7 @@ import argparse
 import functools
 import io
 import itertools
+import json
 import math
 import sys
 from collections.abc import Sequence
@@ -63,7 +64,7 @@ from .tolerances import (
     UNITARITY_DEFECT_TOL,
 )
 from .oracle.well import WellParameters, well_bound_state, well_from_coupling, well_phase_shift_array
-from .render import csv_lines, fmt_cell as _fmt, json_cell, json_lines
+from .render import csv_lines, fmt_cell as _fmt, json_lines
 
 __all__ = ["main"]
 
@@ -248,18 +249,17 @@ class Table:
 
     def write_json(self, stream) -> None:
         """The table as json.dump(obj, sort_keys=True, indent=2,
-        allow_nan=False) writes it, with obj the dict of command,
-        description, config, columns (dicts of name and description), rows
-        and footer; since with indent json.dump always runs its pure-Python
-        encoder, the document is written by hand, its rows by json_lines."""
-        head = (f"{{\n  \"columns\": {_json_columns(tuple(self.columns))},\n"
-                f"  \"command\": {json_cell(self.command, _JSON_INDENT)},\n"
-                f"  \"config\": {_json_dict(self.config)},\n"
-                f"  \"description\": {json_cell(self.description, _JSON_INDENT)},\n"
-                f"  \"footer\": {_json_dict(self.footer)},\n"
-                f"  \"rows\": [")
-        w = stream.write
-        w(head)
+        allow_nan=False) writes it; the rows go through json_lines, since
+        with indent json.dump always runs its pure-Python encoder."""
+        obj = {
+            "command": self.command,
+            "description": self.description,
+            "config": self.config,
+            "columns": [{"name": n, "description": d} for n, d in self.columns],
+            "rows": [],
+            "footer": {k: v for k, v in self.footer.items()},
+        }
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
         if self.rows:
             if isinstance(self.rows, Columns):
                 parts = json_lines(self.rows.cells, self.rows.blank)
@@ -270,31 +270,10 @@ class Table:
                 for length, run in itertools.groupby(self.rows, len):
                     run = list(run)
                     parts += json_lines(list(zip(*run)), {}) if length else ["    [],\n"] * len(run)
-            w("\n" + "".join(parts)[:-2] + "\n  ")
-        w("]\n}\n")
-
-
-# a member of the table document sits at depth 1, indented by 2 per depth
-_JSON_INDENT = "\n  "
-
-
-@functools.lru_cache(maxsize=64)
-def _json_columns(columns: tuple[tuple[str, str], ...]) -> str:
-    """The columns member of the table document: each command has one list
-    of columns, so its text is built once."""
-    if not columns:
-        return "[]"
-    return "[" + ",".join(f"\n    {{\n      \"description\": {json_cell(d)},\n      \"name\": {json_cell(n)}\n    }}"
-                          for n, d in columns) + _JSON_INDENT + "]"
-
-
-def _json_dict(mapping: dict) -> str:
-    """A dict with str keys at depth 1 of the table document."""
-    if not mapping:
-        return "{}"
-    members = ",".join(f"\n    {json_cell(key)}: {json_cell(value, _JSON_INDENT + '  ')}"
-                       for key, value in sorted(mapping.items()))
-    return "{" + members + _JSON_INDENT + "}"
+            # "rows" sorts last: the document ends with its empty list, "[]\n}"
+            text = text[:-4] + "[\n" + "".join(parts)[:-2] + "\n  ]\n}"
+        stream.write(text)
+        stream.write("\n")
 
 
 class Columns:

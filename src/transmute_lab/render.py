@@ -44,15 +44,16 @@ multiple of 10 inside, else N itself.  Per level s = 10, 100 the candidates
 are N - (N mod s) and the multiple above it, at distances (N mod s) +
 residual and s minus that.  Rounding up to 10^17 carries to one digit at
 E + 1.  A cell falls back to repr where the end of the interval lies within
-1e-6 of a candidate that the other one does not beat, where two candidates
-lie within 1e-6 of equally near (repr then rounds the last digit to even),
-or on any fallback of step 3.  repr writes a decimal point position E + 1
-below -3 or above 16 in exponent form (at least two exponent digits), the
-others in fixed form, with a trailing '.0' where it has no point.  The cell
-holds the sign, '0.000', the 17 digits each followed by a slot for the
-point, and the exponent suffix, from byte tables; the mask of its layout (by
-digit count and point position or exponent form) drops what the cell does
-not show and sets its point.
+1e-6 of a candidate that the other one does not beat, where y lies within
+1e-6 of the midpoint of two candidates inside (repr then rounds the last
+digit to even), or on any fallback of step 3; there a non-finite cell
+raises ValueError, as json.dump(allow_nan=False) does.  repr writes a
+decimal point position E + 1 below -3 or above 16 in exponent form (at
+least two exponent digits), the others in fixed form, with a trailing '.0'
+where it has no point.  The cell holds the sign, '0.000', the 17 digits
+each followed by a slot for the point, and the exponent suffix, from byte
+tables; the mask of its layout (by digit count and point position or
+exponent form) drops what the cell does not show and sets its point.
 
 Each cell sits in a slot of 4-byte words, padded with 0xFF, a byte that
 never occurs in UTF-8 (a NUL may occur in a string cell), inside the frame
@@ -73,7 +74,6 @@ import numpy as np
 
 __all__ = ["csv_lines", "digits17", "fmt_cell", "format_e16", "format_repr", "json_cell", "json_lines"]
 
-_PAD = 0xFF
 _PAD_WORD = 0xFFFFFFFF
 # a '%.16e' cell in 4-byte words: sign and lead digit, 16 digits, exponent
 _E16_WORDS = 7
@@ -84,7 +84,7 @@ _TIE_BAND = 1e-6
 # number costs each call a conversion, a third of it on small tables
 _LO, _HI = np.array(1e-281), np.array(1e280)
 _HIGH27 = np.array(0xFFFFFFFFFC000000, np.uint64)  # the top 27 bits of a double
-_ZERO, _HALF, _TEN, _100 = np.array(0.0), np.array(0.5), np.array(10.0), np.array(100)
+_ZERO, _HALF = np.array(0.0), np.array(0.5)
 _10E4, _10E8, _10E17 = (np.array(10**k) for k in (4, 8, 17))
 # rows per block: bounds the temporaries at any table size
 _BLOCK_ROWS = 512
@@ -107,23 +107,17 @@ def fmt_cell(value) -> str:
     return f"{value:.16e}"
 
 
-def json_cell(value, indent: str = "\n      ") -> str:
-    """One value as json.dump(indent=2, sort_keys=True, allow_nan=False)
-    writes it where its lines are indented so (by default a table cell, at
-    depth 3 of the document)."""
+def json_cell(value) -> str:
+    """One table cell as json.dump(indent=2, sort_keys=True,
+    allow_nan=False) writes it in a row, at depth 3 of the document."""
     if value is None:
         return "null"
-    kind = type(value)
-    if kind is int:
+    if type(value) is int:
         return "%d" % value
-    if kind is str:
+    if type(value) is str:
         # a string renders alike at any indent; this is json.dumps's own
         return encode_basestring_ascii(value)
-    if kind is float and value - value == 0.0:
-        return repr(value)
-    if kind is bool:
-        return "true" if value else "false"
-    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", indent)
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n      ")
 
 
 def _words(strings: list[bytes], words: int, dtype=np.uint32) -> np.ndarray:
@@ -178,8 +172,9 @@ def _digit_words() -> np.ndarray:
 def digits17(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """The digit core of both layouts, per v of a 1-d float64 array: the
     decimal exponent E of |v|, the 17-digit significand N (0 for a zero),
-    the residual y - N in units of N's last digit, and whether N and the
-    residual are proven to within 5.5e-7; see the module docstring."""
+    the residual y - N in units of N's last digit, whether N and the
+    residual are proven to within 5.5e-7, and the binary fraction and
+    exponent of |v| (np.frexp) where they are; see the module docstring."""
     highs, lows, limits, above, _, first = _powers()
     a = np.abs(x)
     zero = a == _ZERO
@@ -188,7 +183,8 @@ def digits17(x: np.ndarray) -> tuple[np.ndarray, ...]:
     a = np.fmax(a, zero)
     c = np.fmax(np.fmin(a, _HI), _LO)
     # 2^(b-1) <= c < 2^b: E is floor((b - 1) log10 2) or one more
-    e = first[np.frexp(c)[1]]
+    f, b = np.frexp(c)
+    e = first[b]
     e += c >= above[e]
     high = highs[e]
     # c = ch + cl, ch of 27 bits and cl of 26, so that hp and cl * high
@@ -208,7 +204,7 @@ def digits17(x: np.ndarray) -> tuple[np.ndarray, ...]:
         n[carry] = 10**16
         e[carry] += 1
         residual[carry] /= 10
-    return e, n, residual, proven
+    return e, n, residual, proven, f, b
 
 
 def _fallback(out: np.ndarray, x: np.ndarray, proven: np.ndarray, fmt) -> np.ndarray:
@@ -243,7 +239,7 @@ def format_e16(x: np.ndarray) -> np.ndarray:
     whose rows, viewed as bytes, hold the text padded with 0xFF."""
     suffixes, heads = _e16_tables()
     x = np.asarray(x, dtype=np.float64).ravel()
-    e, n, _, proven = digits17(x)
+    e, n, _, proven, _, _ = digits17(x)
     # the sign rides above the 17 digits, into the index of the lead digit
     np.add(n, _10E17, out=n, where=np.signbit(x))
     lead, groups = _groups(n)
@@ -261,8 +257,9 @@ def format_e16(x: np.ndarray) -> np.ndarray:
 _REPR_WORDS = 6
 # fixed-form point positions -3 ... 16, then the exponent form
 _LAYOUT_POINTS = 21
-# per level s = 10, 100: s, as a column
-_LEVEL_SIZES = np.array([[10.0], [100.0]])
+# per level s = 10, 100 (rows): s, as ints and as floats, and s/2
+_LEVELS = np.array([[10], [100]])
+_LEVEL_SIZES, _LEVEL_HALVES = _LEVELS * 1.0, _LEVELS * 0.5
 
 
 @functools.cache
@@ -304,39 +301,44 @@ def _repr_tables() -> tuple[np.ndarray, ...]:
     return heads, digits.view(np.uint64)[:, 0], suffixes, nonzero, layouts, _words(masks, _REPR_WORDS, np.uint64)
 
 
-def format_repr(x: np.ndarray, fallback=repr) -> np.ndarray:
+def _json_float(value: float) -> str:
+    """A float as json.dump(allow_nan=False) writes it, or refuses to."""
+    if value - value != 0.0:
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return repr(value)
+
+
+def format_repr(x: np.ndarray) -> np.ndarray:
     """repr(v) of every v of a float64 array, as an (n, 12) uint32 matrix
-    whose rows, viewed as bytes, hold the text padded with 0xFF; a cell
-    whose digits the kernel cannot prove is rendered by fallback(v)."""
+    whose rows, viewed as bytes, hold the text padded with 0xFF; a
+    non-finite v raises ValueError, as in json.dump(allow_nan=False)."""
     scales = _powers()[4]
     heads, digits, suffixes, nonzero, layouts, masks = _repr_tables()
     x = np.asarray(x, dtype=np.float64).ravel()
-    e, n, residual, proven = digits17(x)
-    # per level s = 10, 100 (rows): R = N mod s, and the distances from y
-    # down to N - R and up to N - R + s
-    f, b = np.frexp(x)
-    rem = np.empty((2, x.size))
-    np.remainder(n, _100, out=rem[1])
-    np.fmod(rem[1], _TEN, out=rem[0])
+    e, n, residual, proven, f, b = digits17(x)
+    # the half-ulp of |v| in units of N's last digit, above y and below it:
+    # below a power of two (f = 1/2), where the doubles lie twice as dense,
+    # half that
+    scale = scales[e]
+    above = np.ldexp(scale, b)
+    below = np.ldexp(scale, b - (f == _HALF))
+    # per level s = 10, 100 (rows): R = N mod s, the distance from y down
+    # to N - R and up to N - R + s, less the half-ulp on that side (the
+    # multiple lies inside the interval where it is negative), and the
+    # distance down less s/2 (the one below is as near where it is not
+    # positive)
+    rem = n % _LEVELS
     down = rem + residual
-    up = _LEVEL_SIZES - down
-    # their offsets from the ends of the interval, the half-ulp of |v| in
-    # units of N's last digit (below a power of two, f = 1/2, where the
-    # doubles lie twice as dense, half that), and up - down
-    half = np.ldexp(scales[e], b)
     off = np.empty((3,) + rem.shape)
-    np.subtract(down, half, out=off[0])
-    np.subtract(up, half, out=off[1])
-    np.subtract(up, down, out=off[2])
-    power = np.abs(f) == _HALF
-    if power.any():
-        off[0][:, power] += 0.5 * half[power]
+    np.subtract(down, below, out=off[0])
+    np.subtract(_LEVEL_SIZES - down, above, out=off[1])
+    np.subtract(down, _LEVEL_HALVES, out=off[2])
     inside = off[:2] < _ZERO
+    nearer = off[2] <= _ZERO
     # the one above is taken where it lies inside, unless the one below
     # does and is as near
-    nearer = off[2] >= _ZERO
     lower = inside[0] & nearer
-    higher = inside[1] & ~lower
+    upper = inside[1] & ~lower
     # an end within 1e-6 decides nothing where the other one wins; nor does
     # a tie
     if np.abs(off).min(initial=1.0) <= _TIE_BAND:
@@ -344,9 +346,9 @@ def format_repr(x: np.ndarray, fallback=repr) -> np.ndarray:
         doubt = (edge[0] & nearer) | (edge[1] & ~lower) | (edge[2] & inside[0] & inside[1])
         proven &= ~(doubt[0] | doubt[1])
     # the shortest digits: the multiple of 100, else of 10, else N itself
-    shift = np.where(higher, _LEVEL_SIZES - rem, -rem)
+    shift = upper * _LEVELS - rem
     accepted = inside[0] | inside[1]
-    m = n + np.where(accepted[1], shift[1], np.where(accepted[0], shift[0], _ZERO)).astype(np.int64)
+    m = n + np.where(accepted[1], shift[1], shift[0] * accepted[0])
     if x.size and m.max() == 10**17:
         carry = m == _10E17
         m[carry] = 10**16
@@ -358,8 +360,12 @@ def format_repr(x: np.ndarray, fallback=repr) -> np.ndarray:
     heads.take(lead, out=out[:, 0], mode="clip")
     digits.take(groups, out=out[:, 1:5], mode="wrap")
     suffixes.take(e, out=out[:, 5], mode="wrap")
-    out |= masks.take(layouts[np.frexp(nonzero[groups].view(np.uint32)[:, 0])[1], e], axis=0)
-    return _fallback(out, x, proven, fallback).view(np.uint32)
+    # the masks of the nonzero digits of the four groups as one 32-bit
+    # integer, group k in its byte k whatever the host's byte order: its
+    # bit length gives the digit count
+    count = np.frexp(nonzero[groups].view("<u4")[:, 0])[1]
+    out |= masks.take(layouts[count, e], axis=0)
+    return _fallback(out, x, proven, _json_float).view(np.uint32)
 
 
 _COMMA, _NEWLINE = b",", b"\n"
@@ -488,15 +494,4 @@ def json_lines(cells: list, blank: dict[int, np.ndarray]):
     time; as csv_lines, with blank cells null and each cell rendered as
     json.dump(indent=2, sort_keys=True, allow_nan=False) renders it: a float
     by repr, and a non-finite float raises ValueError."""
-    return _lines(cells, blank, _json_floats, 2 * _REPR_WORDS, json_cell, _JSON_FRAME)
-
-
-def _json_float(value: float) -> str:
-    """A float as json.dump(allow_nan=False) writes it, or refuses to."""
-    if value - value != 0.0:
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return repr(value)
-
-
-def _json_floats(x: np.ndarray) -> np.ndarray:
-    return format_repr(x, _json_float)
+    return _lines(cells, blank, format_repr, 2 * _REPR_WORDS, json_cell, _JSON_FRAME)

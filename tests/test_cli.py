@@ -662,9 +662,11 @@ class TestReprKernel:
         values = [v for v in raw if math.isfinite(v)] + floats
         assert repr_text(values) == reprs(values)
 
-    def test_non_finite_cells_render_as_repr(self):
-        values = [math.inf, -math.inf, math.nan, 1.0]
-        assert repr_text(values) == reprs(values)
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_cell_raises(self, bad):
+        # as json.dump(allow_nan=False) refuses it
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render.format_repr(np.array([1.0, bad]))
 
 
 def test_powers_of_ten_are_proven(monkeypatch):
