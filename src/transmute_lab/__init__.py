@@ -19,8 +19,6 @@ from .amplitude import (
     ZERO_AMPLITUDE,
     amplitudes_over_cutoffs,
     bound_state_pole,
-    cutoff_envelope,
-    on_shell_amplitude,
     regulated_amplitude,
     renormalized_amplitude,
     slide_amplitude,
@@ -48,7 +46,6 @@ from .errors import (
 from .observables import (
     f_from_tau,
     optical_theorem_defect,
-    phase_shift_from_tau,
     tau_from_phase_shift,
     total_target_length,
     unitarity_defect,

@@ -28,13 +28,12 @@ for any chosen E_B.  Both limiting processes are implemented as schedule
 scans below.
 
 Each closed form has one implementation, an *_array function over numpy
-arrays of couplings, cutoffs and energies; regulated_amplitude,
-on_shell_amplitude, renormalized_amplitude and cutoff_envelope are its 0-d
-calls, and amplitudes_over_cutoffs and transmutation_schedule one array call
-each.  bound_state_pole alone evaluates point by point, through the scalar
-negative_axis_resolvent and resolvent_derivative of regulators, because a
-0-d array call costs over a hundred times a scalar one and a pole takes
-about 8 evaluations.
+arrays of couplings, cutoffs and energies; regulated_amplitude and
+renormalized_amplitude are its 0-d calls, and amplitudes_over_cutoffs and
+transmutation_schedule one array call each.  bound_state_pole alone
+evaluates point by point, through the scalar negative_axis_resolvent and
+resolvent_derivative of regulators, because a 0-d array call costs over a
+hundred times a scalar one and a pole takes about 8 evaluations.
 """
 
 from __future__ import annotations
@@ -83,13 +82,11 @@ __all__ = [
     "TransmutationStep",
     "ZERO_AMPLITUDE",
     "regulated_amplitude",
-    "on_shell_amplitude",
     "slide_amplitude",
     "renormalized_amplitude",
     "bound_state_pole",
     "amplitudes_over_cutoffs",
     "transmutation_schedule",
-    "cutoff_envelope",
     "renormalized_amplitude_array",
     "regulated_amplitude_array",
     "on_shell_amplitude_array",
@@ -171,18 +168,6 @@ def regulated_amplitude(
     amplitude."""
     ze = as_energy(z)
     tau = complex(regulated_amplitude_array(epsilon, reg, [ze.re], [ze.im], scales)[0])
-    return ZERO_AMPLITUDE if isinstance(reg, PureDelta) else Amplitude(tau)
-
-
-def on_shell_amplitude(
-    epsilon: float,
-    reg: Regulator,
-    energy: float,
-    scales: PhysicalScales = NATURAL_UNITS,
-) -> Amplitude:
-    """Physical on-shell amplitude at continuum energy E: the 0-d case of
-    on_shell_amplitude_array."""
-    tau = complex(on_shell_amplitude_array(epsilon, reg, [energy], scales)[0])
     return ZERO_AMPLITUDE if isinstance(reg, PureDelta) else Amplitude(tau)
 
 
@@ -333,13 +318,6 @@ def transmutation_schedule(
                           closed_form=target)
         for n, lam, eps_n, t in zip(index, cutoffs, couplings, tau.tolist())
     ]
-
-
-def cutoff_envelope(epsilon: float, magnitude: float, lam: float) -> float | None:
-    """The bound of cutoff_envelope_array at one cutoff; None where it is
-    vacuous."""
-    bound = float(cutoff_envelope_array(epsilon, magnitude, [lam])[0])
-    return None if math.isnan(bound) else bound
 
 
 def renormalized_amplitude_array(bound_energy: float, re, im=0.0) -> np.ndarray:

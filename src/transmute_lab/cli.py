@@ -19,8 +19,11 @@ exp1_scaled_real and the Bessel functions), since a 0-d array call costs
 over a hundred times a scalar one.
 numpy's elementary functions may round differently from the C library's, so
 array-evaluated tables may differ from earlier versions in the last digits,
-within the 8-ulp budget of tests/test_array_forms.py.  A non-finite cell is
-a numerical failure.
+within the 8-ulp budget of tests/test_array_forms.py.  Every command hands
+its table to the renderer as columns: a float64 array, with an optional
+mask of its blank cells, or a list of str or of int cells.  A non-finite
+float cell that is not blank is a numerical failure naming its row and
+column.
 Exit codes: 0 success, 1 numerical failure (partial output suppressed),
 2 usage or configuration error.
 """
@@ -34,7 +37,6 @@ import itertools
 import json
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,13 +221,26 @@ def _ordered_map(fn, items):
 # table model and deterministic rendering
 # ----------------------------------------------------------------------
 
+class Columns:
+    """The rows of a table held as its columns, as the commands compute
+    them: float64 arrays, with per array column an optional mask of its
+    blank (None) cells, or lists of str or of int cells.  write_csv and
+    write_json render the columns as they are."""
+
+    def __init__(self, cells: list, blank: dict[int, np.ndarray]):
+        self.cells, self.blank = cells, blank
+
+    def __len__(self) -> int:
+        return len(self.cells[0]) if self.cells else 0
+
+
 @dataclass
 class Table:
     command: str
     description: str
     config: dict[str, str]
     columns: list[tuple[str, str]]
-    rows: Columns | Sequence[list | tuple] = field(default_factory=list)
+    rows: Columns
     footer: dict[str, object] = field(default_factory=dict)
 
     def write_csv(self, stream) -> None:
@@ -238,11 +253,7 @@ class Table:
         for name, desc in self.columns:
             w(f"#   {name}: {desc}\n")
         w(",".join(name for name, _ in self.columns) + "\n")
-        if isinstance(self.rows, Columns):
-            cells, blank = self.rows.cells, self.rows.blank
-        else:
-            cells, blank = list(zip(*self.rows, strict=True)), {}
-        for text in csv_lines(cells, blank):
+        for text in csv_lines(self.rows.cells, self.rows.blank):
             w(text)
         for key, value in sorted(self.footer.items()):
             w(f"# {key}={_fmt(value)}\n")
@@ -261,39 +272,18 @@ class Table:
         }
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
         if self.rows:
-            if isinstance(self.rows, Columns):
-                parts = json_lines(self.rows.cells, self.rows.blank)
-            else:
-                # each run of rows of one length as columns: a table of
-                # rows of equal length (every command's) is one run
-                parts = []
-                for length, run in itertools.groupby(self.rows, len):
-                    run = list(run)
-                    parts += json_lines(list(zip(*run)), {}) if length else ["    [],\n"] * len(run)
             # "rows" sorts last: the document ends with its empty list, "[]\n}"
-            text = text[:-4] + "[\n" + "".join(parts)[:-2] + "\n  ]\n}"
+            text = text[:-4] + "[\n" + "".join(json_lines(self.rows.cells, self.rows.blank))[:-2] + "\n  ]\n}"
         stream.write(text)
         stream.write("\n")
 
 
-class Columns:
-    """The rows of a table held as its columns, as the commands compute
-    them: float arrays, or lists of cells, and per array column the mask of
-    its blank (None) cells.  write_csv and write_json render the columns as
-    they are."""
-
-    def __init__(self, cells: list, blank: dict[int, np.ndarray]):
-        self.cells, self.blank = cells, blank
-
-    def __len__(self) -> int:
-        return len(self.cells[0]) if self.cells else 0
-
-
 def _rows(columns: list[tuple[str, str]], cells: list, blank: dict[int, np.ndarray | None] | None = None) -> Columns:
-    """Table rows from per-column cells: float arrays, or lists of strings.
-    ``blank`` maps a column index to a mask of cells left empty (None).
-    Every other float cell must be finite; the first column that holds a
-    non-finite one makes the table a numerical failure naming its row."""
+    """Table rows from per-column cells: float64 arrays, or lists of str or
+    of int.  ``blank`` maps a column index to a mask of cells left empty
+    (None).  Every other float cell must be finite; the first column that
+    holds a non-finite one makes the table a numerical failure naming its
+    row."""
     blank = {j: empty for j, empty in (blank or {}).items() if empty is not None}
     for j, ((name, _), col) in enumerate(zip(columns, cells)):
         if isinstance(col, np.ndarray):
@@ -470,10 +460,9 @@ def cmd_bind(opts: Options) -> Table:
     scales = _scales(opts)
     eps_grid = opts.get_grid("epsilon", "1:4:3,log")
     names = [n.strip() for n in (opts.get("regulator") or "sharp-cutoff,gaussian,circular-well,pure-delta").split(",")]
-    rows = []
-    fits: dict[str, tuple[float, float]] = {}
+    statuses, solvers, closed_forms, fit_points = [], [], [], []
     for name in names:
-        xs, ys = [], []
+        xs, roots = [], []
         for eps in eps_grid:
             try:
                 model = _model(name, opts, scales, eps)
@@ -483,15 +472,33 @@ def cmd_bind(opts: Options) -> Table:
                 else:
                     solver, nominal = bound_state_pole(eps, model, scales).energy, nominal_cutoff(model, scales)
             except NoBoundStateError:
-                rows.append([eps, name, None, None, None, "NO_BOUND_STATE"])
-                continue
-            closed = nominal * math.exp(-FOUR_PI / eps)
-            rel = (solver - closed) / closed
-            rows.append([eps, name, solver, closed, rel, "OK"])
-            xs.append(-FOUR_PI / eps)
-            ys.append(math.log(solver))
+                solver, closed, status = math.nan, math.nan, "NO_BOUND_STATE"
+            else:
+                closed, status = nominal * math.exp(-FOUR_PI / eps), "OK"
+                xs.append(-FOUR_PI / eps)
+                roots.append(solver)
+            statuses.append(status)
+            solvers.append(solver)
+            closed_forms.append(closed)
+        fit_points.append((name, xs, roots))
+    columns = [
+        ("epsilon", "dimensionless attractive coupling"),
+        ("regulator", "regulator name"),
+        ("E_B_solver", "root of 1 + eps*I(-E) = 0 (or exact well matching)"),
+        ("E_B_closed_form", "Lambda_nominal * exp(-4 pi / eps)"),
+        ("rel_dev", "(E_B_solver - E_B_closed_form)/E_B_closed_form"),
+        ("status", "OK or NO_BOUND_STATE"),
+    ]
+    solver, closed = np.array(solvers), np.array(closed_forms)
+    unbound = np.array(statuses) != "OK"
+    # the cell check comes before the fit, which would carry a non-finite
+    # root into the footer
+    rows = _rows(columns, [np.array(eps_grid * len(names)), [name for name in names for _ in eps_grid], solver, closed,
+                           (solver - closed) / closed, statuses], {2: unbound, 3: unbound, 4: unbound})
+    fits: dict[str, tuple[float, float]] = {}
+    for name, xs, roots in fit_points:
         if len(xs) >= 2:
-            slope, intercept = _fit_line(xs, ys)
+            slope, intercept = _fit_line(xs, [math.log(root) for root in roots])
             fits[name] = (slope, math.exp(intercept))
 
     footer: dict[str, object] = {"rows": len(rows)}
@@ -508,14 +515,7 @@ def cmd_bind(opts: Options) -> Table:
         command="bind",
         description="bound-state energy: ln E_B runs linearly in -4 pi/eps with a regulator-dependent prefactor",
         config=opts.effective(),
-        columns=[
-            ("epsilon", "dimensionless attractive coupling"),
-            ("regulator", "regulator name"),
-            ("E_B_solver", "root of 1 + eps*I(-E) = 0 (or exact well matching)"),
-            ("E_B_closed_form", "Lambda_nominal * exp(-4 pi / eps)"),
-            ("rel_dev", "(E_B_solver - E_B_closed_form)/E_B_closed_form"),
-            ("status", "OK or NO_BOUND_STATE"),
-        ],
+        columns=columns,
         rows=rows,
         footer=footer,
     )
@@ -604,12 +604,19 @@ def cmd_transmute(opts: Options) -> Table:
         raise UsageError(f"steps = {steps} is too large: the last cutoff e_b * 10**steps overflows")
     schedule = transmutation_schedule(e_b, z, steps, scales)
     target = schedule[0].closed_form
-    rows = [
-        [s.index, s.cutoff, s.coupling, s.amplitude.tau.real, s.amplitude.tau.imag, s.deviation]
-        for s in schedule
+    columns = [
+        ("n", "step index; Lambda_n = e_b * 10^n"),
+        ("Lambda_n", "sharp cutoff at this step"),
+        ("epsilon_n", "coupling 4 pi / ln(Lambda_n/e_b)"),
+        ("re_tau", "Re tau_{eps_n, Lambda_n}(z)"),
+        ("im_tau", "Im tau_{eps_n, Lambda_n}(z)"),
+        ("deviation_from_closed_form", "|tau_n(z) - 4 pi / ln(-e_b/z)|"),
     ]
-    deviations = [s.deviation for s in schedule]
-    monotone = all(b < a for a, b in zip(deviations, deviations[1:]))
+    tau = np.array([s.amplitude.tau for s in schedule])
+    deviations = np.array([s.deviation for s in schedule])
+    rows = _rows(columns, [[s.index for s in schedule], np.array([s.cutoff for s in schedule]),
+                           np.array([s.coupling for s in schedule]), tau.real, tau.imag, deviations])
+    monotone = bool(np.all(deviations[1:] < deviations[:-1]))
     footer = {
         "closed_form_re": target.real,
         "closed_form_im": target.imag,
@@ -622,14 +629,7 @@ def cmd_transmute(opts: Options) -> Table:
         command="transmute",
         description="renormalization limiting process at fixed bound-state energy",
         config=opts.effective(),
-        columns=[
-            ("n", "step index; Lambda_n = e_b * 10^n"),
-            ("Lambda_n", "sharp cutoff at this step"),
-            ("epsilon_n", "coupling 4 pi / ln(Lambda_n/e_b)"),
-            ("re_tau", "Re tau_{eps_n, Lambda_n}(z)"),
-            ("im_tau", "Im tau_{eps_n, Lambda_n}(z)"),
-            ("deviation_from_closed_form", "|tau_n(z) - 4 pi / ln(-e_b/z)|"),
-        ],
+        columns=columns,
         rows=rows,
         footer=footer,
     )

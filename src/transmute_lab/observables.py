@@ -38,7 +38,6 @@ from .tolerances import IM_TAU_POSITIVE_TOL, UNITARITY_DEFECT_TOL
 __all__ = [
     "f_from_tau",
     "total_target_length",
-    "phase_shift_from_tau",
     "optical_theorem_defect",
     "unitarity_defect",
     "tau_from_phase_shift",
@@ -83,11 +82,11 @@ def _observables(tau: np.ndarray, k: np.ndarray, defect_tol: float) -> dict[str,
     }
 
 
-def _one(tau, k: Wavenumber = 1.0, defect_tol: float = UNITARITY_DEFECT_TOL) -> dict[str, np.ndarray]:
+def _one(tau, k: Wavenumber = 1.0) -> dict[str, np.ndarray]:
     """_observables of one amplitude, as a one-element array (numpy rounds
-    some functions of 0-d arrays otherwise); the unitarity defect and the
-    phase shift do not depend on k."""
-    return _observables(np.array([_as_tau(tau)]), np.array([float(k)]), defect_tol)
+    some functions of 0-d arrays otherwise); the unitarity defect does not
+    depend on k."""
+    return _observables(np.array([_as_tau(tau)]), np.array([float(k)]), UNITARITY_DEFECT_TOL)
 
 
 def f_from_tau(tau, k: Wavenumber) -> complex:
@@ -111,19 +110,6 @@ def total_target_length(tau, k: Wavenumber) -> float:
 def unitarity_defect(tau) -> float:
     """Im(1/tau) - 1/4; zero for an elastic unitary amplitude."""
     return float(_one(tau)["unitarity_defect"][0])
-
-
-def phase_shift_from_tau(tau, defect_tol: float = UNITARITY_DEFECT_TOL) -> float:
-    """Phase shift delta0 in (-pi/2, pi/2] with tau = -4 e^{i delta0} sin(delta0).
-
-    tau = 0 returns 0 (the no-scattering limit).  A unitarity defect beyond
-    tolerance raises: the parametrization only exists on the unitary circle.
-    """
-    obs = _one(tau, defect_tol=defect_tol)
-    if obs["violation"][0]:
-        defect = float(obs["unitarity_defect"][0])
-        raise UnitarityViolationError(f"unitarity defect Im(1/tau) - 1/4 = {defect:.3e}", defect=abs(defect))
-    return float(obs["phase_shift"][0])
 
 
 def tau_from_phase_shift_array(delta0) -> np.ndarray:
@@ -159,9 +145,8 @@ def continuum_observables_array(
     route), L_from_im_tau (-Im tau / k, unclipped), optical_defect,
     phase_shift, violation and unitarity_defect; a row whose unitarity
     defect exceeds defect_tol is flagged in violation and its phase shift is
-    NaN.  f_from_tau, total_target_length, unitarity_defect,
-    phase_shift_from_tau and optical_theorem_defect are its one-element
-    calls."""
+    NaN.  f_from_tau, total_target_length, unitarity_defect and
+    optical_theorem_defect are its one-element calls."""
     with np.errstate(invalid="ignore"):
         k = np.sqrt(np.asarray(energies, dtype=float) / scales.kinetic_constant)
     return _observables(np.asarray(tau, dtype=complex), k, defect_tol)

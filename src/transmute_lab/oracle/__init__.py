@@ -7,19 +7,6 @@ principal-value handling, and a genuine finite-range circular well solved by
 Bessel matching with no separable approximation anywhere.
 """
 
-from ..special import (  # noqa: F401
-    bessel_j0,
-    bessel_j1,
-    bessel_y0,
-    bessel_y1,
-    bessel_k0,
-    bessel_k1,
-    bessel_k0_scaled,
-    bessel_k1_scaled,
-    exp1_scaled,
-    expi,
-    expi_scaled,
-)
 from .quadrature import (  # noqa: F401
     QuadratureSpec,
     QuadratureResult,

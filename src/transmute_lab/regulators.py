@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -63,7 +64,7 @@ from .energy_plane import (
     principal_log_ratio_array,
 )
 from .errors import DivergenceError, DomainError, SingularInputError
-from .special import exp1_scaled_array, exp1_scaled_real, expi_scaled_array
+from .special import EULER_GAMMA, exp1_scaled_array, exp1_scaled_real, expi_scaled_array
 
 __all__ = [
     "PureDelta",
@@ -264,18 +265,34 @@ def resolvent_array(reg, re, im, scales: PhysicalScales = NATURAL_UNITS) -> np.n
     return complex_divide_array(principal_log_ratio_array(re, im, re - cutoff, im), 4.0 * math.pi * kappa)
 
 
+_LN_2_600 = 600 * math.log(2.0)
+
+
 def _gaussian_resolvent_array(length: float, kappa: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The gaussian g(z) over arrays of Re z, Im z of one shape, z != 0."""
     b = length**2 / kappa
     pref = 1.0 / (4.0 * math.pi * kappa)
-    boundary = (im == 0.0) & (re > 0.0)
     g = np.empty(re.shape, dtype=complex)
+    # where |w| = b|z| lies below the smallest normal double, w may round to
+    # 0, and e^w E1(w) = -gamma - ln w and e^{-x} Ei(x) = gamma + ln x hold
+    # to |w ln w|: g = pref (gamma + ln w), with ln w = ln b + ln|z| +
+    # i arg(-z) formed in logs from a, kappa and z (b itself may underflow);
+    # arg(-z) = -pi on the continuum, and -0.0 on the negative axis, as the
+    # E1 route gives
+    small = b * np.hypot(re, im) < sys.float_info.min
+    if small.any():
+        # |z| 2^600, since hypot rounds a subnormal |z| to its coarse grid
+        ln_z = np.log(np.hypot(np.ldexp(re[small], 600), np.ldexp(im[small], 600))) - _LN_2_600
+        g.real[small] = pref * (EULER_GAMMA + ((2.0 * math.log(length) - math.log(kappa)) + ln_z))
+        g.imag[small] = pref * np.arctan2(-np.abs(im[small]), -re[small])
+    continuum = (im == 0.0) & (re > 0.0)
+    boundary = continuum & ~small
     if boundary.any():
         # Sokhotski limit on the continuum: e^{-bE} (Ei(bE) - i pi)
         x = b * re[boundary]
         g.real[boundary] = pref * expi_scaled_array(x)
         g.imag[boundary] = pref * (-math.pi * np.exp(-x))
-    interior = ~boundary
+    interior = ~(continuum | small)
     if interior.any():
         # g(z) = -e^{-bz} E1(-bz); evaluate through the scaled E1 so the
         # negative axis never overflows: g = -(e^{w} E1(w)) with w = -b z

@@ -59,15 +59,16 @@ Each cell sits in a slot of 4-byte words, padded with 0xFF, a byte that
 never occurs in UTF-8 (a NUL may occur in a string cell), inside the frame
 of its row (',' or '\\n' for CSV, '      cell,\\n' for JSON), and the rows of
 a block of rows form one matrix, whose bytes drop the padding of every cell
-at once (bytes.translate) and are decoded once.  Strings, ints, None and
-every other cell that is not a float go through a per-table lookup of their
-encoded bytes.
+at once (bytes.translate) and are decoded once.  A column is a float64 array,
+with an optional mask of its blank (None) cells, or a list of str or of int
+cells; any other cell raises TypeError.  Each distinct str or int of a table
+is encoded once, and its cells and the blank ones take their bytes from that
+per-table lookup.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -88,14 +89,13 @@ _ZERO, _HALF = np.array(0.0), np.array(0.5)
 _10E4, _10E8, _10E17 = (np.array(10**k) for k in (4, 8, 17))
 # rows per block: bounds the temporaries at any table size
 _BLOCK_ROWS = 512
-# cell types whose equal values encode alike: their bytes are looked up by
-# (type, value); a float subclass is rendered as a float
-_KEYED = frozenset((str, int, bool, type(None)))
+# the cell types of a list column: equal cells of these encode alike
+_LIST_CELLS = frozenset((str, int))
 
 
 def fmt_cell(value) -> str:
-    """One cell as the CSV writes it: blank for None, floats at 17
-    significant digits."""
+    """One cell or footer value as the CSV writes it: blank for None,
+    floats at 17 significant digits."""
     if value is None:
         return ""
     if isinstance(value, str):
@@ -107,17 +107,14 @@ def fmt_cell(value) -> str:
     return f"{value:.16e}"
 
 
-def json_cell(value) -> str:
-    """One table cell as json.dump(indent=2, sort_keys=True,
-    allow_nan=False) writes it in a row, at depth 3 of the document."""
+def json_cell(value: str | int | None) -> str:
+    """A None, int or str table cell as json.dump writes it."""
     if value is None:
         return "null"
     if type(value) is int:
         return "%d" % value
-    if type(value) is str:
-        # a string renders alike at any indent; this is json.dumps's own
-        return encode_basestring_ascii(value)
-    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n      ")
+    # this is json.dumps's own string encoder
+    return encode_basestring_ascii(value)
 
 
 def _words(strings: list[bytes], words: int, dtype=np.uint32) -> np.ndarray:
@@ -390,52 +387,17 @@ def _row_template(columns: int, words: int, frame: tuple[bytes, ...]) -> tuple[n
     return template, before
 
 
-def _codes(col, kinds: set, keys: dict, encoded: list, encode) -> list[int]:
-    """The lookup codes of a column's cells, -1 at a float cell.  Cells are
-    keyed by type and value, since True == 1 == 1.0; a column of one such
-    type needs no pairs."""
-    if len(kinds) == 1 and (kind := next(iter(kinds))) in _KEYED:
-        cells, values = col, keys.setdefault(kind, {})
-    else:
-        cells, values = list(zip(map(type, col), col)), keys.setdefault(None, {})
-    try:
-        for cell in dict.fromkeys(cells):
-            if cell not in values:
-                kind, value = (type(cell), cell) if cells is col else cell
-                if isinstance(value, float):
-                    values[cell] = -1
-                elif kind in _KEYED:
-                    values[cell] = len(encoded)
-                    # surrogatepass keeps any str, a lone surrogate too; no
-                    # UTF-8 byte is 0xFF
-                    encoded.append(encode(value).encode("utf-8", "surrogatepass"))
-                else:
-                    raise TypeError
-        return list(map(values.__getitem__, cells))
-    except TypeError:
-        # a cell that is not hashable, or whose equal values may encode
-        # apart (a tuple holding 0.0 or -0.0): each encoded on its own
-        codes = []
-        for cell in col:
-            if isinstance(cell, float):
-                codes.append(-1)
-            else:
-                codes.append(len(encoded))
-                encoded.append(encode(cell).encode("utf-8", "surrogatepass"))
-        return codes
-
-
 def _lines(cells: list, blank: dict[int, np.ndarray], kernel, float_words: int, encode, frame):
     """The text of the rows of these columns, one block of rows at a time;
     see csv_lines."""
     n = len(cells[0]) if cells else 0
     if n == 0:
         return
-    # the float cells of the table as one matrix, with the positions of its
-    # columns; the masks of blank cells; and per column of other cells their
-    # codes in the table's lookup of encoded cells
+    # the float columns of the table as one matrix, with their positions;
+    # the masks of blank cells; and per list column the codes of its cells
+    # in the table's lookup of encoded cells
     floats, positions, blanks, others = [], [], [], []
-    keys: dict[tuple, int] = {}
+    codes: dict[str | int, int] = {}
     encoded: list[bytes] = []
     for j, col in enumerate(cells):
         if isinstance(col, np.ndarray):
@@ -443,18 +405,19 @@ def _lines(cells: list, blank: dict[int, np.ndarray], kernel, float_words: int, 
             if empty is not None:
                 blanks.append((j, empty))
                 col = np.where(empty, 0.0, col)
-        elif (kinds := set(map(type, col))) != {float}:
-            codes = _codes(col, kinds, keys, encoded, encode)
-            if -1 not in codes:
-                others.append((j, np.array(codes), None))
-                continue
-            col = [cell if code < 0 else 0.0 for cell, code in zip(col, codes)]
-            codes = np.array(codes)
-            present = codes >= 0
-            if present.any():
-                others.append((j, codes, present))
-        floats.append(col)
-        positions.append(j)
+            floats.append(col)
+            positions.append(j)
+            continue
+        if not set(map(type, col)) <= _LIST_CELLS:
+            raise TypeError(f"column {j} holds a cell that is neither str nor int")
+        # str and int cells never compare equal: one lookup serves both
+        for value in dict.fromkeys(col):
+            if value not in codes:
+                codes[value] = len(encoded)
+                # surrogatepass keeps any str, a lone surrogate too; no
+                # UTF-8 byte is 0xFF
+                encoded.append(encode(value).encode("utf-8", "surrogatepass"))
+        others.append((j, np.array(list(map(codes.__getitem__, col)))))
     values = np.array(floats, dtype=np.float64).T
     words = max(float_words, (max(map(len, encoded), default=0) + 3) // 4)
     lookup = _words(encoded + [encode(None).encode()], words)
@@ -472,19 +435,16 @@ def _lines(cells: list, blank: dict[int, np.ndarray], kernel, float_words: int, 
                 size, -1, float_words)
         for j, empty in blanks:
             block[empty[rows], j, cell] = lookup[-1]
-        for j, codes, present in others:
-            if present is None:
-                block[:, j, cell] = lookup[codes[rows]]
-            else:
-                block[present[rows], j, cell] = lookup[codes[rows][present[rows]]]
+        for j, col_codes in others:
+            block[:, j, cell] = lookup[col_codes[rows]]
         yield block.tobytes().translate(None, b"\xff").decode("utf-8", "surrogatepass")
 
 
 def csv_lines(cells: list, blank: dict[int, np.ndarray]):
     """Yield the CSV text of the rows of these columns, one block of rows at
-    a time.  A column is a float64 array or a sequence of cells; ``blank``
-    maps an array column's index to the mask of its blank cells.  Each cell
-    renders as fmt_cell renders it."""
+    a time.  A column is a float64 array or a list of str or of int cells;
+    ``blank`` maps an array column's index to the mask of its blank cells.
+    Each cell renders as fmt_cell renders it."""
     return _lines(cells, blank, format_e16, _E16_WORDS, fmt_cell, (b"", b"", _COMMA, _NEWLINE))
 
 

@@ -14,8 +14,7 @@ from transmute_lab.amplitude import (
     FlowPoint,
     amplitudes_over_cutoffs,
     bound_state_pole,
-    cutoff_envelope,
-    on_shell_amplitude,
+    cutoff_envelope_array,
     on_shell_amplitude_array,
     regulated_amplitude,
     regulated_amplitude_array,
@@ -270,9 +269,11 @@ class TestCutoffRemoval:
         beyond = [(lam, abs(a.tau)) for lam, a in zip(schedule, amps) if lam > peak]
         assert len(beyond) >= 3
         assert all(b2 < b1 for (_, b1), (_, b2) in zip(beyond, beyond[1:]))
-        for lam, mag in beyond:
-            bound = cutoff_envelope(eps, z.magnitude(), lam)
-            assert bound is not None and mag <= bound
+        lams, mags = zip(*beyond)
+        bounds = cutoff_envelope_array(eps, z.magnitude(), lams)
+        assert not np.isnan(bounds).any() and (np.array(mags) <= bounds).all()
+        # NaN where the envelope is vacuous: at and below the peak
+        assert np.isnan(cutoff_envelope_array(eps, z.magnitude(), [lam for lam in schedule if lam <= peak])).all()
 
     def test_tail_slope_is_one_over_4pi(self):
         # the asymptotic running 1/|tau| ~ ln(Lambda)/(4 pi): fit on the tail
@@ -382,18 +383,19 @@ class TestOnShell:
     def test_sharp_below_cutoff_unchanged(self):
         eps, lam = 1.0, 50.0
         direct = regulated_amplitude(eps, SharpCutoff(lam), ComplexEnergy.continuum(3.0)).tau
-        assert on_shell_amplitude(eps, SharpCutoff(lam), 3.0).tau == direct
+        assert on_shell_amplitude_array(eps, SharpCutoff(lam), [3.0])[0] == direct
 
     def test_sharp_above_cutoff_vanishes(self):
-        assert on_shell_amplitude(1.0, SharpCutoff(2.0), 5.0).tau == 0
+        # the amplitude is zero above the sharp cutoff, and not below it
+        values = on_shell_amplitude_array(1.0, SharpCutoff(2.0), [1.0, 5.0, 9.0])
+        assert values[0] != 0 and values[1] == values[2] == 0
 
     def test_gaussian_exactly_unitary(self):
-        tau = on_shell_amplitude(1.5, GaussianFormFactor(0.8), 2.0).tau
+        tau = complex(on_shell_amplitude_array(1.5, GaussianFormFactor(0.8), [2.0])[0])
         assert (1.0 / tau).imag == pytest.approx(0.25, abs=1e-14)
 
     def test_pure_delta(self):
-        amp = on_shell_amplitude(1.0, PureDelta(), 1.0)
-        assert amp.tau == 0 and amp.exact_zero
+        assert not on_shell_amplitude_array(1.0, PureDelta(), [1e-3, 1.0, 1e3]).any()
 
 
 PROPERTIES = settings(max_examples=60, derandomize=True, deadline=None)

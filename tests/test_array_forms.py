@@ -33,9 +33,7 @@ import pytest
 
 from transmute_lab import cli
 from transmute_lab.amplitude import (
-    cutoff_envelope,
     cutoff_envelope_array,
-    on_shell_amplitude,
     on_shell_amplitude_array,
     regulated_amplitude,
     regulated_amplitude_array,
@@ -51,10 +49,9 @@ from transmute_lab.energy_plane import (
     principal_log_ratio_array,
     wavenumber,
 )
-from transmute_lab.errors import PoleSingularityError, SingularInputError, UnitarityViolationError
+from transmute_lab.errors import PoleSingularityError, SingularInputError
 from transmute_lab.observables import (
     continuum_observables_array,
-    phase_shift_from_tau,
     tau_from_phase_shift,
     tau_from_phase_shift_array,
 )
@@ -258,7 +255,8 @@ class TestAmplitudes:
     def test_on_shell_matches_scalar(self, reg):
         energies = log_grid(-6, 6, 241)
         values = on_shell_amplitude_array(1.3, reg, energies, KAPPA)
-        assert values.tolist() == [on_shell_amplitude(1.3, reg, e, KAPPA).tau for e in energies.tolist()]
+        # each row is the one-element call, to the bit
+        assert values.tolist() == [on_shell_amplitude_array(1.3, reg, [e], KAPPA)[0] for e in energies.tolist()]
         if isinstance(reg, PureDelta):
             assert not values.any()
             return
@@ -285,7 +283,7 @@ class TestAmplitudes:
     def test_cutoff_edge_raises_like_scalar(self):
         reg = SharpCutoff(3.0)
         with pytest.raises(SingularInputError) as scalar:
-            on_shell_amplitude(1.0, reg, 3.0)
+            on_shell_amplitude_array(1.0, reg, [3.0])
         with pytest.raises(SingularInputError) as array:
             on_shell_amplitude_array(1.0, reg, [1.0, 3.0])
         assert str(array.value) == str(scalar.value)
@@ -327,7 +325,6 @@ class TestAmplitudes:
         cutoffs = np.concatenate([log_grid(-1, 300, 500), [1.0, math.nextafter(1.0, 2.0)]])
         values = cutoff_envelope_array(eps, 1.0, cutoffs)
         for lam, value in zip(cutoffs.tolist(), values.tolist()):
-            assert cutoff_envelope(eps, 1.0, lam) == (None if math.isnan(value) else value)
             with mp.workdps(DPS):
                 shifted = mp.log(mp.mpf(lam) - 1) - 4 * mp.pi / eps if lam > 1.0 else None
                 if shifted is None or shifted <= 0:
@@ -434,18 +431,11 @@ class TestObservables:
                 assert math.isnan(obs["phase_shift"][i])
             else:
                 assert_within_budget(obs["phase_shift"][i], float(delta0))
-            # the scalar name is a one-element call: the same row, to the bit
-            try:
-                scalar = phase_shift_from_tau(tau, defect_tol=tol)
-            except UnitarityViolationError:
-                assert obs["violation"][i]
-            else:
-                assert scalar == obs["phase_shift"][i]
         assert obs["violation"].any() and not obs["violation"].all()
 
     def test_resonance_row_is_exact(self):
         obs = continuum_observables_array(np.array([-4j]), [1.0])
-        assert obs["phase_shift"][0] == 0.5 * math.pi == phase_shift_from_tau(-4j)
+        assert obs["phase_shift"][0] == 0.5 * math.pi
 
 
 class TestWellPhaseShift:
@@ -486,13 +476,13 @@ class TestTables:
     def check_scatter_row(self, row, eps, reg, tol):
         """A scatter row against mpmath; the status at a rounding-level
         tolerance is a decision on the rounded amplitude, which the
-        library's 0-d call reproduces."""
+        library's one-element call reproduces."""
         energy = row[0]
         tau, scale = on_shell_mp(eps, reg, energy, NATURAL_UNITS)
         k = wavenumber(energy)
         f_scale = math.sqrt(1.0 / (8.0 * math.pi * k))
         assert_within_budget(row[2] + 1j * row[3], -f_scale * tau, f_scale * scale)
-        computed = on_shell_amplitude(eps, reg, energy).tau
+        computed = complex(on_shell_amplitude_array(eps, reg, [energy])[0])
         violated = computed != 0 and abs((1.0 / computed).imag - 0.25) > tol
         assert row[9] == ("UNITARITY_VIOLATION" if violated else "OK")
         if violated:
@@ -554,6 +544,21 @@ class TestTables:
             assert (row[2] == row[3] == 0.0) == (on_shell_mp(eps, reg, row[0], NATURAL_UNITS)[0] == 0)
             self.check_scatter_row(row, eps, reg, UNITARITY_DEFECT_TOL)
         assert rows[-1][2] == 0.0 and rows[0][2] != 0.0
+
+    def test_gaussian_scatter_subnormal_row(self, tmp_path, capsys):
+        # b E underflows to 0 at E = 5e-324: g(E + i0) is formed in logs, and
+        # the row holds its amplitude against mpmath at the exact b E
+        eps, length = 1.0, 0.7
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"a = {length!r}\n", encoding="utf-8")
+        (row,) = self.run(["scatter", "--regulator", "gaussian", "--epsilon", repr(eps), "--energy", "5e-324",
+                           "--config", str(cfg)], tmp_path, capsys)
+        with mp.workdps(DPS):
+            x = mp.mpf(length**2) * mp.mpf(row[0])
+            tau, scale = tau_mp(eps, mp.exp(-x) * mp.mpc(mp.ei(x), -mp.pi) / (4 * mp.pi))
+        f_scale = math.sqrt(1.0 / (8.0 * math.pi * wavenumber(row[0])))
+        assert_within_budget(row[2] + 1j * row[3], -f_scale * tau, f_scale * scale)
+        assert row[9] == "OK"
 
     def test_well_scatter_rows(self, tmp_path, capsys):
         # the column pass of the circular well, from J/Y series rows (k a <= 2)

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import transmute_lab
 from transmute_lab import cli, render, special
+from transmute_lab.amplitude import BoundState
 from transmute_lab.cli import main
 from transmute_lab.errors import TransmuteLabError
 from transmute_lab.tolerances import FLOW_GROUP_RTOL, ROUTE_AGREEMENT_RTOL, UNITARITY_DEFECT_TOL
@@ -491,7 +492,7 @@ def test_benchmark_interface():
     assert cli._ordered_map(str, []) == []
     for method in (cli.Table.write_csv, cli.Table.write_json):
         assert list(inspect.signature(method).parameters) == ["self", "stream"]
-    table = cli.Table("t", "d", {"k": "v"}, [("x", "")], rows=[[1.0]], footer={"rows": 1})
+    table = cli.Table("t", "d", {"k": "v"}, [("x", "")], rows=cli.Columns([np.array([1.0])], {}), footer={"rows": 1})
     csv_buf, json_buf = io.StringIO(), io.StringIO()
     table.write_csv(csv_buf)
     table.write_json(json_buf)
@@ -509,31 +510,41 @@ def test_benchmark_interface():
 
 class TestRender:
     def test_row_templates_render_as_fmt(self):
-        # rows whose cell types vary (None, strings, ints, bools, numpy
-        # floats) render exactly as the per-cell formatter does
-        rows = [
-            [1.0, -0.0, 5e-324, 1.7976931348623157e308, "OK", 3],
-            [math.pi, None, -1e-300, 2.0, "UNITARITY_VIOLATION", -7],
-            [1.0, True, 0.1, None, None, 0],
-            [np.float64(0.1), 2.5, 1e22, 1.0, "OK", 3],
-            (1.0 / 3.0, 1e-5, 123456789.0, -2.0, "OK", 11),
+        # float columns with blank cells, a str column and an int column
+        # render exactly as the per-cell formatter does
+        cells = [
+            np.array([1.0, math.pi, 1.0, 0.1, 1.0 / 3.0]),
+            np.array([-0.0, 0.0, 7.0, 2.5, 1e-5]),
+            np.array([5e-324, -1e-300, 0.1, 1e22, 123456789.0]),
+            np.array([1.7976931348623157e308, 2.0, 0.0, 1.0, -2.0]),
+            ["OK", "UNITARITY_VIOLATION", "", "OK", "OK"],
+            [3, -7, 0, 3, 11],
         ]
-        table = cli.Table("t", "d", {}, [(f"c{j}", "") for j in range(6)], rows=rows)
+        blank = {1: np.array([False, True, True, False, False]), 3: np.array([False, False, True, False, False])}
+        table = cli.Table("t", "d", {}, [(f"c{j}", "") for j in range(6)], rows=cli.Columns(cells, blank))
         buf = io.StringIO()
         table.write_csv(buf)
-        body = buf.getvalue().splitlines()[-len(rows):]
-        assert body == [",".join(cli._fmt(c) for c in row) for row in rows]
+        body = buf.getvalue().splitlines()[-5:]
+        assert body == [",".join(cli._fmt(c) for c in row) for row in row_lists(table.rows)]
 
     def test_numpy_zero_cells_keep_their_sign(self):
-        # np.float64(0.0) == np.float64(-0.0): a lookup keyed by value
-        # would write the first zero's sign for both
-        rows = [[np.float64(0.0), "OK"], [np.float64(-0.0), "OK"]]
-        table = cli.Table("t", "d", {}, [("a", ""), ("b", "")], rows=rows)
+        # 0.0 == -0.0: a lookup keyed by value would write the first zero's
+        # sign for both
+        table = cli.Table("t", "d", {}, [("a", ""), ("b", "")],
+                          rows=cli.Columns([np.array([0.0, -0.0]), ["OK", "OK"]], {}))
         buf = io.StringIO()
         table.write_csv(buf)
         assert buf.getvalue().splitlines()[-2:] == ["0.0000000000000000e+00,OK", "-0.0000000000000000e+00,OK"]
-        assert json.loads(json_of(table))["rows"] == rows
+        assert json.loads(json_of(table))["rows"] == [[0.0, "OK"], [-0.0, "OK"]]
         assert [math.copysign(1.0, row[0]) for row in json.loads(json_of(table))["rows"]] == [1.0, -1.0]
+
+    @pytest.mark.parametrize("bad", [True, 1.0, None, np.int64(1), np.float64(1.0), (1,), [1], {"a": 1}])
+    def test_other_list_cells_raise(self, bad):
+        # a list column holds str or int cells only
+        table = cli.Table("t", "d", {}, [("a", "")], rows=cli.Columns([[1, bad]], {}))
+        for write in (table.write_csv, table.write_json):
+            with pytest.raises(TypeError, match="neither str nor int"):
+                write(io.StringIO())
 
 
 def kernel_text(values):
@@ -711,6 +722,10 @@ GOLDEN_CSV = [
      "623dce438ba71afc91771a06fb4b375fb120f16453a717cd3d4a3ef38d40fc9f"),
     (["theorem", "--epsilon", "1", "--lambda", "1e2:1e12:6,log"], None,
      "c72a918cc3fc97bbd6775aceb61dac67a7399641982abb172a9b44da7ba8b47c"),
+    # 13 NO_BOUND_STATE rows with blank cells, pinned from the row-list
+    # renderer that bind used before it emitted columns
+    (["bind", "--regulator", "sharp-cutoff,gaussian,circular-well,pure-delta", "--epsilon", "0.005:2:7,log"], None,
+     "4b5a6b553bd610f401d0bd76f23599c8262f70e4e85466fbbc5f4b6d12fb401c"),
 ]
 
 
@@ -736,6 +751,9 @@ GOLDEN_JSON = [
      "e0360d2fc074171e12e064243a010476f972c91483e8f3abc63f418087f20f25"),
     (["theorem", "--epsilon", "1", "--lambda", "1e2:1e12:6,log"], None,
      "d733b63049aad760ddda8e3f41ca2f1272bf6e46be77b410891d0ad3e0a1d3c4"),
+    # null cells; pinned as in GOLDEN_CSV
+    (["bind", "--regulator", "sharp-cutoff,gaussian,circular-well,pure-delta", "--epsilon", "0.005:2:7,log"], None,
+     "f8788807d9e164bfc6502a6fac19816d930ef31c17f29eb87e5abc96e866de71"),
 ]
 
 
@@ -778,6 +796,17 @@ def test_csv_cells_read_back_as_json_cells(args, tmp_path):
     assert float in kinds
 
 
+def row_lists(rows):
+    """The rows of a Columns as lists of cells, a blank cell None."""
+    cols = []
+    for j, col in enumerate(rows.cells):
+        if isinstance(col, np.ndarray):
+            empty = rows.blank.get(j, np.zeros(col.shape, bool))
+            col = [None if e else v for v, e in zip(col.tolist(), empty.tolist())]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
 def reference_json(table):
     """The table as json.dump wrote it before its rows went through
     templates."""
@@ -786,7 +815,7 @@ def reference_json(table):
         "description": table.description,
         "config": table.config,
         "columns": [{"name": n, "description": d} for n, d in table.columns],
-        "rows": table.rows,
+        "rows": row_lists(table.rows),
         "footer": dict(table.footer),
     }
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -802,20 +831,29 @@ RENDER = settings(max_examples=200, derandomize=True, deadline=None)
 _finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e22, 1e-7, 1e16,
                                      1.7976931348623157e308]))
-_cells = st.one_of(
-    _finite, _finite, st.integers(), st.integers(-10, 10), st.none(), st.booleans(),
-    _finite.map(np.float64),
-    st.text(), st.sampled_from(["OK", "NO_BOUND_STATE", 'a "quoted" \\ cell', "\u00e9\u2211\U0001f600", "inf", "nan",
-                                "-inf", "\n      nan", "%s %d %%"]),
-    # cells that no template covers render at the depth of a row cell
-    st.lists(_finite, max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
-)
-_table_rows = st.lists(st.one_of(st.lists(_cells, max_size=6), st.lists(_cells, max_size=6).map(tuple)), max_size=8)
+_strings = st.one_of(st.text(), st.sampled_from(["OK", "NO_BOUND_STATE", 'a "quoted" \\ cell', "\u00e9\u2211\U0001f600",
+                                                 "inf", "nan", "-inf", "\n      nan", "%s %d %%"]))
+
+
+@st.composite
+def table_columns(draw):
+    """Columns of every kind: float64 arrays with random blank masks, str
+    lists and int lists, all of one random length."""
+    n = draw(st.integers(0, 8))
+    cells, blank = [], {}
+    for j, kind in enumerate(draw(st.lists(st.sampled_from(["float", "str", "int"]), max_size=6))):
+        if kind == "float":
+            cells.append(np.array(draw(st.lists(_finite, min_size=n, max_size=n)), dtype=np.float64))
+            if draw(st.booleans()):
+                blank[j] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        else:
+            cells.append(draw(st.lists(_strings if kind == "str" else st.integers(), min_size=n, max_size=n)))
+    return cli.Columns(cells, blank)
 
 
 class TestJsonTemplates:
     @RENDER
-    @given(rows=_table_rows, footer=st.dictionaries(st.text(max_size=4), _finite, max_size=3))
+    @given(rows=table_columns(), footer=st.dictionaries(st.text(max_size=4), _finite, max_size=3))
     def test_rows_render_as_json_dump(self, rows, footer):
         table = cli.Table("scatter", "d \u00e9", {"b": "2", "a": "x\"y"}, [("E", "energy"), ("k", "")],
                           rows=rows, footer=footer)
@@ -825,17 +863,18 @@ class TestJsonTemplates:
     @pytest.mark.parametrize("where", [0, 1, 2])
     def test_non_finite_cell_raises(self, bad, where):
         # as json.dump(allow_nan=False) does: a non-finite float is never
-        # written as inf or nan
-        rows = [[1.0, "OK", None], [2.0, "inf", 3]]
-        rows[1][where] = bad
-        table = cli.Table("t", "d", {}, [("a", ""), ("b", ""), ("c", "")], rows=rows)
+        # written as inf or nan, wherever its float column stands
+        cells = [["OK", "inf"], [3, 4]]
+        cells.insert(where, np.array([1.0, bad]))
+        table = cli.Table("t", "d", {}, [("a", ""), ("b", ""), ("c", "")], rows=cli.Columns(cells, {}))
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
             reference_json(table)
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
             json_of(table)
 
     def test_string_cells_spelling_inf_and_nan(self):
-        table = cli.Table("t", "d", {}, [("a", ""), ("b", "")], rows=[["nan", 1.0], ("inf", "-inf")])
+        table = cli.Table("t", "d", {}, [("a", ""), ("b", "")],
+                          rows=cli.Columns([["nan", "inf"], np.array([1.0, 0.0])], {1: np.array([False, True])}))
         assert json_of(table) == reference_json(table)
 
 
@@ -946,6 +985,23 @@ class TestBoundaryErrors:
     def test_non_finite_cell_names_row_and_column(self, tmp_path, capsys):
         run_cli(["flow"], tmp_path, config_text="tau0_re = 1e-320\n")
         assert "re_inv_tau = inf in row 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_bind_cell_names_row_and_column(self, tmp_path, capsys, monkeypatch, fmt):
+        # an infinite root is a numerical failure found by the cell check,
+        # before the footer fit would carry it into the JSON header
+        pole = cli.bound_state_pole
+
+        def overflowing(eps, model, scales):
+            return BoundState(math.inf, 0.0) if eps == 2.0 else pole(eps, model, scales)
+
+        monkeypatch.setattr(cli, "bound_state_pole", overflowing)
+        code, out = run_cli(["bind", "--regulator", "sharp-cutoff,gaussian", "--epsilon", "1:2:2", "--format", fmt],
+                            tmp_path, f"out.{fmt}")
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+        assert "non-finite E_B_solver = inf in row 2" in err
+        assert not out.exists()
 
     def test_tolerance_defaults_come_from_tolerances(self, tmp_path):
         code, out = run_cli(["scatter", "--energy", "1"], tmp_path)

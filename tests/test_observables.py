@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from transmute_lab.amplitude import on_shell_amplitude, renormalized_amplitude
+from transmute_lab.amplitude import on_shell_amplitude_array, renormalized_amplitude
 from transmute_lab.energy_plane import wavenumber
 from transmute_lab.errors import DomainError, UnitarityViolationError
 from transmute_lab.observables import (
     continuum_observables_array,
     f_from_tau,
     optical_theorem_defect,
-    phase_shift_from_tau,
     tau_from_phase_shift,
     total_target_length,
     unitarity_defect,
@@ -21,6 +20,12 @@ from transmute_lab.observables import (
 from transmute_lab.regulators import GaussianFormFactor, SharpCutoff
 
 FOUR_PI = 4.0 * math.pi
+
+
+def phase_shift(tau):
+    """delta0 of one amplitude: its row of continuum_observables_array, NaN
+    where it violates unitarity."""
+    return float(continuum_observables_array(np.array([tau], dtype=complex), [1.0])["phase_shift"][0])
 
 
 class TestF:
@@ -78,36 +83,39 @@ class TestTargetLength:
 
 class TestPhaseShift:
     def test_resonance(self):
-        assert phase_shift_from_tau(-4j) == 0.5 * math.pi
+        assert phase_shift(-4j) == 0.5 * math.pi
 
     def test_hand_value(self):
-        assert phase_shift_from_tau(-2.0 - 2.0j) == pytest.approx(0.25 * math.pi, rel=1e-14)
+        assert phase_shift(-2.0 - 2.0j) == pytest.approx(0.25 * math.pi, rel=1e-14)
 
     def test_zero_limit(self):
-        assert phase_shift_from_tau(0.0) == 0.0
+        assert phase_shift(0.0) == 0.0
 
     def test_round_trip(self):
         for delta in (-1.4, -0.3, 0.01, 0.7, 1.2, 0.5 * math.pi):
             tau = tau_from_phase_shift(delta)
-            assert phase_shift_from_tau(tau) == pytest.approx(delta, abs=1e-12)
+            assert phase_shift(tau) == pytest.approx(delta, abs=1e-12)
 
     def test_round_trip_from_model(self):
         e_b = 1.0
         for energy in (1e-4, 0.2, 1.0, 7.0, 1e5):
             tau = renormalized_amplitude(e_b, energy).tau
-            delta = phase_shift_from_tau(tau)
+            delta = phase_shift(tau)
             assert tau_from_phase_shift(delta) == pytest.approx(tau, rel=1e-12)
 
     def test_range_convention(self):
         e_b = 1.0
-        below = phase_shift_from_tau(renormalized_amplitude(e_b, 0.99 * e_b).tau)
-        above = phase_shift_from_tau(renormalized_amplitude(e_b, 1.01 * e_b).tau)
+        below = phase_shift(renormalized_amplitude(e_b, 0.99 * e_b).tau)
+        above = phase_shift(renormalized_amplitude(e_b, 1.01 * e_b).tau)
         assert -0.5 * math.pi < below < 0.0 or below == pytest.approx(-0.5 * math.pi, abs=0.01)
         assert 0.0 < above <= 0.5 * math.pi
 
     def test_violation_rejected(self):
-        with pytest.raises(UnitarityViolationError):
-            phase_shift_from_tau(-5j)
+        # the parametrization exists only on the unitary circle: a violating
+        # row is flagged and its phase shift is NaN
+        obs = continuum_observables_array(np.array([-5j, -4j]), [1.0, 1.0])
+        assert obs["violation"].tolist() == [True, False]
+        assert math.isnan(obs["phase_shift"][0]) and obs["phase_shift"][1] == 0.5 * math.pi
 
 
 class TestOpticalTheorem:
@@ -139,7 +147,7 @@ class TestUnitarityInvariants:
     def test_regulated_on_shell_unitary(self):
         for reg in (SharpCutoff(100.0), GaussianFormFactor(0.5)):
             for energy in (0.01, 1.0, 30.0):
-                tau = on_shell_amplitude(1.0, reg, energy).tau
+                tau = complex(on_shell_amplitude_array(1.0, reg, [energy])[0])
                 assert abs(unitarity_defect(tau)) <= 1e-13
 
     def test_low_energy_running_formula(self):

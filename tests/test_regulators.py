@@ -75,6 +75,38 @@ class TestDecayAmplitude:
 
 
 class TestResolvent:
+    @pytest.mark.parametrize("re, im", [(-5e-324, 0.0), (5e-324, 0.0), (0.0, 5e-324), (-3e-320, 2e-320),
+                                        (1e-310, 0.0), (-4.4e-308, 1e-309)])
+    def test_gaussian_at_subnormal_energies(self, re, im):
+        # w = -b z rounds to 0 or to a subnormal: g is formed in logs from z,
+        # negative on the negative axis, with Im g = -0.0 there as E1 gives
+        reg, kappa = GaussianFormFactor(0.7), PhysicalScales(1.3)
+        g = complex(resolvent_array(reg, np.array([re]), np.array([im]), kappa)[0])
+        with mp.workdps(40):
+            b, z = mp.mpf(0.7**2 / 1.3), mp.mpc(re, im)
+            if im == 0.0 and re > 0.0:
+                ref = mp.exp(-b * re) * mp.mpc(mp.ei(b * re), -mp.pi) / (4 * mp.pi * 1.3)
+            else:
+                ref = -mp.exp(-b * z) * mp.e1(-b * z) / (4 * mp.pi * 1.3)
+            ref = complex(ref)
+        assert g.real == pytest.approx(ref.real, rel=4e-16)
+        assert g.imag == pytest.approx(ref.imag, rel=4e-16, abs=0.0)
+        if re < 0.0 and im == 0.0:
+            assert g.real < 0.0 and math.copysign(1.0, g.imag) == -1.0
+
+    def test_gaussian_whose_b_underflows(self):
+        # a^2/kappa = 1e-400 rounds to 0: ln b is formed from a and kappa
+        reg = GaussianFormFactor(1e-200)
+        g = resolvent_array(reg, np.array([-1.0, 2.0, 0.0]), np.array([0.0, 0.0, 3.0]))
+        with mp.workdps(40):
+            b = mp.mpf(1e-200) ** 2
+            ref = [complex(-mp.exp(b) * mp.e1(b) / (4 * mp.pi)),
+                   complex(mp.exp(-2 * b) * mp.mpc(mp.ei(2 * b), -mp.pi) / (4 * mp.pi)),
+                   complex(-mp.exp(-3j * b) * mp.e1(-3j * b) / (4 * mp.pi))]
+        for value, expected in zip(g.tolist(), ref):
+            assert value.real == pytest.approx(expected.real, rel=4e-16)
+            assert value.imag == pytest.approx(expected.imag, rel=4e-16, abs=0.0)
+
     def test_pure_delta_diverges(self):
         with pytest.raises(DivergenceError):
             resolvent_element(PureDelta(), ComplexEnergy(0.0, 1.0))

@@ -1,6 +1,8 @@
 """Each closed form has one implementation, its array form; the scalar names
 are its 0-d calls.  These properties hold every array form equal, to the
-bit, to its scalar name element by element, for 1-d, 2-d and broadcast
+bit, to its scalar name element by element (or, for the on-shell amplitude,
+the cutoff envelope and the phase shift, which have no scalar name, to its
+one-element call), for 1-d, 2-d and broadcast
 shapes of contiguous arrays (numpy rounds some functions of a reversed view
 through other loops); points include -0.0 imaginary parts, continuum points
 and gaussian resolvents across the E1 branches.  The bound-state search is the one place
@@ -16,9 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from transmute_lab import amplitude, energy_plane, observables, regulators, special
 from transmute_lab.amplitude import (
     bound_state_pole,
-    cutoff_envelope,
     cutoff_envelope_array,
-    on_shell_amplitude,
     on_shell_amplitude_array,
     regulated_amplitude,
     regulated_amplitude_array,
@@ -31,7 +31,6 @@ from transmute_lab.observables import (
     continuum_observables_array,
     f_from_tau,
     optical_theorem_defect,
-    phase_shift_from_tau,
     tau_from_phase_shift,
     total_target_length,
     unitarity_defect,
@@ -152,7 +151,7 @@ class TestArrayEqualsZeroDim:
         energies = np.abs(zs[0])
         values = evaluated(on_shell_amplitude_array, eps, reg, energies, kappa)
         assume(values is not None)
-        same(values, elementwise(lambda e: on_shell_amplitude(eps, reg, e, kappa).tau, energies))
+        same(values, elementwise(lambda e: on_shell_amplitude_array(eps, reg, [e], kappa)[0], energies))
 
     @ZERO_DIM
     @given(e_b=magnitudes, zs=shaped(points()))
@@ -167,8 +166,8 @@ class TestArrayEqualsZeroDim:
     def test_cutoff_envelope(self, eps, magnitude, zs):
         cutoffs = np.hypot(zs[0], zs[1])
         values = cutoff_envelope_array(eps, magnitude, cutoffs)
-        reference = elementwise(lambda lam: cutoff_envelope(eps, magnitude, lam), cutoffs)
-        same(np.where(np.isnan(values), None, values), reference)
+        reference = elementwise(lambda lam: cutoff_envelope_array(eps, magnitude, [lam])[0], cutoffs)
+        same(np.where(np.isnan(values), None, values), np.where(np.isnan(reference), None, reference))
 
     @ZERO_DIM
     @given(xs=shaped(st.tuples(magnitudes, magnitudes)))
@@ -202,8 +201,10 @@ class TestArrayEqualsZeroDim:
         lengths = [evaluated(total_target_length, t, q) for t, q in zip(taus, k)]
         assert [max(v, 0.0) for v, n in zip(obs["L_from_im_tau"].tolist(), lengths) if n is not None] == [
             n for n in lengths if n is not None]
-        phases = [evaluated(phase_shift_from_tau, t, tol) for t in taus]
-        same(np.where(obs["violation"], None, obs["phase_shift"]), np.array(phases, dtype=object))
+        one = [continuum_observables_array(np.array([t]), [e], defect_tol=tol) for t, e in zip(taus, energies.tolist())]
+        assert obs["violation"].tolist() == [o["violation"][0] for o in one]
+        same(np.where(obs["violation"], None, obs["phase_shift"]),
+             np.array([None if o["violation"][0] else o["phase_shift"][0] for o in one], dtype=object))
 
 
 def _raises(name):
