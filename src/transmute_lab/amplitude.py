@@ -32,8 +32,8 @@ arrays of couplings, cutoffs and energies; regulated_amplitude and
 renormalized_amplitude are its 0-d calls, and amplitudes_over_cutoffs and
 transmutation_schedule one array call each.  bound_state_pole alone
 evaluates point by point, through the scalar negative_axis_resolvent and
-resolvent_derivative of regulators, because a 0-d array call costs over a
-hundred times a scalar one and a pole takes about 8 evaluations.
+resolvent_derivative of regulators, because a 0-d array call costs tens to
+hundreds of times a scalar one and a pole takes about 8 evaluations.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ one array form of each closed form.  Only bind runs row by row: its root
 searches evaluate one point at a time, about 8 times per pole, through the
 scalar code kept for them (the negative-axis resolvent, the real
 exp1_scaled_real and the Bessel functions), since a 0-d array call costs
-over a hundred times a scalar one.
+tens to hundreds of times a scalar one.
 numpy's elementary functions may round differently from the C library's, so
 array-evaluated tables may differ from earlier versions in the last digits,
 within the 8-ulp budget of tests/test_array_forms.py.  Every command hands

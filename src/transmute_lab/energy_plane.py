@@ -185,18 +185,29 @@ def log_ratio_array(num, den) -> np.ndarray:
     return log
 
 
+def scaled_magnitude_array(re, im):
+    """|z| 2^s and s ln 2 for z = re + i*im: s = 600 where hypot would round a
+    subnormal |z| to the subnormal grid, else 0 (0.0 if no |z| is subnormal)."""
+    mag = np.hypot(re, im)
+    tiny = mag < sys.float_info.min
+    if not tiny.any():
+        return mag, 0.0
+    shift = np.where(tiny, 600, 0)
+    return np.hypot(np.ldexp(re, shift), np.ldexp(im, shift)), shift * math.log(2.0)
+
+
 def principal_log_ratio_array(re, im, re0, im0) -> np.ndarray:
     """ln(z/z0) elementwise, on the branch of principal_log_ratio, for z =
     re + i*im and z0 = re0 + i*im0 given as broadcastable arrays of real and
     imaginary parts (Im >= 0; Im = 0 is the limit from above), with
-    ln|z/z0| from log_ratio_array."""
+    ln|z/z0| from log_ratio_array of scaled_magnitude_array."""
     re, im, re0, im0 = (np.asarray(v, dtype=float) for v in (re, im, re0, im0))
     if (im < 0.0).any() or (im0 < 0.0).any():
         raise DomainError("energy must lie in the closed upper half plane")
-    mag, mag0 = np.hypot(re, im), np.hypot(re0, im0)
+    (mag, shift), (mag0, shift0) = scaled_magnitude_array(re, im), scaled_magnitude_array(re0, im0)
     if not (mag.all() and mag0.all()):
         raise DomainError("principal_log_ratio requires nonzero energies")
-    log_mag = log_ratio_array(mag, mag0)
+    log_mag = log_ratio_array(mag, mag0) - (shift - shift0)
     out = np.empty(log_mag.shape, dtype=complex)
     out.real = log_mag
     out.imag = _arg_from_above_array(re, im) - _arg_from_above_array(re0, im0)

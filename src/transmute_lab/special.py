@@ -26,40 +26,46 @@ are implemented here from scratch:
   as one dot product over the fixed nodes of composite Gauss-Legendre panels
   (t = u^2 removes the endpoint singularity).  Measured accuracy is a few
   ulp for all x >= 2.
-* E1(w) on the closed lower half plane plus the positive real axis (the image
-  of the upper half energy plane under w = -b*z), scaled as e^w E1(w).  The
-  branches are taken in this order (DLMF 6.6-6.12): the lower lip of the cut
-  (Im w = 0 > Re w) through Ei; the power series for |w| <= 3.5; the
-  optimally truncated asymptotic series for |w| >= 40, in every direction;
-  the modified Lentz continued fraction for Re w >= 0; the power series
-  again near the negative axis (|w| + Re w <= 9); and a fixed Gauss rule on
-  the Stieltjes form e^{-w} Int_0^inf e^{-u}/(w+u) du in the one wedge left.
-  For real x > 0, exp1_scaled_real takes the power series at x <= 1, as a
-  fixed Horner polynomial of 18 terms, and the same Stieltjes rule above.
-* Ei(x) for x > 0: power series for x <= 40, asymptotic series above.
+* e^w E1(w) on the closed lower half plane plus the positive real axis,
+  by the first of these branches that holds, each a fixed number of terms
+  (DLMF 6.6-6.12), with its largest measured error relative to the value:
+  - the lower lip of the cut (Im w = 0 > Re w): e^{-x} (-Ei(x) + i pi) at
+    x = -w, through Ei below;
+  - |w| >= 40: the asymptotic series (6.12.1), 40 terms; 4.2e-16;
+  - |w| + Re w <= 2: the power series (6.6.2), 104 terms, which cancels by
+    at most e^{|w| + Re w}; 2.2e-15;
+  - elsewhere the Stieltjes form Int_0^inf e^{-u}/(w+u) du (6.2.2) by a
+    rule of 4 panels of 24 Gauss-Legendre nodes, where the pole u = -w lies
+    at least 2 off the real axis or 1 from the origin; 2.1e-15.
+  For real x > 0, exp1_scaled_real takes the power series at x <= 1 (18
+  terms) and the same rule above.
+* e^{-x} Ei(x) for x > 0: a Taylor series within 0.05 of the zero
+  x0 = 0.3725 of Ei (24 terms), the power series (6.6.1) at x <= 40 (104
+  terms), the asymptotic series (6.12.2) above (40 terms); 2.3e-15.
+The errors are the largest against mpmath over the sweeps of
+tests/test_special.py and 32,000 further points drawn in every branch.
 
 _K_SWITCH = 2 is the one switch of all six cylinder functions.
 
 exp1_scaled_array and expi_scaled_array evaluate e^w E1(w) and e^{-x} Ei(x)
-over numpy arrays: each branch runs over the elements its mask selects,
-each series or continued fraction stops element by element, and the
-Stieltjes rule is one matrix-vector product.  They are the one
-implementation of E1 and Ei on their domains; exp1_scaled, expi_scaled and
-expi are their 0-d calls.  bessel_jy_array gives J0, Y0, J1 and Y1 together
-over a numpy array, the rule in blocks of 64 rows; the well's phase shifts
-take all of theirs from one such pass.  The bound-state searches (the
-gaussian pole, the circular well) evaluate one point at a time, where a
-one-element array call costs several times a scalar one (55-72 us against
-2-20 us for J and Y), so they call scalar code that sums the rules of the
-array forms for one x: exp1_scaled_real for the gaussian, the Bessel names
-for the well.  The scalar J and Y take the series and the rule of
-bessel_jy_array, the rule summed for one x, and agree with it within 1e-15
-of the envelope.
+over numpy arrays: each branch is a fixed sequence of numpy calls over the
+elements its mask selects, whatever their values (polynomials by two
+levels of Horner's rule, the rule by einsum) in blocks of 1024 elements.  They
+are the one implementation of E1 and Ei on their domains; exp1_scaled,
+expi_scaled and expi are their 0-d calls, at 30-70 us.
+bessel_jy_array gives J0, Y0, J1 and Y1 together over a numpy array, the
+rule in blocks of 64 rows; the well's phase shifts take all of theirs from
+one such pass.  The bound-state searches (the gaussian pole, the circular
+well) evaluate one point at a time, where a one-element array call costs
+several times a scalar one (55-72 us against 2-20 us for J and Y), so they
+call scalar code that sums the rules of the array forms for one x:
+exp1_scaled_real for the gaussian, the Bessel names for the well.  The
+scalar J and Y take the series and the rule of bessel_jy_array, the rule
+summed for one x, and agree with it within 1e-15 of the envelope.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -163,9 +169,9 @@ def _k_series(x: float, order: int) -> float:
 # modified functions K
 # ----------------------------------------------------------------------
 
-def _composite_gauss(panels, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of n-point Gauss-Legendre rules on each panel."""
-    t, wt = np.polynomial.legendre.leggauss(n)
+def _composite_gauss(panels, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a rule (t, wt) on [-1, 1] mapped to each panel."""
+    t, wt = rule
     nodes = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * t for a, b in panels])
     weights = np.concatenate([0.5 * (b - a) * wt for a, b in panels])
     return nodes, weights
@@ -173,7 +179,8 @@ def _composite_gauss(panels, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 # Fixed Gauss-Legendre panels for the resummed asymptotic integral, with the
 # integrand's e^{-u^2} folded into the weights; u <= 9 truncates below 1e-35.
-_K_NODES, _K_WEIGHTS = _composite_gauss(((0.0, 1.5), (1.5, 4.0), (4.0, 9.0)), 60)
+_K_NODES, _K_WEIGHTS = _composite_gauss(((0.0, 1.5), (1.5, 4.0), (4.0, 9.0)),
+                                         np.polynomial.legendre.leggauss(60))
 _K_WEIGHTS = _K_WEIGHTS * np.exp(-_K_NODES**2)
 _K_NODES_SQ = _K_NODES**2
 
@@ -338,59 +345,90 @@ def bessel_jy_array(x):
 # exponential integrals
 # ----------------------------------------------------------------------
 
-# Branches of e^w E1(w) in exp1_scaled_array, taken in this order (DLMF
-# 6.6-6.12): the lower lip of the cut (Im w = 0 > Re w) through Ei; the power
-# series for |w| <= _E1_SERIES_RADIUS; the asymptotic series for
-# |w| >= _E1_ASYMPTOTIC_RADIUS, in every direction, where its optimally
-# truncated error ~e^{-|w|} and the Stokes term i pi e^{w} near the negative
-# axis both lie below 1e-15 of the value; the continued fraction for
-# Re w >= 0; the power series again near the negative axis,
-# |w| + Re w <= _E1_NEAR_AXIS; the Stieltjes integral in the wedge left over.
-_E1_SERIES_RADIUS = 3.5
+# The switches of the branches in the module docstring.
 _E1_ASYMPTOTIC_RADIUS = 40.0
-_E1_NEAR_AXIS = 9.0
-# Ei: power series for x <= _EI_SERIES_MAX, asymptotic series above.
-_EI_SERIES_MAX = 40.0
+_E1_NEAR_AXIS = 2.0
+_EI_ZERO_RADIUS = 0.05
+# Polynomials are summed in rows of _BLOCK coefficients.
+_BLOCK = 8
 
-_MAX_EXPINT_SERIES_TERMS = 1200
-_MAX_CF_TERMS = 5000
-_MAX_ASYMPTOTIC_TERMS = 200
 
-# e^w E1(w) = Int_0^inf e^{-u}/(w+u) du, valid off the cut, by a fixed rule
-# with e^{-u} folded into the weights; used only where the pole at u = -w
-# stays far from the contour: |Im w| > 9 in the Stieltjes wedge, and w > 1
-# on the positive axis.
-_E1_NODES, _E1_WEIGHTS = _composite_gauss(((0.0, 4.0), (4.0, 12.0), (12.0, 28.0), (28.0, 55.0)), 48)
+def _columns(coefficients) -> np.ndarray:
+    """Coefficients of ascending powers, a multiple of _BLOCK of them, as the
+    (_BLOCK, rows, 1) array that _polynomial reads."""
+    return np.reshape(np.asarray(coefficients, dtype=float), (-1, _BLOCK)).T[:, :, None].copy()
+
+
+def _polynomial(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """sum_k c_k x^k over a 1-d array x by two levels of Horner's rule: each
+    row of _BLOCK coefficients in x, all rows at once, then the rows in
+    x^_BLOCK; 2 (_BLOCK + rows) numpy calls for any count."""
+    rows = columns[-1]
+    for c in columns[-2::-1]:
+        rows = rows * x + c
+    step = x * x
+    step = step * step
+    step = step * step
+    total = rows[-1]
+    for row in rows[-2::-1]:
+        total = total * step + row
+    return total
+
+
+# E1(w) = -gamma - ln w + w sum_k (-1)^k w^k / ((k+1) (k+1)!), and the sum
+# at w = -x is Ei(x) - gamma - ln x: at |w| < 40 the first term left out lies
+# below 3e-18 of the sum of their sizes, e^{|w|}/|w|.  The asymptotic series
+# (1/w) sum_k (-1)^k k!/w^k, also -e^{-x} Ei(x) at w = -x: 40!/40^40 = 6.7e-17.
+_E1_SERIES = [(-1) ** k / ((k + 1) * math.factorial(k + 1)) for k in range(104)]
+_E1_SERIES_COLUMNS = _columns(_E1_SERIES)
+_E1_ASYMPTOTIC_COLUMNS = _columns([(-1) ** k * float(math.factorial(k)) for k in range(40)])
+# x0 = _EI_ZERO + _EI_ZERO_LOW, ln of the Ramanujan-Soldner constant (DLMF
+# 6.13); e^{-x} Ei(x) = e^{-h} (h/x0) sum_k c_k h^k/(k+1) at h = x - x0,
+# the c_k those of e^h/(1 + h/x0), and (0.05/x0)^24 < 1e-20.
+_EI_ZERO, _EI_ZERO_LOW = 0.3725074107813666, 1.3140183414386028e-17
+_EI_ZERO_COLUMNS = _columns([sum((-1 / _EI_ZERO) ** (k - j) / math.factorial(j) for j in range(k + 1))
+                             / ((k + 1) * _EI_ZERO) for k in range(24)])
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], n even, by three Newton
+    steps from Tricomi's estimate of each root: its moments of t^k, k < 2n,
+    are within 5e-16, where numpy's leggauss(48) misses t^2 by 5.5e-15."""
+    t = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * np.arange(1, n // 2 + 1) - 1) / (4 * n + 2))
+    for _ in range(4):
+        p0, p1 = np.ones_like(t), t
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * t * p1 - (j - 1) * p0) / j
+        dp = n * (t * p1 - p0) / (t * t - 1.0)
+        t, nodes = t - p1 / dp, t
+    weights = 2.0 / ((1.0 - nodes * nodes) * dp * dp)
+    return np.concatenate([-nodes, nodes[::-1]]), np.concatenate([weights, weights[::-1]])
+
+
+# The Stieltjes rule, e^{-u} folded into the weights (u <= 55 truncates below
+# 2e-24); 24 nodes a panel reach rounding where 16 left 4.5e-13 at w = 1.
+_E1_PANELS = ((0.0, 4.0), (4.0, 12.0), (12.0, 28.0), (28.0, 55.0))
+_E1_NODES, _E1_WEIGHTS = _composite_gauss(_E1_PANELS, _gauss_legendre(24))
 _E1_WEIGHTS = _E1_WEIGHTS * np.exp(-_E1_NODES)
 
 
-# Rows per block of the (rows, nodes) matrix, which bounds its memory; the
-# sum over nodes is einsum's own loop, as in _rule_sum.
-_STIELTJES_BLOCK = 512
-
-
 def _e1_stieltjes_scaled_array(w: np.ndarray) -> np.ndarray:
+    """The rule, 1/(w + u) = (a - i y)/(a^2 + y^2) at a = Re w + u, y = Im w."""
+    a = w.real[:, None] + _E1_NODES
+    q = 1.0 / (a * a + (w.imag * w.imag)[:, None])
     out = np.empty_like(w)
-    for start in range(0, w.size, _STIELTJES_BLOCK):
-        block = w[start:start + _STIELTJES_BLOCK]
-        out[start:start + block.size] = _rule_sum(1.0 / (block[:, None] + _E1_NODES), _E1_WEIGHTS)
+    out.real = np.einsum("ij,ij,j->i", a, q, _E1_WEIGHTS)
+    out.imag = -w.imag * _rule_sum(q, _E1_WEIGHTS)
     return out
 
 
-# E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!) (DLMF 6.6.2) at
-# 0 < x <= 1, in Horner form: the first term left out, k = 19, lies below
-# 5e-19 there.
-_E1_REAL_SERIES = [(-1) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 19)]
-
-
 def exp1_scaled_real(x: float) -> float:
-    """e^x E1(x) for real x > 0: the power series at x <= 1, above it the
-    Stieltjes rule of exp1_scaled_array summed for one x.  Measured against
-    mpmath over [1e-300, 1e300], the error is below 1e-15 of the value at
-    x <= 1 and below 1.1e-14 above, the bias of the rule's weights."""
+    """e^x E1(x) for real x > 0: the power series at x <= 1 as a Horner
+    polynomial of 18 terms, the Stieltjes rule summed for one x above.
+    Measured over [1e-300, 1e300], the error is below 1.3e-15 of the value."""
     _require_positive(x, "exp1_scaled_real")
     if x <= 1.0:
-        return math.exp(x) * (-EULER_GAMMA - math.log(x) + x * _horner(x, _E1_REAL_SERIES))
+        return math.exp(x) * (-EULER_GAMMA - math.log(x) + x * _horner(x, _E1_SERIES[:18]))
     return float(_rule_sum(1.0 / (x + _E1_NODES), _E1_WEIGHTS))
 
 
@@ -400,8 +438,7 @@ def exp1_scaled(w: complex) -> complex:
 
 
 def expi_scaled(x: float) -> float:
-    """e^{-x} Ei(x) for x > 0, stable for arbitrarily large x: the 0-d case
-    of expi_scaled_array."""
+    """e^{-x} Ei(x) at one x > 0: the 0-d case of expi_scaled_array."""
     return float(expi_scaled_array([x])[0])
 
 
@@ -411,74 +448,13 @@ def expi(x: float) -> float:
     return math.exp(x) * expi_scaled(x)
 
 
-# ----------------------------------------------------------------------
-# array forms of the exponential integrals
-# ----------------------------------------------------------------------
-
-def _per_element(step, state, terms: int) -> np.ndarray:
-    """Iterate state, done = step(k, *state) for k = 1, 2, ... as the scalar
-    loops do, each element on its own: it leaves the live set with its value
-    state[0] once its own done holds."""
-    out = np.empty_like(state[0])
-    live = np.arange(out.size)
-    for k in range(1, terms):
-        state, done = step(k, *state)
-        if done.any():
-            out[live[done]] = state[0][done]
-            keep = ~done
-            live, state = live[keep], [part[keep] for part in state]
-            if not live.size:
-                return out
-    out[live] = state[0]
-    return out
-
-
-def _e1_series_step(k, total, term, w):
-    term = term * (-w / k)
-    add = -term / k
-    total = total + add
-    return (total, term, w), np.abs(add) < 1e-18 * np.maximum(1.0, np.abs(total))
-
-
-def _e1_lentz_step(i, h, b, c, d):
-    a = -float(i * i)
-    b = b + 2.0
-    d = 1.0 / (a * d + b)
-    c = b + a / c
-    delta = c * d
-    return (h * delta, b, c, d), np.abs(delta - 1.0) < 1e-16
-
-
-def _asymptotic_step(k, total, term, prev, w, *, sign):
-    term = term * (sign * k / w)
-    size = np.abs(term)
-    grew = size > prev
-    total = np.where(grew, total, total + term)
-    return (total, term, size, w), grew | (size < 1e-18 * np.abs(total))
-
-
-def _expi_series_step(k, total, term, x):
-    term = term * (x / k)
-    total = total + term / k
-    return (total, term, x), term / k < 1e-18 * np.abs(total)
-
-
-def _asymptotic_array(w: np.ndarray, sign: float) -> np.ndarray:
-    """(1/w) * sum_k k! (sign/w)^k truncated at the smallest term: e^w E1(w)
-    for sign -1, e^{-x} Ei(x) for sign +1 and real w = x."""
-    ones = np.ones_like(w)
-    step = functools.partial(_asymptotic_step, sign=sign)
-    return _per_element(step, (ones, ones, np.ones(w.shape), w), _MAX_ASYMPTOTIC_TERMS) / w
-
-
 def _e1_series_scaled_array(w: np.ndarray) -> np.ndarray:
-    state = (np.zeros_like(w), np.ones_like(w), w)
-    return np.exp(w) * (-EULER_GAMMA - np.log(w) + _per_element(_e1_series_step, state, _MAX_EXPINT_SERIES_TERMS))
+    return np.exp(w) * (-EULER_GAMMA - np.log(w) + w * _polynomial(w, _E1_SERIES_COLUMNS))
 
 
-def _e1_lentz_scaled_array(w: np.ndarray) -> np.ndarray:
-    d = 1.0 / (w + 1.0)
-    return _per_element(_e1_lentz_step, (d, w + 1.0, np.full_like(w, 1.0 / 1e-300), d), _MAX_CF_TERMS)
+def _e1_asymptotic_scaled_array(w: np.ndarray) -> np.ndarray:
+    u = 1.0 / w
+    return u * _polynomial(u, _E1_ASYMPTOTIC_COLUMNS)
 
 
 def _e1_lower_lip_array(w: np.ndarray) -> np.ndarray:
@@ -488,34 +464,57 @@ def _e1_lower_lip_array(w: np.ndarray) -> np.ndarray:
     return out
 
 
+# Elements per block of a branch, which bounds the memory of its temporaries:
+# 96 nodes an element in the rule, 13 complex rows in the series.
+_EVALUATE_BLOCK = 1024
+
+
+def _evaluate(x: np.ndarray, branches, rest) -> np.ndarray:
+    """Each element of x by the first (mask, evaluate) of branches whose mask
+    it meets, and by rest where it meets none, in blocks of _EVALUATE_BLOCK."""
+    out = np.empty_like(x)
+    left = np.ones(x.shape, dtype=bool)
+    for mask, evaluate in [*branches, (left, rest)]:
+        mask = mask & left
+        if mask.any():
+            left &= ~mask
+            v = x[mask]
+            blocks = range(0, v.size, _EVALUATE_BLOCK)
+            out[mask] = np.concatenate([evaluate(v[i:i + _EVALUATE_BLOCK]) for i in blocks])
+    return out
+
+
+def _ei_near_zero_scaled_array(x: np.ndarray) -> np.ndarray:
+    h = (x - _EI_ZERO) - _EI_ZERO_LOW
+    return np.exp(-h) * h * _polynomial(h, _EI_ZERO_COLUMNS)
+
+
+def _ei_series_scaled_array(x: np.ndarray) -> np.ndarray:
+    return np.exp(-x) * (EULER_GAMMA + np.log(x) + x * _polynomial(-x, _E1_SERIES_COLUMNS))
+
+
+def _ei_asymptotic_scaled_array(x: np.ndarray) -> np.ndarray:
+    return -_e1_asymptotic_scaled_array(-x)
+
+
 def expi_scaled_array(x) -> np.ndarray:
-    """e^{-x} Ei(x) elementwise over an array of x > 0: the power series for
-    x <= _EI_SERIES_MAX, the asymptotic series above."""
+    """e^{-x} Ei(x) elementwise over an array of x > 0."""
     x = np.asarray(x, dtype=float)
     bad = ~((x > 0.0) & np.isfinite(x))
     if bad.any():
         raise DomainError(f"expi_scaled requires x > 0, got {x[bad][0]}")
-    out = np.empty_like(x)
-    series = x <= _EI_SERIES_MAX
-    if series.any():
-        v = x[series]
-        state = (np.zeros_like(v), np.ones_like(v), v)
-        total = _per_element(_expi_series_step, state, _MAX_EXPINT_SERIES_TERMS)
-        out[series] = np.exp(-v) * (EULER_GAMMA + np.log(v) + total)
-    if not series.all():
-        out[~series] = _asymptotic_array(x[~series], 1.0)
-    return out
+    flat = x.ravel()
+    branches = [(np.abs(flat - _EI_ZERO) <= _EI_ZERO_RADIUS, _ei_near_zero_scaled_array),
+                (flat <= _E1_ASYMPTOTIC_RADIUS, _ei_series_scaled_array)]
+    return _evaluate(flat, branches, _ei_asymptotic_scaled_array).reshape(x.shape)
 
 
 def exp1_scaled_array(w) -> np.ndarray:
     """e^w E1(w) elementwise over an array of w in the closed lower half plane
     or on the positive real axis (the image of upper-half-plane energies
-    under w = -b*z).
-
-    Natively scaled in every regime, so it stays O(1/w) even where e^w alone
-    would overflow.  Points on the negative real axis are limits from below
-    the cut, consistent with the package branch policy.
-    """
+    under w = -b*z), natively scaled: it stays O(1/w) where e^w alone would
+    overflow.  The negative real axis is the lower lip of the cut, as the
+    package branch policy has it."""
     w = np.asarray(w, dtype=complex)
     if (w == 0).any():
         raise DomainError("E1 diverges at w = 0")
@@ -523,19 +522,7 @@ def exp1_scaled_array(w) -> np.ndarray:
         raise DomainError("exp1 is implemented for Im w <= 0 only")
     flat = w.ravel()
     re, r = flat.real, np.abs(flat)
-    # (condition, evaluation) in the order of precedence of the branches; an
-    # element takes the first branch whose condition it meets
-    branches = [
-        ((flat.imag == 0.0) & (re < 0.0), _e1_lower_lip_array),
-        (r <= _E1_SERIES_RADIUS, _e1_series_scaled_array),
-        (r >= _E1_ASYMPTOTIC_RADIUS, lambda v: _asymptotic_array(v, -1.0)),
-        (re >= 0.0, _e1_lentz_scaled_array),
-        (r + re <= _E1_NEAR_AXIS, _e1_series_scaled_array),
-    ]
-    choice = np.select([cond for cond, _ in branches], range(len(branches)), len(branches))
-    out = np.empty_like(flat)
-    for index, evaluate in enumerate([evaluate for _, evaluate in branches] + [_e1_stieltjes_scaled_array]):
-        mask = choice == index
-        if mask.any():
-            out[mask] = evaluate(flat[mask])
-    return out.reshape(w.shape)
+    branches = [((flat.imag == 0.0) & (re < 0.0), _e1_lower_lip_array),
+                (r >= _E1_ASYMPTOTIC_RADIUS, _e1_asymptotic_scaled_array),
+                (r + re <= _E1_NEAR_AXIS, _e1_series_scaled_array)]
+    return _evaluate(flat, branches, _e1_stieltjes_scaled_array).reshape(w.shape)

@@ -95,17 +95,32 @@ class TestResolvent:
             assert g.real < 0.0 and math.copysign(1.0, g.imag) == -1.0
 
     def test_gaussian_whose_b_underflows(self):
-        # a^2/kappa = 1e-400 rounds to 0: ln b is formed from a and kappa
+        # a^2/kappa = 1e-400 rounds to 0: ln b is formed from a and kappa, and
+        # ln|z| of z itself where |z| is normal (z 2^600 overflows at 1e300)
         reg = GaussianFormFactor(1e-200)
-        g = resolvent_array(reg, np.array([-1.0, 2.0, 0.0]), np.array([0.0, 0.0, 3.0]))
+        re, im = [-1.0, 2.0, 0.0, -1e300, 1e300], [0.0, 0.0, 3.0, 0.0, 0.0]
+        g = resolvent_array(reg, np.array(re), np.array(im))
         with mp.workdps(40):
             b = mp.mpf(1e-200) ** 2
-            ref = [complex(-mp.exp(b) * mp.e1(b) / (4 * mp.pi)),
-                   complex(mp.exp(-2 * b) * mp.mpc(mp.ei(2 * b), -mp.pi) / (4 * mp.pi)),
-                   complex(-mp.exp(-3j * b) * mp.e1(-3j * b) / (4 * mp.pi))]
+            ref = []
+            for x, y in zip(re, im):
+                if y == 0.0 and x > 0.0:
+                    ref.append(complex(mp.exp(-b * x) * mp.mpc(mp.ei(b * x), -mp.pi) / (4 * mp.pi)))
+                else:
+                    w = -b * mp.mpc(x, y)
+                    ref.append(complex(-mp.exp(w) * mp.e1(w) / (4 * mp.pi)))
         for value, expected in zip(g.tolist(), ref):
             assert value.real == pytest.approx(expected.real, rel=4e-16)
             assert value.imag == pytest.approx(expected.imag, rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize("re, im", [(-3e-320, 2e-320), (1e-320, 1e-321)])
+    def test_sharp_cutoff_at_subnormal_energies(self, re, im):
+        # ln|z| of z 2^600: hypot rounds a subnormal |z| to the subnormal grid
+        g = complex(resolvent_array(SharpCutoff(1.0), np.array([re]), np.array([im]))[0])
+        with mp.workdps(40):
+            ref = complex((mp.log(mp.mpc(re, im)) - mp.log(mp.mpc(re - 1.0, im))) / (4 * mp.pi))
+        assert g.real == pytest.approx(ref.real, rel=4e-16)
+        assert g.imag == pytest.approx(ref.imag, rel=4e-16)
 
     def test_pure_delta_diverges(self):
         with pytest.raises(DivergenceError):

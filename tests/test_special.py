@@ -3,6 +3,7 @@ against exact cross-identities (Wronskians, derivative relations)."""
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from transmute_lab.errors import DomainError
 from transmute_lab.special import (
+    _E1_ASYMPTOTIC_RADIUS,
+    _E1_NEAR_AXIS,
+    _E1_PANELS,
+    _EI_ZERO,
+    _EI_ZERO_RADIUS,
     EULER_GAMMA,
+    _composite_gauss,
+    _gauss_legendre,
     bessel_j0,
     bessel_j1,
     bessel_k0,
@@ -187,8 +195,8 @@ class TestExponentialIntegrals:
             assert expi_scaled(x) == pytest.approx(ref, rel=1e-12)
 
     def test_exp1_lower_half_plane_polar_survey(self):
-        # every method region: series, continued fraction, asymptotics, and
-        # the Stieltjes wedge
+        # every method region: the power series, the Stieltjes rule and the
+        # asymptotic series
         for r in (0.1, 1.0, 3.4, 3.6, 8.0, 15.0, 25.0, 39.0, 41.0, 300.0):
             for deg in (0, -20, -45, -80, -90, -100, -120, -150, -179):
                 w = r * cmath.exp(1j * math.radians(deg))
@@ -250,10 +258,10 @@ def lower_half_plane(draw, radii=magnitudes):
     return complex(r * math.cos(phase), r * math.sin(phase))
 
 
-def exp1_scaled_mp(w: complex) -> complex:
+def exp1_scaled_mp(w: complex, dps: int = 30) -> complex:
     """e^w E1(w) by mpmath, with the negative axis as the lower lip,
     e^{-x} (-Ei(x) + i pi) at w = -x."""
-    with mp.workdps(30):
+    with mp.workdps(dps):
         if w.imag == 0.0 and w.real < 0.0:
             x = mp.mpf(-w.real)
             return complex(-mp.exp(-x) * mp.ei(x), math.pi * mp.exp(-x))
@@ -320,8 +328,8 @@ class TestExponentialIntegralProperties:
         assert_exp1_close(complex(exp1_scaled_array(np.array([w]))[0]), w)
 
 
-# |w| also uniform in [3.5, 40], which holds the continued fraction, the
-# near-axis series and the Stieltjes wedge
+# |w| also uniform in [3.5, 40], which holds the Stieltjes rule and the
+# near-axis series
 every_branch = lower_half_plane(st.one_of(magnitudes, st.floats(3.5, 40.0)))
 
 
@@ -342,10 +350,88 @@ real_arguments = st.one_of(st.floats(-300.0, 300.0), st.floats(-2.0, 2.0)).map(l
 def test_exp1_scaled_real_against_mpmath(x):
     with mp.workdps(30):
         ref = float(mp.exp(mp.mpf(x)) * mp.e1(mp.mpf(x)))
-    assert abs(exp1_scaled_real(x) - ref) <= 2e-14 * ref, x
+    assert abs(exp1_scaled_real(x) - ref) <= 2e-15 * ref, x
 
 
 @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_exp1_scaled_real_domain(x):
     with pytest.raises(DomainError, match="exp1_scaled_real requires x > 0"):
         exp1_scaled_real(x)
+
+
+# ----------------------------------------------------------------------
+# the Gauss rule of the Stieltjes integral
+# ----------------------------------------------------------------------
+
+def moment_errors(t, wt):
+    """|sum_i wt_i t_i^k - Int_{-1}^{1} t^k dt| for k < 2n, in exact rationals
+    of the float nodes and weights."""
+    t, wt = [Fraction(float(v)) for v in t], [Fraction(float(v)) for v in wt]
+    return [abs(float(sum(w * x**k for w, x in zip(wt, t)) - (Fraction(2, k + 1) if k % 2 == 0 else 0)))
+            for k in range(2 * len(t))]
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_gauss_legendre_moments(n):
+    # numpy's leggauss(48) misses the t^2 moment by 5.5e-15
+    assert max(moment_errors(*_gauss_legendre(n))) <= 6e-16
+
+
+def test_stieltjes_panel_moments():
+    # each panel integrates t^k, k < 2n, in its own variable t = (u - c)/h
+    nodes, weights = _composite_gauss(_E1_PANELS, _gauss_legendre(24))
+    for (a, b), u, w in zip(_E1_PANELS, np.split(nodes, len(_E1_PANELS)), np.split(weights, len(_E1_PANELS))):
+        c, h = (Fraction(a) + Fraction(b)) / 2, (Fraction(b) - Fraction(a)) / 2
+        local = [(Fraction(float(v)) - c) / h for v in u]
+        assert max(moment_errors(local, [Fraction(float(v)) / h for v in w])) <= 6e-16, (a, b)
+
+
+# ----------------------------------------------------------------------
+# accuracy sweep of the exponential integrals
+# ----------------------------------------------------------------------
+
+def ulps_around(v):
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+def e1_sweep():
+    """|w| log-spaced over [1e-3, 1e3] at angles over [-pi, 0], the lip with
+    both zeros, and w within an ulp of every branch boundary: |w| = 40,
+    |w| + Re w = 2, the lip and just below it."""
+    points = [complex(r * math.cos(t), r * math.sin(t))
+              for r in np.logspace(-3, 3, 61) for t in np.linspace(-math.pi, 0.0, 37)]
+    points += [complex(-r, zero) for r in np.logspace(-3, 3, 25) for zero in (0.0, -0.0)]
+    for t in np.linspace(-math.pi, 0.0, 13):
+        points += [complex(r * math.cos(t), r * math.sin(t)) for r in ulps_around(_E1_ASYMPTOTIC_RADIUS)]
+    for x in (0.0, 0.5, 3.0, 10.0, 30.0, 39.0):
+        # |w| + Re w = 2 at Re w = -x, Im w = -sqrt(4 + 4x)
+        points += [complex(-x, -y) for y in ulps_around(math.sqrt(_E1_NEAR_AXIS**2 + 2 * _E1_NEAR_AXIS * x))]
+    points += [complex(x, -0.0) for x in ulps_around(0.5 * _E1_NEAR_AXIS)]
+    for x in (1e-3, 0.5, 2.0, 39.9, 40.0, 40.1, 500.0):
+        points += [complex(-x, -y) for y in (5e-324, 1e-300, 1e-8)]
+    return np.array(points)
+
+
+def expi_sweep():
+    """x log-spaced over [1e-300, 1e300] and over [1e-3, 1e3], and x within an
+    ulp of every branch boundary and of the zero of Ei."""
+    points = list(np.logspace(-300, 300, 121)) + list(np.logspace(-3, 3, 241))
+    for x in (_E1_ASYMPTOTIC_RADIUS, _EI_ZERO - _EI_ZERO_RADIUS, _EI_ZERO + _EI_ZERO_RADIUS, _EI_ZERO):
+        points += ulps_around(x)
+    points += [_EI_ZERO + d for d in (1e-12, 1e-8, 1e-4, -1e-6, -1e-3)]
+    return np.array(points)
+
+
+def test_exp1_scaled_array_sweep():
+    w = e1_sweep()
+    ref = np.array([exp1_scaled_mp(v, dps=40) for v in w.tolist()])
+    err = np.abs(exp1_scaled_array(w) - ref) / np.abs(ref)
+    assert err.max() <= 1e-14, w[err.argmax()]
+
+
+def test_expi_scaled_array_sweep():
+    x = expi_sweep()
+    with mp.workdps(40):
+        ref = np.array([float(mp.exp(-mp.mpf(v)) * mp.ei(mp.mpf(v))) for v in x.tolist()])
+    err = np.abs(expi_scaled_array(x) - ref) / np.abs(ref)
+    assert err.max() <= 1e-14, x[err.argmax()]
