@@ -30,10 +30,9 @@ scans below.
 Each closed form has one implementation, an *_array function over numpy
 arrays of couplings, cutoffs and energies; regulated_amplitude and
 renormalized_amplitude are its 0-d calls, and amplitudes_over_cutoffs and
-transmutation_schedule one array call each.  bound_state_pole alone
-evaluates point by point, through the scalar negative_axis_resolvent and
-resolvent_derivative of regulators, because a 0-d array call costs tens to
-hundreds of times a scalar one and a pole takes about 8 evaluations.
+transmutation_schedule one array call each.  bound_state_poles solves the
+bound states of a whole column of couplings at once, and bound_state_pole is
+its one-element call.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from .energy_plane import (
     PhysicalScales,
     as_energy,
     complex_divide_array,
+    exp_libm,
     log_bracket_root,
     log_ratio_array,
     log_search_floor,
@@ -85,6 +85,7 @@ __all__ = [
     "slide_amplitude",
     "renormalized_amplitude",
     "bound_state_pole",
+    "bound_state_poles",
     "amplitudes_over_cutoffs",
     "transmutation_schedule",
     "renormalized_amplitude_array",
@@ -216,44 +217,53 @@ def _sharp_log_pole(epsilon: float, cutoff: float) -> float:
     return math.log(cutoff) - (t + math.log(-math.expm1(-t)))
 
 
-def bound_state_pole(
-    epsilon: float,
-    reg: Regulator,
-    scales: PhysicalScales = NATURAL_UNITS,
-) -> BoundState:
-    """Locate the bound state: the root of 1 + eps*I(-E) = 0 on the negative
-    real axis (limit from above).
+def bound_state_poles(epsilon, reg: Regulator, scales: PhysicalScales = NATURAL_UNITS) -> tuple:
+    """The bound states over a 1-d array of couplings, the roots of
+    1 + eps*I(-E) = 0 on the negative real axis (limit from above): arrays of
+    E_B and of residues, NaN in the rows of the mask returned third.
 
     E_B spans hundreds of orders of magnitude in eps, so the root is sought
     in ln E, between the nominal cutoff Lambda and the floor of
     log_search_floor (Lambda*1e-300, never below the smallest normal
-    double); a root outside that range raises NoBoundStateError(exact=False).
-    For the sharp cutoff the root is exact, E_B = Lambda / (e^{4 pi/eps} - 1),
-    i.e. Lambda e^{-4 pi/eps} up to O(E_B/Lambda), and nothing is searched.
-    The gaussian root is searched by log_bracket_root from its
-    small-coupling asymptote ln E_B = ln(kappa/a^2) - gamma_E - 4 pi/eps.
+    double); a row whose root lies outside has none, as the pure delta has
+    none at all.  For the sharp cutoff the root is exact, E_B = Lambda /
+    (e^{4 pi/eps} - 1), i.e. Lambda e^{-4 pi/eps} up to O(E_B/Lambda), and
+    nothing is searched.  The gaussian roots are searched by log_bracket_root
+    from the small-coupling asymptote ln E_B = ln(kappa/a^2) - gamma_E - 4 pi/eps.
     """
-    _check_coupling(epsilon)
+    eps = np.asarray(epsilon, dtype=float)
+    _check_coupling(eps)
     if isinstance(reg, PureDelta):
-        raise NoBoundStateError(
-            "the unregulated contact interaction never binds (tau is identically zero)",
-            exact=True,
-        )
+        nan = np.full(eps.shape, np.nan)
+        return nan, nan, np.isnan(nan)
     lam = nominal_cutoff(reg, scales)
-    x_top = math.log(lam)
+    x_floor, x_top = log_search_floor(lam), math.log(lam)
     if isinstance(reg, SharpCutoff):
-        x_root = _sharp_log_pole(epsilon, reg.cutoff)
-        if not log_search_floor(lam) <= x_root <= x_top:
-            raise NoBoundStateError("bound state lies outside [Lambda*1e-300, Lambda]", exact=False)
+        x_root = np.array([_sharp_log_pole(e, reg.cutoff) for e in eps.tolist()])
+        x_root[~((x_floor <= x_root) & (x_root <= x_top))] = np.nan
     else:
-        def mismatch(x: float) -> float:
-            return 1.0 + epsilon * negative_axis_resolvent(reg, math.exp(x), scales)
+        def mismatch(index, x):
+            return 1.0 + eps[index] * negative_axis_resolvent(reg, np.exp(x), scales)
 
-        guess = x_top - EULER_GAMMA - 4.0 * math.pi / epsilon
-        x_root = log_bracket_root(mismatch, log_search_floor(lam), x_top, guess)
-    energy = math.exp(x_root)
-    residue = 1.0 / resolvent_derivative(reg, energy, scales)
-    return BoundState(energy=energy, residue=residue)
+        x_root = log_bracket_root(mismatch, x_floor, x_top, x_top - EULER_GAMMA - 4.0 * math.pi / eps)
+    energy = exp_libm(x_root)
+    unbound = np.isnan(energy)
+    residue = np.full(eps.shape, np.nan)
+    residue[~unbound] = 1.0 / resolvent_derivative(reg, energy[~unbound], scales)
+    return energy, residue, unbound
+
+
+def bound_state_pole(epsilon: float, reg: Regulator, scales: PhysicalScales = NATURAL_UNITS) -> BoundState:
+    """The bound state at one coupling, the one-element call of
+    bound_state_poles; NoBoundStateError where it has none, exact for the
+    pure delta, which never binds."""
+    if isinstance(reg, PureDelta):
+        _check_coupling(epsilon)
+        raise NoBoundStateError("the unregulated contact interaction never binds (tau is identically zero)", exact=True)
+    energy, residue, unbound = bound_state_poles([epsilon], reg, scales)
+    if unbound[0]:
+        raise NoBoundStateError("no bound state within [Lambda*1e-300, Lambda]", exact=False)
+    return BoundState(energy=float(energy[0]), residue=float(residue[0]))
 
 
 def amplitudes_over_cutoffs(

@@ -10,13 +10,10 @@ deterministic CSV or JSON tables.
 Configuration is a flat key=value text file ('#' comments); command-line
 flags override file values.  Output is byte-deterministic across runs on one
 machine and numpy build: floats render at 17 significant digits, tables are
-evaluated in one thread, and no timestamps enter the data body.  flow,
-scatter, theorem and transmute are evaluated as numpy columns, through the
-one array form of each closed form.  Only bind runs row by row: its root
-searches evaluate one point at a time, about 8 times per pole, through the
-scalar code kept for them (the negative-axis resolvent, the real
-exp1_scaled_real and the Bessel functions), since a 0-d array call costs
-tens to hundreds of times a scalar one.
+evaluated in one thread, and no timestamps enter the data body.  Every
+command is evaluated as numpy columns, through the one array form of each
+closed form; bind solves the bound states of all its couplings as one
+column per regulator.
 numpy's elementary functions may round differently from the C library's, so
 array-evaluated tables may differ from earlier versions in the last digits,
 within the 8-ulp budget of tests/test_array_forms.py.  Every command hands
@@ -42,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amplitude import (
-    bound_state_pole,
+    bound_state_poles,
     cutoff_envelope_array,
     on_shell_amplitude_array,
     regulated_amplitude_array,
@@ -50,7 +47,7 @@ from .amplitude import (
     transmutation_schedule,
 )
 from .energy_plane import ComplexEnergy, PhysicalScales, complex_divide_array, log_ratio_array
-from .errors import DomainError, NoBoundStateError, TransmuteLabError
+from .errors import DomainError, TransmuteLabError
 from .observables import continuum_observables_array, tau_from_phase_shift_array
 from .regulators import (
     REGULATOR_NAMES,
@@ -65,7 +62,7 @@ from .tolerances import (
     THEOREM_ENVELOPE_RTOL,
     UNITARITY_DEFECT_TOL,
 )
-from .oracle.well import WellParameters, well_bound_state, well_from_coupling, well_phase_shift_array
+from .oracle.well import well_bound_states, well_depths, well_from_coupling, well_phase_shift_array
 from .render import csv_lines, fmt_cell as _fmt, json_lines
 
 __all__ = ["main"]
@@ -343,11 +340,11 @@ def _positive(opts: Options, key: str, squared: bool = False) -> float:
     return value
 
 
-def _model(name: str, opts: Options, scales: PhysicalScales, epsilon: float | None = None):
+def _model(name: str, opts: Options, scales: PhysicalScales, well: bool = False):
     """The model that a regulator name and its scale keys select: a separable
-    regulator, or for circular-well the oracle's well of radius a at
-    coupling epsilon.  Without a coupling (flow) only the separable
-    regulators are accepted."""
+    regulator, or for circular-well, where ``well`` admits it (bind,
+    scatter), the radius a of the oracle's well.  flow admits only the
+    separable regulators."""
     lam, length = _positive(opts, "lambda"), _positive(opts, "a", squared=True)
     if name in ("gaussian", "circular-well"):
         # the model divides kinetic_constant by a^2 and a^2 by kinetic_constant
@@ -355,10 +352,10 @@ def _model(name: str, opts: Options, scales: PhysicalScales, epsilon: float | No
         if not (0.0 < kappa / a2 < math.inf and 0.0 < a2 / kappa < math.inf):
             raise UsageError(f"kinetic_constant = {kappa!r} and a = {length!r} are out of range: "
                              "kinetic_constant/a^2 or a^2/kinetic_constant underflows or overflows")
-    if name == "circular-well" and epsilon is not None:
-        return well_from_coupling(epsilon, length, scales)
+    if name == "circular-well" and well:
+        return length
     if name not in REGULATOR_NAMES:
-        names = REGULATOR_NAMES if epsilon is None else REGULATOR_NAMES + ("circular-well",)
+        names = REGULATOR_NAMES + ("circular-well",) if well else REGULATOR_NAMES
         raise UsageError(f"regulator must be one of {', '.join(names)}; got {name!r}")
     return regulator_from_name(name, cutoff=lam, length=length)
 
@@ -459,28 +456,22 @@ def cmd_bind(opts: Options) -> Table:
     in for Lambda when the regulator is smeared."""
     scales = _scales(opts)
     eps_grid = opts.get_grid("epsilon", "1:4:3,log")
+    eps = np.array(eps_grid)
     names = [n.strip() for n in (opts.get("regulator") or "sharp-cutoff,gaussian,circular-well,pure-delta").split(",")]
-    statuses, solvers, closed_forms, fit_points = [], [], [], []
+    solvers, closed_forms, unbound = [], [], []
     for name in names:
-        xs, roots = [], []
-        for eps in eps_grid:
-            try:
-                model = _model(name, opts, scales, eps)
-                if isinstance(model, WellParameters):
-                    # the well's nominal cutoff is that of a gaussian of the same length
-                    solver, nominal = well_bound_state(model, scales), scales.kinetic_constant / model.radius**2
-                else:
-                    solver, nominal = bound_state_pole(eps, model, scales).energy, nominal_cutoff(model, scales)
-            except NoBoundStateError:
-                solver, closed, status = math.nan, math.nan, "NO_BOUND_STATE"
-            else:
-                closed, status = nominal * math.exp(-FOUR_PI / eps), "OK"
-                xs.append(-FOUR_PI / eps)
-                roots.append(solver)
-            statuses.append(status)
-            solvers.append(solver)
-            closed_forms.append(closed)
-        fit_points.append((name, xs, roots))
+        model = _model(name, opts, scales, well=True)
+        if name == "circular-well":
+            # the well's nominal cutoff is that of a gaussian of the same length
+            energy, none = well_bound_states(model, well_depths(eps, model, scales), scales)
+            nominal = scales.kinetic_constant / model**2
+        else:
+            energy, _, none = bound_state_poles(eps, model, scales)
+            # the pure delta, which never binds, has no nominal cutoff
+            nominal = math.nan if none.all() else nominal_cutoff(model, scales)
+        solvers.append(energy)
+        closed_forms.append(np.where(none, math.nan, [nominal * math.exp(-FOUR_PI / e) for e in eps_grid]))
+        unbound.append(none)
     columns = [
         ("epsilon", "dimensionless attractive coupling"),
         ("regulator", "regulator name"),
@@ -489,18 +480,17 @@ def cmd_bind(opts: Options) -> Table:
         ("rel_dev", "(E_B_solver - E_B_closed_form)/E_B_closed_form"),
         ("status", "OK or NO_BOUND_STATE"),
     ]
-    solver, closed = np.array(solvers), np.array(closed_forms)
-    unbound = np.array(statuses) != "OK"
+    solver, closed, blank = np.concatenate(solvers), np.concatenate(closed_forms), np.concatenate(unbound)
     # the cell check comes before the fit, which would carry a non-finite
     # root into the footer
-    rows = _rows(columns, [np.array(eps_grid * len(names)), [name for name in names for _ in eps_grid], solver, closed,
-                           (solver - closed) / closed, statuses], {2: unbound, 3: unbound, 4: unbound})
+    rows = _rows(columns, [np.tile(eps, len(names)), [name for name in names for _ in eps_grid], solver, closed,
+                           (solver - closed) / closed, np.where(blank, "NO_BOUND_STATE", "OK").tolist()],
+                 {2: blank, 3: blank, 4: blank})
     fits: dict[str, tuple[float, float]] = {}
-    for name, xs, roots in fit_points:
-        if len(xs) >= 2:
-            slope, intercept = _fit_line(xs, [math.log(root) for root in roots])
+    for name, energy, none in zip(names, solvers, unbound):
+        if (~none).sum() >= 2:
+            slope, intercept = _fit_line((-FOUR_PI / eps[~none]).tolist(), list(map(math.log, energy[~none].tolist())))
             fits[name] = (slope, math.exp(intercept))
-
     footer: dict[str, object] = {"rows": len(rows)}
     for name, (slope, lam_eff) in fits.items():
         tag = name.replace("-", "_")
@@ -534,6 +524,8 @@ def cmd_theorem(opts: Options) -> Table:
     eps = eps_grid[0]
     z = _config_energy(opts, "z", 0.0, 1.0)
     schedule = np.array(opts.get_grid("lambda", "1e2:1e12:6,log"))
+    if (schedule[1:] <= schedule[:-1]).any():
+        raise UsageError("the lambda schedule must be strictly increasing")
     magnitude = z.magnitude()
     below = schedule <= magnitude
     if below.any():
@@ -646,10 +638,11 @@ def cmd_scatter(opts: Options) -> Table:
         tau = renormalized_amplitude_array(_positive(opts, "e_b"), energies)
     else:
         eps = _positive(opts, "epsilon")
-        model = _model(name, opts, scales, eps)
-        if isinstance(model, WellParameters):
+        model = _model(name, opts, scales, well=True)
+        if name == "circular-well":
             k = np.sqrt(np.asarray(energies) / scales.kinetic_constant)
-            tau = tau_from_phase_shift_array(well_phase_shift_array(model, k, scales))
+            well = well_from_coupling(eps, model, scales)
+            tau = tau_from_phase_shift_array(well_phase_shift_array(well, k, scales))
         else:
             tau = on_shell_amplitude_array(eps, model, energies, scales)
     obs = continuum_observables_array(tau, energies, scales, unitarity_tol)

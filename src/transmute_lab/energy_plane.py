@@ -20,7 +20,9 @@ system is imposed here and converted only at the CLI boundary.
 Both bound-state solvers (separable poles, circular well) search in ln E
 with the one root finder here, log_bracket_root, under one bracket policy:
 from the caller's asymptotic estimate outward in doubling steps, then one
-run of Chandrupatla's method.
+run of Chandrupatla's method.  It solves a whole column of roots at once:
+each element takes the steps of its own search, and each step evaluates
+the caller's function once, over the elements still searching.
 
 principal_log_ratio_array is the one implementation of that logarithm,
 over arrays of real and imaginary parts; principal_log_ratio is its 0-d
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoBoundStateError
+from .errors import DomainError
 from .tolerances import POLE_SEARCH_LOG_TOL
 
 __all__ = [
@@ -102,12 +104,6 @@ class ComplexEnergy:
         if self.im == 0.0 and self.re > 0.0 and not self.boundary:
             # canonicalize: a positive real-axis point is a continuum boundary value
             object.__setattr__(self, "boundary", True)
-
-    @classmethod
-    def interior(cls, re: float, im: float) -> "ComplexEnergy":
-        if im <= 0.0:
-            raise DomainError(f"interior point needs im > 0, got {im}")
-        return cls(re, im)
 
     @classmethod
     def continuum(cls, energy: float) -> "ComplexEnergy":
@@ -247,62 +243,79 @@ def log_search_floor(nominal: float) -> float:
     return max(math.log(nominal) + math.log(1e-300), math.log(sys.float_info.min))
 
 
-def log_bracket_root(f, x_floor: float, x_top: float, guess: float) -> float:
-    """ln E of the bound-state root of f(ln E) between x_floor and x_top,
-    searched outward from the estimate ``guess``.
+def exp_libm(x) -> np.ndarray:
+    """e^x elementwise by the C library's exp, which numpy's loop may round
+    differently: a bound-state energy keeps the bits of its exact ln E."""
+    return np.array(list(map(math.exp, np.asarray(x, dtype=float).tolist())))
 
-    f is evaluated at x_top, then at guess + 2 and guess - 2, then at points
-    twice as far apart each time (guess - 10, guess - 26, ...), each clamped
-    to x_floor; points at or above the last one are skipped.  The first sign
-    change brackets the root, and one run of Chandrupatla's method refines it
-    to POLE_SEARCH_LOG_TOL * max(1, |ln E|).  Raises
-    NoBoundStateError(exact=False) when f keeps its sign down to x_floor, so
-    a guess below the floor costs two evaluations.
+
+def log_bracket_root(f, x_floor, x_top, guess) -> np.ndarray:
+    """ln E of the bound-state root of f between x_floor and x_top, searched
+    outward from the estimate ``guess``, per element of these broadcastable
+    1-d arrays; NaN where f keeps its sign down to x_floor or the range is
+    empty.  f(index, x) evaluates ln E = x for the elements ``index``.
+
+    Per element, f is evaluated at x_top, then at guess + 2 and guess - 2,
+    then at points twice as far apart each time (guess - 10, guess - 26,
+    ...), each clamped to x_floor; points at or above the last one are
+    skipped.  The first sign change brackets the root, and one run of
+    Chandrupatla's method refines it to POLE_SEARCH_LOG_TOL * max(1, |ln E|).
+    So a guess below the floor costs two evaluations, and an empty range none.
     """
-    if not x_floor < x_top:
-        raise NoBoundStateError("bound-state search range is empty", exact=False)
-    xb, fb = x_top, f(x_top)
-    if fb == 0.0:
-        return x_top
+    x_floor, x_top, guess = (np.array(v, dtype=float) for v in np.broadcast_arrays(x_floor, x_top, guess))
+    root, xa, fa, fb = (np.full(x_top.shape, np.nan) for _ in range(4))
+    xb = np.full(x_top.shape, np.inf)
+    search = x_floor < x_top
+    x = x_top
     for k in itertools.count(2):
-        x = max(guess + 6.0 - 2.0**k, x_floor)
-        if x >= xb:
-            continue
-        fa = f(x)
-        if fa == 0.0:
-            return x
-        if (fa > 0.0) != (fb > 0.0):
-            return _chandrupatla(f, x, fa, xb, fb)
-        if x == x_floor:
-            raise NoBoundStateError("no bound state bracketed above the search floor", exact=False)
-        xb, fb = x, fa
+        i = np.flatnonzero(search & (x < xb))
+        if i.size:
+            fx, xi = f(i, x[i]), x[i]
+            zero = fx == 0.0
+            root[i[zero]] = xi[zero]
+            # the top, the first point, has no sign to change from
+            change = ~zero & ~np.isnan(fb[i]) & ((fx > 0.0) != (fb[i] > 0.0))
+            xa[i[change]], fa[i[change]] = xi[change], fx[change]
+            walk = ~(zero | change | (xi == x_floor[i]))
+            xb[i[walk]], fb[i[walk]] = xi[walk], fx[walk]
+            search[i[~walk]] = False
+        if not search.any():
+            break
+        x = np.maximum(guess + 6.0 - 2.0**k, x_floor)
+    i = np.flatnonzero(~np.isnan(fa))
+    root[i] = _chandrupatla(f, i, xa[i], fa[i], xb[i], fb[i])
+    return root
 
 
-def _chandrupatla(f, a: float, fa: float, b: float, fb: float) -> float:
-    """Root of f in the bracket [a, b] (fa, fb of opposite signs) by
-    Chandrupatla's method (Adv. Eng. Softw. 28, 1997), a safeguarded hybrid
-    in the spirit of Brent's (1973, ch. 4): inverse quadratic interpolation
-    through the newest point a, its bracket partner b and the point c it
-    replaced, where the three points allow it, and bisection otherwise.  The
-    root lies within POLE_SEARCH_LOG_TOL * max(1, |x|) of the returned x."""
-    t = 0.5
-    while True:
+def _chandrupatla(f, index, a, fa, b, fb) -> np.ndarray:
+    """Roots of f in the brackets [a, b] (fa, fb of opposite signs), columns
+    over the elements ``index``, by Chandrupatla's method (Adv. Eng. Softw.
+    28, 1997), a safeguarded hybrid in the spirit of Brent's (1973, ch. 4):
+    inverse quadratic interpolation through the newest point a, its bracket
+    partner b and the point c it replaced, where the three points allow it,
+    and bisection otherwise.  Each root lies within POLE_SEARCH_LOG_TOL *
+    max(1, |x|) of the returned x."""
+    root = np.empty(index.size)
+    at = np.arange(index.size)
+    t = np.full(index.size, 0.5)
+    while at.size:
         x = a + t * (b - a)
-        fx = f(x)
-        if (fx > 0.0) == (fa > 0.0):
-            c, fc = a, fa
-        else:
-            c, fc = b, fb
-            b, fb = a, fa
+        fx = f(index[at], x)
+        same = (fx > 0.0) == (fa > 0.0)
+        c, fc = np.where(same, a, b), np.where(same, fa, fb)
+        b, fb = np.where(same, b, a), np.where(same, fb, fa)
         a, fa = x, fx
-        xm, fm = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-        tl = 0.5 * POLE_SEARCH_LOG_TOL * max(1.0, abs(xm)) / abs(b - a)
-        if tl > 0.5 or fm == 0.0:
-            return xm
-        xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
-        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+        xm = np.where(np.abs(fa) < np.abs(fb), a, b)
+        tl = 0.5 * POLE_SEARCH_LOG_TOL * np.maximum(1.0, np.abs(xm)) / np.abs(b - a)
+        # fb, a value kept from an earlier step, is never 0: f(xm) = 0 is fa = 0
+        done = (tl > 0.5) | (fa == 0.0)
+        root[at[done]] = xm[done]
+        go = ~done
+        at, a, fa, b, fb, c, fc, tl = (v[go] for v in (at, a, fa, b, fb, c, fc, tl))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
             t = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
-        else:
-            t = 0.5
+        t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), t, 0.5)
         # never closer to either end than tl: the bracket keeps shrinking
-        t = min(1.0 - tl, max(tl, t))
+        t = np.minimum(1.0 - tl, np.maximum(tl, t))
+    return root

@@ -25,8 +25,10 @@ amplitude.
 
 well_phase_shift_array forms the phase shifts of a whole wavenumber grid
 from one bessel_jy_array pass over the interior and exterior arguments
-[k_in a, k a]; well_phase_shift is its one-element call.  The bound-state
-matching stays scalar: its root search evaluates J, K one point at a time.
+[k_in a, k a]; well_phase_shift is its one-element call.  well_bound_states
+solves the ground states of a whole column of depths at once, each matching
+step one bessel_jy_array and one bessel_k_scaled_array pass;
+well_bound_state is its one-element call.
 """
 
 from __future__ import annotations
@@ -37,15 +39,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..energy_plane import NATURAL_UNITS, PhysicalScales, log_bracket_root, log_search_floor
+from ..energy_plane import NATURAL_UNITS, PhysicalScales, exp_libm, log_bracket_root, log_search_floor
 from ..errors import DomainError, NoBoundStateError
-from ..special import EULER_GAMMA, bessel_j0, bessel_j1, bessel_jy_array, bessel_k0_scaled, bessel_k1_scaled
+from ..special import EULER_GAMMA, bessel_jy_array, bessel_k_scaled_array
 
 __all__ = [
     "WellParameters",
     "well_from_coupling",
+    "well_depths",
     "coupling_of_well",
     "well_bound_state",
+    "well_bound_states",
     "well_phase_shift",
     "well_phase_shift_array",
     "bound_energy_from_phase",
@@ -81,22 +85,28 @@ class WellParameters:
             raise DomainError(f"well depth must be positive, got {self.depth}")
 
 
-def well_from_coupling(epsilon: float, radius: float, scales: PhysicalScales = NATURAL_UNITS) -> WellParameters:
-    """Well with the same spatial integral as a contact coupling eps.
-
-    A depth that underflows to zero raises NoBoundStateError(exact=False):
-    the ground state of such a well, below its depth, lies below the bound
-    state search limit (kappa/a^2) * 1e-300.  A depth that overflows raises
-    DomainError, naming the coupling.
-    """
-    if not (epsilon > 0.0):
-        raise DomainError(f"coupling must be positive, got {epsilon}")
+def well_depths(epsilon, radius: float, scales: PhysicalScales = NATURAL_UNITS) -> np.ndarray:
+    """Depths eps*kappa/(pi a^2) of the wells with the spatial integrals of
+    an array of contact couplings: 0.0 where one underflows, its ground state
+    below the bound-state search limit (kappa/a^2) * 1e-300, and DomainError
+    naming the first coupling where one overflows."""
+    eps = np.asarray(epsilon, dtype=float)
+    if not (eps > 0.0).all():
+        raise DomainError(f"coupling must be positive, got {float(eps[~(eps > 0.0)][0])}")
     _check_radius(radius)
-    depth = epsilon * scales.kinetic_constant / (math.pi * radius**2)
+    with np.errstate(over="ignore"):
+        depth = eps * scales.kinetic_constant / (math.pi * radius**2)
+    if (depth == math.inf).any():
+        raise DomainError(f"well depth eps*kappa/(pi a^2) overflows at eps = {float(eps[depth == math.inf][0])}")
+    return depth
+
+
+def well_from_coupling(epsilon: float, radius: float, scales: PhysicalScales = NATURAL_UNITS) -> WellParameters:
+    """The well of well_depths at one coupling; NoBoundStateError(exact=False)
+    where its depth underflows."""
+    depth = float(well_depths([epsilon], radius, scales)[0])
     if depth == 0.0:
         raise NoBoundStateError(f"well depth eps*kappa/(pi a^2) underflows at eps = {epsilon}", exact=False)
-    if depth == math.inf:
-        raise DomainError(f"well depth eps*kappa/(pi a^2) overflows at eps = {epsilon}")
     return WellParameters(radius=radius, depth=depth)
 
 
@@ -104,19 +114,10 @@ def coupling_of_well(well: WellParameters, scales: PhysicalScales = NATURAL_UNIT
     return well.depth * math.pi * well.radius**2 / scales.kinetic_constant
 
 
-def _matching(well: WellParameters, energy: float, kappa: float) -> float:
-    """Bound-state matching function, cross-multiplied so both J0 and K0
-    zeros are harmless and scaled by e^{gamma a} so K0 and K1 do not
-    underflow; positive at E -> 0+, negative at E -> depth-."""
-    a = well.radius
-    k_in = math.sqrt((well.depth - energy) / kappa)
-    gamma = math.sqrt(energy / kappa)
-    return (k_in * bessel_j1(k_in * a) * bessel_k0_scaled(gamma * a)
-            - gamma * bessel_k1_scaled(gamma * a) * bessel_j0(k_in * a))
-
-
-def well_bound_state(well: WellParameters, scales: PhysicalScales = NATURAL_UNITS) -> float:
-    """Ground-state binding energy E_B > 0 (pole of the amplitude at -E_B).
+def well_bound_states(radius: float, depth, scales: PhysicalScales = NATURAL_UNITS) -> tuple:
+    """Ground-state binding energies E_B > 0 (poles of the amplitude at -E_B)
+    of the wells of one radius over a 1-d array of depths, NaN in the rows of
+    the mask returned second, which have none in the search range.
 
     log_bracket_root searches the matching root in ln E, outward from the
     shallow-well asymptote, between the search limit (kappa/a^2) * 1e-300
@@ -124,21 +125,40 @@ def well_bound_state(well: WellParameters, scales: PhysicalScales = NATURAL_UNIT
     floor rises to ln(depth - j1,1^2 kappa/a^2), where the matching function
     is -gamma K1 J0(j1,1) > 0 and below which every excited state lies, so
     the bracket holds the ground state alone.  A 2D attractive well always
-    binds, but the search raises NoBoundStateError(exact=False), as the
-    separable pole search does, below eps ~ 0.018, where
-    E_B ~ (kappa/a^2) e^{-4 pi/eps} lies under the limit, and above
-    eps ~ 2e13, where E_B lies above depth * (1 - 1e-12).
+    binds, but the search finds none, as the separable pole search does,
+    below eps ~ 0.018, where E_B ~ (kappa/a^2) e^{-4 pi/eps} lies under the
+    limit, and above eps ~ 2e13, where E_B lies above depth * (1 - 1e-12).
     """
-    kappa, v0 = scales.kinetic_constant, well.depth
-    nominal = kappa / well.radius**2
-    x_floor = log_search_floor(nominal)
-    if v0 > _J1_FIRST_ZERO**2 * nominal:
-        x_floor = max(x_floor, math.log(v0 - _J1_FIRST_ZERO**2 * nominal))
-    eps = coupling_of_well(well, scales)
-    # a coupling that underflows to zero puts the asymptote at -inf, with no division
-    guess = math.log(nominal) + _SHALLOW_LOG_OFFSET - 4.0 * math.pi / eps if eps > 0.0 else -math.inf
-    f = lambda x: _matching(well, math.exp(x), kappa)
-    return math.exp(log_bracket_root(f, x_floor, math.log(v0) + math.log1p(-1e-12), guess))
+    kappa, depth = scales.kinetic_constant, np.asarray(depth, dtype=float)
+    nominal = kappa / radius**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the log is NaN or -inf, and fmax keeps the limit, in a shallow well
+        x_floor = np.fmax(log_search_floor(nominal), np.log(depth - _J1_FIRST_ZERO**2 * nominal))
+        # a depth of 0 has an empty range, and its asymptote is -inf
+        x_top = np.log(depth) + math.log1p(-1e-12)
+        guess = math.log(nominal) + _SHALLOW_LOG_OFFSET - 4.0 * math.pi / (depth * math.pi * radius**2 / kappa)
+
+    def matching(index, x):
+        # cross-multiplied so both J0 and K0 zeros are harmless and scaled by
+        # e^{gamma a} so K0 and K1 do not underflow; positive at E -> 0+,
+        # negative at E -> depth-
+        energy = np.exp(x)
+        k_in, gamma = np.sqrt((depth[index] - energy) / kappa), np.sqrt(energy / kappa)
+        j0, _, j1, _ = bessel_jy_array(k_in * radius)
+        k0, k1 = bessel_k_scaled_array(gamma * radius)
+        return k_in * j1 * k0 - gamma * k1 * j0
+
+    energy = exp_libm(log_bracket_root(matching, x_floor, x_top, guess))
+    return energy, np.isnan(energy)
+
+
+def well_bound_state(well: WellParameters, scales: PhysicalScales = NATURAL_UNITS) -> float:
+    """Ground-state binding energy E_B > 0 of one well, the one-element call
+    of well_bound_states; NoBoundStateError(exact=False) where it has none."""
+    energy, unbound = well_bound_states(well.radius, [well.depth], scales)
+    if unbound[0]:
+        raise NoBoundStateError("no ground state within the bound-state search range", exact=False)
+    return float(energy[0])
 
 
 def well_phase_shift_array(well: WellParameters, k, scales: PhysicalScales = NATURAL_UNITS) -> np.ndarray:

@@ -38,12 +38,11 @@ the gaussian this is the limit e^{-bE}(Ei(bE) - i pi) / (4 pi kappa)).
 
 resolvent_array is the one implementation of g(z) and its one dispatch on
 the regulator: the sharp cutoff in closed form, the gaussian through the
-array forms of E1 and Ei.  resolvent_element and slide_kernel are its 0-d
-calls.  The bound-state search alone keeps scalar code,
-negative_axis_resolvent J(E) = kappa g(-E) and resolvent_derivative J'(E),
-through the real special.exp1_scaled_real: it evaluates one point at a
-time, about 8 times per pole, and a 0-d array call costs some 60 times a
-scalar one (83 us against 1.4 us for the gaussian J(E)).
+array form of E1.  resolvent_element and slide_kernel are its 0-d calls.
+The bound-state search reads g on the negative real axis only, where it is
+real: negative_axis_resolvent J(E) = kappa g(-E) and resolvent_derivative
+J'(E), over columns of energies, the gaussian through the real
+special.exp1_scaled_real.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from .energy_plane import (
     scaled_magnitude_array,
 )
 from .errors import DivergenceError, DomainError, SingularInputError
-from .special import EULER_GAMMA, exp1_scaled_array, exp1_scaled_real, expi_scaled_array
+from .special import EULER_GAMMA, exp1_scaled_array, exp1_scaled_real
 
 __all__ = [
     "PureDelta",
@@ -193,35 +192,38 @@ def resolvent_element(reg: Regulator, z, scales: PhysicalScales = NATURAL_UNITS)
     return complex(resolvent_array(reg, [ze.re], [ze.im], scales)[0])
 
 
-def negative_axis_resolvent(reg: Regulator, energy: float, scales: PhysicalScales = NATURAL_UNITS) -> float:
-    """J(E) = kinetic_constant * g(-E) for E > 0, real on the negative axis
-    (limit from above): the bound state is the root of 1 + eps*J(E)."""
-    if not (energy > 0.0):
-        raise DomainError(f"negative-axis resolvent requires E > 0, got {energy}")
+def negative_axis_resolvent(reg: Regulator, energy, scales: PhysicalScales = NATURAL_UNITS) -> np.ndarray:
+    """J(E) = kinetic_constant * g(-E) elementwise over an array of E > 0,
+    real on the negative axis (limit from above): the bound state is the
+    root of 1 + eps*J(E)."""
+    energy = _negative_axis(reg, energy)
     if isinstance(reg, SharpCutoff):
-        return (math.log(energy) - math.log(energy + reg.cutoff)) / (4.0 * math.pi)
-    if isinstance(reg, GaussianFormFactor):
-        kappa = scales.kinetic_constant
-        # kappa * (-(e^{x} E1(x)) / (4 pi kappa)) with x = b E, rounded as
-        # resolvent_array rounds the real part of kappa * g(-E)
-        return kappa * (-(1.0 / (4.0 * math.pi * kappa)) * exp1_scaled_real(reg.length**2 / kappa * energy))
-    raise DomainError("negative-axis resolvent defined for sharp-cutoff and gaussian only")
-
-
-def resolvent_derivative(reg: Regulator, energy: float, scales: PhysicalScales = NATURAL_UNITS) -> float:
-    """d/dE of the dimensionless resolvent along the negative real axis,
-    i.e. J'(E) with J(E) = kappa*g(-E).  Used for pole residues."""
-    if not (energy > 0.0):
-        raise DomainError(f"derivative requires E > 0, got {energy}")
+        return (np.log(energy) - np.log(energy + reg.cutoff)) / (4.0 * math.pi)
     kappa = scales.kinetic_constant
+    # kappa * (-(e^{x} E1(x)) / (4 pi kappa)) with x = b E, rounded as
+    # resolvent_array rounds the real part of kappa * g(-E)
+    return kappa * (-(1.0 / (4.0 * math.pi * kappa)) * exp1_scaled_real(reg.length**2 / kappa * energy))
+
+
+def resolvent_derivative(reg: Regulator, energy, scales: PhysicalScales = NATURAL_UNITS) -> np.ndarray:
+    """d/dE of the dimensionless resolvent along the negative real axis,
+    i.e. J'(E) with J(E) = kappa*g(-E), elementwise over an array of E > 0.
+    Used for pole residues."""
+    energy = _negative_axis(reg, energy)
     if isinstance(reg, SharpCutoff):
         return (1.0 / energy - 1.0 / (energy + reg.cutoff)) / (4.0 * math.pi)
-    if isinstance(reg, GaussianFormFactor):
-        b = reg.length**2 / kappa
-        x = b * energy
-        # d/dE [-(1/4pi) e^{x} E1(x)] = -(b/4pi) (e^{x} E1(x) - 1/x)
-        return -(b / (4.0 * math.pi)) * (exp1_scaled_real(x) - 1.0 / x)
-    raise DomainError("resolvent derivative defined for sharp-cutoff and gaussian only")
+    b = reg.length**2 / scales.kinetic_constant
+    x = b * energy
+    # d/dE [-(1/4pi) e^{x} E1(x)] = -(b/4pi) (e^{x} E1(x) - 1/x)
+    return -(b / (4.0 * math.pi)) * (exp1_scaled_real(x) - 1.0 / x)
+
+
+def _negative_axis(reg: Regulator, energy) -> np.ndarray:
+    """The energies E > 0 of -E as a float array, for a separable regulator."""
+    energy = np.asarray(energy, dtype=float)
+    if not isinstance(reg, (SharpCutoff, GaussianFormFactor)) or not (energy > 0.0).all():
+        raise DomainError("the negative-axis resolvent needs E > 0 and a sharp-cutoff or gaussian regulator")
+    return energy
 
 
 def slide_kernel(reg: Regulator, z, z0, scales: PhysicalScales = NATURAL_UNITS) -> complex:
@@ -244,8 +246,8 @@ def resolvent_array(reg, re, im, scales: PhysicalScales = NATURAL_UNITS) -> np.n
     Diverges for the pure delta (raises DivergenceError): with Q constant the
     integral grows logarithmically at large E for every z in the upper half
     plane.  Boundary values follow the limit-from-above branch policy: the
-    gaussian takes continuum points (Im z = 0 < Re z) through Ei and every
-    other point through E1.  z = 0 and the sharp edge z = Lambda raise
+    gaussian takes every point through E1, continuum points (Im z = 0 < Re z)
+    on the lower lip of its cut.  z = 0 and the sharp edge z = Lambda raise
     SingularInputError.
     """
     if isinstance(reg, PureDelta):
@@ -283,21 +285,16 @@ def _gaussian_resolvent_array(length: float, kappa: float, re: np.ndarray, im: n
         ln_z = np.log(mag) - shift
         g.real[small] = pref * (EULER_GAMMA + ((2.0 * math.log(length) - math.log(kappa)) + ln_z))
         g.imag[small] = pref * np.arctan2(-np.abs(im[small]), -re[small])
-    continuum = (im == 0.0) & (re > 0.0)
-    boundary = continuum & ~small
-    if boundary.any():
-        # Sokhotski limit on the continuum: e^{-bE} (Ei(bE) - i pi)
-        x = b * re[boundary]
-        g.real[boundary] = pref * expi_scaled_array(x)
-        g.imag[boundary] = pref * (-math.pi * np.exp(-x))
-    interior = ~(continuum | small)
-    if interior.any():
+    rest = ~small
+    if rest.any():
         # g(z) = -e^{-bz} E1(-bz); evaluate through the scaled E1 so the
-        # negative axis never overflows: g = -(e^{w} E1(w)) with w = -b z
-        w = np.empty(int(interior.sum()), dtype=complex)
-        w.real, w.imag = -b * re[interior], -b * im[interior]
+        # negative axis never overflows: g = -(e^{w} E1(w)) with w = -b z.  A
+        # continuum point has w = -bE - 0i on the lower lip of the cut, where
+        # E1 gives the Sokhotski limit g = pref e^{-bE} (Ei(bE) - i pi)
+        w = np.empty(int(rest.sum()), dtype=complex)
+        w.real, w.imag = -b * re[rest], -b * im[rest]
         e1 = exp1_scaled_array(w)
-        g.real[interior], g.imag[interior] = -pref * e1.real, -pref * e1.imag
+        g.real[rest], g.imag[rest] = -pref * e1.real, -pref * e1.imag
     return g
 
 

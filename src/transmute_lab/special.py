@@ -53,15 +53,11 @@ elements its mask selects, whatever their values (polynomials by two
 levels of Horner's rule, the rule by einsum) in blocks of 1024 elements.  They
 are the one implementation of E1 and Ei on their domains; exp1_scaled,
 expi_scaled and expi are their 0-d calls, at 30-70 us.
-bessel_jy_array gives J0, Y0, J1 and Y1 together over a numpy array, the
-rule in blocks of 64 rows; the well's phase shifts take all of theirs from
-one such pass.  The bound-state searches (the gaussian pole, the circular
-well) evaluate one point at a time, where a one-element array call costs
-several times a scalar one (55-72 us against 2-20 us for J and Y), so they
-call scalar code that sums the rules of the array forms for one x:
-exp1_scaled_real for the gaussian, the Bessel names for the well.  The
-scalar J and Y take the series and the rule of bessel_jy_array, the rule
-summed for one x, and agree with it within 1e-15 of the envelope.
+bessel_jy_array gives J0, Y0, J1 and Y1 together over a numpy array and
+bessel_k_scaled_array e^x K0 and e^x K1, the rules in blocks of 64 rows;
+the well takes all of its Bessel values from such passes, and the gaussian
+pole search e^x E1(x) from exp1_scaled_real over arrays of real x.  The
+Bessel names are their one-element calls.
 """
 
 from __future__ import annotations
@@ -82,6 +78,7 @@ __all__ = [
     "bessel_k1",
     "bessel_k0_scaled",
     "bessel_k1_scaled",
+    "bessel_k_scaled_array",
     "exp1_scaled",
     "exp1_scaled_array",
     "exp1_scaled_real",
@@ -98,11 +95,6 @@ EULER_GAMMA = 0.5772156649015328606065121
 _K_SWITCH = 2.0
 
 
-def _require_positive(x: float, name: str) -> None:
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"{name} requires x > 0, got {x}")
-
-
 # ----------------------------------------------------------------------
 # ascending series of J, Y and K
 # ----------------------------------------------------------------------
@@ -112,7 +104,8 @@ def _require_positive(x: float, name: str) -> None:
 # q = +x^2/4 for I0, 2 I1/x and the harmonic sums of K0 and K1 (DLMF
 # 10.31.1-2); each an integer ratio rounded once, with n! H_k an integer for
 # k <= n.  At x <= _K_SWITCH the first term left out, k = _JY_SERIES_TERMS,
-# lies below 1e-19.
+# lies below 1e-19.  Stacked as (terms, 4, 1), one Horner pass sums all
+# four, each row by the operations of a pass of its own.
 _JY_SERIES_TERMS = 13
 _F = [math.factorial(k) for k in range(_JY_SERIES_TERMS + 1)]
 
@@ -122,47 +115,40 @@ def _factorial_harmonic(n: int, k: int) -> int:
     return sum(_F[n] // j for j in range(1, k + 1))
 
 
-_JY_SERIES = [
+_JY_SERIES = np.array([
     [1 / _F[k] ** 2 for k in range(_JY_SERIES_TERMS)],
     [1 / (_F[k] * _F[k + 1]) for k in range(_JY_SERIES_TERMS)],
     [-_factorial_harmonic(k, k) / _F[k] ** 3 for k in range(_JY_SERIES_TERMS)],
     [(_factorial_harmonic(k + 1, k) + _factorial_harmonic(k + 1, k + 1)) / (_F[k] * _F[k + 1] ** 2)
      for k in range(_JY_SERIES_TERMS)],
-]
+]).T[:, :, None]
 
 
 def _horner(q, coefficients):
     total = coefficients[-1]
-    for c in reversed(coefficients[:-1]):
+    for c in coefficients[-2::-1]:
         total = total * q + c
     return total
 
 
-def _j_series(x):
-    """J0 and J1 at x <= _K_SWITCH, a float or an array."""
-    q = -0.25 * x * x
-    return _horner(q, _JY_SERIES[0]), 0.5 * x * _horner(q, _JY_SERIES[1])
-
-
 def _jy_series(x):
-    """J0, Y0, J1 and Y1 at 0 < x <= _K_SWITCH, a float or an array."""
-    j0, j1 = _j_series(x)
-    q = -0.25 * x * x
+    """J0, Y0, J1 and Y1 over an array of 0 < x <= _K_SWITCH."""
+    j0, j1, y0, y1 = _horner(-0.25 * x * x, _JY_SERIES)
+    j1 = 0.5 * x * j1
     lead = np.log(0.5 * x) + EULER_GAMMA
-    y0 = (2.0 / math.pi) * (lead * j0 + _horner(q, _JY_SERIES[2]))
-    y1 = (2.0 / math.pi) * lead * j1 - 2.0 / (math.pi * x) - (x / (2.0 * math.pi)) * _horner(q, _JY_SERIES[3])
+    y0 = (2.0 / math.pi) * (lead * j0 + y0)
+    y1 = (2.0 / math.pi) * lead * j1 - 2.0 / (math.pi * x) - (x / (2.0 * math.pi)) * y1
     return j0, y0, j1, y1
 
 
-def _k_series(x: float, order: int) -> float:
-    """K0 or K1 at 0 < x <= _K_SWITCH: at q = +x^2/4 rows 0 and 1 sum I0 and
-    2 I1/x, and with L = ln(x/2) + gamma, K0 = -L I0 - row 2 and
-    K1 = 1/x + L I1 - (x/4) row 3."""
-    q = 0.25 * x * x
-    lead = math.log(0.5 * x) + EULER_GAMMA
-    if order:
-        return 1.0 / x + lead * 0.5 * x * _horner(q, _JY_SERIES[1]) - 0.25 * x * _horner(q, _JY_SERIES[3])
-    return -lead * _horner(q, _JY_SERIES[0]) - _horner(q, _JY_SERIES[2])
+def _k_series(x):
+    """e^x K0 and e^x K1 over an array of 0 < x <= _K_SWITCH: at q = +x^2/4
+    rows 0 and 1 sum I0 and 2 I1/x, and with L = ln(x/2) + gamma,
+    K0 = -L I0 - row 2 and K1 = 1/x + L I1 - (x/4) row 3."""
+    i0, i1, k0, k1 = _horner(0.25 * x * x, _JY_SERIES)
+    lead = np.log(0.5 * x) + EULER_GAMMA
+    scale = np.exp(x)
+    return scale * (-lead * i0 - k0), scale * (1.0 / x + lead * 0.5 * x * i1 - 0.25 * x * k1)
 
 
 # ----------------------------------------------------------------------
@@ -183,46 +169,14 @@ _K_NODES, _K_WEIGHTS = _composite_gauss(((0.0, 1.5), (1.5, 4.0), (4.0, 9.0)),
                                          np.polynomial.legendre.leggauss(60))
 _K_WEIGHTS = _K_WEIGHTS * np.exp(-_K_NODES**2)
 _K_NODES_SQ = _K_NODES**2
+_K_WEIGHTS_U2 = _K_WEIGHTS * _K_NODES_SQ
 
 
-def bessel_k0_scaled(x: float) -> float:
-    """e^x K0(x), stable for arbitrarily large x."""
-    _require_positive(x, "bessel_k0_scaled")
-    if x <= _K_SWITCH:
-        return math.exp(x) * _k_series(x, 0)
-    integral = float(_K_WEIGHTS @ (1.0 / np.sqrt(1.0 + _K_NODES_SQ / (2.0 * x))))
-    return math.sqrt(math.pi / (2.0 * x)) * (2.0 / math.sqrt(math.pi)) * integral
-
-
-def bessel_k1_scaled(x: float) -> float:
-    """e^x K1(x), stable for arbitrarily large x."""
-    _require_positive(x, "bessel_k1_scaled")
-    if x <= _K_SWITCH:
-        return math.exp(x) * _k_series(x, 1)
-    integral = float(_K_WEIGHTS @ (_K_NODES_SQ * np.sqrt(1.0 + _K_NODES_SQ / (2.0 * x))))
-    return math.sqrt(math.pi / (2.0 * x)) * (4.0 / math.sqrt(math.pi)) * integral
-
-
-def bessel_k0(x: float) -> float:
-    """Modified Bessel function K0 for x > 0.
-
-    Underflows to 0 near x ~ 745; use bessel_k0_scaled beyond.
-    """
-    _require_positive(x, "bessel_k0")
-    if x <= _K_SWITCH:
-        return _k_series(x, 0)
-    return math.exp(-x) * bessel_k0_scaled(x)
-
-
-def bessel_k1(x: float) -> float:
-    """Modified Bessel function K1 for x > 0.
-
-    Underflows to 0 near x ~ 745; use bessel_k1_scaled beyond.
-    """
-    _require_positive(x, "bessel_k1")
-    if x <= _K_SWITCH:
-        return _k_series(x, 1)
-    return math.exp(-x) * bessel_k1_scaled(x)
+def _k_rule(x):
+    """e^x K0 and e^x K1 over an array of x > _K_SWITCH, by the rule."""
+    root = np.sqrt(1.0 + _K_NODES_SQ / (2.0 * x[:, None]))
+    scale = np.sqrt(math.pi / (2.0 * x)) * (2.0 / math.sqrt(math.pi))
+    return scale * _rule_sum(1.0 / root, _K_WEIGHTS), 2.0 * scale * _rule_sum(root, _K_WEIGHTS_U2)
 
 
 # ----------------------------------------------------------------------
@@ -242,16 +196,6 @@ def bessel_k1(x: float) -> float:
 # phase comes from cos x and sin x of the exact x, never from a rounded
 # x - pi/4.  s <= 9^2/4 at x > 2, so s^2 cannot overflow, and numpy's
 # hypot would cost twice the whole sqrt(1 + s^2).
-_K_WEIGHTS_U2 = _K_WEIGHTS * _K_NODES_SQ
-
-
-def _rule_terms(x):
-    """h, g and r at every node for x > _K_SWITCH: a float, or a column of
-    shape (rows, 1), whose nodes then run along the last axis."""
-    s = _K_NODES_SQ * (0.5 / x)
-    r = np.sqrt(1.0 + s * s)
-    h = np.sqrt(0.5 * r + 0.5)
-    return h, 0.5 * s / h, r
 
 
 def _rule_sum(values, weights):
@@ -266,51 +210,18 @@ def _rotate(scale, a, b, cos, sin):
     return scale * (cos * a - sin * b), scale * (sin * a + cos * b)
 
 
-def _jy0_rule(x, terms, cos, sin):
-    """J0 and Y0 from the rule's terms at x, with cos x and sin x."""
-    h, g, r = terms
-    re, im = _rule_sum(h / r, _K_WEIGHTS), -_rule_sum(g / r, _K_WEIGHTS)
-    return _rotate(2.0 / (math.pi * x**0.5), re + im, im - re, cos, sin)
-
-
-def _jy1_rule(x, terms, cos, sin):
-    """J1 and Y1 from the rule's terms at x, with cos x and sin x."""
-    h, g, _ = terms
-    re, im = _rule_sum(h, _K_WEIGHTS_U2), _rule_sum(g, _K_WEIGHTS_U2)
-    return _rotate(-4.0 / (math.pi * x**0.5), re - im, re + im, cos, sin)
-
-
-def _jy_rule_scalar(x: float, order: int) -> tuple[float, float]:
-    """J and Y of the given order at one x > _K_SWITCH."""
-    rule = _jy1_rule if order else _jy0_rule
-    j, y = rule(x, _rule_terms(x), math.cos(x), math.sin(x))
-    return float(j), float(y)
-
-
-def bessel_j0(x: float) -> float:
-    """Bessel function J0 for x >= 0."""
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"bessel_j0 requires x >= 0, got {x}")
-    return _j_series(x)[0] if x <= _K_SWITCH else _jy_rule_scalar(x, 0)[0]
-
-
-def bessel_j1(x: float) -> float:
-    """Bessel function J1 for x >= 0."""
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"bessel_j1 requires x >= 0, got {x}")
-    return _j_series(x)[1] if x <= _K_SWITCH else _jy_rule_scalar(x, 1)[0]
-
-
-def bessel_y0(x: float) -> float:
-    """Bessel function Y0 for x > 0."""
-    _require_positive(x, "bessel_y0")
-    return float(_jy_series(x)[1]) if x <= _K_SWITCH else _jy_rule_scalar(x, 0)[1]
-
-
-def bessel_y1(x: float) -> float:
-    """Bessel function Y1 for x > 0."""
-    _require_positive(x, "bessel_y1")
-    return float(_jy_series(x)[3]) if x <= _K_SWITCH else _jy_rule_scalar(x, 1)[1]
+def _jy_rule(x):
+    """J0, Y0, J1 and Y1 over an array of x > _K_SWITCH, by the rule, whose
+    nodes run along the last axis."""
+    s = _K_NODES_SQ * (0.5 / x[:, None])
+    r = np.sqrt(1.0 + s * s)
+    h = np.sqrt(0.5 * r + 0.5)
+    g = 0.5 * s / h
+    cos, sin = np.cos(x), np.sin(x)
+    re0, im0 = _rule_sum(h / r, _K_WEIGHTS), -_rule_sum(g / r, _K_WEIGHTS)
+    re1, im1 = _rule_sum(h, _K_WEIGHTS_U2), _rule_sum(g, _K_WEIGHTS_U2)
+    return (*_rotate(2.0 / (math.pi * x**0.5), re0 + im0, im0 - re0, cos, sin),
+            *_rotate(-4.0 / (math.pi * x**0.5), re1 - im1, re1 + im1, cos, sin))
 
 
 # Rows per block of the (rows, nodes) arrays of the rule: 64 ran fastest
@@ -318,27 +229,84 @@ def bessel_y1(x: float) -> float:
 _JY_BLOCK = 64
 
 
-def bessel_jy_array(x):
-    """J0, Y0, J1 and Y1 elementwise over an array of x > 0, in one pass:
-    the power series at x <= _K_SWITCH, the Gauss rule of H0 and H1 above,
-    in blocks of _JY_BLOCK rows."""
+def _positive_array(x, name: str) -> np.ndarray:
+    """x as a float array whose elements must all be positive and finite."""
     x = np.asarray(x, dtype=float)
     bad = ~((x > 0.0) & np.isfinite(x))
     if bad.any():
-        raise DomainError(f"bessel_jy_array requires x > 0, got {x[bad][0]}")
+        raise DomainError(f"{name} requires x > 0, got {x[bad][0]}")
+    return x
+
+
+def _cylinder_array(x: np.ndarray, rows: int, series, rule) -> tuple[np.ndarray, ...]:
+    """The ``rows`` functions that series and rule give, elementwise over an
+    array of x > 0: series at x <= _K_SWITCH, rule above in blocks of
+    _JY_BLOCK elements."""
     flat = x.ravel()
-    out = np.empty((4, flat.size))
-    series = flat <= _K_SWITCH
-    if series.any():
-        out[:, series] = _jy_series(flat[series])
-    rule = np.flatnonzero(~series)
-    for start in range(0, rule.size, _JY_BLOCK):
-        index = rule[start:start + _JY_BLOCK]
-        v = flat[index]
-        terms, cos, sin = _rule_terms(v[:, None]), np.cos(v), np.sin(v)
-        out[:2, index] = _jy0_rule(v, terms, cos, sin)
-        out[2:, index] = _jy1_rule(v, terms, cos, sin)
-    return tuple(part.reshape(x.shape) for part in out)
+    low = flat <= _K_SWITCH
+    out = np.empty((rows, flat.size))
+    if low.any():
+        out[:, low] = series(flat[low])
+    high = np.flatnonzero(~low)
+    for start in range(0, high.size, _JY_BLOCK):
+        index = high[start:start + _JY_BLOCK]
+        out[:, index] = rule(flat[index])
+    return tuple(row.reshape(x.shape) for row in out)
+
+
+def bessel_jy_array(x):
+    """J0, Y0, J1 and Y1 elementwise over an array of x > 0, in one pass:
+    the power series at x <= _K_SWITCH, the Gauss rule of H0 and H1 above."""
+    return _cylinder_array(_positive_array(x, "bessel_jy_array"), 4, _jy_series, _jy_rule)
+
+
+def bessel_k_scaled_array(x):
+    """e^x K0(x) and e^x K1(x) elementwise over an array of x > 0: the series
+    of the J/Y table at q = +x^2/4 at x <= _K_SWITCH, the Gauss rule of the
+    resummed asymptotic integral above."""
+    return _cylinder_array(_positive_array(x, "bessel_k_scaled_array"), 2, _k_series, _k_rule)
+
+
+def bessel_j0(x: float) -> float:
+    """Bessel function J0 for x >= 0."""
+    return 1.0 if x == 0.0 else float(bessel_jy_array(_positive_array([x], "bessel_j0"))[0][0])
+
+
+def bessel_j1(x: float) -> float:
+    """Bessel function J1 for x >= 0."""
+    return 0.0 if x == 0.0 else float(bessel_jy_array(_positive_array([x], "bessel_j1"))[2][0])
+
+
+def bessel_y0(x: float) -> float:
+    """Bessel function Y0 for x > 0."""
+    return float(bessel_jy_array(_positive_array([x], "bessel_y0"))[1][0])
+
+
+def bessel_y1(x: float) -> float:
+    """Bessel function Y1 for x > 0."""
+    return float(bessel_jy_array(_positive_array([x], "bessel_y1"))[3][0])
+
+
+def bessel_k0_scaled(x: float) -> float:
+    """e^x K0(x), stable for arbitrarily large x."""
+    return float(bessel_k_scaled_array(_positive_array([x], "bessel_k0_scaled"))[0][0])
+
+
+def bessel_k1_scaled(x: float) -> float:
+    """e^x K1(x), stable for arbitrarily large x."""
+    return float(bessel_k_scaled_array(_positive_array([x], "bessel_k1_scaled"))[1][0])
+
+
+def bessel_k0(x: float) -> float:
+    """Modified Bessel function K0 for x > 0; underflows to 0 near x ~ 745,
+    where bessel_k0_scaled does not."""
+    return math.exp(-x) * float(bessel_k_scaled_array(_positive_array([x], "bessel_k0"))[0][0])
+
+
+def bessel_k1(x: float) -> float:
+    """Modified Bessel function K1 for x > 0; underflows to 0 near x ~ 745,
+    where bessel_k1_scaled does not."""
+    return math.exp(-x) * float(bessel_k_scaled_array(_positive_array([x], "bessel_k1"))[1][0])
 
 
 # ----------------------------------------------------------------------
@@ -422,14 +390,21 @@ def _e1_stieltjes_scaled_array(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def exp1_scaled_real(x: float) -> float:
-    """e^x E1(x) for real x > 0: the power series at x <= 1 as a Horner
-    polynomial of 18 terms, the Stieltjes rule summed for one x above.
+def exp1_scaled_real(x) -> np.ndarray:
+    """e^x E1(x) elementwise over an array of real x > 0: the power series at
+    x <= 1 as a Horner polynomial of 18 terms, the Stieltjes rule above.
     Measured over [1e-300, 1e300], the error is below 1.3e-15 of the value."""
-    _require_positive(x, "exp1_scaled_real")
-    if x <= 1.0:
-        return math.exp(x) * (-EULER_GAMMA - math.log(x) + x * _horner(x, _E1_SERIES[:18]))
-    return float(_rule_sum(1.0 / (x + _E1_NODES), _E1_WEIGHTS))
+    x = _positive_array(x, "exp1_scaled_real")
+    flat = x.ravel()
+    return _evaluate(flat, [(flat <= 1.0, _e1_real_series)], _e1_real_rule).reshape(x.shape)
+
+
+def _e1_real_series(x: np.ndarray) -> np.ndarray:
+    return np.exp(x) * (-EULER_GAMMA - np.log(x) + x * _horner(x, _E1_SERIES[:18]))
+
+
+def _e1_real_rule(x: np.ndarray) -> np.ndarray:
+    return _rule_sum(1.0 / (x[:, None] + _E1_NODES), _E1_WEIGHTS)
 
 
 def exp1_scaled(w: complex) -> complex:
@@ -444,7 +419,7 @@ def expi_scaled(x: float) -> float:
 
 def expi(x: float) -> float:
     """Exponential integral Ei(x) for x > 0 (principal value)."""
-    _require_positive(x, "expi")
+    _positive_array(x, "expi")
     return math.exp(x) * expi_scaled(x)
 
 
@@ -499,10 +474,7 @@ def _ei_asymptotic_scaled_array(x: np.ndarray) -> np.ndarray:
 
 def expi_scaled_array(x) -> np.ndarray:
     """e^{-x} Ei(x) elementwise over an array of x > 0."""
-    x = np.asarray(x, dtype=float)
-    bad = ~((x > 0.0) & np.isfinite(x))
-    if bad.any():
-        raise DomainError(f"expi_scaled requires x > 0, got {x[bad][0]}")
+    x = _positive_array(x, "expi_scaled")
     flat = x.ravel()
     branches = [(np.abs(flat - _EI_ZERO) <= _EI_ZERO_RADIUS, _ei_near_zero_scaled_array),
                 (flat <= _E1_ASYMPTOTIC_RADIUS, _ei_series_scaled_array)]

@@ -12,11 +12,17 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import exp1, j0, j1, k0e, k1e
 
 from transmute_lab import amplitude
-from transmute_lab.amplitude import bound_state_pole
+from transmute_lab.amplitude import bound_state_pole, bound_state_poles
 from transmute_lab.energy_plane import PhysicalScales, log_bracket_root, log_search_floor
 from transmute_lab.errors import NoBoundStateError
 from transmute_lab.oracle import well as well_module
-from transmute_lab.oracle.well import WellParameters, well_bound_state, well_from_coupling
+from transmute_lab.oracle.well import (
+    WellParameters,
+    well_bound_state,
+    well_bound_states,
+    well_depths,
+    well_from_coupling,
+)
 from transmute_lab.regulators import GaussianFormFactor, SharpCutoff
 from transmute_lab.tolerances import POLE_SEARCH_LOG_TOL
 
@@ -159,18 +165,37 @@ class TestSearchLimit:
             assert bound_state_pole(eps, SharpCutoff(1.0)).energy > 0.0
 
 
+def traced(f, seen):
+    """f, recording each element's evaluation points in seen[element]."""
+    def g(index, x):
+        for i, v in zip(index.tolist(), x.tolist()):
+            seen.setdefault(i, []).append(v)
+        return f(index, x)
+
+    return g
+
+
 class TestLogBracketRoot:
-    @pytest.mark.parametrize("root", [-650.0, -3.0, -0.25, 0.0, 0.5])
+    # every root and every guess below also sits in a column with the others
+    ROOTS = [-650.0, -3.0, -0.25, 0.0, 0.5]
+    GUESSES = [-10.0, 1.0, -150.0, -math.inf]
+
+    @pytest.mark.parametrize("root", ROOTS)
     def test_refines_to_tolerance(self, root):
-        # a steep and a flat branch on either side of the root
-        f = lambda x: math.expm1(min(3.0 * (x - root), 50.0)) if x > root else 1e-3 * (x - root)
-        x = log_bracket_root(f, log_search_floor(1.0), 1.0, root - 1.3)
-        assert abs(x - root) <= root_tol(root)
+        # a steep and a flat branch on either side of each root of a column
+        roots = np.array([root] + [r for r in self.ROOTS if r != root])
+
+        def f(index, x):
+            d = x - roots[index]
+            return np.where(d > 0.0, np.expm1(np.minimum(3.0 * d, 50.0)), 1e-3 * d)
+
+        x = log_bracket_root(f, log_search_floor(1.0), 1.0, roots - 1.3)
+        assert abs(x[0] - root) <= root_tol(root)
+        assert np.all(np.abs(x - roots) <= POLE_SEARCH_LOG_TOL * np.maximum(1.0, np.abs(roots)))
 
     def test_no_sign_change_down_to_the_floor(self):
-        with pytest.raises(NoBoundStateError) as err:
-            log_bracket_root(lambda x: 1.0, log_search_floor(1.0), 0.0, -1.0)
-        assert not err.value.exact
+        x = log_bracket_root(lambda index, x: np.ones(x.size), log_search_floor(1.0), 0.0, [-1.0, -5.0])
+        assert np.isnan(x).all()
 
     @pytest.mark.parametrize("guess, points", [
         # the top, guess +- 2, then steps twice as wide, clamped to the floor
@@ -182,16 +207,30 @@ class TestLogBracketRoot:
         (-math.inf, [0.0, -100.0]),
     ])
     def test_evaluation_points(self, guess, points):
-        seen = []
-        with pytest.raises(NoBoundStateError):
-            log_bracket_root(lambda x: seen.append(x) or 1.0, -100.0, 0.0, guess)
-        assert seen == points
+        # each element of a column that holds every guess walks as it would
+        # alone
+        guesses = [guess] + [g for g in self.GUESSES if g != guess]
+        seen = {}
+        x = log_bracket_root(traced(lambda index, x: np.ones(x.size), seen), -100.0, 0.0, guesses)
+        assert np.isnan(x).all() and seen[0] == points
 
     def test_empty_range_evaluates_nothing(self):
-        seen = []
-        with pytest.raises(NoBoundStateError) as err:
-            log_bracket_root(lambda x: seen.append(x) or 1.0, 0.0, 0.0, -1.0)
-        assert not err.value.exact and seen == []
+        # only the element with a nonempty range is evaluated
+        seen = {}
+        x = log_bracket_root(traced(lambda index, x: np.ones(x.size), seen), [0.0, -1.0], 0.0, -1.0)
+        assert np.isnan(x).all() and list(seen) == [1]
+
+    def test_exact_zeros_end_the_search(self):
+        # f = 0 at the top, or at a point of the walk, is the root itself
+        zeros = np.array([0.0, -8.0, -36.0])
+        x = log_bracket_root(lambda index, x: np.where(x == zeros[index], 0.0, 1.0), -100.0, 0.0, np.full(3, -10.0))
+        assert x.tolist() == zeros.tolist()
+
+    def test_empty_range_evaluates_nothing(self):
+        # only the element with a nonempty range is evaluated
+        seen = {}
+        x = log_bracket_root(traced(lambda index, x: np.ones(x.size), seen), [0.0, -1.0], 0.0, -1.0)
+        assert np.isnan(x).all() and list(seen) == [1]
 
 
 class TestEvaluationCounts:
@@ -199,35 +238,30 @@ class TestEvaluationCounts:
     without timing anything."""
 
     @pytest.fixture
-    def resolvent_calls(self, monkeypatch):
-        calls = []
-        inner = amplitude.negative_axis_resolvent
-        monkeypatch.setattr(amplitude, "negative_axis_resolvent", lambda *a: calls.append(1) or inner(*a))
-        return calls
+    def evaluations(self, monkeypatch):
+        """Evaluation points per element of every column search."""
+        seen = {}
+        for module in (amplitude, well_module):
+            inner = module.log_bracket_root
+            monkeypatch.setattr(module, "log_bracket_root", lambda f, *a, inner=inner: inner(traced(f, seen), *a))
+        return seen
 
-    def test_sharp_cutoff_evaluates_nothing(self, resolvent_calls):
-        for eps in np.geomspace(0.3, 15.0, 25).tolist():
-            bound_state_pole(eps, SharpCutoff(1.0))
-        assert resolvent_calls == []
+    def test_sharp_cutoff_evaluates_nothing(self, evaluations):
+        bound_state_poles(np.geomspace(0.3, 15.0, 25), SharpCutoff(1.0))
+        assert evaluations == {}
 
-    def test_gaussian_at_most_twelve(self, resolvent_calls):
-        for eps in np.geomspace(0.3, 15.0, 25).tolist():
-            resolvent_calls.clear()
-            bound_state_pole(eps, GaussianFormFactor(1.0))
-            assert len(resolvent_calls) <= 12, eps
+    def test_gaussian_at_most_twelve(self, evaluations):
+        _, _, unbound = bound_state_poles(np.geomspace(0.3, 15.0, 25), GaussianFormFactor(1.0))
+        assert not unbound.any() and len(evaluations) == 25
+        assert max(map(len, evaluations.values())) <= 12
 
-    def test_well_at_most_twelve(self, monkeypatch):
+    def test_well_at_most_twelve(self, evaluations):
         # the search starts at the shallow-well asymptote, and a guess 2 or
         # more below the floor ends after the top and the floor
-        calls = []
-        inner = well_module._matching
-        monkeypatch.setattr(well_module, "_matching", lambda *a: calls.append(1) or inner(*a))
-        for eps in np.geomspace(0.3, 15.0, 25).tolist():
-            calls.clear()
-            well_bound_state(well_from_coupling(eps, 1.0))
-            assert len(calls) <= 12, eps
-        for eps in (0.012, 0.015, 1e-300):
-            calls.clear()
-            with pytest.raises(NoBoundStateError):
-                well_bound_state(well_from_coupling(eps, 1.0))
-            assert len(calls) <= 2, eps
+        eps = np.geomspace(0.3, 15.0, 25)
+        _, unbound = well_bound_states(1.0, well_depths(eps, 1.0))
+        assert not unbound.any() and len(evaluations) == 25
+        assert max(map(len, evaluations.values())) <= 12
+        evaluations.clear()
+        _, unbound = well_bound_states(1.0, well_depths([0.012, 0.015, 1e-300], 1.0))
+        assert unbound.all() and max(map(len, evaluations.values())) <= 2

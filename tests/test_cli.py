@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 import transmute_lab
 from transmute_lab import cli, render, special
-from transmute_lab.amplitude import BoundState
 from transmute_lab.cli import main
 from transmute_lab.errors import TransmuteLabError
 from transmute_lab.tolerances import FLOW_GROUP_RTOL, ROUTE_AGREEMENT_RTOL, UNITARITY_DEFECT_TOL
@@ -191,6 +190,17 @@ class TestTheorem:
     def test_cutoff_below_z_rejected(self, tmp_path):
         code, _ = run_cli(["theorem", "--lambda", "0.5"], tmp_path)
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("schedule", ["1e12:1e2:6,log", "1e2:1e2:3"])
+    def test_schedule_not_increasing_is_usage_error(self, tmp_path, capsys, fmt, schedule):
+        # a decreasing or repeating schedule is bad input (exit 2), not a
+        # failed monotonicity check
+        code, out = run_cli(["theorem", "--epsilon", "1", "--lambda", schedule, "--format", fmt], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+        assert "strictly increasing" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("eps", [0.01, 1e-30])
@@ -990,12 +1000,13 @@ class TestBoundaryErrors:
     def test_non_finite_bind_cell_names_row_and_column(self, tmp_path, capsys, monkeypatch, fmt):
         # an infinite root is a numerical failure found by the cell check,
         # before the footer fit would carry it into the JSON header
-        pole = cli.bound_state_pole
+        poles = cli.bound_state_poles
 
         def overflowing(eps, model, scales):
-            return BoundState(math.inf, 0.0) if eps == 2.0 else pole(eps, model, scales)
+            energy, residue, unbound = poles(eps, model, scales)
+            return np.where(eps == 2.0, math.inf, energy), residue, unbound
 
-        monkeypatch.setattr(cli, "bound_state_pole", overflowing)
+        monkeypatch.setattr(cli, "bound_state_poles", overflowing)
         code, out = run_cli(["bind", "--regulator", "sharp-cutoff,gaussian", "--epsilon", "1:2:2", "--format", fmt],
                             tmp_path, f"out.{fmt}")
         err = capsys.readouterr().err

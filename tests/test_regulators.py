@@ -235,20 +235,24 @@ class TestResolvent:
 
     def test_negative_axis_resolvent_against_mpmath(self):
         # J(E) = kappa g(-E): ln(E/(E + Lambda))/(4 pi) for the sharp
-        # cutoff, -e^{bE} E1(bE)/(4 pi) for the gaussian
+        # cutoff, -e^{bE} E1(bE)/(4 pi) for the gaussian, over one array
         s3 = PhysicalScales(3.0)
-        for energy in (1e-300, 1e-12, 0.04, 1.7, 90.0, 1e5):
+        energies = [1e-300, 1e-12, 0.04, 1.7, 90.0, 1e5]
+        sharp = negative_axis_resolvent(SharpCutoff(9.0), energies, s3)
+        gaussian = negative_axis_resolvent(GaussianFormFactor(0.6), energies, s3)
+        for energy, ours_sharp, ours_gaussian in zip(energies, sharp.tolist(), gaussian.tolist()):
             with mp.workdps(40):
                 e = mp.mpf(energy)
-                sharp = float(mp.log(e / (e + 9)) / (4 * mp.pi))
                 x = mp.mpf(0.6) ** 2 / 3 * e
-                gaussian = float(-mp.exp(x) * mp.e1(x) / (4 * mp.pi))
-            assert negative_axis_resolvent(SharpCutoff(9.0), energy, s3) == pytest.approx(sharp, rel=1e-15)
-            assert negative_axis_resolvent(GaussianFormFactor(0.6), energy, s3) == pytest.approx(gaussian, rel=1e-14)
+                assert ours_sharp == pytest.approx(float(mp.log(e / (e + 9)) / (4 * mp.pi)), rel=1e-15)
+                assert ours_gaussian == pytest.approx(float(-mp.exp(x) * mp.e1(x) / (4 * mp.pi)), rel=1e-14)
         with pytest.raises(DomainError):
-            negative_axis_resolvent(PureDelta(), 1.0)
-        with pytest.raises(DomainError):
-            negative_axis_resolvent(SharpCutoff(1.0), 0.0)
+            negative_axis_resolvent(PureDelta(), [1.0])
+        for reg in (SharpCutoff(1.0), GaussianFormFactor(1.0)):
+            with pytest.raises(DomainError):
+                negative_axis_resolvent(reg, [1.0, 0.0])
+            with pytest.raises(DomainError):
+                resolvent_derivative(reg, [-1.0])
 
     def test_kinetic_constant_covariance(self):
         # holding lengths fixed, energies scale with kappa and g scales as 1/kappa
@@ -260,11 +264,11 @@ class TestResolvent:
         assert g4 == pytest.approx(g1 / 4.0, rel=1e-15)
 
     def test_resolvent_derivative_matches_finite_difference(self):
+        energy = np.array([1e-4, 0.2, 2.0])
+        h = 1e-5 * energy
         for reg in (SharpCutoff(9.0), GaussianFormFactor(0.6)):
-            for energy in (1e-4, 0.2, 2.0):
-                h = 1e-5 * energy
-                fd = (negative_axis_resolvent(reg, energy + h) - negative_axis_resolvent(reg, energy - h)) / (2.0 * h)
-                assert resolvent_derivative(reg, energy) == pytest.approx(fd, rel=1e-8)
+            fd = (negative_axis_resolvent(reg, energy + h) - negative_axis_resolvent(reg, energy - h)) / (2.0 * h)
+            assert resolvent_derivative(reg, energy) == pytest.approx(fd, rel=1e-8)
 
 
 class TestSlideKernel:

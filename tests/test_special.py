@@ -29,6 +29,7 @@ from transmute_lab.special import (
     bessel_y0,
     bessel_y1,
     bessel_jy_array,
+    bessel_k_scaled_array,
     exp1_scaled,
     exp1_scaled_array,
     exp1_scaled_real,
@@ -115,12 +116,27 @@ def test_cylinder_columns_against_mpmath(xs):
 
 def test_cylinder_columns_keep_shape_and_domain():
     x = np.array([[0.5, 2.0], [2.5, 1e3]])
-    for column, flat in zip(bessel_jy_array(x), bessel_jy_array(x.ravel())):
-        assert column.shape == (2, 2)
-        assert column.ravel().tolist() == flat.tolist()
-    for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(DomainError, match="bessel_jy_array requires x > 0"):
-            bessel_jy_array(np.array([3.0, bad]))
+    for column_form in (bessel_jy_array, bessel_k_scaled_array):
+        for column, flat in zip(column_form(x), column_form(x.ravel())):
+            assert column.shape == (2, 2)
+            assert column.ravel().tolist() == flat.tolist()
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"{column_form.__name__} requires x > 0"):
+                column_form(np.array([3.0, bad]))
+
+
+@JY_PROPERTY
+@given(xs=st.lists(cylinder_arguments, min_size=1, max_size=8))
+def test_k_columns_against_mpmath(xs):
+    # e^x K0 and e^x K1 from one column pass over both branches: within
+    # 1e-14 of the value, and equal to the scalar names to the bit
+    columns = bessel_k_scaled_array(np.array(xs))
+    for i, x in enumerate(xs):
+        with mp.workdps(30):
+            refs = [float(mp.besselk(order, mp.mpf(x)) * mp.exp(mp.mpf(x))) for order in (0, 1)]
+        for column, ref, scalar in zip(columns, refs, (bessel_k0_scaled, bessel_k1_scaled)):
+            assert abs(column[i] - ref) <= 1e-14 * ref, (x, scalar.__name__)
+            assert scalar(x) == column[i], (x, scalar.__name__)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -348,15 +364,16 @@ real_arguments = st.one_of(st.floats(-300.0, 300.0), st.floats(-2.0, 2.0)).map(l
 @PROPERTIES
 @given(x=st.one_of(real_arguments, st.sampled_from([1.0, math.nextafter(1.0, 2.0)])))
 def test_exp1_scaled_real_against_mpmath(x):
+    # the element of a column that also holds both branches
     with mp.workdps(30):
         ref = float(mp.exp(mp.mpf(x)) * mp.e1(mp.mpf(x)))
-    assert abs(exp1_scaled_real(x) - ref) <= 2e-15 * ref, x
+    assert abs(exp1_scaled_real([0.5, x, 3.0])[1] - ref) <= 2e-15 * ref, x
 
 
 @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_exp1_scaled_real_domain(x):
     with pytest.raises(DomainError, match="exp1_scaled_real requires x > 0"):
-        exp1_scaled_real(x)
+        exp1_scaled_real([2.0, x])
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,8 @@ from transmute_lab.oracle.well import (
     bound_energy_from_phase,
     coupling_of_well,
     well_bound_state,
+    well_bound_states,
+    well_depths,
     well_from_coupling,
     well_phase_shift,
 )
@@ -111,6 +113,19 @@ class TestWellBoundState:
         log_e_b = math.log(well_bound_state(well_from_coupling(eps, 1.0)))
         expected = -FOUR_PI / eps + math.log(4.0) - 2.0 * np.euler_gamma + 0.5
         assert log_e_b == pytest.approx(expected, abs=1e-3)
+
+    def test_depths_of_a_coupling_column(self):
+        # eps*kappa/(pi a^2) as well_from_coupling has it; 0 where it
+        # underflows, which has no bound state; DomainError naming the first
+        # coupling where it overflows, or the first that is not positive
+        eps = [2.0, 5e-324, 0.5]
+        depths = well_depths(eps, 1.5, PhysicalScales(2.0))
+        assert depths.tolist() == [2.0 * 2.0 / (math.pi * 1.5**2), 0.0, 0.5 * 2.0 / (math.pi * 1.5**2)]
+        assert well_bound_states(1.5, depths, PhysicalScales(2.0))[1].tolist() == [False, True, False]
+        with pytest.raises(DomainError, match="overflows at eps = 1e[+]308"):
+            well_depths([1.0, 1e308, 1e300], 1e-4)
+        with pytest.raises(DomainError, match="coupling must be positive, got -1.0"):
+            well_depths([1.0, -1.0, math.nan], 1.0)
 
     @pytest.mark.parametrize("eps", [0.015, 1e-300])
     def test_no_bound_state_below_search_limit(self, eps):

@@ -5,8 +5,9 @@ the cutoff envelope and the phase shift, which have no scalar name, to its
 one-element call), for 1-d, 2-d and broadcast
 shapes of contiguous arrays (numpy rounds some functions of a reversed view
 through other loops); points include -0.0 imaginary parts, continuum points
-and gaussian resolvents across the E1 branches.  The bound-state search is the one place
-that keeps scalar code, and a test here pins that it calls no array form.
+and gaussian resolvents across the E1 branches.  The bound-state solves are
+column solves too, and each column root equals its one-element call; the
+one-coupling names stay scalar, each one one-element column solve.
 """
 
 import math
@@ -15,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from transmute_lab import amplitude, energy_plane, observables, regulators, special
+from transmute_lab import amplitude
 from transmute_lab.amplitude import (
     bound_state_pole,
+    bound_state_poles,
     cutoff_envelope_array,
     on_shell_amplitude_array,
     regulated_amplitude,
@@ -26,7 +28,7 @@ from transmute_lab.amplitude import (
     renormalized_amplitude_array,
 )
 from transmute_lab.energy_plane import ComplexEnergy, PhysicalScales, principal_log_ratio, principal_log_ratio_array
-from transmute_lab.errors import TransmuteLabError
+from transmute_lab.errors import NoBoundStateError, TransmuteLabError
 from transmute_lab.observables import (
     continuum_observables_array,
     f_from_tau,
@@ -36,7 +38,7 @@ from transmute_lab.observables import (
     unitarity_defect,
 )
 from transmute_lab.oracle import well as well_module
-from transmute_lab.oracle.well import well_bound_state, well_from_coupling
+from transmute_lab.oracle.well import well_bound_state, well_bound_states, well_depths, well_from_coupling
 from transmute_lab.regulators import (
     GaussianFormFactor,
     PureDelta,
@@ -207,33 +209,82 @@ class TestArrayEqualsZeroDim:
              np.array([None if o["violation"][0] else o["phase_shift"][0] for o in one], dtype=object))
 
 
-def _raises(name):
-    def array_form(*args, **kwargs):
-        raise AssertionError(f"the bound-state search called {name}")
+# unsorted columns with repeats, from below the search floor (eps < 0.018)
+# to above the sharp and gaussian search tops (eps > 18.2 and 21.1)
+coupling_columns = st.lists(st.floats(math.log(0.008), math.log(100.0)).map(math.exp), min_size=1, max_size=6).flatmap(
+    lambda eps: st.permutations(eps + eps[:2]))
+COLUMNS = settings(max_examples=15, derandomize=True, deadline=None)
 
-    return array_form
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestColumnSolves:
+    @COLUMNS
+    @given(eps=coupling_columns, reg=st.sampled_from([SharpCutoff(1.0), GaussianFormFactor(0.7)]))
+    def test_poles_are_one_element_calls(self, eps, reg):
+        scales = PhysicalScales(2.0)
+        energy, residue, unbound = bound_state_poles(np.array(eps), reg, scales)
+        for e, energy_i, residue_i, unbound_i in zip(eps, energy.tolist(), residue.tolist(), unbound.tolist()):
+            try:
+                state = bound_state_pole(e, reg, scales)
+            except NoBoundStateError:
+                assert unbound_i and math.isnan(energy_i) and math.isnan(residue_i), e
+            else:
+                assert not unbound_i and same_bits(state.energy, energy_i) and same_bits(state.residue, residue_i), e
+
+    @COLUMNS
+    @given(eps=coupling_columns, radius=st.sampled_from([1.0, 0.3]))
+    def test_well_roots_are_one_element_calls(self, eps, radius):
+        energy, unbound = well_bound_states(radius, well_depths(eps, radius))
+        for e, energy_i, unbound_i in zip(eps, energy.tolist(), unbound.tolist()):
+            try:
+                e_b = well_bound_state(well_from_coupling(e, radius))
+            except NoBoundStateError:
+                assert unbound_i and math.isnan(energy_i), e
+            else:
+                assert not unbound_i and same_bits(e_b, energy_i), e
 
 
 @pytest.fixture
-def no_array_forms(monkeypatch):
-    """Every *_array function of the package, wherever it is bound, raises."""
-    for module in (energy_plane, special, regulators, amplitude, observables, well_module):
-        for attr, value in list(vars(module).items()):
-            if attr.endswith("_array") and callable(value):
-                monkeypatch.setattr(module, attr, _raises(attr))
+def column_calls(monkeypatch):
+    """The column lengths that each call of the two column solvers receives."""
+    lengths = []
+
+    def spy(module, name, column_arg):
+        solve = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            lengths.append(len(args[column_arg]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    spy(amplitude, "bound_state_poles", 0)
+    spy(well_module, "well_bound_states", 1)
+    return lengths
 
 
 class TestRootSearchStaysScalar:
+    """bound_state_pole and well_bound_state take one coupling and return
+    Python floats, through one one-element column solve and no loop."""
+
     @pytest.mark.parametrize("reg", [SharpCutoff(1.0), GaussianFormFactor(1.0)], ids=["sharp", "gaussian"])
-    def test_bound_state_pole(self, no_array_forms, reg):
+    def test_bound_state_pole(self, column_calls, reg):
         for eps in (0.3, 1.0, 4.0, 15.0):
             state = bound_state_pole(eps, reg, PhysicalScales(2.0))
+            assert type(state.energy) is float and type(state.residue) is float
             assert 0.0 < state.energy and state.residue > 0.0
+        assert column_calls == [1, 1, 1, 1]
 
-    def test_well_bound_state(self, no_array_forms):
+    def test_well_bound_state(self, column_calls):
         for eps in (0.3, 1.0, 4.0, 15.0):
-            assert 0.0 < well_bound_state(well_from_coupling(eps, 1.0))
+            e_b = well_bound_state(well_from_coupling(eps, 1.0))
+            assert type(e_b) is float and 0.0 < e_b
+        assert column_calls == [1, 1, 1, 1]
 
-    def test_the_patch_bites(self, no_array_forms):
-        with pytest.raises(AssertionError):
-            resolvent_element(GaussianFormFactor(1.0), 1j)
+    def test_the_patch_bites(self, column_calls):
+        amplitude.bound_state_poles(np.array([0.3, 1.0, 4.0]), GaussianFormFactor(1.0))
+        well_module.well_bound_states(1.0, well_depths([0.3, 1.0], 1.0))
+        assert column_calls == [3, 2]
