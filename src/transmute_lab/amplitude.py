@@ -66,13 +66,12 @@ from .regulators import (
     PureDelta,
     Regulator,
     SharpCutoff,
-    negative_axis_resolvent,
     nominal_cutoff,
     resolvent_array,
     resolvent_derivative,
     slide_kernel,
 )
-from .special import EULER_GAMMA
+from .special import EULER_GAMMA, exp1_scaled_positive
 from .tolerances import POLE_GUARD
 
 __all__ = [
@@ -219,8 +218,9 @@ def _sharp_log_pole(epsilon: float, cutoff: float) -> float:
 
 def bound_state_poles(epsilon, reg: Regulator, scales: PhysicalScales = NATURAL_UNITS) -> tuple:
     """The bound states over a 1-d array of couplings, the roots of
-    1 + eps*I(-E) = 0 on the negative real axis (limit from above): arrays of
-    E_B and of residues, NaN in the rows of the mask returned third.
+    1 + eps*I(-E) = 0 on the negative real axis (limit from above): an array
+    of E_B, NaN in the rows of the mask returned second.  Their residues are
+    bound_state_pole's, the one caller that uses them.
 
     E_B spans hundreds of orders of magnitude in eps, so the root is sought
     in ln E, between the nominal cutoff Lambda and the floor of
@@ -229,41 +229,47 @@ def bound_state_poles(epsilon, reg: Regulator, scales: PhysicalScales = NATURAL_
     none at all.  For the sharp cutoff the root is exact, E_B = Lambda /
     (e^{4 pi/eps} - 1), i.e. Lambda e^{-4 pi/eps} up to O(E_B/Lambda), and
     nothing is searched.  The gaussian roots are searched by log_bracket_root
-    from the small-coupling asymptote ln E_B = ln(kappa/a^2) - gamma_E - 4 pi/eps.
+    from the small-coupling asymptote ln E_B = ln(kappa/a^2) - gamma_E - 4 pi/eps,
+    Newton's method on 1 + eps*J(E) and its slope eps*(bE*J + 1/(4 pi)) in ln E.
     """
     eps = np.asarray(epsilon, dtype=float)
     _check_coupling(eps)
     if isinstance(reg, PureDelta):
         nan = np.full(eps.shape, np.nan)
-        return nan, nan, np.isnan(nan)
+        return nan, np.isnan(nan)
     lam = nominal_cutoff(reg, scales)
     x_floor, x_top = log_search_floor(lam), math.log(lam)
     if isinstance(reg, SharpCutoff):
         x_root = np.array([_sharp_log_pole(e, reg.cutoff) for e in eps.tolist()])
         x_root[~((x_floor <= x_root) & (x_root <= x_top))] = np.nan
     else:
+        b = reg.length**2 / scales.kinetic_constant
+
         def mismatch(index, x):
-            return 1.0 + eps[index] * negative_axis_resolvent(reg, np.exp(x), scales)
+            # 1 + eps*J with J = -e^{bE} E1(bE)/(4 pi), negative_axis_resolvent's
+            # J, and its slope in ln E, eps*(bE*J + 1/(4 pi)); every bE of
+            # the range is positive, so no step checks its column
+            be, e = b * np.exp(x), eps[index]
+            j = (-1.0 / (4.0 * math.pi)) * exp1_scaled_positive(be)
+            return 1.0 + e * j, e * (be * j + 1.0 / (4.0 * math.pi))
 
         x_root = log_bracket_root(mismatch, x_floor, x_top, x_top - EULER_GAMMA - 4.0 * math.pi / eps)
     energy = exp_libm(x_root)
-    unbound = np.isnan(energy)
-    residue = np.full(eps.shape, np.nan)
-    residue[~unbound] = 1.0 / resolvent_derivative(reg, energy[~unbound], scales)
-    return energy, residue, unbound
+    return energy, np.isnan(energy)
 
 
 def bound_state_pole(epsilon: float, reg: Regulator, scales: PhysicalScales = NATURAL_UNITS) -> BoundState:
     """The bound state at one coupling, the one-element call of
-    bound_state_poles; NoBoundStateError where it has none, exact for the
-    pure delta, which never binds."""
+    bound_state_poles, with the residue 1/J'(E_B) of resolvent_derivative;
+    NoBoundStateError where it has none, exact for the pure delta, which
+    never binds."""
     if isinstance(reg, PureDelta):
         _check_coupling(epsilon)
         raise NoBoundStateError("the unregulated contact interaction never binds (tau is identically zero)", exact=True)
-    energy, residue, unbound = bound_state_poles([epsilon], reg, scales)
+    energy, unbound = bound_state_poles([epsilon], reg, scales)
     if unbound[0]:
         raise NoBoundStateError("no bound state within [Lambda*1e-300, Lambda]", exact=False)
-    return BoundState(energy=float(energy[0]), residue=float(residue[0]))
+    return BoundState(energy=float(energy[0]), residue=float(1.0 / resolvent_derivative(reg, energy, scales)[0]))
 
 
 def amplitudes_over_cutoffs(

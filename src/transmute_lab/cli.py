@@ -466,7 +466,7 @@ def cmd_bind(opts: Options) -> Table:
             energy, none = well_bound_states(model, well_depths(eps, model, scales), scales)
             nominal = scales.kinetic_constant / model**2
         else:
-            energy, _, none = bound_state_poles(eps, model, scales)
+            energy, none = bound_state_poles(eps, model, scales)
             # the pure delta, which never binds, has no nominal cutoff
             nominal = math.nan if none.all() else nominal_cutoff(model, scales)
         solvers.append(energy)

@@ -18,9 +18,10 @@ so E = k^2.  The model itself has no intrinsic energy scale; the unit
 system is imposed here and converted only at the CLI boundary.
 
 Both bound-state solvers (separable poles, circular well) search in ln E
-with the one root finder here, log_bracket_root, under one bracket policy:
-from the caller's asymptotic estimate outward in doubling steps, then one
-run of Chandrupatla's method.  It solves a whole column of roots at once:
+with the one root finder here, log_bracket_root: Newton's method from the
+caller's estimate, on values and slopes that the caller's function returns
+together, kept inside a bracket that every value narrows.  It solves a
+whole column of roots at once:
 each element takes the steps of its own search, and each step evaluates
 the caller's function once, over the elements still searching.
 
@@ -35,7 +36,6 @@ bit.  complex_divide_array divides as Python's complex division does.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -250,72 +250,57 @@ def exp_libm(x) -> np.ndarray:
 
 
 def log_bracket_root(f, x_floor, x_top, guess) -> np.ndarray:
-    """ln E of the bound-state root of f between x_floor and x_top, searched
-    outward from the estimate ``guess``, per element of these broadcastable
-    1-d arrays; NaN where f keeps its sign down to x_floor or the range is
-    empty.  f(index, x) evaluates ln E = x for the elements ``index``.
+    """ln E of the root of f between x_floor and x_top, per element of these
+    broadcastable 1-d arrays, by a safeguarded Newton iteration in x = ln E
+    from the estimate ``guess``; NaN where the root lies outside the range
+    or the range is empty.  f(index, x) returns, for the elements ``index``
+    at ln E = x, the values of f and their slopes df/dx; f rises through its
+    root, negative below it and positive above.
 
-    Per element, f is evaluated at x_top, then at guess + 2 and guess - 2,
-    then at points twice as far apart each time (guess - 10, guess - 26,
-    ...), each clamped to x_floor; points at or above the last one are
-    skipped.  The first sign change brackets the root, and one run of
-    Chandrupatla's method refines it to POLE_SEARCH_LOG_TOL * max(1, |ln E|).
-    So a guess below the floor costs two evaluations, and an empty range none.
+    Each value narrows a bracket that starts as the range: a negative one
+    raises its lower end and a positive one lowers its upper end, and a
+    negative value at the top or a positive one at the floor puts the root
+    outside.  The search starts at the guess clamped to the range.  Newton's
+    step is taken where it lands inside the bracket and is at most half the
+    Newton step before it; otherwise the next point is the bracket's
+    midpoint, or the range's end on a side the bracket has not closed.  A
+    step shorter than tol = POLE_SEARCH_LOG_TOL * max(1, |x|) / 2 goes on to
+    a probe tol beyond its estimate, and the search ends once the bracket is
+    at most 2 tol wide, at the last point's Newton estimate clamped to the
+    bracket: the root lies within POLE_SEARCH_LOG_TOL * max(1, |x|) of it.
+    So a search whose guess and root both lie below the floor costs one
+    evaluation, and an empty range none.
     """
     x_floor, x_top, guess = (np.array(v, dtype=float) for v in np.broadcast_arrays(x_floor, x_top, guess))
-    root, xa, fa, fb = (np.full(x_top.shape, np.nan) for _ in range(4))
-    xb = np.full(x_top.shape, np.inf)
-    search = x_floor < x_top
-    x = x_top
-    for k in itertools.count(2):
-        i = np.flatnonzero(search & (x < xb))
-        if i.size:
-            fx, xi = f(i, x[i]), x[i]
-            zero = fx == 0.0
-            root[i[zero]] = xi[zero]
-            # the top, the first point, has no sign to change from
-            change = ~zero & ~np.isnan(fb[i]) & ((fx > 0.0) != (fb[i] > 0.0))
-            xa[i[change]], fa[i[change]] = xi[change], fx[change]
-            walk = ~(zero | change | (xi == x_floor[i]))
-            xb[i[walk]], fb[i[walk]] = xi[walk], fx[walk]
-            search[i[~walk]] = False
-        if not search.any():
-            break
-        x = np.maximum(guess + 6.0 - 2.0**k, x_floor)
-    i = np.flatnonzero(~np.isnan(fa))
-    root[i] = _chandrupatla(f, i, xa[i], fa[i], xb[i], fb[i])
-    return root
-
-
-def _chandrupatla(f, index, a, fa, b, fb) -> np.ndarray:
-    """Roots of f in the brackets [a, b] (fa, fb of opposite signs), columns
-    over the elements ``index``, by Chandrupatla's method (Adv. Eng. Softw.
-    28, 1997), a safeguarded hybrid in the spirit of Brent's (1973, ch. 4):
-    inverse quadratic interpolation through the newest point a, its bracket
-    partner b and the point c it replaced, where the three points allow it,
-    and bisection otherwise.  Each root lies within POLE_SEARCH_LOG_TOL *
-    max(1, |x|) of the returned x."""
-    root = np.empty(index.size)
-    at = np.arange(index.size)
-    t = np.full(index.size, 0.5)
-    while at.size:
-        x = a + t * (b - a)
-        fx = f(index[at], x)
-        same = (fx > 0.0) == (fa > 0.0)
-        c, fc = np.where(same, a, b), np.where(same, fa, fb)
-        b, fb = np.where(same, b, a), np.where(same, fb, fa)
-        a, fa = x, fx
-        xm = np.where(np.abs(fa) < np.abs(fb), a, b)
-        tl = 0.5 * POLE_SEARCH_LOG_TOL * np.maximum(1.0, np.abs(xm)) / np.abs(b - a)
-        # fb, a value kept from an earlier step, is never 0: f(xm) = 0 is fa = 0
-        done = (tl > 0.5) | (fa == 0.0)
-        root[at[done]] = xm[done]
-        go = ~done
-        at, a, fa, b, fb, c, fc, tl = (v[go] for v in (at, a, fa, b, fb, c, fc, tl))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
-            t = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
-        t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), t, 0.5)
-        # never closer to either end than tl: the bracket keeps shrinking
-        t = np.minimum(1.0 - tl, np.maximum(tl, t))
+    root = np.full(x_top.shape, np.nan)
+    at = np.flatnonzero(x_floor < x_top)
+    floor, top = x_floor[at], x_top[at]
+    x = np.minimum(np.maximum(guess[at], floor), top)
+    # the bracket's evaluated ends, -inf and inf until one is, and the length
+    # of the last Newton step, inf after a probe
+    lo, hi, limit = np.full(at.size, -np.inf), np.full(at.size, np.inf), np.full(at.size, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while at.size:
+            fx, slope = f(at, x)
+            lo, hi = np.where(fx <= 0.0, x, lo), np.where(fx >= 0.0, x, hi)
+            tol = (0.5 * POLE_SEARCH_LOG_TOL) * np.maximum(1.0, np.abs(x))
+            narrow = hi - lo <= 2.0 * tol
+            # the root's sign at the range's end puts it outside, as does no sign
+            done = narrow | (lo == top) | (hi == floor) | np.isnan(fx)
+            if done.any():
+                i = np.flatnonzero(narrow)
+                root[at[i]] = np.fmin(np.fmax(x[i] - fx[i] / slope[i], lo[i]), hi[i])
+                go = ~done
+                at, x, floor, top, lo, hi, limit, fx, slope, tol = (
+                    v[go] for v in (at, x, floor, top, lo, hi, limit, fx, slope, tol))
+            step = fx / slope
+            length = np.abs(step)
+            # a step shorter than tol goes on to the probe tol beyond it
+            small = length < tol
+            step = np.where(small, step + np.copysign(tol, step), step)
+            t = np.minimum(np.maximum(x - step, floor), top)
+            newton = (lo < t) & (t < hi) & (small | (length <= 0.5 * limit))
+            # the midpoint, or the range's end on a side still open
+            x = np.where(newton, t, np.minimum(np.maximum(0.5 * (lo + hi), floor), top))
+            limit = np.where(small, np.inf, length)
     return root

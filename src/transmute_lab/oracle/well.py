@@ -27,8 +27,8 @@ well_phase_shift_array forms the phase shifts of a whole wavenumber grid
 from one bessel_jy_array pass over the interior and exterior arguments
 [k_in a, k a]; well_phase_shift is its one-element call.  well_bound_states
 solves the ground states of a whole column of depths at once, each matching
-step one bessel_jy_array and one bessel_k_scaled_array pass;
-well_bound_state is its one-element call.
+step one bessel_j_k_scaled_array pass; well_bound_state is its one-element
+call.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from ..energy_plane import NATURAL_UNITS, PhysicalScales, exp_libm, log_bracket_root, log_search_floor
 from ..errors import DomainError, NoBoundStateError
-from ..special import EULER_GAMMA, bessel_jy_array, bessel_k_scaled_array
+from ..special import EULER_GAMMA, bessel_j_k_scaled_array, bessel_jy_array
 
 __all__ = [
     "WellParameters",
@@ -58,6 +58,8 @@ __all__ = [
 # first zero of J1: the ground state has k_in a < j0,1 and every excited
 # state k_in a > j1,1, since a root needs J1/J0 > 0
 _J1_FIRST_ZERO = 3.8317059702075125
+# first zero of J0: an infinitely deep well's ground state has k_in a = j0,1
+_J0_FIRST_ZERO = 2.404825557695773
 
 # shallow-well asymptote ln(E_B a^2/kappa) = -4 pi/eps + _SHALLOW_LOG_OFFSET + O(eps)
 _SHALLOW_LOG_OFFSET = math.log(4.0) - 2.0 * EULER_GAMMA + 0.5
@@ -119,12 +121,16 @@ def well_bound_states(radius: float, depth, scales: PhysicalScales = NATURAL_UNI
     of the wells of one radius over a 1-d array of depths, NaN in the rows of
     the mask returned second, which have none in the search range.
 
-    log_bracket_root searches the matching root in ln E, outward from the
-    shallow-well asymptote, between the search limit (kappa/a^2) * 1e-300
-    and depth * (1 - 1e-12).  In a deep well (depth > j1,1^2 kappa/a^2) the
-    floor rises to ln(depth - j1,1^2 kappa/a^2), where the matching function
-    is -gamma K1 J0(j1,1) > 0 and below which every excited state lies, so
-    the bracket holds the ground state alone.  A 2D attractive well always
+    log_bracket_root searches the matching root in ln E by Newton's method,
+    the matching function returning its slope, between the search limit
+    (kappa/a^2) * 1e-300 and depth * (1 - 1e-12).  It starts at the
+    shallow-well asymptote, or in a well deeper than 2 j0,1^2 kappa/a^2 at
+    the infinitely deep well's ground state ln(depth - j0,1^2 kappa/a^2),
+    which the shallow asymptote lies far below.  In a deeper well still
+    (depth > j1,1^2 kappa/a^2) the floor rises to ln(depth - j1,1^2
+    kappa/a^2), where the matching function is gamma K1 J0(j1,1) < 0, as
+    below the root, and below which every excited state lies, so the
+    bracket holds the ground state alone.  A 2D attractive well always
     binds, but the search finds none, as the separable pole search does,
     below eps ~ 0.018, where E_B ~ (kappa/a^2) e^{-4 pi/eps} lies under the
     limit, and above eps ~ 2e13, where E_B lies above depth * (1 - 1e-12).
@@ -136,17 +142,19 @@ def well_bound_states(radius: float, depth, scales: PhysicalScales = NATURAL_UNI
         x_floor = np.fmax(log_search_floor(nominal), np.log(depth - _J1_FIRST_ZERO**2 * nominal))
         # a depth of 0 has an empty range, and its asymptote is -inf
         x_top = np.log(depth) + math.log1p(-1e-12)
-        guess = math.log(nominal) + _SHALLOW_LOG_OFFSET - 4.0 * math.pi / (depth * math.pi * radius**2 / kappa)
+        guess = np.where(depth > 2.0 * _J0_FIRST_ZERO**2 * nominal, np.log(depth - _J0_FIRST_ZERO**2 * nominal),
+                         math.log(nominal) + _SHALLOW_LOG_OFFSET - 4.0 * math.pi / (depth * math.pi * radius**2 / kappa))
 
     def matching(index, x):
-        # cross-multiplied so both J0 and K0 zeros are harmless and scaled by
-        # e^{gamma a} so K0 and K1 do not underflow; positive at E -> 0+,
-        # negative at E -> depth-
-        energy = np.exp(x)
-        k_in, gamma = np.sqrt((depth[index] - energy) / kappa), np.sqrt(energy / kappa)
-        j0, _, j1, _ = bessel_jy_array(k_in * radius)
-        k0, k1 = bessel_k_scaled_array(gamma * radius)
-        return k_in * j1 * k0 - gamma * k1 * j0
+        # -(k_in J1 K0 - gamma K1 J0), cross-multiplied so both J0 and K0
+        # zeros are harmless and scaled by e^{gamma a} so K0 and K1 do not
+        # underflow; negative at E -> 0+, positive at E -> depth-; its slope
+        # in ln E is (a gamma/2) (J1 K1 depth/(kappa k_in) + the value)
+        energy, v = np.exp(x), depth[index]
+        k_in, gamma = np.sqrt((v - energy) / kappa), np.sqrt(energy / kappa)
+        j0, j1, k0, k1 = bessel_j_k_scaled_array(k_in * radius, gamma * radius)
+        value = gamma * k1 * j0 - k_in * j1 * k0
+        return value, (0.5 * radius) * gamma * (j1 * k1 * v / (kappa * k_in) + value)
 
     energy = exp_libm(log_bracket_root(matching, x_floor, x_top, guess))
     return energy, np.isnan(energy)

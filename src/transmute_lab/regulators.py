@@ -39,10 +39,11 @@ the gaussian this is the limit e^{-bE}(Ei(bE) - i pi) / (4 pi kappa)).
 resolvent_array is the one implementation of g(z) and its one dispatch on
 the regulator: the sharp cutoff in closed form, the gaussian through the
 array form of E1.  resolvent_element and slide_kernel are its 0-d calls.
-The bound-state search reads g on the negative real axis only, where it is
-real: negative_axis_resolvent J(E) = kappa g(-E) and resolvent_derivative
-J'(E), over columns of energies, the gaussian through the real
-special.exp1_scaled_real.
+On the negative real axis g is real: negative_axis_resolvent J(E) =
+kappa g(-E) and resolvent_derivative J'(E), the pole residues' derivative,
+over columns of energies, the gaussian through the real
+special.exp1_scaled_real (the gaussian pole search forms the same J from
+special.exp1_scaled_positive).
 """
 
 from __future__ import annotations

@@ -55,9 +55,11 @@ are the one implementation of E1 and Ei on their domains; exp1_scaled,
 expi_scaled and expi are their 0-d calls, at 30-70 us.
 bessel_jy_array gives J0, Y0, J1 and Y1 together over a numpy array and
 bessel_k_scaled_array e^x K0 and e^x K1, the rules in blocks of 64 rows;
-the well takes all of its Bessel values from such passes, and the gaussian
-pole search e^x E1(x) from exp1_scaled_real over arrays of real x.  The
-Bessel names are their one-element calls.
+bessel_j_k_scaled_array gives J0 and J1 at one array and e^x K0 and e^x K1
+at another, summing both series in one stacked pass.  The well takes all of
+its Bessel values from such passes, and the gaussian pole search e^x E1(x)
+from exp1_scaled_positive, exp1_scaled_real without its domain check, over
+arrays of real x.  The Bessel names are their one-element calls.
 """
 
 from __future__ import annotations
@@ -79,9 +81,11 @@ __all__ = [
     "bessel_k0_scaled",
     "bessel_k1_scaled",
     "bessel_k_scaled_array",
+    "bessel_j_k_scaled_array",
     "exp1_scaled",
     "exp1_scaled_array",
     "exp1_scaled_real",
+    "exp1_scaled_positive",
     "expi",
     "expi_scaled",
     "expi_scaled_array",
@@ -141,11 +145,12 @@ def _jy_series(x):
     return j0, y0, j1, y1
 
 
-def _k_series(x):
-    """e^x K0 and e^x K1 over an array of 0 < x <= _K_SWITCH: at q = +x^2/4
-    rows 0 and 1 sum I0 and 2 I1/x, and with L = ln(x/2) + gamma,
-    K0 = -L I0 - row 2 and K1 = 1/x + L I1 - (x/4) row 3."""
-    i0, i1, k0, k1 = _horner(0.25 * x * x, _JY_SERIES)
+def _k_series(x, rows=None):
+    """e^x K0 and e^x K1 over an array of 0 < x <= _K_SWITCH, from the rows
+    of the series table at q = +x^2/4 (summed here unless given): rows 0 and
+    1 sum I0 and 2 I1/x, and with L = ln(x/2) + gamma, K0 = -L I0 - row 2
+    and K1 = 1/x + L I1 - (x/4) row 3."""
+    i0, i1, k0, k1 = _horner(0.25 * x * x, _JY_SERIES) if rows is None else rows
     lead = np.log(0.5 * x) + EULER_GAMMA
     scale = np.exp(x)
     return scale * (-lead * i0 - k0), scale * (1.0 / x + lead * 0.5 * x * i1 - 0.25 * x * k1)
@@ -265,6 +270,28 @@ def bessel_k_scaled_array(x):
     of the J/Y table at q = +x^2/4 at x <= _K_SWITCH, the Gauss rule of the
     resummed asymptotic integral above."""
     return _cylinder_array(_positive_array(x, "bessel_k_scaled_array"), 2, _k_series, _k_rule)
+
+
+def bessel_j_k_scaled_array(x_j, x_k):
+    """J0 and J1 at x_j and e^x K0 and e^x K1 at x_k, elementwise over two
+    1-d arrays of x > 0 of one length.  Where both lie at or below
+    _K_SWITCH, the series of J at q = -x_j^2/4 and of K at q = +x_k^2/4 are
+    summed in one stacked Horner pass, to the bit the values of
+    bessel_jy_array and bessel_k_scaled_array, which give the rest."""
+    x_j, x_k = _positive_array(x_j, "bessel_j_k_scaled_array"), _positive_array(x_k, "bessel_j_k_scaled_array")
+    out = np.empty((4, x_j.size))
+    both = (x_j <= _K_SWITCH) & (x_k <= _K_SWITCH)
+    if both.any():
+        xj, xk = x_j[both], x_k[both]
+        rows = _horner(np.concatenate([-0.25 * xj * xj, 0.25 * xk * xk]), _JY_SERIES)
+        n = xj.size
+        out[0, both], out[1, both] = rows[0, :n], 0.5 * xj * rows[1, :n]
+        out[2:, both] = _k_series(xk, rows[:, n:])
+    rest = ~both
+    if rest.any():
+        j0, _, j1, _ = bessel_jy_array(x_j[rest])
+        out[:, rest] = (j0, j1, *bessel_k_scaled_array(x_k[rest]))
+    return tuple(out)
 
 
 def bessel_j0(x: float) -> float:
@@ -395,8 +422,18 @@ def exp1_scaled_real(x) -> np.ndarray:
     x <= 1 as a Horner polynomial of 18 terms, the Stieltjes rule above.
     Measured over [1e-300, 1e300], the error is below 1.3e-15 of the value."""
     x = _positive_array(x, "exp1_scaled_real")
-    flat = x.ravel()
-    return _evaluate(flat, [(flat <= 1.0, _e1_real_series)], _e1_real_rule).reshape(x.shape)
+    return exp1_scaled_positive(x.ravel()).reshape(x.shape)
+
+
+def exp1_scaled_positive(x: np.ndarray) -> np.ndarray:
+    """exp1_scaled_real over a 1-d float array whose elements the caller
+    knows to be positive and finite, unchecked: for a search that checks its
+    range once and evaluates within it every step."""
+    low = x <= 1.0
+    # the series needs no blocks, whose temporaries bound the rule's memory
+    if low.all():
+        return _e1_real_series(x)
+    return _evaluate(x, [(low, _e1_real_series)], _e1_real_rule)
 
 
 def _e1_real_series(x: np.ndarray) -> np.ndarray:

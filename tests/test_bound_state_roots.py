@@ -175,6 +175,17 @@ def traced(f, seen):
     return g
 
 
+def rising(roots):
+    """f = x - root per element, with its slope: a Newton step lands on the
+    root from anywhere."""
+    roots = np.asarray(roots, dtype=float)
+
+    def f(index, x):
+        return x - roots[index], np.ones(x.size)
+
+    return f
+
+
 class TestLogBracketRoot:
     # every root and every guess below also sits in a column with the others
     ROOTS = [-650.0, -3.0, -0.25, 0.0, 0.5]
@@ -187,50 +198,70 @@ class TestLogBracketRoot:
 
         def f(index, x):
             d = x - roots[index]
-            return np.where(d > 0.0, np.expm1(np.minimum(3.0 * d, 50.0)), 1e-3 * d)
+            steep = np.minimum(3.0 * d, 50.0)
+            return (np.where(d > 0.0, np.expm1(steep), 1e-3 * d),
+                    np.where(d > 0.0, np.where(3.0 * d < 50.0, 3.0 * np.exp(steep), 0.0), 1e-3))
 
         x = log_bracket_root(f, log_search_floor(1.0), 1.0, roots - 1.3)
         assert abs(x[0] - root) <= root_tol(root)
         assert np.all(np.abs(x - roots) <= POLE_SEARCH_LOG_TOL * np.maximum(1.0, np.abs(roots)))
 
     def test_no_sign_change_down_to_the_floor(self):
-        x = log_bracket_root(lambda index, x: np.ones(x.size), log_search_floor(1.0), 0.0, [-1.0, -5.0])
+        # roots below the floor and above the top: f keeps its sign over the range
+        x = log_bracket_root(rising([-1e3, -2e3, 5.0, 1e3]), log_search_floor(1.0), 0.0, [-1.0, -5.0, -1.0, 0.0])
         assert np.isnan(x).all()
 
     @pytest.mark.parametrize("guess, points", [
-        # the top, guess +- 2, then steps twice as wide, clamped to the floor
-        (-10.0, [0.0, -8.0, -12.0, -20.0, -36.0, -68.0, -100.0]),
-        # points at or above the last one are skipped
-        (1.0, [0.0, -1.0, -9.0, -25.0, -57.0, -100.0]),
-        # a guess below the floor costs two evaluations, and so does -inf
-        (-150.0, [0.0, -100.0]),
-        (-math.inf, [0.0, -100.0]),
+        # the guess clamped to the range, then Newton's step, clamped to the
+        # floor, where the root's sign ends the search
+        (-10.0, [-10.0, -100.0]),
+        (1.0, [0.0, -100.0]),
+        # a guess below the floor costs one evaluation, and so does -inf
+        (-150.0, [-100.0]),
+        (-math.inf, [-100.0]),
     ])
     def test_evaluation_points(self, guess, points):
-        # each element of a column that holds every guess walks as it would
-        # alone
+        # each element of a column that holds every guess searches as it
+        # would alone; every root lies below the floor
         guesses = [guess] + [g for g in self.GUESSES if g != guess]
         seen = {}
-        x = log_bracket_root(traced(lambda index, x: np.ones(x.size), seen), -100.0, 0.0, guesses)
+        x = log_bracket_root(traced(rising(np.full(4, -1e3)), seen), -100.0, 0.0, guesses)
         assert np.isnan(x).all() and seen[0] == points
 
     def test_empty_range_evaluates_nothing(self):
         # only the element with a nonempty range is evaluated
         seen = {}
-        x = log_bracket_root(traced(lambda index, x: np.ones(x.size), seen), [0.0, -1.0], 0.0, -1.0)
+        x = log_bracket_root(traced(rising([5.0, 5.0]), seen), [0.0, -1.0], 0.0, -1.0)
         assert np.isnan(x).all() and list(seen) == [1]
 
     def test_exact_zeros_end_the_search(self):
-        # f = 0 at the top, or at a point of the walk, is the root itself
+        # f = 0 at the top, or at a point of the search, is the root itself
         zeros = np.array([0.0, -8.0, -36.0])
-        x = log_bracket_root(lambda index, x: np.where(x == zeros[index], 0.0, 1.0), -100.0, 0.0, np.full(3, -10.0))
-        assert x.tolist() == zeros.tolist()
-
-    def test_empty_range_evaluates_nothing(self):
-        # only the element with a nonempty range is evaluated
         seen = {}
-        x = log_bracket_root(traced(lambda index, x: np.ones(x.size), seen), [0.0, -1.0], 0.0, -1.0)
-        assert np.isnan(x).all() and list(seen) == [1]
+        x = log_bracket_root(traced(rising(zeros), seen), -100.0, 0.0, np.full(3, -10.0))
+        assert x.tolist() == zeros.tolist()
+        assert [seen[i] for i in range(3)] == [[-10.0, 0.0], [-10.0, -8.0], [-10.0, -36.0]]
+
+    def test_overshooting_newton_steps_fall_back_to_the_bracket(self):
+        # arctan sends Newton's step from 3 away from its root far past it;
+        # every point stays inside the bracket of the points before it, and
+        # the search ends within the tolerance
+        roots = np.array([-20.0, -3.0, 0.5])
+        seen = {}
+
+        def f(index, x):
+            d = x - roots[index]
+            return np.arctan(d), 1.0 / (1.0 + d * d)
+
+        x = log_bracket_root(traced(f, seen), -100.0, 10.0, roots + 3.0)
+        assert np.all(np.abs(x - roots) <= POLE_SEARCH_LOG_TOL * np.maximum(1.0, np.abs(roots)))
+        for i, root in enumerate(roots.tolist()):
+            points = seen[i]
+            for k, p in enumerate(points):
+                lower = max([q for q in points[:k] if q <= root], default=-100.0)
+                upper = min([q for q in points[:k] if q >= root], default=10.0)
+                assert lower <= p <= upper
+            assert len(points) <= 12
 
 
 class TestEvaluationCounts:
@@ -251,17 +282,110 @@ class TestEvaluationCounts:
         assert evaluations == {}
 
     def test_gaussian_at_most_twelve(self, evaluations):
-        _, _, unbound = bound_state_poles(np.geomspace(0.3, 15.0, 25), GaussianFormFactor(1.0))
+        _, unbound = bound_state_poles(np.geomspace(0.3, 15.0, 25), GaussianFormFactor(1.0))
         assert not unbound.any() and len(evaluations) == 25
         assert max(map(len, evaluations.values())) <= 12
 
     def test_well_at_most_twelve(self, evaluations):
-        # the search starts at the shallow-well asymptote, and a guess 2 or
-        # more below the floor ends after the top and the floor
+        # the search starts at the shallow-well asymptote, and a root below
+        # a guess below the floor ends after the floor
         eps = np.geomspace(0.3, 15.0, 25)
         _, unbound = well_bound_states(1.0, well_depths(eps, 1.0))
         assert not unbound.any() and len(evaluations) == 25
         assert max(map(len, evaluations.values())) <= 12
         evaluations.clear()
         _, unbound = well_bound_states(1.0, well_depths([0.012, 0.015, 1e-300], 1.0))
-        assert unbound.all() and max(map(len, evaluations.values())) <= 2
+        assert unbound.all() and max(map(len, evaluations.values())) <= 1
+
+    # evaluations per element of two wide columns under the outward walk and
+    # Chandrupatla's method that the Newton search replaced; the search takes
+    # no more for any element, and half as many or fewer for the column
+    WALK_GAUSSIAN = [2, 2, 2, 2, 2, 2, 4, 4, 4, 5, 4, 4, 4, 5, 4, 4, 4, 4, 5, 6,
+                     5, 6, 7, 7, 8, 8, 8, 9, 9, 9, 9, 10, 8, 9, 9, 9, 9, 9, 9, 9]
+    WALK_WELL = [2, 2, 5, 5, 5, 7, 8, 9, 10, 11, 9, 10, 10, 10, 10, 9, 9, 9, 9, 9,
+                 9, 9, 9, 9, 9, 8, 8, 8, 8, 8, 8, 7, 7, 7, 6, 6, 6, 4, 3, 2]
+
+    def test_wide_gaussian_column_costs_no_more_than_the_walk(self, evaluations):
+        # from below the floor (eps < 0.018) to above the top (eps > 21.1)
+        bound_state_poles(np.geomspace(0.005, 60.0, 40), GaussianFormFactor(1.0))
+        counts = [len(evaluations[i]) for i in range(40)]
+        assert all(n <= walk for n, walk in zip(counts, self.WALK_GAUSSIAN)), counts
+        assert 2 * sum(counts) <= sum(self.WALK_GAUSSIAN), counts
+
+    def test_wide_well_column_costs_no_more_than_the_walk(self, evaluations):
+        # from below the floor to deep wells, whose search starts at the
+        # infinitely deep well's ground state, and above the top (eps > 2e13)
+        well_bound_states(1.0, well_depths(np.geomspace(0.005, 3e13, 40), 1.0))
+        counts = [len(evaluations[i]) for i in range(40)]
+        assert all(n <= walk for n, walk in zip(counts, self.WALK_WELL)), counts
+        assert 2 * sum(counts) <= sum(self.WALK_WELL), counts
+
+    def test_slopes_are_derivatives(self, monkeypatch):
+        # each search's f returns its slope in ln E: a central difference of
+        # its values agrees about every point the search evaluates
+        searches = []
+        for module in (amplitude, well_module):
+            def record(f, *args, inner=module.log_bracket_root):
+                seen = {}
+                searches.append((f, seen))
+                return inner(traced(f, seen), *args)
+
+            monkeypatch.setattr(module, "log_bracket_root", record)
+        eps, scales = np.geomspace(0.3, 60.0, 9), PhysicalScales(2.0)
+        bound_state_poles(eps, GaussianFormFactor(0.7), scales)
+        well_bound_states(0.7, well_depths(eps, 0.7, scales), scales)
+        assert len(searches) == 2
+        for f, seen in searches:
+            index = np.array([i for i, points in seen.items() for _ in points])
+            x = np.array([p for points in seen.values() for p in points])
+            # centred just below each point, which may be the top
+            h = 1e-6 * np.maximum(1.0, np.abs(x))
+            central = (f(index, x)[0] - f(index, x - 2.0 * h)[0]) / (2.0 * h)
+            assert np.allclose(f(index, x - h)[1], central, rtol=1e-5, atol=1e-9)
+
+
+def mp_root(f, u: float):
+    """The root of f near the double u at 40 digits: two secant steps from u
+    and a point 1e-14 * max(1, |u|) above it, after which its error lies
+    below 1e-30 (the second ends at once where the first met the root)."""
+    with mp.workdps(40):
+        a = mp.mpf(u)
+        b = a + mp.mpf(1e-14) * max(1.0, abs(u))
+        fa, fb = f(a), f(b)
+        for _ in range(2):
+            if fb == fa:
+                break
+            a, fa, b = b, fb, b - fb * (b - a) / (fb - fa)
+            fb = f(b)
+        return b
+
+
+class TestAgainstMpmath:
+    """The roots are as accurate as their functions: within 1e-15 *
+    max(1, |ln E|) of 40-digit roots, a fraction of POLE_SEARCH_LOG_TOL."""
+
+    @staticmethod
+    def assert_within(u: float, exact) -> None:
+        assert abs(float(u - exact)) <= 1e-15 * max(1.0, abs(u)), (u, float(exact))
+
+    def test_gaussian_roots(self):
+        eps = np.geomspace(0.3, 15.0, 40)
+        energy, unbound = bound_state_poles(eps, GaussianFormFactor(1.0))
+        assert not unbound.any()
+        for e, u in zip(eps.tolist(), np.log(energy).tolist()):
+            # 1 - (eps/4 pi) e^x E1(x) at x = E, a = kappa = 1
+            self.assert_within(u, mp_root(lambda v: 1 - e / (4 * mp.pi) * mp.exp(mp.exp(v)) * mp.e1(mp.exp(v)), u))
+
+    def test_well_roots(self):
+        # the workloads' couplings, and deep wells whose search starts at the
+        # infinitely deep well's ground state
+        eps = np.array([*np.geomspace(0.3, 15.0, 10), 30.0, 60.0, 200.0])
+        depth = well_depths(eps, 1.0)
+        energy, unbound = well_bound_states(1.0, depth)
+        assert not unbound.any()
+        for v0, u in zip(depth.tolist(), np.log(energy).tolist()):
+            def matching(v, v0=mp.mpf(v0)):
+                k_in, gamma = mp.sqrt(v0 - mp.exp(v)), mp.exp(v / 2)
+                return k_in * mp.besselj(1, k_in) * mp.besselk(0, gamma) - gamma * mp.besselk(1, gamma) * mp.besselj(0, k_in)
+
+            self.assert_within(u, mp_root(matching, u))

@@ -733,9 +733,11 @@ GOLDEN_CSV = [
     (["theorem", "--epsilon", "1", "--lambda", "1e2:1e12:6,log"], None,
      "c72a918cc3fc97bbd6775aceb61dac67a7399641982abb172a9b44da7ba8b47c"),
     # 13 NO_BOUND_STATE rows with blank cells, pinned from the row-list
-    # renderer that bind used before it emitted columns
+    # renderer that bind used before it emitted columns, and re-pinned when
+    # the gaussian and well roots moved to Newton's method (their OK cells
+    # and fits changed in the last digits, no status and no blank cell did)
     (["bind", "--regulator", "sharp-cutoff,gaussian,circular-well,pure-delta", "--epsilon", "0.005:2:7,log"], None,
-     "4b5a6b553bd610f401d0bd76f23599c8262f70e4e85466fbbc5f4b6d12fb401c"),
+     "b2a7287a23cbbfafd4ed891242bf5748e6b5c92a24863cb4be3518f7adeb7cb1"),
 ]
 
 
@@ -763,7 +765,7 @@ GOLDEN_JSON = [
      "d733b63049aad760ddda8e3f41ca2f1272bf6e46be77b410891d0ad3e0a1d3c4"),
     # null cells; pinned as in GOLDEN_CSV
     (["bind", "--regulator", "sharp-cutoff,gaussian,circular-well,pure-delta", "--epsilon", "0.005:2:7,log"], None,
-     "f8788807d9e164bfc6502a6fac19816d930ef31c17f29eb87e5abc96e866de71"),
+     "0de73f4f7aed9f2f5948c0b113e4c2635733f67a8c2c71192c4a64f2d447bb12"),
 ]
 
 
@@ -1003,8 +1005,8 @@ class TestBoundaryErrors:
         poles = cli.bound_state_poles
 
         def overflowing(eps, model, scales):
-            energy, residue, unbound = poles(eps, model, scales)
-            return np.where(eps == 2.0, math.inf, energy), residue, unbound
+            energy, unbound = poles(eps, model, scales)
+            return np.where(eps == 2.0, math.inf, energy), unbound
 
         monkeypatch.setattr(cli, "bound_state_poles", overflowing)
         code, out = run_cli(["bind", "--regulator", "sharp-cutoff,gaussian", "--epsilon", "1:2:2", "--format", fmt],

@@ -28,10 +28,12 @@ from transmute_lab.special import (
     bessel_k1_scaled,
     bessel_y0,
     bessel_y1,
+    bessel_j_k_scaled_array,
     bessel_jy_array,
     bessel_k_scaled_array,
     exp1_scaled,
     exp1_scaled_array,
+    exp1_scaled_positive,
     exp1_scaled_real,
     expi,
     expi_scaled,
@@ -123,6 +125,24 @@ def test_cylinder_columns_keep_shape_and_domain():
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match=f"{column_form.__name__} requires x > 0"):
                 column_form(np.array([3.0, bad]))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(pairs=st.lists(st.tuples(cylinder_arguments, cylinder_arguments), min_size=1, max_size=12))
+def test_j_k_pairs_are_the_separate_columns(pairs):
+    # the stacked series pass of J and K, and the rules beside it, give the
+    # bits of the two separate column passes
+    x_j, x_k = (np.array(v) for v in zip(*pairs))
+    j0, _, j1, _ = bessel_jy_array(x_j)
+    for pair, separate in zip(bessel_j_k_scaled_array(x_j, x_k), (j0, j1, *bessel_k_scaled_array(x_k))):
+        assert pair.tobytes() == separate.tobytes()
+
+
+def test_j_k_pairs_domain():
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        for x_j, x_k in (([1.0, bad], [1.0, 1.0]), ([1.0, 1.0], [bad, 3.0])):
+            with pytest.raises(DomainError, match="bessel_j_k_scaled_array requires x > 0"):
+                bessel_j_k_scaled_array(np.array(x_j), np.array(x_k))
 
 
 @JY_PROPERTY
@@ -374,6 +394,13 @@ def test_exp1_scaled_real_against_mpmath(x):
 def test_exp1_scaled_real_domain(x):
     with pytest.raises(DomainError, match="exp1_scaled_real requires x > 0"):
         exp1_scaled_real([2.0, x])
+
+
+def test_exp1_scaled_positive_is_the_real_kernel():
+    # the unchecked form gives exp1_scaled_real's bits on both branches
+    x = np.geomspace(1e-300, 1e300, 2001)
+    assert exp1_scaled_positive(x).tobytes() == exp1_scaled_real(x).tobytes()
+    assert exp1_scaled_positive(x[x <= 1.0]).tobytes() == exp1_scaled_real(x[x <= 1.0]).tobytes()
 
 
 # ----------------------------------------------------------------------
