@@ -30,9 +30,11 @@ scans below.
 Each closed form has one implementation, an *_array function over numpy
 arrays of couplings, cutoffs and energies; regulated_amplitude and
 renormalized_amplitude are its 0-d calls, and amplitudes_over_cutoffs and
-transmutation_schedule one array call each.  bound_state_poles solves the
-bound states of a whole column of couplings at once, and bound_state_pole is
-its one-element call.
+transmutation_schedule one array call each.  bound_states solves the
+bound states of a whole column of couplings at once for every model that
+bind tabulates, the three regulators and the circular well, and is the one
+dispatch on the model of the bound-state path; bound_state_pole is its
+one-element call for a regulator.
 """
 
 from __future__ import annotations
@@ -66,11 +68,11 @@ from .regulators import (
     PureDelta,
     Regulator,
     SharpCutoff,
-    nominal_cutoff,
     resolvent_array,
     resolvent_derivative,
     slide_kernel,
 )
+from .oracle.well import well_bound_states, well_depths
 from .special import EULER_GAMMA, exp1_scaled_positive
 from .tolerances import POLE_GUARD
 
@@ -84,7 +86,7 @@ __all__ = [
     "slide_amplitude",
     "renormalized_amplitude",
     "bound_state_pole",
-    "bound_state_poles",
+    "bound_states",
     "amplitudes_over_cutoffs",
     "transmutation_schedule",
     "renormalized_amplitude_array",
@@ -216,57 +218,69 @@ def _sharp_log_pole(epsilon: float, cutoff: float) -> float:
     return math.log(cutoff) - (t + math.log(-math.expm1(-t)))
 
 
-def bound_state_poles(epsilon, reg: Regulator, scales: PhysicalScales = NATURAL_UNITS) -> tuple:
-    """The bound states over a 1-d array of couplings, the roots of
-    1 + eps*I(-E) = 0 on the negative real axis (limit from above): an array
-    of E_B, NaN in the rows of the mask returned second.  Their residues are
-    bound_state_pole's, the one caller that uses them.
+def bound_states(epsilon, model, scales: PhysicalScales = NATURAL_UNITS) -> tuple:
+    """The bound states over a 1-d array of couplings for one model of bind:
+    a regulator, or the radius a of the circular well as a float.  Returns
+    an array of E_B, NaN in the rows of the mask returned second, which have
+    none in the search range, and the nominal cutoff Lambda_nominal of the
+    closed form Lambda_nominal e^{-4 pi/eps}: Lambda for the sharp cutoff,
+    kappa/a^2 for the gaussian and for the well (that of a gaussian of the
+    same length), and NaN for the pure delta, which never binds.  This is
+    the one dispatch on the model of the bound-state path.
 
-    E_B spans hundreds of orders of magnitude in eps, so the root is sought
-    in ln E, between the nominal cutoff Lambda and the floor of
-    log_search_floor (Lambda*1e-300, never below the smallest normal
-    double); a row whose root lies outside has none, as the pure delta has
-    none at all.  For the sharp cutoff the root is exact, E_B = Lambda /
-    (e^{4 pi/eps} - 1), i.e. Lambda e^{-4 pi/eps} up to O(E_B/Lambda), and
-    nothing is searched.  The gaussian roots are searched by log_bracket_root
-    from the small-coupling asymptote ln E_B = ln(kappa/a^2) - gamma_E - 4 pi/eps,
-    Newton's method on 1 + eps*J(E) and its slope eps*(bE*J + 1/(4 pi)) in ln E.
+    For a regulator E_B is the root of 1 + eps*I(-E) = 0 on the negative
+    real axis (limit from above).  E_B spans hundreds of orders of magnitude
+    in eps, so the root is sought in ln E, between Lambda_nominal and the
+    floor of log_search_floor (Lambda_nominal*1e-300, never below the
+    smallest normal double); a row whose root lies outside has none.  For
+    the sharp cutoff the root is exact, E_B = Lambda / (e^{4 pi/eps} - 1),
+    i.e. Lambda e^{-4 pi/eps} up to O(E_B/Lambda), and nothing is searched.
+    The gaussian roots are searched by log_bracket_root from the
+    small-coupling asymptote ln E_B = ln(kappa/a^2) - gamma_E - 4 pi/eps,
+    Newton's method on 1 + eps*J(E) and its slope eps*(bE*J + 1/(4 pi)) in
+    ln E.  The well's ground states are oracle.well.well_bound_states' at
+    the depths of well_depths, whose matching function, range and guess
+    stay with the well.
     """
     eps = np.asarray(epsilon, dtype=float)
     _check_coupling(eps)
-    if isinstance(reg, PureDelta):
+    if isinstance(model, PureDelta):
         nan = np.full(eps.shape, np.nan)
-        return nan, np.isnan(nan)
-    lam = nominal_cutoff(reg, scales)
-    x_floor, x_top = log_search_floor(lam), math.log(lam)
-    if isinstance(reg, SharpCutoff):
-        x_root = np.array([_sharp_log_pole(e, reg.cutoff) for e in eps.tolist()])
-        x_root[~((x_floor <= x_root) & (x_root <= x_top))] = np.nan
-    else:
-        b = reg.length**2 / scales.kinetic_constant
+        return nan, np.isnan(nan), math.nan
+    if isinstance(model, SharpCutoff):
+        nominal = model.cutoff
+        x_root = np.array([_sharp_log_pole(e, nominal) for e in eps.tolist()])
+        x_root[~((log_search_floor(nominal) <= x_root) & (x_root <= math.log(nominal)))] = np.nan
+        energy = exp_libm(x_root)
+    elif isinstance(model, GaussianFormFactor):
+        nominal = scales.kinetic_constant / model.length**2
+        x_floor, x_top = log_search_floor(nominal), math.log(nominal)
+        b = model.length**2 / scales.kinetic_constant
 
         def mismatch(index, x):
-            # 1 + eps*J with J = -e^{bE} E1(bE)/(4 pi), negative_axis_resolvent's
-            # J, and its slope in ln E, eps*(bE*J + 1/(4 pi)); every bE of
-            # the range is positive, so no step checks its column
+            # 1 + eps*J with J = kappa g(-E) = -e^{bE} E1(bE)/(4 pi), and its
+            # slope in ln E, eps*(bE*J + 1/(4 pi)); every bE of the range is
+            # positive, so no step checks its column
             be, e = b * np.exp(x), eps[index]
             j = (-1.0 / (4.0 * math.pi)) * exp1_scaled_positive(be)
             return 1.0 + e * j, e * (be * j + 1.0 / (4.0 * math.pi))
 
-        x_root = log_bracket_root(mismatch, x_floor, x_top, x_top - EULER_GAMMA - 4.0 * math.pi / eps)
-    energy = exp_libm(x_root)
-    return energy, np.isnan(energy)
+        energy = exp_libm(log_bracket_root(mismatch, x_floor, x_top, x_top - EULER_GAMMA - 4.0 * math.pi / eps))
+    else:
+        # the circular well of radius model
+        nominal = scales.kinetic_constant / model**2
+        energy = well_bound_states(model, well_depths(eps, model, scales), scales)[0]
+    return energy, np.isnan(energy), nominal
 
 
 def bound_state_pole(epsilon: float, reg: Regulator, scales: PhysicalScales = NATURAL_UNITS) -> BoundState:
-    """The bound state at one coupling, the one-element call of
-    bound_state_poles, with the residue 1/J'(E_B) of resolvent_derivative;
-    NoBoundStateError where it has none, exact for the pure delta, which
-    never binds."""
-    if isinstance(reg, PureDelta):
-        _check_coupling(epsilon)
+    """The bound state at one coupling, the one-element call of bound_states,
+    with the residue 1/J'(E_B) of resolvent_derivative; NoBoundStateError
+    where it has none, exact for the pure delta, which never binds (the one
+    model without a nominal cutoff)."""
+    energy, unbound, nominal = bound_states([epsilon], reg, scales)
+    if math.isnan(nominal):
         raise NoBoundStateError("the unregulated contact interaction never binds (tau is identically zero)", exact=True)
-    energy, unbound = bound_state_poles([epsilon], reg, scales)
     if unbound[0]:
         raise NoBoundStateError("no bound state within [Lambda*1e-300, Lambda]", exact=False)
     return BoundState(energy=float(energy[0]), residue=float(1.0 / resolvent_derivative(reg, energy, scales)[0]))

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amplitude import (
-    bound_state_poles,
+    bound_states,
     cutoff_envelope_array,
     on_shell_amplitude_array,
     regulated_amplitude_array,
@@ -49,12 +49,7 @@ from .amplitude import (
 from .energy_plane import ComplexEnergy, PhysicalScales, complex_divide_array, log_ratio_array
 from .errors import DomainError, TransmuteLabError
 from .observables import continuum_observables_array, tau_from_phase_shift_array
-from .regulators import (
-    REGULATOR_NAMES,
-    nominal_cutoff,
-    regulator_from_name,
-    slide_kernels_along,
-)
+from .regulators import REGULATOR_NAMES, regulator_from_name, slide_kernels_along
 from .tolerances import (
     FLOW_GROUP_RTOL,
     POLE_GUARD,
@@ -62,7 +57,7 @@ from .tolerances import (
     THEOREM_ENVELOPE_RTOL,
     UNITARITY_DEFECT_TOL,
 )
-from .oracle.well import well_bound_states, well_depths, well_from_coupling, well_phase_shift_array
+from .oracle.well import well_from_coupling, well_phase_shift_array
 from .render import csv_lines, fmt_cell as _fmt, json_lines
 
 __all__ = ["main"]
@@ -452,23 +447,16 @@ def cmd_flow(opts: Options) -> Table:
 
 def cmd_bind(opts: Options) -> Table:
     """Bound-state scale per (coupling, regulator): solver vs the closed form
-    Lambda * exp(-4 pi / eps), with the regulator's nominal cutoff standing
-    in for Lambda when the regulator is smeared."""
+    Lambda * exp(-4 pi / eps), with the nominal cutoff of the model standing
+    in for Lambda when the regulator is smeared.  amplitude.bound_states
+    solves each regulator's column, the circular well's included."""
     scales = _scales(opts)
     eps_grid = opts.get_grid("epsilon", "1:4:3,log")
     eps = np.array(eps_grid)
     names = [n.strip() for n in (opts.get("regulator") or "sharp-cutoff,gaussian,circular-well,pure-delta").split(",")]
     solvers, closed_forms, unbound = [], [], []
     for name in names:
-        model = _model(name, opts, scales, well=True)
-        if name == "circular-well":
-            # the well's nominal cutoff is that of a gaussian of the same length
-            energy, none = well_bound_states(model, well_depths(eps, model, scales), scales)
-            nominal = scales.kinetic_constant / model**2
-        else:
-            energy, none = bound_state_poles(eps, model, scales)
-            # the pure delta, which never binds, has no nominal cutoff
-            nominal = math.nan if none.all() else nominal_cutoff(model, scales)
+        energy, none, nominal = bound_states(eps, _model(name, opts, scales, well=True), scales)
         solvers.append(energy)
         closed_forms.append(np.where(none, math.nan, [nominal * math.exp(-FOUR_PI / e) for e in eps_grid]))
         unbound.append(none)

@@ -19,7 +19,6 @@ from .quadrature import (  # noqa: F401
 from .well import (  # noqa: F401
     WellParameters,
     well_from_coupling,
-    coupling_of_well,
     well_bound_state,
     well_phase_shift,
     bound_energy_from_phase,

@@ -28,7 +28,8 @@ from one bessel_jy_array pass over the interior and exterior arguments
 [k_in a, k a]; well_phase_shift is its one-element call.  well_bound_states
 solves the ground states of a whole column of depths at once, each matching
 step one bessel_j_k_scaled_array pass; well_bound_state is its one-element
-call.
+call, and amplitude.bound_states its caller for bind's circular-well rows,
+at the depths of well_depths.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "WellParameters",
     "well_from_coupling",
     "well_depths",
-    "coupling_of_well",
     "well_bound_state",
     "well_bound_states",
     "well_phase_shift",
@@ -110,10 +110,6 @@ def well_from_coupling(epsilon: float, radius: float, scales: PhysicalScales = N
     if depth == 0.0:
         raise NoBoundStateError(f"well depth eps*kappa/(pi a^2) underflows at eps = {epsilon}", exact=False)
     return WellParameters(radius=radius, depth=depth)
-
-
-def coupling_of_well(well: WellParameters, scales: PhysicalScales = NATURAL_UNITS) -> float:
-    return well.depth * math.pi * well.radius**2 / scales.kinetic_constant
 
 
 def well_bound_states(radius: float, depth, scales: PhysicalScales = NATURAL_UNITS) -> tuple:

@@ -39,11 +39,9 @@ the gaussian this is the limit e^{-bE}(Ei(bE) - i pi) / (4 pi kappa)).
 resolvent_array is the one implementation of g(z) and its one dispatch on
 the regulator: the sharp cutoff in closed form, the gaussian through the
 array form of E1.  resolvent_element and slide_kernel are its 0-d calls.
-On the negative real axis g is real: negative_axis_resolvent J(E) =
-kappa g(-E) and resolvent_derivative J'(E), the pole residues' derivative,
-over columns of energies, the gaussian through the real
-special.exp1_scaled_real (the gaussian pole search forms the same J from
-special.exp1_scaled_positive).
+On the negative real axis g is real: resolvent_derivative gives J'(E) of
+J(E) = kappa g(-E), the pole residues' derivative, over columns of
+energies, the gaussian through the real special.exp1_scaled_real.
 """
 
 from __future__ import annotations
@@ -78,11 +76,9 @@ __all__ = [
     "spectral_weight",
     "decay_amplitude",
     "resolvent_element",
-    "negative_axis_resolvent",
     "slide_kernel",
     "resolvent_array",
     "slide_kernels_along",
-    "nominal_cutoff",
 ]
 
 
@@ -133,20 +129,6 @@ def regulator_from_name(name: str, cutoff: float | None = None, length: float | 
     raise DomainError(f"unknown regulator {name!r}; expected one of {REGULATOR_NAMES}")
 
 
-def nominal_cutoff(reg: Regulator, scales: PhysicalScales = NATURAL_UNITS) -> float:
-    """The energy scale at which the regulator suppresses the form factor.
-
-    Exact for the sharp cutoff; kinetic_constant/length^2 for smeared
-    regulators (their effective cutoff differs from this by the O(1) factor
-    the model cannot fix).
-    """
-    if isinstance(reg, SharpCutoff):
-        return reg.cutoff
-    if isinstance(reg, GaussianFormFactor):
-        return scales.kinetic_constant / reg.length**2
-    raise DomainError("the pure delta carries no scale")
-
-
 def form_factor_squared(reg: Regulator, k: float, scales: PhysicalScales = NATURAL_UNITS) -> float:
     """|<k|v>|^2 at wavenumber k >= 0."""
     if k < 0.0:
@@ -191,19 +173,6 @@ def resolvent_element(reg: Regulator, z, scales: PhysicalScales = NATURAL_UNITS)
     """g(z) at one point: the 0-d case of resolvent_array."""
     ze = as_energy(z)
     return complex(resolvent_array(reg, [ze.re], [ze.im], scales)[0])
-
-
-def negative_axis_resolvent(reg: Regulator, energy, scales: PhysicalScales = NATURAL_UNITS) -> np.ndarray:
-    """J(E) = kinetic_constant * g(-E) elementwise over an array of E > 0,
-    real on the negative axis (limit from above): the bound state is the
-    root of 1 + eps*J(E)."""
-    energy = _negative_axis(reg, energy)
-    if isinstance(reg, SharpCutoff):
-        return (np.log(energy) - np.log(energy + reg.cutoff)) / (4.0 * math.pi)
-    kappa = scales.kinetic_constant
-    # kappa * (-(e^{x} E1(x)) / (4 pi kappa)) with x = b E, rounded as
-    # resolvent_array rounds the real part of kappa * g(-E)
-    return kappa * (-(1.0 / (4.0 * math.pi * kappa)) * exp1_scaled_real(reg.length**2 / kappa * energy))
 
 
 def resolvent_derivative(reg: Regulator, energy, scales: PhysicalScales = NATURAL_UNITS) -> np.ndarray:

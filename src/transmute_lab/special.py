@@ -51,8 +51,8 @@ exp1_scaled_array and expi_scaled_array evaluate e^w E1(w) and e^{-x} Ei(x)
 over numpy arrays: each branch is a fixed sequence of numpy calls over the
 elements its mask selects, whatever their values (polynomials by two
 levels of Horner's rule, the rule by einsum) in blocks of 1024 elements.  They
-are the one implementation of E1 and Ei on their domains; exp1_scaled,
-expi_scaled and expi are their 0-d calls, at 30-70 us.
+are the one implementation of E1 and Ei on their domains; exp1_scaled and
+expi_scaled are their 0-d calls, at 30-70 us.
 bessel_jy_array gives J0, Y0, J1 and Y1 together over a numpy array and
 bessel_k_scaled_array e^x K0 and e^x K1, the rules in blocks of 64 rows;
 bessel_j_k_scaled_array gives J0 and J1 at one array and e^x K0 and e^x K1
@@ -78,15 +78,12 @@ __all__ = [
     "bessel_jy_array",
     "bessel_k0",
     "bessel_k1",
-    "bessel_k0_scaled",
-    "bessel_k1_scaled",
     "bessel_k_scaled_array",
     "bessel_j_k_scaled_array",
     "exp1_scaled",
     "exp1_scaled_array",
     "exp1_scaled_real",
     "exp1_scaled_positive",
-    "expi",
     "expi_scaled",
     "expi_scaled_array",
     "EULER_GAMMA",
@@ -314,25 +311,15 @@ def bessel_y1(x: float) -> float:
     return float(bessel_jy_array(_positive_array([x], "bessel_y1"))[3][0])
 
 
-def bessel_k0_scaled(x: float) -> float:
-    """e^x K0(x), stable for arbitrarily large x."""
-    return float(bessel_k_scaled_array(_positive_array([x], "bessel_k0_scaled"))[0][0])
-
-
-def bessel_k1_scaled(x: float) -> float:
-    """e^x K1(x), stable for arbitrarily large x."""
-    return float(bessel_k_scaled_array(_positive_array([x], "bessel_k1_scaled"))[1][0])
-
-
 def bessel_k0(x: float) -> float:
     """Modified Bessel function K0 for x > 0; underflows to 0 near x ~ 745,
-    where bessel_k0_scaled does not."""
+    where e^x K0 of bessel_k_scaled_array does not."""
     return math.exp(-x) * float(bessel_k_scaled_array(_positive_array([x], "bessel_k0"))[0][0])
 
 
 def bessel_k1(x: float) -> float:
     """Modified Bessel function K1 for x > 0; underflows to 0 near x ~ 745,
-    where bessel_k1_scaled does not."""
+    where e^x K1 of bessel_k_scaled_array does not."""
     return math.exp(-x) * float(bessel_k_scaled_array(_positive_array([x], "bessel_k1"))[1][0])
 
 
@@ -452,12 +439,6 @@ def exp1_scaled(w: complex) -> complex:
 def expi_scaled(x: float) -> float:
     """e^{-x} Ei(x) at one x > 0: the 0-d case of expi_scaled_array."""
     return float(expi_scaled_array([x])[0])
-
-
-def expi(x: float) -> float:
-    """Exponential integral Ei(x) for x > 0 (principal value)."""
-    _positive_array(x, "expi")
-    return math.exp(x) * expi_scaled(x)
 
 
 def _e1_series_scaled_array(w: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import exp1, j0, j1, k0e, k1e
 
 from transmute_lab import amplitude
-from transmute_lab.amplitude import bound_state_pole, bound_state_poles
+from transmute_lab.amplitude import bound_state_pole, bound_states
 from transmute_lab.energy_plane import PhysicalScales, log_bracket_root, log_search_floor
 from transmute_lab.errors import NoBoundStateError
 from transmute_lab.oracle import well as well_module
@@ -23,7 +23,7 @@ from transmute_lab.oracle.well import (
     well_depths,
     well_from_coupling,
 )
-from transmute_lab.regulators import GaussianFormFactor, SharpCutoff
+from transmute_lab.regulators import GaussianFormFactor, PureDelta, SharpCutoff
 from transmute_lab.tolerances import POLE_SEARCH_LOG_TOL
 
 FOUR_PI = 4.0 * math.pi
@@ -278,11 +278,11 @@ class TestEvaluationCounts:
         return seen
 
     def test_sharp_cutoff_evaluates_nothing(self, evaluations):
-        bound_state_poles(np.geomspace(0.3, 15.0, 25), SharpCutoff(1.0))
+        bound_states(np.geomspace(0.3, 15.0, 25), SharpCutoff(1.0))
         assert evaluations == {}
 
     def test_gaussian_at_most_twelve(self, evaluations):
-        _, unbound = bound_state_poles(np.geomspace(0.3, 15.0, 25), GaussianFormFactor(1.0))
+        _, unbound, _ = bound_states(np.geomspace(0.3, 15.0, 25), GaussianFormFactor(1.0))
         assert not unbound.any() and len(evaluations) == 25
         assert max(map(len, evaluations.values())) <= 12
 
@@ -307,7 +307,7 @@ class TestEvaluationCounts:
 
     def test_wide_gaussian_column_costs_no_more_than_the_walk(self, evaluations):
         # from below the floor (eps < 0.018) to above the top (eps > 21.1)
-        bound_state_poles(np.geomspace(0.005, 60.0, 40), GaussianFormFactor(1.0))
+        bound_states(np.geomspace(0.005, 60.0, 40), GaussianFormFactor(1.0))
         counts = [len(evaluations[i]) for i in range(40)]
         assert all(n <= walk for n, walk in zip(counts, self.WALK_GAUSSIAN)), counts
         assert 2 * sum(counts) <= sum(self.WALK_GAUSSIAN), counts
@@ -332,7 +332,7 @@ class TestEvaluationCounts:
 
             monkeypatch.setattr(module, "log_bracket_root", record)
         eps, scales = np.geomspace(0.3, 60.0, 9), PhysicalScales(2.0)
-        bound_state_poles(eps, GaussianFormFactor(0.7), scales)
+        bound_states(eps, GaussianFormFactor(0.7), scales)
         well_bound_states(0.7, well_depths(eps, 0.7, scales), scales)
         assert len(searches) == 2
         for f, seen in searches:
@@ -370,7 +370,7 @@ class TestAgainstMpmath:
 
     def test_gaussian_roots(self):
         eps = np.geomspace(0.3, 15.0, 40)
-        energy, unbound = bound_state_poles(eps, GaussianFormFactor(1.0))
+        energy, unbound, _ = bound_states(eps, GaussianFormFactor(1.0))
         assert not unbound.any()
         for e, u in zip(eps.tolist(), np.log(energy).tolist()):
             # 1 - (eps/4 pi) e^x E1(x) at x = E, a = kappa = 1
@@ -389,3 +389,27 @@ class TestAgainstMpmath:
                 return k_in * mp.besselj(1, k_in) * mp.besselk(0, gamma) - gamma * mp.besselk(1, gamma) * mp.besselj(0, k_in)
 
             self.assert_within(u, mp_root(matching, u))
+
+
+class TestOneDispatch:
+    """bound_states solves every model of bind: the three regulators and the
+    circular well's radius."""
+
+    # the first row's root lies below the search floor
+    EPS = np.geomspace(0.01, 40.0, 9)
+
+    def test_nominal_cutoff_per_model(self):
+        scales = PhysicalScales(2.0)
+        solves = [bound_states(self.EPS, model, scales)
+                  for model in (SharpCutoff(3.0), GaussianFormFactor(0.7), 0.7, PureDelta())]
+        assert [nominal for _, _, nominal in solves[:3]] == [3.0, 2.0 / 0.7**2, 2.0 / 0.7**2]
+        energy, unbound, nominal = solves[3]
+        assert math.isnan(nominal) and unbound.all() and np.isnan(energy).all()
+
+    @pytest.mark.parametrize("radius,kappa", [(1.0, 1.0), (0.7, 2.0), (1e-3, 5.0)])
+    def test_well_rows_are_the_oracle_columns(self, radius, kappa):
+        scales = PhysicalScales(kappa)
+        energy, unbound, _ = bound_states(self.EPS, radius, scales)
+        expected, expected_unbound = well_bound_states(radius, well_depths(self.EPS, radius, scales), scales)
+        assert energy.tobytes() == expected.tobytes() and unbound.tolist() == expected_unbound.tolist()
+        assert unbound[0] and not unbound[1:].any()

@@ -19,9 +19,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import transmute_lab
-from transmute_lab import cli, render, special
+from transmute_lab import amplitude, cli, render, special
 from transmute_lab.cli import main
+from transmute_lab.energy_plane import log_bracket_root
 from transmute_lab.errors import TransmuteLabError
+from transmute_lab.oracle import well as well_module
+from transmute_lab.regulators import GaussianFormFactor, PureDelta, SharpCutoff
 from transmute_lab.tolerances import FLOW_GROUP_RTOL, ROUTE_AGREEMENT_RTOL, UNITARITY_DEFECT_TOL
 
 FOUR_PI = 4.0 * math.pi
@@ -171,6 +174,27 @@ class TestBind:
         header, rows, _ = parse_csv(out)
         assert cell(rows[0], header, "status") == "NO_BOUND_STATE"
         assert cell(rows[0], header, "E_B_solver") is None
+
+    def test_one_bound_states_call_per_regulator(self, tmp_path, monkeypatch):
+        # the one regulator branch of bind lies in amplitude.bound_states:
+        # cmd_bind hands it each model with the whole coupling column, and
+        # holds no other column solver
+        solve, calls = cli.bound_states, []
+
+        def recorded(eps, model, scales):
+            calls.append((eps.tolist(), model))
+            return solve(eps, model, scales)
+
+        monkeypatch.setattr(cli, "bound_states", recorded)
+        names = "circular-well,pure-delta,gaussian,sharp-cutoff"
+        code, _ = run_cli(["bind", "--epsilon", "0.5:4:3,log", "--regulator", names], tmp_path,
+                          config_text="a = 0.5\nlambda = 3\n")
+        assert code == 0
+        assert [model for _, model in calls] == [0.5, PureDelta(), GaussianFormFactor(0.5), SharpCutoff(3.0)]
+        assert all(eps == calls[0][0] and len(eps) == 3 for eps, _ in calls)
+        solvers = (amplitude.bound_states, amplitude.bound_state_pole, well_module.well_bound_states,
+                   well_module.well_bound_state, well_module.well_depths, log_bracket_root)
+        assert [name for name, value in vars(cli).items() if any(value is f for f in solvers)] == []
 
 
 class TestTheorem:
@@ -1001,20 +1025,23 @@ class TestBoundaryErrors:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_bind_cell_names_row_and_column(self, tmp_path, capsys, monkeypatch, fmt):
         # an infinite root is a numerical failure found by the cell check,
-        # before the footer fit would carry it into the JSON header
-        poles = cli.bound_state_poles
+        # before the footer fit would carry it into the JSON header; the
+        # well's rows come through the same solver
+        solve, models = cli.bound_states, []
 
         def overflowing(eps, model, scales):
-            energy, unbound = poles(eps, model, scales)
-            return np.where(eps == 2.0, math.inf, energy), unbound
+            models.append(model)
+            energy, unbound, nominal = solve(eps, model, scales)
+            return np.where(eps == 2.0, math.inf, energy), unbound, nominal
 
-        monkeypatch.setattr(cli, "bound_state_poles", overflowing)
-        code, out = run_cli(["bind", "--regulator", "sharp-cutoff,gaussian", "--epsilon", "1:2:2", "--format", fmt],
-                            tmp_path, f"out.{fmt}")
+        monkeypatch.setattr(cli, "bound_states", overflowing)
+        code, out = run_cli(["bind", "--regulator", "sharp-cutoff,gaussian,circular-well", "--epsilon", "1:2:2",
+                             "--format", fmt], tmp_path, f"out.{fmt}")
         err = capsys.readouterr().err
         assert code == 1 and "Traceback" not in err and len(err.strip().splitlines()) == 1, err
         assert "non-finite E_B_solver = inf in row 2" in err
         assert not out.exists()
+        assert models == [SharpCutoff(1.0), GaussianFormFactor(1.0), 1.0]
 
     def test_tolerance_defaults_come_from_tolerances(self, tmp_path):
         code, out = run_cli(["scatter", "--energy", "1"], tmp_path)

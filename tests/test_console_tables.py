@@ -1,0 +1,75 @@
+"""The tables of CI's console-script step, checked in tier-1: every JSON table
+is the bytes that json.dump writes for its own content, and every
+circular-well row of the deep bind binds, in both formats.  Each table comes
+from a fresh ``python -m transmute_lab.cli`` process, as the console script
+makes it, so the parser is built at its first main call."""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+import transmute_lab
+
+# the z_phase = 1 gaussian flow reaches the series, the Stieltjes rule and
+# the asymptotic series of E1; the gaussian scatter the zero, series and
+# asymptotic branches of Ei; the wide bind's well roots reach the series and
+# rules of J and K, and its sharp and gaussian rows turn NO_BOUND_STATE above
+# their search tops; the deep bind's wells reach depths where the search
+# starts at the infinitely deep well's ground state
+TABLES = {
+    "flow": ["flow", "--regulator", "gaussian", "--energy", "1:1e3:7,log"],
+    "flow_phase": ["flow", "--config", "phase.cfg", "--energy", "0.05:3000:90,log"],
+    "gaussian": ["scatter", "--regulator", "gaussian", "--epsilon", "1.7", "--energy", "0.001:2000:90,log"],
+    "bind": ["bind", "--regulator", "sharp-cutoff,gaussian,circular-well,pure-delta", "--epsilon", "0.005:2:7,log"],
+    "bind_wide": ["bind", "--regulator", "sharp-cutoff,gaussian,circular-well,pure-delta", "--epsilon", "0.3:60:40,log"],
+    "bind_deep": ["bind", "--regulator", "circular-well,gaussian", "--epsilon", "0.02:1e13:25,log"],
+    "theorem": ["theorem", "--epsilon", "1", "--lambda", "1e2:1e12:6,log"],
+    "transmute": ["transmute"],
+    "scatter": ["scatter", "--energy", "1e-6:1e6:200,log"],
+    "well": ["scatter", "--regulator", "circular-well", "--epsilon", "1", "--energy", "1e-3:1e3:50,log"],
+}
+RUNS = [(name, "json") for name in TABLES] + [("bind_deep", "csv")]
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    """stdout of each run, from fresh processes two at a time; each must exit
+    0 with nothing on stderr."""
+    work = tmp_path_factory.mktemp("console")
+    (work / "phase.cfg").write_text("regulator = gaussian\nz_phase = 1.0\n", encoding="utf-8")
+    # the child imports the same package copy as this test, installed or not
+    src = os.path.dirname(os.path.dirname(transmute_lab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(key):
+        name, fmt = key
+        argv = [sys.executable, "-m", "transmute_lab.cli", *TABLES[name], "--format", fmt]
+        proc = subprocess.run(argv, capture_output=True, cwd=work, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b""), (key, proc.stderr)
+        return proc.stdout
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(RUNS, pool.map(run, RUNS)))
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_json_table_is_the_bytes_json_dump_writes(tables, name):
+    data = tables[name, "json"]
+    assert (json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n").encode() == data
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_deep_well_binds(tables, fmt):
+    text = tables["bind_deep", fmt].decode("utf-8")
+    if fmt == "csv":
+        rows = list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
+    else:
+        table = json.loads(text)
+        names = [c["name"] for c in table["columns"]]
+        rows = [dict(zip(names, r)) for r in table["rows"]]
+    assert sum(r["regulator"] == "circular-well" and r["status"] == "OK" for r in rows) == 25

@@ -23,9 +23,7 @@ from transmute_lab.special import (
     bessel_j0,
     bessel_j1,
     bessel_k0,
-    bessel_k0_scaled,
     bessel_k1,
-    bessel_k1_scaled,
     bessel_y0,
     bessel_y1,
     bessel_j_k_scaled_array,
@@ -35,7 +33,6 @@ from transmute_lab.special import (
     exp1_scaled_array,
     exp1_scaled_positive,
     exp1_scaled_real,
-    expi,
     expi_scaled,
     expi_scaled_array,
 )
@@ -149,14 +146,14 @@ def test_j_k_pairs_domain():
 @given(xs=st.lists(cylinder_arguments, min_size=1, max_size=8))
 def test_k_columns_against_mpmath(xs):
     # e^x K0 and e^x K1 from one column pass over both branches: within
-    # 1e-14 of the value, and equal to the scalar names to the bit
+    # 1e-14 of the value, and the scalar names' K0 and K1 to the bit
     columns = bessel_k_scaled_array(np.array(xs))
     for i, x in enumerate(xs):
         with mp.workdps(30):
             refs = [float(mp.besselk(order, mp.mpf(x)) * mp.exp(mp.mpf(x))) for order in (0, 1)]
-        for column, ref, scalar in zip(columns, refs, (bessel_k0_scaled, bessel_k1_scaled)):
+        for column, ref, scalar in zip(columns, refs, (bessel_k0, bessel_k1)):
             assert abs(column[i] - ref) <= 1e-14 * ref, (x, scalar.__name__)
-            assert scalar(x) == column[i], (x, scalar.__name__)
+            assert scalar(x) == math.exp(-x) * column[i], (x, scalar.__name__)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -165,16 +162,17 @@ def test_k_series_against_mpmath(x):
     # the ascending series from the J/Y table at q = +x^2/4, over (0, 2]
     with mp.workdps(30):
         refs = [float(mp.besselk(order, mp.mpf(x)) * mp.exp(mp.mpf(x))) for order in (0, 1)]
-    for ours, ref in zip((bessel_k0_scaled, bessel_k1_scaled), refs):
-        assert abs(ours(x) - ref) <= 1e-14 * ref, (x, ours.__name__)
+    for order, (ours, ref) in enumerate(zip(bessel_k_scaled_array(np.array([x])), refs)):
+        assert abs(ours[0] - ref) <= 1e-14 * ref, (x, order)
 
 
 def test_scaled_k_no_underflow():
     for x in (500.0, 2000.0, 1e5):
         ref0 = float(mp.besselk(0, mp.mpf(x)) * mp.e**x)
         ref1 = float(mp.besselk(1, mp.mpf(x)) * mp.e**x)
-        assert bessel_k0_scaled(x) == pytest.approx(ref0, rel=1e-12)
-        assert bessel_k1_scaled(x) == pytest.approx(ref1, rel=1e-12)
+        k0, k1 = bessel_k_scaled_array(np.array([x]))
+        assert k0[0] == pytest.approx(ref0, rel=1e-12)
+        assert k1[0] == pytest.approx(ref1, rel=1e-12)
 
 
 def test_j0_series_constant_term():
@@ -223,7 +221,7 @@ def test_derivative_relations(x):
 class TestExponentialIntegrals:
     def test_expi_against_mpmath(self):
         for x in (1e-3, 0.5, 1.0, 7.7, 39.9, 40.1, 250.0, 700.0):
-            assert expi(x) == pytest.approx(float(mp.ei(x)), rel=1e-12)
+            assert math.exp(x) * expi_scaled(x) == pytest.approx(float(mp.ei(x)), rel=1e-12)
 
     def test_expi_scaled_large(self):
         for x in (50.0, 1e4):
@@ -261,7 +259,7 @@ class TestExponentialIntegrals:
         with pytest.raises(DomainError):
             exp1_scaled(1.0 + 1.0j)
         with pytest.raises(DomainError):
-            expi(-1.0)
+            expi_scaled(-1.0)
         with pytest.raises(DomainError):
             bessel_y0(0.0)
         with pytest.raises(DomainError):

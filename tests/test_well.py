@@ -18,7 +18,6 @@ from transmute_lab.observables import tau_from_phase_shift
 from transmute_lab.oracle.well import (
     WellParameters,
     bound_energy_from_phase,
-    coupling_of_well,
     well_bound_state,
     well_bound_states,
     well_depths,
@@ -215,10 +214,6 @@ class TestWellPhaseShift:
 
 
 class TestCoupling:
-    def test_round_trip(self):
-        well = well_from_coupling(3.3, 0.7)
-        assert coupling_of_well(well) == pytest.approx(3.3, rel=1e-15)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             WellParameters(0.0, 1.0)

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from transmute_lab import amplitude
 from transmute_lab.amplitude import (
     bound_state_pole,
-    bound_state_poles,
+    bound_states,
     cutoff_envelope_array,
     on_shell_amplitude_array,
     regulated_amplitude,
@@ -228,7 +228,7 @@ class TestColumnSolves:
         # the column has no residues; the one-element call forms its residue
         # from its energy alone
         scales = PhysicalScales(2.0)
-        energy, unbound = bound_state_poles(np.array(eps), reg, scales)
+        energy, unbound, _ = bound_states(np.array(eps), reg, scales)
         for e, energy_i, unbound_i in zip(eps, energy.tolist(), unbound.tolist()):
             try:
                 state = bound_state_pole(e, reg, scales)
@@ -265,7 +265,7 @@ def column_calls(monkeypatch):
 
         monkeypatch.setattr(module, name, recorded)
 
-    spy(amplitude, "bound_state_poles", 0)
+    spy(amplitude, "bound_states", 0)
     spy(well_module, "well_bound_states", 1)
     return lengths
 
@@ -289,6 +289,6 @@ class TestRootSearchStaysScalar:
         assert column_calls == [1, 1, 1, 1]
 
     def test_the_patch_bites(self, column_calls):
-        amplitude.bound_state_poles(np.array([0.3, 1.0, 4.0]), GaussianFormFactor(1.0))
+        amplitude.bound_states(np.array([0.3, 1.0, 4.0]), GaussianFormFactor(1.0))
         well_module.well_bound_states(1.0, well_depths([0.3, 1.0], 1.0))
         assert column_calls == [3, 2]
