@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import itertools
 import json
 import math
@@ -236,24 +235,23 @@ class Table:
     footer: dict[str, object] = field(default_factory=dict)
 
     def write_csv(self, stream) -> None:
-        w = stream.write
-        w(f"# transmute-lab {self.command}\n")
-        w(f"# {self.description}\n")
-        for key, value in self.config.items():
-            w(f"# config: {key}={value}\n")
-        w("# columns:\n")
-        for name, desc in self.columns:
-            w(f"#   {name}: {desc}\n")
-        w(",".join(name for name, _ in self.columns) + "\n")
-        for text in csv_lines(self.rows.cells, self.rows.blank):
-            w(text)
-        for key, value in sorted(self.footer.items()):
-            w(f"# {key}={_fmt(value)}\n")
+        """The table as CSV, in UTF-8 bytes, to a binary stream: the
+        comment header, the rows from csv_lines, and the footer."""
+        head = [f"# transmute-lab {self.command}\n", f"# {self.description}\n"]
+        head += [f"# config: {key}={value}\n" for key, value in self.config.items()]
+        head.append("# columns:\n")
+        head += [f"#   {name}: {desc}\n" for name, desc in self.columns]
+        head.append(",".join(name for name, _ in self.columns) + "\n")
+        stream.write("".join(head).encode())
+        for chunk in csv_lines(self.rows.cells, self.rows.blank):
+            stream.write(chunk)
+        stream.write("".join(f"# {key}={_fmt(value)}\n" for key, value in sorted(self.footer.items())).encode())
 
     def write_json(self, stream) -> None:
         """The table as json.dump(obj, sort_keys=True, indent=2,
-        allow_nan=False) writes it; the rows go through json_lines, since
-        with indent json.dump always runs its pure-Python encoder."""
+        allow_nan=False) writes it, in bytes, to a binary stream; the rows
+        go through json_lines, since with indent json.dump always runs its
+        pure-Python encoder."""
         obj = {
             "command": self.command,
             "description": self.description,
@@ -263,11 +261,19 @@ class Table:
             "footer": {k: v for k, v in self.footer.items()},
         }
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-        if self.rows:
-            # "rows" sorts last: the document ends with its empty list, "[]\n}"
-            text = text[:-4] + "[\n" + "".join(json_lines(self.rows.cells, self.rows.blank))[:-2] + "\n  ]\n}"
-        stream.write(text)
-        stream.write("\n")
+        if not self.rows:
+            stream.write(text.encode() + b"\n")
+            return
+        # "rows" sorts last: the document ends with its empty list, "[]\n}";
+        # each row ends in ",\n", which the last row drops
+        stream.write(text[:-4].encode() + b"[\n")
+        chunks = json_lines(self.rows.cells, self.rows.blank)
+        last = next(chunks)
+        for chunk in chunks:
+            stream.write(last)
+            last = chunk
+        stream.write(last[:-2])
+        stream.write(b"\n  ]\n}\n")
 
 
 def _rows(columns: list[tuple[str, str]], cells: list, blank: dict[int, np.ndarray | None] | None = None) -> Columns:
@@ -287,26 +293,59 @@ def _rows(columns: list[tuple[str, str]], cells: list, blank: dict[int, np.ndarr
     return Columns(cells, blank)
 
 
+class _Chunks(list):
+    """A binary stream that keeps the chunks written to it."""
+
+    write = list.append
+
+
 def _emit(table: Table, opts: Options) -> None:
-    """Render the whole table before opening --out, so that a render that
-    raises leaves no partial file."""
+    """Render the whole table, as bytes, before opening --out, so that a
+    render that raises leaves no partial file; then write the bytes to the
+    file, or to stdout."""
     fmt = opts.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown output format {fmt!r}")
-    buf = io.StringIO()
+    chunks = _Chunks()
     if fmt == "csv":
-        table.write_csv(buf)
+        table.write_csv(chunks)
     else:
-        table.write_json(buf)
+        table.write_json(chunks)
     out = opts.get("out")
     if out is None:
-        sys.stdout.write(buf.getvalue())
+        try:
+            _write_stdout(chunks)
+        except OSError as exc:
+            raise UsageError(f"cannot write output: {exc}") from None
         return
     try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(buf.getvalue())
+        with open(out, "wb") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise UsageError(f"cannot write output file {out}: {exc}") from None
+
+
+def _write_stdout(chunks: list[bytes]) -> None:
+    """Write the chunks to sys.stdout's binary layer, after flushing its
+    text layer; a stream without one (io.StringIO) takes them as text.  The
+    real stdout's buffer is flushed and passed by, so that a failed write
+    leaves nothing in it for the flush at exit to fail on again."""
+    stdout = sys.stdout
+    binary = getattr(stdout, "buffer", None)
+    if binary is None:
+        stdout.write(b"".join(chunks).decode("utf-8", "surrogatepass"))
+        return
+    stdout.flush()
+    binary.flush()
+    stream = getattr(binary, "raw", binary)
+    for chunk in chunks:
+        view = memoryview(chunk)
+        while view:
+            written = stream.write(view)
+            if written is None:
+                raise BlockingIOError("stdout would block")
+            view = view[written:]
+    binary.flush()
 
 
 def _fit_line(xs: list[float], ys: list[float]) -> tuple[float, float]:

@@ -59,11 +59,15 @@ Each cell sits in a slot of 4-byte words, padded with 0xFF, a byte that
 never occurs in UTF-8 (a NUL may occur in a string cell), inside the frame
 of its row (',' or '\\n' for CSV, '      cell,\\n' for JSON), and the rows of
 a block of rows form one matrix, whose bytes drop the padding of every cell
-at once (bytes.translate) and are decoded once.  A column is a float64 array,
-with an optional mask of its blank (None) cells, or a list of str or of int
-cells; any other cell raises TypeError.  Each distinct str or int of a table
-is encoded once, and its cells and the blank ones take their bytes from that
-per-table lookup.
+at once (bytes.translate) and are yielded as they are: the table reaches
+its file as these bytes, with no text in between.  A block holds at most
+512 rows and 240 KiB; one buffer serves all blocks of a table, and the
+kernels gather into contiguous arrays that are copied into their columns.
+A column is a float64 array, with an optional mask of its blank (None)
+cells, or a list of str or of int cells; any other cell raises TypeError.
+Each distinct str or int of a table is encoded once, and its cells and the
+blank ones take their bytes from that per-table lookup; a column of one
+distinct cell is written into the row template.
 """
 
 from __future__ import annotations
@@ -86,9 +90,17 @@ _TIE_BAND = 1e-6
 _LO, _HI = np.array(1e-281), np.array(1e280)
 _HIGH27 = np.array(0xFFFFFFFFFC000000, np.uint64)  # the top 27 bits of a double
 _ZERO, _HALF = np.array(0.0), np.array(0.5)
-_10E4, _10E8, _10E17 = (np.array(10**k) for k in (4, 8, 17))
-# rows per block: bounds the temporaries at any table size
+_TEN, _10E4, _10E8, _10E17 = (np.array(10**k) for k in (1, 4, 8, 17))
+# rows per block at most: the kernels' temporaries, about 110 bytes per
+# float cell for '%.16e' and 330 for repr, are a table's peak memory
 _BLOCK_ROWS = 512
+# bytes per block at most, so that wide rows (JSON) go in fewer rows per
+# block.  On a 2-core x86-64 VM 240 KiB rendered 5,000-row tables the
+# fastest of 120-480 KiB: smaller blocks pay the kernels' fixed cost of
+# some 60-80 numpy operations more often, and larger ones make temporaries
+# that glibc's malloc gives back to the system after each block and faults
+# in again at the next
+_BLOCK_BYTES = 240 << 10
 # the cell types of a list column: equal cells of these encode alike
 _LIST_CELLS = frozenset((str, int))
 
@@ -173,26 +185,30 @@ def digits17(x: np.ndarray) -> tuple[np.ndarray, ...]:
     residual are proven to within 5.5e-7, and the binary fraction and
     exponent of |v| (np.frexp) where they are; see the module docstring."""
     highs, lows, limits, above, _, first = _powers()
+    # the operations write into their operands where they can: fewer live
+    # arrays per block
     a = np.abs(x)
     zero = a == _ZERO
     # a zero is rendered as 1.0 with its lead digit 0; NaN turns into 0 here
     # and into _LO below, so that c == a fails for it, as out of range
-    a = np.fmax(a, zero)
-    c = np.fmax(np.fmin(a, _HI), _LO)
+    np.fmax(a, zero, out=a)
+    c = np.fmin(a, _HI)
+    np.fmax(c, _LO, out=c)
     # 2^(b-1) <= c < 2^b: E is floor((b - 1) log10 2) or one more
     f, b = np.frexp(c)
     e = first[b]
     e += c >= above[e]
     high = highs[e]
-    # c = ch + cl, ch of 27 bits and cl of 26, so that hp and cl * high
-    # are exact
+    # c = ch + cl, ch of 27 bits and cl of 26, so that hp = ch * high and
+    # cl * high are exact; t = cl * high + c * lo
     ch = (c.view(np.uint64) & _HIGH27).view(np.float64)
-    hp = ch * high
-    t = (c - ch) * high + c * lows[e]
+    t = c - ch
+    t *= high
+    t += c * lows[e]
+    n = (ch * high).astype(np.int64)
     r = np.rint(t)
-    n = hp.astype(np.int64)
     n += r.astype(np.int64)
-    residual = t - r
+    residual = np.subtract(t, r, out=t)
     proven = (c == a) & (np.abs(residual) <= limits[e])
     n[zero] = 0
     # y within 1/2 below 10^17 rounds to 10^17: 10^16 at E + 1
@@ -212,39 +228,56 @@ def _fallback(out: np.ndarray, x: np.ndarray, proven: np.ndarray, fmt) -> np.nda
     return out
 
 
+def _columns(out: np.ndarray, first: int, rows: np.ndarray) -> None:
+    """Copy each row of a gathered array into a column of out, from column
+    first on.  The kernels gather from their byte tables into contiguous
+    arrays, since take into a column stages it through a temporary, and
+    copy them one column at a time, since numpy copies a narrow 2-d block
+    row by row."""
+    for k, row in enumerate(rows, first):
+        out[:, k] = row
+
+
 def _groups(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """n // 10^16 and the four-digit groups of n % 10^16."""
-    halves = np.empty((n.size, 2), np.int64)
-    np.divmod(n, _10E8, out=(halves[:, 0], halves[:, 1]))
-    groups = np.empty((n.size, 4), np.int64)
-    np.divmod(halves, _10E4, out=(groups[:, 0::2], groups[:, 1::2]))
-    lead, groups[:, 0] = np.divmod(groups[:, 0], _10E4)
+    """n // 10^16 and, as the rows of a (4, n) array, the four-digit groups
+    of n % 10^16: floor division by a scalar and a product, which numpy
+    runs several times faster than divmod or %."""
+    groups = np.empty((4, n.size), np.int64)
+    np.floor_divide(n, _10E8, out=groups[1])
+    np.subtract(n, groups[1] * _10E8, out=groups[3])
+    np.floor_divide(groups[1::2], _10E4, out=groups[0::2])
+    groups[1::2] -= groups[0::2] * _10E4
+    lead = groups[0] // _10E4
+    groups[0] -= lead * _10E4
     return lead, groups
 
 
 @functools.cache
-def _e16_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The suffix 'e+EE' per E; the sign with the lead digit and its
-    point."""
-    suffixes = _by_exponent(_words([b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 2)], 2))
-    heads = _words([sign + b"%d." % d for sign in (b"", b"-") for d in range(10)], 1)[:, 0]
-    return suffixes, heads
+def _suffixes() -> np.ndarray:
+    """The exponent suffix 'e+EE' per E, as one 8-byte word."""
+    return _by_exponent(_words([b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 2)], 1, np.uint64)[:, 0])
+
+
+@functools.cache
+def _e16_heads() -> np.ndarray:
+    """The sign with the lead digit and its point."""
+    return _words([sign + b"%d." % d for sign in (b"", b"-") for d in range(10)], 1)[:, 0]
 
 
 def format_e16(x: np.ndarray) -> np.ndarray:
     """'%.16e' % v of every v of a float64 array, as an (n, 7) uint32 matrix
     whose rows, viewed as bytes, hold the text padded with 0xFF."""
-    suffixes, heads = _e16_tables()
     x = np.asarray(x, dtype=np.float64).ravel()
     e, n, _, proven, _, _ = digits17(x)
-    # the sign rides above the 17 digits, into the index of the lead digit
-    np.add(n, _10E17, out=n, where=np.signbit(x))
     lead, groups = _groups(n)
-    out = np.empty((x.size, _E16_WORDS), np.uint32)
-    heads.take(lead, out=out[:, 0], mode="clip")
-    _digit_words().take(groups, out=out[:, 1:5], mode="wrap")
-    suffixes.take(e, axis=0, out=out[:, 5:], mode="wrap")
-    return _fallback(out, x, proven, "%.16e".__mod__)
+    # the sign picks the second ten heads
+    lead += np.signbit(x) * _TEN
+    # the cell in words 1-7 of 8, so that its suffix is one aligned word
+    words = np.empty((x.size, _E16_WORDS + 1), np.uint32)
+    words[:, 1] = _e16_heads().take(lead, mode="clip")
+    _columns(words, 2, _digit_words().take(groups, mode="wrap"))
+    words.view(np.uint64)[:, 3] = _suffixes().take(e, mode="wrap")
+    return _fallback(words[:, 1:], x, proven, "%.16e".__mod__)
 
 
 # a repr in 8-byte words: the sign, the fixed form's leading '0.000' and
@@ -257,26 +290,26 @@ _LAYOUT_POINTS = 21
 # per level s = 10, 100 (rows): s, as ints and as floats, and s/2
 _LEVELS = np.array([[10], [100]])
 _LEVEL_SIZES, _LEVEL_HALVES = _LEVELS * 1.0, _LEVELS * 0.5
+# the offset of group k's rows in the table of last nonzero digits
+_GROUP_OFFSETS = np.arange(4)[:, None] * 10**4
 
 
 @functools.cache
 def _repr_tables() -> tuple[np.ndarray, ...]:
     """The sign, '0.000' and the lead digit; the four-digit strings, each
-    digit followed by a point slot; per E the exponent suffix 'e+EE'; per
-    four-digit string the mask of its nonzero digits; per bit length of
-    those masks over the 16 digits after the lead digit (bit 8k + j for
-    digit 4k + j + 1) and per E the layout (digit count, and point position
-    or exponent form); per layout its mask."""
+    digit followed by a point slot; per group k and four-digit string g (at
+    k 10^4 + g) the position 4k + j + 1 among the 16 digits after the lead
+    digit of g's last nonzero digit j, or 0; per such position, which is
+    the digit count less one, and per E the layout (digit count, and point
+    position or exponent form); per layout its mask."""
     heads = _words([sign + b"0.000%d\0" % d for sign in (b"\xff", b"-") for d in range(10)], 1, np.uint64)[:, 0]
     d = np.arange(10**4)
     digits = np.zeros((10**4, 8), np.uint8)
     digits[:, ::2] = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1) + ord("0")
-    suffixes = _by_exponent(_words([b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 2)], 1, np.uint64)[:, 0])
+    last = np.max([(d // 10 ** (3 - j) % 10 != 0) * (j + 1) for j in range(4)], axis=0)
+    ends = np.where(last > 0, 4 * np.arange(4)[:, None] + last, 0).astype(np.int8).ravel()
     columns = _by_exponent([20 if not -3 <= e + 1 <= 16 else e + 4 for e in range(_E_MIN, _E_MAX + 2)])
-    nonzero = sum((d // 10 ** (3 - j) % 10 != 0) << j for j in range(4)).astype(np.uint8)
-    bits = np.arange(33)
-    rows = np.where(bits == 0, 0, (bits - 1) // 8 * 4 + (bits - 1) % 8 + 1) * _LAYOUT_POINTS
-    layouts = (rows[:, None] + columns).astype(np.int16)
+    layouts = (np.arange(17)[:, None] * _LAYOUT_POINTS + columns).astype(np.int16)
     masks = []
     for count in range(1, 18):
         for at in range(-3, 18):
@@ -295,7 +328,7 @@ def _repr_tables() -> tuple[np.ndarray, ...]:
             if point is not None:
                 mask[5 + 2 * point] = ord(".")
             masks.append(bytes(mask))
-    return heads, digits.view(np.uint64)[:, 0], suffixes, nonzero, layouts, _words(masks, _REPR_WORDS, np.uint64)
+    return heads, digits.view(np.uint64)[:, 0], ends, layouts, _words(masks, _REPR_WORDS, np.uint64)
 
 
 def _json_float(value: float) -> str:
@@ -310,7 +343,7 @@ def format_repr(x: np.ndarray) -> np.ndarray:
     whose rows, viewed as bytes, hold the text padded with 0xFF; a
     non-finite v raises ValueError, as in json.dump(allow_nan=False)."""
     scales = _powers()[4]
-    heads, digits, suffixes, nonzero, layouts, masks = _repr_tables()
+    heads, digits, ends, layouts, masks = _repr_tables()
     x = np.asarray(x, dtype=np.float64).ravel()
     e, n, residual, proven, f, b = digits17(x)
     # the half-ulp of |v| in units of N's last digit, above y and below it:
@@ -350,22 +383,22 @@ def format_repr(x: np.ndarray) -> np.ndarray:
         carry = m == _10E17
         m[carry] = 10**16
         e[carry] += 1
-    # the sign rides above the 17 digits, into the index of the lead digit
-    np.add(m, _10E17, out=m, where=np.signbit(x))
     lead, groups = _groups(m)
+    # the sign picks the second ten heads
+    lead += np.signbit(x) * _TEN
     out = np.empty((x.size, _REPR_WORDS), np.uint64)
-    heads.take(lead, out=out[:, 0], mode="clip")
-    digits.take(groups, out=out[:, 1:5], mode="wrap")
-    suffixes.take(e, out=out[:, 5], mode="wrap")
-    # the masks of the nonzero digits of the four groups as one 32-bit
-    # integer, group k in its byte k whatever the host's byte order: its
-    # bit length gives the digit count
-    count = np.frexp(nonzero[groups].view("<u4")[:, 0])[1]
+    out[:, 0] = heads.take(lead, mode="clip")
+    _columns(out, 1, digits.take(groups, mode="wrap"))
+    out[:, 5] = _suffixes().take(e, mode="wrap")
+    # the digit count less one: the position of the last nonzero digit
+    count = ends.take(groups + _GROUP_OFFSETS).max(axis=0)
     out |= masks.take(layouts[count, e], axis=0)
     return _fallback(out, x, proven, _json_float).view(np.uint32)
 
 
 _COMMA, _NEWLINE = b",", b"\n"
+# a rendered float cell as one numpy void, per kernel width in words
+_CELL_TYPES = {words: np.dtype((np.void, 4 * words)) for words in (_E16_WORDS, 2 * _REPR_WORDS)}
 # a JSON row: its cells at depth 3 of the document, the row at depth 2
 _JSON_FRAME = (b"    [\n      ", b"      ", b",\n", b"\n    ],\n")
 
@@ -388,15 +421,15 @@ def _row_template(columns: int, words: int, frame: tuple[bytes, ...]) -> tuple[n
 
 
 def _lines(cells: list, blank: dict[int, np.ndarray], kernel, float_words: int, encode, frame):
-    """The text of the rows of these columns, one block of rows at a time;
+    """The bytes of the rows of these columns, one block of rows at a time;
     see csv_lines."""
     n = len(cells[0]) if cells else 0
     if n == 0:
         return
-    # the float columns of the table as one matrix, with their positions;
-    # the masks of blank cells; and per list column the codes of its cells
-    # in the table's lookup of encoded cells
-    floats, positions, blanks, others = [], [], [], []
+    # the float columns of the table, with their positions; the masks of
+    # blank cells; per list column the codes of its cells in the table's
+    # lookup of encoded cells, or the one code of all its cells
+    floats, positions, blanks, others, constants = [], [], [], [], []
     codes: dict[str | int, int] = {}
     encoded: list[bytes] = []
     for j, col in enumerate(cells):
@@ -411,47 +444,62 @@ def _lines(cells: list, blank: dict[int, np.ndarray], kernel, float_words: int, 
         if not set(map(type, col)) <= _LIST_CELLS:
             raise TypeError(f"column {j} holds a cell that is neither str nor int")
         # str and int cells never compare equal: one lookup serves both
-        for value in dict.fromkeys(col):
+        distinct = dict.fromkeys(col)
+        for value in distinct:
             if value not in codes:
                 codes[value] = len(encoded)
                 # surrogatepass keeps any str, a lone surrogate too; no
                 # UTF-8 byte is 0xFF
                 encoded.append(encode(value).encode("utf-8", "surrogatepass"))
-        others.append((j, np.array(list(map(codes.__getitem__, col)))))
-    values = np.array(floats, dtype=np.float64).T
+        if len(distinct) == 1:
+            constants.append((j, codes[col[0]]))
+        else:
+            others.append((j, np.fromiter(map(codes.__getitem__, col), np.intp, n)))
     words = max(float_words, (max(map(len, encoded), default=0) + 3) // 4)
     lookup = _words(encoded + [encode(None).encode()], words)
     template, before = _row_template(len(cells), words, frame)
     cell = slice(before, before + words)
+    # a column of one distinct cell is written into the template
+    if constants:
+        template = template.copy()
+        for j, code in constants:
+            template[j, cell] = lookup[code]
     if positions and positions[-1] - positions[0] == len(positions) - 1:
         positions = slice(positions[0], positions[-1] + 1)
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        size = min(n - start, _BLOCK_ROWS)
-        block = np.empty((size,) + template.shape, np.uint32)
+    cell_type = _CELL_TYPES[float_words]
+    # one buffer serves every block of the table
+    block_rows = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // template.nbytes))
+    buffer = np.empty((min(n, block_rows),) + template.shape, np.uint32)
+    for start in range(0, n, block_rows):
+        rows = slice(start, start + block_rows)
+        block = buffer[:n - start]
         block[:] = template
-        if positions:
-            block[:, positions, before:before + float_words] = kernel(values[rows]).reshape(
-                size, -1, float_words)
+        if floats:
+            # the float cells of the block column by column, as one array;
+            # each rendered cell is copied whole, as one numpy void
+            x = np.concatenate([col[rows] for col in floats])
+            slots = block[:, :, before:before + float_words].view(cell_type)[..., 0]
+            slots[:, positions] = kernel(x).view(cell_type).reshape(len(floats), len(block)).T
         for j, empty in blanks:
             block[empty[rows], j, cell] = lookup[-1]
         for j, col_codes in others:
             block[:, j, cell] = lookup[col_codes[rows]]
-        yield block.tobytes().translate(None, b"\xff").decode("utf-8", "surrogatepass")
+        yield block.tobytes().translate(None, b"\xff")
 
 
 def csv_lines(cells: list, blank: dict[int, np.ndarray]):
-    """Yield the CSV text of the rows of these columns, one block of rows at
-    a time.  A column is a float64 array or a list of str or of int cells;
-    ``blank`` maps an array column's index to the mask of its blank cells.
-    Each cell renders as fmt_cell renders it."""
+    """Yield the CSV bytes (UTF-8) of the rows of these columns, one block
+    of rows at a time.  A column is a float64 array or a list of str or of
+    int cells; ``blank`` maps an array column's index to the mask of its
+    blank cells.  Each cell renders as fmt_cell renders it."""
     return _lines(cells, blank, format_e16, _E16_WORDS, fmt_cell, (b"", b"", _COMMA, _NEWLINE))
 
 
 def json_lines(cells: list, blank: dict[int, np.ndarray]):
-    """Yield the rows of these columns as elements of the rows array of a
-    JSON table document, each row followed by ',\\n', one block of rows at a
-    time; as csv_lines, with blank cells null and each cell rendered as
-    json.dump(indent=2, sort_keys=True, allow_nan=False) renders it: a float
-    by repr, and a non-finite float raises ValueError."""
+    """Yield the rows of these columns, in bytes, as elements of the rows
+    array of a JSON table document, each row followed by ',\\n', one block
+    of rows at a time; as csv_lines, with blank cells null and each cell
+    rendered as json.dump(indent=2, sort_keys=True, allow_nan=False)
+    renders it: a float by repr, and a non-finite float raises
+    ValueError."""
     return _lines(cells, blank, format_repr, 2 * _REPR_WORDS, json_cell, _JSON_FRAME)

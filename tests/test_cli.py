@@ -527,10 +527,10 @@ def test_benchmark_interface():
     for method in (cli.Table.write_csv, cli.Table.write_json):
         assert list(inspect.signature(method).parameters) == ["self", "stream"]
     table = cli.Table("t", "d", {"k": "v"}, [("x", "")], rows=cli.Columns([np.array([1.0])], {}), footer={"rows": 1})
-    csv_buf, json_buf = io.StringIO(), io.StringIO()
+    csv_buf, json_buf = io.BytesIO(), io.BytesIO()
     table.write_csv(csv_buf)
     table.write_json(json_buf)
-    assert csv_buf.getvalue().splitlines()[-2:] == ["1.0000000000000000e+00", "# rows=1"]
+    assert csv_buf.getvalue().splitlines()[-2:] == [b"1.0000000000000000e+00", b"# rows=1"]
     assert json.loads(json_buf.getvalue())["rows"] == [[1.0]]
     # bench/worker.py times these special functions by name, one scalar
     # argument per call
@@ -556,9 +556,9 @@ class TestRender:
         ]
         blank = {1: np.array([False, True, True, False, False]), 3: np.array([False, False, True, False, False])}
         table = cli.Table("t", "d", {}, [(f"c{j}", "") for j in range(6)], rows=cli.Columns(cells, blank))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         table.write_csv(buf)
-        body = buf.getvalue().splitlines()[-5:]
+        body = buf.getvalue().decode().splitlines()[-5:]
         assert body == [",".join(cli._fmt(c) for c in row) for row in row_lists(table.rows)]
 
     def test_numpy_zero_cells_keep_their_sign(self):
@@ -566,9 +566,9 @@ class TestRender:
         # sign for both
         table = cli.Table("t", "d", {}, [("a", ""), ("b", "")],
                           rows=cli.Columns([np.array([0.0, -0.0]), ["OK", "OK"]], {}))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         table.write_csv(buf)
-        assert buf.getvalue().splitlines()[-2:] == ["0.0000000000000000e+00,OK", "-0.0000000000000000e+00,OK"]
+        assert buf.getvalue().splitlines()[-2:] == [b"0.0000000000000000e+00,OK", b"-0.0000000000000000e+00,OK"]
         assert json.loads(json_of(table))["rows"] == [[0.0, "OK"], [-0.0, "OK"]]
         assert [math.copysign(1.0, row[0]) for row in json.loads(json_of(table))["rows"]] == [1.0, -1.0]
 
@@ -578,7 +578,81 @@ class TestRender:
         table = cli.Table("t", "d", {}, [("a", "")], rows=cli.Columns([[1, bad]], {}))
         for write in (table.write_csv, table.write_json):
             with pytest.raises(TypeError, match="neither str nor int"):
-                write(io.StringIO())
+                write(io.BytesIO())
+
+
+def block_rows(cells, blank, lines):
+    """The rows of the first block that lines yields for these columns."""
+    first = next(lines(cells, blank))
+    return first.count(b"\n") if lines is render.csv_lines else first.count(b"\n    ],\n")
+
+
+def edge_columns(n):
+    """n rows of float columns, one with blank cells, a str column of
+    several cells, a str column of one, and an int column."""
+    rng = np.random.default_rng(n)
+    floats = [rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for _ in range(3)]
+    floats[1][::5] = 0.0
+    strings = [("OK", "NO_BOUND_STATE", "caf\u00e9 \"\u2211\"", "")[i % 4] for i in range(n)]
+    return cli.Columns(floats + [strings, ["OK"] * n, [i * 7 - 50 for i in range(n)]],
+                       {2: np.arange(n) % 3 == 1})
+
+
+@pytest.mark.parametrize("lines", [render.csv_lines, render.json_lines])
+def test_tables_at_block_edges(lines):
+    # tables of 1, B - 1, B, B + 1 and 2B + 1 rows, B the rows per block:
+    # every block renders as fmt_cell and json.dump do, and the JSON tail
+    # is cut from the last block whichever row ends it
+    big = edge_columns(5000)
+    b = block_rows(big.cells, big.blank, lines)
+    assert 2 < b < 2000
+    for n in (1, b - 1, b, b + 1, 2 * b + 1):
+        rows = edge_columns(n)
+        chunks = list(lines(rows.cells, rows.blank))
+        assert len(chunks) == -(-n // b)
+        table = cli.Table("t", "d \u00e9", {"k": "v"}, [(f"c{j}", "") for j in range(6)], rows=rows,
+                          footer={"rows": n})
+        if lines is render.csv_lines:
+            expected = "".join(",".join(cli._fmt(c) for c in row) + "\n" for row in row_lists(rows))
+            assert b"".join(chunks) == expected.encode()
+            buf = io.BytesIO()
+            table.write_csv(buf)
+            assert buf.getvalue().endswith(expected.encode() + b"# rows=%d\n" % n)
+        else:
+            assert json_of(table) == reference_json(table)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("args", [
+    ["flow", "--energy", "1:1e3:7,log"],
+    ["bind", "--epsilon", "0.5:4:5,log", "--regulator", "sharp-cutoff,gaussian,pure-delta"],
+    ["theorem", "--epsilon", "1", "--lambda", "1e2:1e12:6,log"],
+    ["transmute"],
+    ["scatter", "--energy", "1e-6:1e6:1200,log"],
+])
+def test_stdout_bytes_equal_out_file(args, fmt, tmp_path, capsysbinary):
+    # the table reaches stdout through its binary layer as the same bytes
+    # that --out writes
+    out = tmp_path / f"out.{fmt}"
+    assert main(args + ["--format", fmt, "--out", str(out)]) == 0
+    assert main(args + ["--format", fmt]) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.err == b""
+    assert captured.out == out.read_bytes()
+
+
+def test_stdout_text_layer_flushed_first(tmp_path, monkeypatch):
+    # text written to stdout before the table is flushed out ahead of the
+    # table's bytes, which go to the binary layer
+    out = tmp_path / "out.csv"
+    assert main(["scatter", "--energy", "1:4:3,log", "--out", str(out)]) == 0
+    binary = io.BytesIO()
+    text = io.TextIOWrapper(binary, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", text)
+    text.write("text before the table\n")
+    assert main(["scatter", "--energy", "1:4:3,log"]) == 0
+    text.flush()
+    assert binary.getvalue() == b"text before the table\n" + out.read_bytes()
 
 
 def kernel_text(values):
@@ -858,9 +932,9 @@ def reference_json(table):
 
 
 def json_of(table):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     table.write_json(buf)
-    return buf.getvalue()
+    return buf.getvalue().decode()
 
 
 RENDER = settings(max_examples=200, derandomize=True, deadline=None)
@@ -1061,9 +1135,48 @@ class TestBoundaryErrors:
         assert_one_line_error(capsys, code, 2)
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_failed_stdout_write(self, capsys, monkeypatch, binary):
+        # a stdout that refuses the table, through its binary layer or, for
+        # a text-only stream, its text layer: one line and exit 2, as for an
+        # unwritable --out
+        class Refusing(io.BytesIO):
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+        class Text(io.StringIO):
+            buffer = Refusing()
+
+        monkeypatch.setattr(sys, "stdout", Text() if binary else Refusing())
+        code = main(["scatter", "--energy", "1e-6:1e6:13,log"])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert err.splitlines() == ["transmute-lab: usage error: cannot write output: [Errno 28] "
+                                    "No space left on device"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("rows", [13, 5000])
+    def test_stdout_on_a_full_device(self, rows, unbuffered):
+        # a fresh process whose stdout is full, with a buffered and with an
+        # unbuffered binary layer: the failed write is a usage error, and
+        # the flush at exit finds nothing left to write
+        src = os.path.dirname(os.path.dirname(transmute_lab.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "transmute_lab.cli", "scatter",
+                                   "--energy", f"1e-6:1e6:{rows},log"], stdout=full, stderr=subprocess.PIPE, env=env)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert err.splitlines() == ["transmute-lab: usage error: cannot write output: [Errno 28] "
+                                    "No space left on device"]
+
     def test_failed_render_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
         def failing_render(self, stream):
-            stream.write("# transmute-lab partial\n")
+            stream.write(b"# transmute-lab partial\n")
             raise TransmuteLabError("render failed")
 
         monkeypatch.setattr(cli.Table, "write_csv", failing_render)
