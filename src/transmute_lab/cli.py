@@ -16,11 +16,12 @@ closed form; bind solves the bound states of all its couplings as one
 column per regulator.
 numpy's elementary functions may round differently from the C library's, so
 array-evaluated tables may differ from earlier versions in the last digits,
-within the 8-ulp budget of tests/test_array_forms.py.  Every command hands
-its table to the renderer as columns: a float64 array, with an optional
-mask of its blank cells, or a list of str or of int cells.  A non-finite
-float cell that is not blank is a numerical failure naming its row and
-column.
+within the 8-ulp budget of tests/test_array_forms.py.  Every command
+declares each column of its table once, as (name, description, cells) or
+(name, description, cells, blank), and that list goes through Table to the
+renderer: cells are a float64 array, with blank the mask of its empty cells,
+or a list of str or of int cells.  A non-finite float cell that is not blank
+is a numerical failure naming its row and column.
 Exit codes: 0 success, 1 numerical failure (partial output suppressed),
 2 usage or configuration error.
 """
@@ -119,15 +120,18 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"grid bounds must be positive and finite, got {lo} and {hi}")
     if n == 1:
         return [lo]
+    # the ends are lo and hi themselves: 10^log10(hi) may overflow
     if spacing == "log":
         la, lb = math.log10(lo), math.log10(hi)
         # base-10 exponents keep decade schedules exact; the exponents take
         # the IEEE operations of la + (lb - la) * i / (n - 1) in that order,
         # and libm pow, not np.power, which may differ in the last bit
-        pts = list(map(math.pow, itertools.repeat(10.0), (la + (lb - la) * np.arange(n) / (n - 1)).tolist()))
+        inner = map(math.pow, itertools.repeat(10.0), (la + (lb - la) * np.arange(1, n - 1) / (n - 1)).tolist())
     else:
-        pts = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    pts[0], pts[-1] = lo, hi
+        inner = (lo + (hi - lo) * i / (n - 1) for i in range(1, n - 1))
+    pts = [lo, *inner, hi]
+    if not all(map(math.isfinite, pts)):
+        raise UsageError(f"linear grid {text!r} overflows: (hi - lo) * i exceeds the largest double; use a log grid")
     return pts
 
 
@@ -156,7 +160,8 @@ class Options:
 
     def __init__(self, file_values: dict[str, str], flag_values: dict[str, str]):
         self.values = dict(file_values)
-        self.values.update({k: v for k, v in flag_values.items() if v is not None})
+        self.flags = {k: v for k, v in flag_values.items() if v is not None}
+        self.values.update(self.flags)
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.values.get(key, default)
@@ -212,26 +217,17 @@ def _ordered_map(fn, items):
 # table model and deterministic rendering
 # ----------------------------------------------------------------------
 
-class Columns:
-    """The rows of a table held as its columns, as the commands compute
-    them: float64 arrays, with per array column an optional mask of its
-    blank (None) cells, or lists of str or of int cells.  write_csv and
-    write_json render the columns as they are."""
-
-    def __init__(self, cells: list, blank: dict[int, np.ndarray]):
-        self.cells, self.blank = cells, blank
-
-    def __len__(self) -> int:
-        return len(self.cells[0]) if self.cells else 0
-
-
 @dataclass
 class Table:
+    """A table as the commands make it and the writers render it: each
+    column is (name, description, cells) or (name, description, cells,
+    blank), its cells a float64 array, with blank the mask of its empty
+    (None) cells or None, or a list of str or of int cells."""
+
     command: str
     description: str
     config: dict[str, str]
-    columns: list[tuple[str, str]]
-    rows: Columns
+    columns: list[tuple]
     footer: dict[str, object] = field(default_factory=dict)
 
     def write_csv(self, stream) -> None:
@@ -240,10 +236,10 @@ class Table:
         head = [f"# transmute-lab {self.command}\n", f"# {self.description}\n"]
         head += [f"# config: {key}={value}\n" for key, value in self.config.items()]
         head.append("# columns:\n")
-        head += [f"#   {name}: {desc}\n" for name, desc in self.columns]
-        head.append(",".join(name for name, _ in self.columns) + "\n")
+        head += [f"#   {name}: {desc}\n" for name, desc, *_ in self.columns]
+        head.append(",".join(name for name, *_ in self.columns) + "\n")
         stream.write("".join(head).encode())
-        for chunk in csv_lines(self.rows.cells, self.rows.blank):
+        for chunk in csv_lines(self.columns):
             stream.write(chunk)
         stream.write("".join(f"# {key}={_fmt(value)}\n" for key, value in sorted(self.footer.items())).encode())
 
@@ -256,19 +252,19 @@ class Table:
             "command": self.command,
             "description": self.description,
             "config": self.config,
-            "columns": [{"name": n, "description": d} for n, d in self.columns],
+            "columns": [{"name": n, "description": d} for n, d, *_ in self.columns],
             "rows": [],
             "footer": {k: v for k, v in self.footer.items()},
         }
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-        if not self.rows:
+        chunks = json_lines(self.columns)
+        last = next(chunks, None)
+        if last is None:
             stream.write(text.encode() + b"\n")
             return
         # "rows" sorts last: the document ends with its empty list, "[]\n}";
         # each row ends in ",\n", which the last row drops
         stream.write(text[:-4].encode() + b"[\n")
-        chunks = json_lines(self.rows.cells, self.rows.blank)
-        last = next(chunks)
         for chunk in chunks:
             stream.write(last)
             last = chunk
@@ -276,21 +272,21 @@ class Table:
         stream.write(b"\n  ]\n}\n")
 
 
-def _rows(columns: list[tuple[str, str]], cells: list, blank: dict[int, np.ndarray | None] | None = None) -> Columns:
-    """Table rows from per-column cells: float64 arrays, or lists of str or
-    of int.  ``blank`` maps a column index to a mask of cells left empty
-    (None).  Every other float cell must be finite; the first column that
-    holds a non-finite one makes the table a numerical failure naming its
-    row."""
-    blank = {j: empty for j, empty in (blank or {}).items() if empty is not None}
-    for j, ((name, _), col) in enumerate(zip(columns, cells)):
-        if isinstance(col, np.ndarray):
-            empty = blank.get(j)
-            bad = ~np.isfinite(col) if empty is None else ~(np.isfinite(col) | empty)
+def _table(command: str, description: str, opts: Options, columns: list[tuple]) -> Table:
+    """The table of a command, with the effective configuration and the
+    row count in its footer, to which the command adds its own entries.
+    Every float cell that is not blank must be finite; the first column
+    that holds a non-finite one makes the table a numerical failure naming
+    its row."""
+    for name, _, cells, *blank in columns:
+        if isinstance(cells, np.ndarray):
+            bad = ~np.isfinite(cells)
+            if blank and blank[0] is not None:
+                bad &= ~blank[0]
             if bad.any():
                 i = int(np.argmax(bad))
-                raise TransmuteLabError(f"non-finite {name} = {float(col[i])!r} in row {i + 1}")
-    return Columns(cells, blank)
+                raise TransmuteLabError(f"non-finite {name} = {float(cells[i])!r} in row {i + 1}")
+    return Table(command, description, opts.effective(), columns, {"rows": len(columns[0][2])})
 
 
 class _Chunks(list):
@@ -454,15 +450,14 @@ def cmd_flow(opts: Options) -> Table:
         at_pole = np.hypot(inv.real, inv.imag) < POLE_GUARD
         tau = complex_divide_array(1.0, inv)
     columns = [
-        ("z_re", "Re z of the evaluation point"),
-        ("z_im", "Im z of the evaluation point"),
-        ("re_inv_tau", "Re[1/tau(z)]; exact kernel: 1/tau(z) = 1/tau(z0) - ln(z/z0)/(4 pi)"),
-        ("im_inv_tau", "Im[1/tau(z)] under the same running relation"),
-        ("re_tau", "Re tau(z) = Re[ tau0 / (1 - tau0 * kappa * (g(z)-g(z0))) ]"),
-        ("im_tau", "Im tau(z)"),
+        ("z_re", "Re z of the evaluation point", re),
+        ("z_im", "Im z of the evaluation point", im),
+        ("re_inv_tau", "Re[1/tau(z)]; exact kernel: 1/tau(z) = 1/tau(z0) - ln(z/z0)/(4 pi)", inv.real, blank_inv),
+        ("im_inv_tau", "Im[1/tau(z)] under the same running relation", inv.imag, blank_inv),
+        ("re_tau", "Re tau(z) = Re[ tau0 / (1 - tau0 * kappa * (g(z)-g(z0))) ]", tau.real, at_pole),
+        ("im_tau", "Im tau(z)", tau.imag, at_pole),
     ]
-    rows = _rows(columns, [re, im, inv.real, inv.imag, tau.real, tau.imag],
-                 {2: blank_inv, 3: blank_inv, 4: at_pole, 5: at_pole})
+    table = _table("flow", "sliding-scale running of the amplitude from a fixed anchor", opts, columns)
     # group property row-to-row: re-anchoring 1/tau at row i must reproduce
     # row i+1 through the kernel between consecutive points
     max_defect = 0.0
@@ -474,14 +469,8 @@ def cmd_flow(opts: Options) -> Table:
         raise TransmuteLabError(
             f"flow composition defect {max_defect:.3e} exceeds {defect_tol:.1e}"
         )
-    return Table(
-        command="flow",
-        description="sliding-scale running of the amplitude from a fixed anchor",
-        config=opts.effective(),
-        columns=columns,
-        rows=rows,
-        footer={"max_flow_defect": max_defect, "rows": len(rows)},
-    )
+    table.footer["max_flow_defect"] = max_defect
+    return table
 
 
 def cmd_bind(opts: Options) -> Table:
@@ -493,32 +482,34 @@ def cmd_bind(opts: Options) -> Table:
     eps_grid = opts.get_grid("epsilon", "1:4:3,log")
     eps = np.array(eps_grid)
     names = [n.strip() for n in (opts.get("regulator") or "sharp-cutoff,gaussian,circular-well,pure-delta").split(",")]
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise UsageError(f"bind lists regulator {repeated[0]!r} twice")
     solvers, closed_forms, unbound = [], [], []
     for name in names:
         energy, none, nominal = bound_states(eps, _model(name, opts, scales, well=True), scales)
         solvers.append(energy)
         closed_forms.append(np.where(none, math.nan, [nominal * math.exp(-FOUR_PI / e) for e in eps_grid]))
         unbound.append(none)
-    columns = [
-        ("epsilon", "dimensionless attractive coupling"),
-        ("regulator", "regulator name"),
-        ("E_B_solver", "root of 1 + eps*I(-E) = 0 (or exact well matching)"),
-        ("E_B_closed_form", "Lambda_nominal * exp(-4 pi / eps)"),
-        ("rel_dev", "(E_B_solver - E_B_closed_form)/E_B_closed_form"),
-        ("status", "OK or NO_BOUND_STATE"),
-    ]
     solver, closed, blank = np.concatenate(solvers), np.concatenate(closed_forms), np.concatenate(unbound)
+    columns = [
+        ("epsilon", "dimensionless attractive coupling", np.tile(eps, len(names))),
+        ("regulator", "regulator name", [name for name in names for _ in eps_grid]),
+        ("E_B_solver", "root of 1 + eps*I(-E) = 0 (or exact well matching)", solver, blank),
+        ("E_B_closed_form", "Lambda_nominal * exp(-4 pi / eps)", closed, blank),
+        ("rel_dev", "(E_B_solver - E_B_closed_form)/E_B_closed_form", (solver - closed) / closed, blank),
+        ("status", "OK or NO_BOUND_STATE", np.where(blank, "NO_BOUND_STATE", "OK").tolist()),
+    ]
     # the cell check comes before the fit, which would carry a non-finite
     # root into the footer
-    rows = _rows(columns, [np.tile(eps, len(names)), [name for name in names for _ in eps_grid], solver, closed,
-                           (solver - closed) / closed, np.where(blank, "NO_BOUND_STATE", "OK").tolist()],
-                 {2: blank, 3: blank, 4: blank})
+    table = _table("bind", "bound-state energy: ln E_B runs linearly in -4 pi/eps with a regulator-dependent prefactor",
+                   opts, columns)
     fits: dict[str, tuple[float, float]] = {}
     for name, energy, none in zip(names, solvers, unbound):
         if (~none).sum() >= 2:
             slope, intercept = _fit_line((-FOUR_PI / eps[~none]).tolist(), list(map(math.log, energy[~none].tolist())))
             fits[name] = (slope, math.exp(intercept))
-    footer: dict[str, object] = {"rows": len(rows)}
+    footer = table.footer
     for name, (slope, lam_eff) in fits.items():
         tag = name.replace("-", "_")
         footer[f"fit_slope_{tag}"] = slope
@@ -528,14 +519,7 @@ def cmd_bind(opts: Options) -> Table:
         for name, (_, lam_eff) in fits.items():
             if name != "sharp-cutoff":
                 footer[f"prefactor_vs_sharp_cutoff_{name.replace('-', '_')}"] = lam_eff / base
-    return Table(
-        command="bind",
-        description="bound-state energy: ln E_B runs linearly in -4 pi/eps with a regulator-dependent prefactor",
-        config=opts.effective(),
-        columns=columns,
-        rows=rows,
-        footer=footer,
-    )
+    return table
 
 
 def cmd_theorem(opts: Options) -> Table:
@@ -564,12 +548,14 @@ def cmd_theorem(opts: Options) -> Table:
     envelope = cutoff_envelope_array(eps, magnitude, schedule)
     vacuous = np.isnan(envelope)
     columns = [
-        ("Lambda", "sharp kinetic-energy cutoff"),
-        ("abs_tau", "|tau_Lambda(z)| = |eps / (1 + eps*I(z, Lambda))|"),
-        ("bound_4pi_over_lnLambda", "asymptote 4 pi / ln(Lambda/|z|)"),
-        ("envelope_bound", "rigorous bound 4 pi / (ln((Lambda-|z|)/|z|) - 4 pi/eps) beyond the peak"),
+        ("Lambda", "sharp kinetic-energy cutoff", schedule),
+        ("abs_tau", "|tau_Lambda(z)| = |eps / (1 + eps*I(z, Lambda))|", abs_tau),
+        ("bound_4pi_over_lnLambda", "asymptote 4 pi / ln(Lambda/|z|)", naive),
+        ("envelope_bound", "rigorous bound 4 pi / (ln((Lambda-|z|)/|z|) - 4 pi/eps) beyond the peak",
+         envelope, vacuous),
     ]
-    rows = _rows(columns, [schedule, abs_tau, naive, envelope], {3: vacuous})
+    table = _table("theorem", "cutoff removal at fixed coupling: the amplitude of the unregulated model is zero", opts,
+                   columns)
     # the peak |z| e^{4 pi/eps} overflows for eps below about 0.0177 at
     # |z| = 1: decide in ln Lambda, and report ln Lambda where it overflows
     ln_peak = math.log(magnitude) + FOUR_PI / eps
@@ -577,11 +563,9 @@ def cmd_theorem(opts: Options) -> Table:
     tail = abs_tau[beyond]
     monotone = bool(np.all(tail[1:] < tail[:-1]))
     envelope_ok = bool(np.all(vacuous | (abs_tau <= envelope * (1.0 + THEOREM_ENVELOPE_RTOL))))
-    footer: dict[str, object] = {
-        "monotone_beyond_peak": monotone,
-        "envelope_respected": envelope_ok,
-        "rows": len(rows),
-    }
+    footer = table.footer
+    footer["monotone_beyond_peak"] = monotone
+    footer["envelope_respected"] = envelope_ok
     peak = magnitude * math.exp(FOUR_PI / eps) if FOUR_PI / eps < _LN_FLOAT_MAX else math.inf
     if math.isfinite(peak):
         footer["peak_lambda"] = peak
@@ -595,14 +579,7 @@ def cmd_theorem(opts: Options) -> Table:
         raise TransmuteLabError("|tau_Lambda| failed to decrease monotonically beyond the peak")
     if not envelope_ok:
         raise TransmuteLabError("|tau_Lambda| violated its rigorous envelope")
-    return Table(
-        command="theorem",
-        description="cutoff removal at fixed coupling: the amplitude of the unregulated model is zero",
-        config=opts.effective(),
-        columns=columns,
-        rows=rows,
-        footer=footer,
-    )
+    return table
 
 
 def cmd_transmute(opts: Options) -> Table:
@@ -623,41 +600,32 @@ def cmd_transmute(opts: Options) -> Table:
         raise UsageError(f"steps = {steps} is too large: the last cutoff e_b * 10**steps overflows")
     schedule = transmutation_schedule(e_b, z, steps, scales)
     target = schedule[0].closed_form
-    columns = [
-        ("n", "step index; Lambda_n = e_b * 10^n"),
-        ("Lambda_n", "sharp cutoff at this step"),
-        ("epsilon_n", "coupling 4 pi / ln(Lambda_n/e_b)"),
-        ("re_tau", "Re tau_{eps_n, Lambda_n}(z)"),
-        ("im_tau", "Im tau_{eps_n, Lambda_n}(z)"),
-        ("deviation_from_closed_form", "|tau_n(z) - 4 pi / ln(-e_b/z)|"),
-    ]
     tau = np.array([s.amplitude.tau for s in schedule])
     deviations = np.array([s.deviation for s in schedule])
-    rows = _rows(columns, [[s.index for s in schedule], np.array([s.cutoff for s in schedule]),
-                           np.array([s.coupling for s in schedule]), tau.real, tau.imag, deviations])
+    columns = [
+        ("n", "step index; Lambda_n = e_b * 10^n", [s.index for s in schedule]),
+        ("Lambda_n", "sharp cutoff at this step", np.array([s.cutoff for s in schedule])),
+        ("epsilon_n", "coupling 4 pi / ln(Lambda_n/e_b)", np.array([s.coupling for s in schedule])),
+        ("re_tau", "Re tau_{eps_n, Lambda_n}(z)", tau.real),
+        ("im_tau", "Im tau_{eps_n, Lambda_n}(z)", tau.imag),
+        ("deviation_from_closed_form", "|tau_n(z) - 4 pi / ln(-e_b/z)|", deviations),
+    ]
+    table = _table("transmute", "renormalization limiting process at fixed bound-state energy", opts, columns)
     monotone = bool(np.all(deviations[1:] < deviations[:-1]))
-    footer = {
-        "closed_form_re": target.real,
-        "closed_form_im": target.imag,
-        "monotone_deviation": monotone,
-        "rows": len(rows),
-    }
+    table.footer.update(closed_form_re=target.real, closed_form_im=target.imag, monotone_deviation=monotone)
     if not monotone:
         raise TransmuteLabError("transmutation deviations failed to decrease monotonically")
-    return Table(
-        command="transmute",
-        description="renormalization limiting process at fixed bound-state energy",
-        config=opts.effective(),
-        columns=columns,
-        rows=rows,
-        footer=footer,
-    )
+    return table
 
 
 def cmd_scatter(opts: Options) -> Table:
     """Continuum observables for a chosen model on an energy grid, with the
     two target-length routes cross-checked row by row."""
     scales = _scales(opts)
+    # the file's model key wins over its regulator key, and the --regulator
+    # flag over both: the echoed config then holds no model key
+    if "regulator" in opts.flags:
+        opts.values.pop("model", None)
     name = opts.get("model") or opts.get("regulator") or "renormalized"
     energies = opts.get_grid("energy", "1e-3:1e3:13,log")
     unitarity_tol = opts.get_float("unitarity_defect_tol", UNITARITY_DEFECT_TOL)
@@ -675,21 +643,18 @@ def cmd_scatter(opts: Options) -> Table:
     obs = continuum_observables_array(tau, energies, scales, unitarity_tol)
     violation = obs["violation"]
     columns = [
-        ("E", "continuum energy (E + i0+)"),
-        ("k", "wavenumber sqrt(E/kinetic_constant)"),
-        ("re_f", "Re f(E), f = -sqrt(1/(8 pi k)) tau"),
-        ("im_f", "Im f(E)"),
-        ("dL_dtheta", "differential target length |f|^2"),
-        ("L_optical", "total target length sqrt(8 pi/k) Im f (optical theorem)"),
-        ("L_from_im_tau", "total target length -(1/k) Im tau"),
-        ("delta0", "phase shift in (-pi/2, pi/2] with tau = -4 e^{i delta0} sin delta0"),
-        ("unitarity_defect", "2 pi |f|^2 - sqrt(8 pi/k) Im f; zero for elastic unitary rows"),
-        ("status", "OK or UNITARITY_VIOLATION"),
+        ("E", "continuum energy (E + i0+)", np.array(energies)),
+        ("k", "wavenumber sqrt(E/kinetic_constant)", obs["k"]),
+        ("re_f", "Re f(E), f = -sqrt(1/(8 pi k)) tau", obs["f"].real),
+        ("im_f", "Im f(E)", obs["f"].imag),
+        ("dL_dtheta", "differential target length |f|^2", obs["dL_dtheta"]),
+        ("L_optical", "total target length sqrt(8 pi/k) Im f (optical theorem)", obs["L_optical"]),
+        ("L_from_im_tau", "total target length -(1/k) Im tau", obs["L_from_im_tau"]),
+        ("delta0", "phase shift in (-pi/2, pi/2] with tau = -4 e^{i delta0} sin delta0", obs["phase_shift"], violation),
+        ("unitarity_defect", "2 pi |f|^2 - sqrt(8 pi/k) Im f; zero for elastic unitary rows", obs["optical_defect"]),
+        ("status", "OK or UNITARITY_VIOLATION", np.where(violation, "UNITARITY_VIOLATION", "OK").tolist()),
     ]
-    statuses = np.where(violation, "UNITARITY_VIOLATION", "OK").tolist()
-    rows = _rows(columns, [np.array(energies), obs["k"], obs["f"].real, obs["f"].imag, obs["dL_dtheta"],
-                           obs["L_optical"], obs["L_from_im_tau"], obs["phase_shift"], obs["optical_defect"],
-                           statuses], {7: violation})
+    table = _table("scatter", f"continuum observables for the {name} model", opts, columns)
     # the two target-length routes must agree row by row
     l_optical, l_from_tau = obs["L_optical"], obs["L_from_im_tau"]
     disagree = np.abs(l_optical - l_from_tau) > ROUTE_AGREEMENT_RTOL * np.maximum(np.abs(l_from_tau), 1e-300)
@@ -698,15 +663,8 @@ def cmd_scatter(opts: Options) -> Table:
         raise TransmuteLabError(
             f"target-length routes disagree at E = {energies[i]!r}: {float(l_optical[i])!r} vs {float(l_from_tau[i])!r}"
         )
-    return Table(
-        command="scatter",
-        description=f"continuum observables for the {name} model",
-        config=opts.effective(),
-        columns=columns,
-        rows=rows,
-        footer={"rows": len(rows), "unitarity_violations": int(violation.sum()),
-                "unitarity_defect_tol": unitarity_tol},
-    )
+    table.footer.update(unitarity_violations=int(violation.sum()), unitarity_defect_tol=unitarity_tol)
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -742,7 +700,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value configuration file")
         p.add_argument("--regulator", help="regulator name (bind: comma-separated list)")
         p.add_argument("--epsilon", help="coupling value or grid v1:v2:n[,log]")
-        p.add_argument("--lambda", dest="lam", help="cutoff value or schedule lo:hi:n[,log]")
+        p.add_argument("--lambda", dest="lambda", help="cutoff value or schedule lo:hi:n[,log]")
         p.add_argument("--energy", help="energy grid lo:hi:n[,log]")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
@@ -755,18 +713,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         file_values = _read_config_file(args.config) if args.config else {}
-        flag_values = {
-            "regulator": args.regulator,
-            "epsilon": args.epsilon,
-            "lambda": args.lam,
-            "energy": args.energy,
-            "out": args.out,
-            "format": args.format,
-        }
+        flag_values = {k: v for k, v in vars(args).items() if k not in ("command", "config", "tol_override")}
         opts = Options(file_values, flag_values)
         for name, value in _parse_tol_overrides(args.tol_override).items():
             opts.values[name] = repr(value)
-        # a non-finite column value is reported by the cell check in _rows,
+        # a non-finite column value is reported by the cell check in _table,
         # not by a numpy warning on stderr
         with np.errstate(all="ignore"):
             table = _COMMANDS[args.command](opts)

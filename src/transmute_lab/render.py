@@ -63,8 +63,10 @@ at once (bytes.translate) and are yielded as they are: the table reaches
 its file as these bytes, with no text in between.  A block holds at most
 512 rows and 240 KiB; one buffer serves all blocks of a table, and the
 kernels gather into contiguous arrays that are copied into their columns.
-A column is a float64 array, with an optional mask of its blank (None)
-cells, or a list of str or of int cells; any other cell raises TypeError.
+A column is (name, description, cells) or (name, description, cells,
+blank), as the CLI declares it: its cells a float64 array, with blank the
+mask of its blank (None) cells or None, or a list of str or of int cells;
+any other cell raises TypeError.
 Each distinct str or int of a table is encoded once, and its cells and the
 blank ones take their bytes from that per-table lookup; a column of one
 distinct cell is written into the row template.
@@ -420,10 +422,10 @@ def _row_template(columns: int, words: int, frame: tuple[bytes, ...]) -> tuple[n
     return template, before
 
 
-def _lines(cells: list, blank: dict[int, np.ndarray], kernel, float_words: int, encode, frame):
+def _lines(columns: list[tuple], kernel, float_words: int, encode, frame):
     """The bytes of the rows of these columns, one block of rows at a time;
     see csv_lines."""
-    n = len(cells[0]) if cells else 0
+    n = len(columns[0][2]) if columns else 0
     if n == 0:
         return
     # the float columns of the table, with their positions; the masks of
@@ -432,9 +434,9 @@ def _lines(cells: list, blank: dict[int, np.ndarray], kernel, float_words: int, 
     floats, positions, blanks, others, constants = [], [], [], [], []
     codes: dict[str | int, int] = {}
     encoded: list[bytes] = []
-    for j, col in enumerate(cells):
+    for j, (_, _, col, *blank) in enumerate(columns):
         if isinstance(col, np.ndarray):
-            empty = blank.get(j)
+            empty = blank[0] if blank else None
             if empty is not None:
                 blanks.append((j, empty))
                 col = np.where(empty, 0.0, col)
@@ -457,7 +459,7 @@ def _lines(cells: list, blank: dict[int, np.ndarray], kernel, float_words: int, 
             others.append((j, np.fromiter(map(codes.__getitem__, col), np.intp, n)))
     words = max(float_words, (max(map(len, encoded), default=0) + 3) // 4)
     lookup = _words(encoded + [encode(None).encode()], words)
-    template, before = _row_template(len(cells), words, frame)
+    template, before = _row_template(len(columns), words, frame)
     cell = slice(before, before + words)
     # a column of one distinct cell is written into the template
     if constants:
@@ -487,19 +489,20 @@ def _lines(cells: list, blank: dict[int, np.ndarray], kernel, float_words: int, 
         yield block.tobytes().translate(None, b"\xff")
 
 
-def csv_lines(cells: list, blank: dict[int, np.ndarray]):
+def csv_lines(columns: list[tuple]):
     """Yield the CSV bytes (UTF-8) of the rows of these columns, one block
-    of rows at a time.  A column is a float64 array or a list of str or of
-    int cells; ``blank`` maps an array column's index to the mask of its
-    blank cells.  Each cell renders as fmt_cell renders it."""
-    return _lines(cells, blank, format_e16, _E16_WORDS, fmt_cell, (b"", b"", _COMMA, _NEWLINE))
+    of rows at a time.  A column is (name, description, cells) or (name,
+    description, cells, blank): its cells a float64 array, with blank the
+    mask of its blank cells or None, or a list of str or of int cells.
+    Each cell renders as fmt_cell renders it."""
+    return _lines(columns, format_e16, _E16_WORDS, fmt_cell, (b"", b"", _COMMA, _NEWLINE))
 
 
-def json_lines(cells: list, blank: dict[int, np.ndarray]):
+def json_lines(columns: list[tuple]):
     """Yield the rows of these columns, in bytes, as elements of the rows
     array of a JSON table document, each row followed by ',\\n', one block
     of rows at a time; as csv_lines, with blank cells null and each cell
     rendered as json.dump(indent=2, sort_keys=True, allow_nan=False)
     renders it: a float by repr, and a non-finite float raises
     ValueError."""
-    return _lines(cells, blank, format_repr, 2 * _REPR_WORDS, json_cell, _JSON_FRAME)
+    return _lines(columns, format_repr, 2 * _REPR_WORDS, json_cell, _JSON_FRAME)

@@ -196,6 +196,13 @@ class TestBind:
                    well_module.well_bound_state, well_module.well_depths, log_bracket_root)
         assert [name for name, value in vars(cli).items() if any(value is f for f in solvers)] == []
 
+    def test_repeated_regulator_is_usage_error(self, tmp_path, capsys):
+        # a second fit of one name would overwrite the first in the footer
+        code, out = run_cli(["bind", "--regulator", "gaussian,sharp-cutoff,gaussian"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and err == "transmute-lab: usage error: bind lists regulator 'gaussian' twice\n"
+        assert not out.exists()
+
 
 class TestTheorem:
     def test_schedule_and_footer(self, tmp_path):
@@ -442,6 +449,20 @@ class TestConfigPrecedence:
         assert "# config: e_b=2" in text
         assert "# config: energy=2" in text
 
+    def test_regulator_flag_wins_over_model_key(self, tmp_path):
+        # scatter's model is the file's model key before its regulator key,
+        # and the --regulator flag before both; the echoed config names the
+        # model the table used
+        cfg = "model = gaussian\nregulator = pure-delta\nepsilon = 1.7\n"
+        code, out = run_cli(["scatter", "--energy", "0.5"], tmp_path, config_text=cfg)
+        assert code == 0
+        assert "# continuum observables for the gaussian model\n" in out.read_text(encoding="utf-8")
+        code, out = run_cli(["scatter", "--regulator", "sharp-cutoff", "--energy", "0.5"], tmp_path, config_text=cfg)
+        assert code == 0
+        text = out.read_text(encoding="utf-8")
+        assert "# continuum observables for the sharp-cutoff model\n" in text
+        assert "# config: regulator=sharp-cutoff\n" in text and "# config: model=" not in text
+
 
 class TestTolOverride:
     def test_tightened_unitarity_tolerance_flags_rows(self, tmp_path):
@@ -526,7 +547,7 @@ def test_benchmark_interface():
     assert cli._ordered_map(str, []) == []
     for method in (cli.Table.write_csv, cli.Table.write_json):
         assert list(inspect.signature(method).parameters) == ["self", "stream"]
-    table = cli.Table("t", "d", {"k": "v"}, [("x", "")], rows=cli.Columns([np.array([1.0])], {}), footer={"rows": 1})
+    table = cli.Table("t", "d", {"k": "v"}, [("x", "", np.array([1.0]))], footer={"rows": 1})
     csv_buf, json_buf = io.BytesIO(), io.BytesIO()
     table.write_csv(csv_buf)
     table.write_json(json_buf)
@@ -555,17 +576,17 @@ class TestRender:
             [3, -7, 0, 3, 11],
         ]
         blank = {1: np.array([False, True, True, False, False]), 3: np.array([False, False, True, False, False])}
-        table = cli.Table("t", "d", {}, [(f"c{j}", "") for j in range(6)], rows=cli.Columns(cells, blank))
+        columns = [(f"c{j}", "", col, blank.get(j)) for j, col in enumerate(cells)]
+        table = cli.Table("t", "d", {}, columns)
         buf = io.BytesIO()
         table.write_csv(buf)
         body = buf.getvalue().decode().splitlines()[-5:]
-        assert body == [",".join(cli._fmt(c) for c in row) for row in row_lists(table.rows)]
+        assert body == [",".join(cli._fmt(c) for c in row) for row in row_lists(table.columns)]
 
     def test_numpy_zero_cells_keep_their_sign(self):
         # 0.0 == -0.0: a lookup keyed by value would write the first zero's
         # sign for both
-        table = cli.Table("t", "d", {}, [("a", ""), ("b", "")],
-                          rows=cli.Columns([np.array([0.0, -0.0]), ["OK", "OK"]], {}))
+        table = cli.Table("t", "d", {}, [("a", "", np.array([0.0, -0.0])), ("b", "", ["OK", "OK"])])
         buf = io.BytesIO()
         table.write_csv(buf)
         assert buf.getvalue().splitlines()[-2:] == [b"0.0000000000000000e+00,OK", b"-0.0000000000000000e+00,OK"]
@@ -575,15 +596,15 @@ class TestRender:
     @pytest.mark.parametrize("bad", [True, 1.0, None, np.int64(1), np.float64(1.0), (1,), [1], {"a": 1}])
     def test_other_list_cells_raise(self, bad):
         # a list column holds str or int cells only
-        table = cli.Table("t", "d", {}, [("a", "")], rows=cli.Columns([[1, bad]], {}))
+        table = cli.Table("t", "d", {}, [("a", "", [1, bad])])
         for write in (table.write_csv, table.write_json):
             with pytest.raises(TypeError, match="neither str nor int"):
                 write(io.BytesIO())
 
 
-def block_rows(cells, blank, lines):
+def block_rows(columns, lines):
     """The rows of the first block that lines yields for these columns."""
-    first = next(lines(cells, blank))
+    first = next(lines(columns))
     return first.count(b"\n") if lines is render.csv_lines else first.count(b"\n    ],\n")
 
 
@@ -594,8 +615,8 @@ def edge_columns(n):
     floats = [rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for _ in range(3)]
     floats[1][::5] = 0.0
     strings = [("OK", "NO_BOUND_STATE", "caf\u00e9 \"\u2211\"", "")[i % 4] for i in range(n)]
-    return cli.Columns(floats + [strings, ["OK"] * n, [i * 7 - 50 for i in range(n)]],
-                       {2: np.arange(n) % 3 == 1})
+    cells = floats + [strings, ["OK"] * n, [i * 7 - 50 for i in range(n)]]
+    return [(f"c{j}", "", col, np.arange(n) % 3 == 1) if j == 2 else (f"c{j}", "", col) for j, col in enumerate(cells)]
 
 
 @pytest.mark.parametrize("lines", [render.csv_lines, render.json_lines])
@@ -604,22 +625,34 @@ def test_tables_at_block_edges(lines):
     # every block renders as fmt_cell and json.dump do, and the JSON tail
     # is cut from the last block whichever row ends it
     big = edge_columns(5000)
-    b = block_rows(big.cells, big.blank, lines)
+    b = block_rows(big, lines)
     assert 2 < b < 2000
     for n in (1, b - 1, b, b + 1, 2 * b + 1):
-        rows = edge_columns(n)
-        chunks = list(lines(rows.cells, rows.blank))
+        columns = edge_columns(n)
+        chunks = list(lines(columns))
         assert len(chunks) == -(-n // b)
-        table = cli.Table("t", "d \u00e9", {"k": "v"}, [(f"c{j}", "") for j in range(6)], rows=rows,
-                          footer={"rows": n})
+        table = cli.Table("t", "d \u00e9", {"k": "v"}, columns, footer={"rows": n})
         if lines is render.csv_lines:
-            expected = "".join(",".join(cli._fmt(c) for c in row) + "\n" for row in row_lists(rows))
+            expected = "".join(",".join(cli._fmt(c) for c in row) + "\n" for row in row_lists(columns))
             assert b"".join(chunks) == expected.encode()
             buf = io.BytesIO()
             table.write_csv(buf)
             assert buf.getvalue().endswith(expected.encode() + b"# rows=%d\n" % n)
         else:
             assert json_of(table) == reference_json(table)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["flow", "bind", "theorem", "transmute", "scatter"])
+def test_rows_footer_counts_the_body_rows(command, fmt, tmp_path):
+    code, out = run_cli([command, "--format", fmt], tmp_path, f"out.{fmt}")
+    assert code == 0
+    if fmt == "csv":
+        _, rows, footer = parse_csv(out)
+        assert int(footer["rows"]) == len(rows) > 1
+    else:
+        table = json.loads(out.read_text(encoding="utf-8"))
+        assert table["footer"]["rows"] == len(table["rows"]) > 1
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -906,12 +939,12 @@ def test_csv_cells_read_back_as_json_cells(args, tmp_path):
     assert float in kinds
 
 
-def row_lists(rows):
-    """The rows of a Columns as lists of cells, a blank cell None."""
+def row_lists(columns):
+    """The rows of a table's columns as lists of cells, a blank cell None."""
     cols = []
-    for j, col in enumerate(rows.cells):
+    for _, _, col, *blank in columns:
         if isinstance(col, np.ndarray):
-            empty = rows.blank.get(j, np.zeros(col.shape, bool))
+            empty = blank[0] if blank and blank[0] is not None else np.zeros(col.shape, bool)
             col = [None if e else v for v, e in zip(col.tolist(), empty.tolist())]
         cols.append(col)
     return [list(row) for row in zip(*cols)]
@@ -924,8 +957,8 @@ def reference_json(table):
         "command": table.command,
         "description": table.description,
         "config": table.config,
-        "columns": [{"name": n, "description": d} for n, d in table.columns],
-        "rows": row_lists(table.rows),
+        "columns": [{"name": n, "description": d} for n, d, *_ in table.columns],
+        "rows": row_lists(table.columns),
         "footer": dict(table.footer),
     }
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -950,23 +983,23 @@ def table_columns(draw):
     """Columns of every kind: float64 arrays with random blank masks, str
     lists and int lists, all of one random length."""
     n = draw(st.integers(0, 8))
-    cells, blank = [], {}
+    columns = []
     for j, kind in enumerate(draw(st.lists(st.sampled_from(["float", "str", "int"]), max_size=6))):
         if kind == "float":
-            cells.append(np.array(draw(st.lists(_finite, min_size=n, max_size=n)), dtype=np.float64))
+            column = (f"c{j}", "", np.array(draw(st.lists(_finite, min_size=n, max_size=n)), dtype=np.float64))
             if draw(st.booleans()):
-                blank[j] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+                column += (np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),)
         else:
-            cells.append(draw(st.lists(_strings if kind == "str" else st.integers(), min_size=n, max_size=n)))
-    return cli.Columns(cells, blank)
+            column = (f"c{j}", "", draw(st.lists(_strings if kind == "str" else st.integers(), min_size=n, max_size=n)))
+        columns.append(column)
+    return columns
 
 
 class TestJsonTemplates:
     @RENDER
-    @given(rows=table_columns(), footer=st.dictionaries(st.text(max_size=4), _finite, max_size=3))
-    def test_rows_render_as_json_dump(self, rows, footer):
-        table = cli.Table("scatter", "d \u00e9", {"b": "2", "a": "x\"y"}, [("E", "energy"), ("k", "")],
-                          rows=rows, footer=footer)
+    @given(columns=table_columns(), footer=st.dictionaries(st.text(max_size=4), _finite, max_size=3))
+    def test_rows_render_as_json_dump(self, columns, footer):
+        table = cli.Table("scatter", "d \u00e9", {"b": "2", "a": "x\"y"}, columns, footer=footer)
         assert json_of(table) == reference_json(table)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf), np.float64(math.nan)])
@@ -976,15 +1009,15 @@ class TestJsonTemplates:
         # written as inf or nan, wherever its float column stands
         cells = [["OK", "inf"], [3, 4]]
         cells.insert(where, np.array([1.0, bad]))
-        table = cli.Table("t", "d", {}, [("a", ""), ("b", ""), ("c", "")], rows=cli.Columns(cells, {}))
+        table = cli.Table("t", "d", {}, [(name, "", col) for name, col in zip("abc", cells)])
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
             reference_json(table)
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
             json_of(table)
 
     def test_string_cells_spelling_inf_and_nan(self):
-        table = cli.Table("t", "d", {}, [("a", ""), ("b", "")],
-                          rows=cli.Columns([["nan", "inf"], np.array([1.0, 0.0])], {1: np.array([False, True])}))
+        table = cli.Table("t", "d", {}, [("a", "", ["nan", "inf"]),
+                                         ("b", "", np.array([1.0, 0.0]), np.array([False, True]))])
         assert json_of(table) == reference_json(table)
 
 
@@ -1129,6 +1162,23 @@ class TestBoundaryErrors:
         assert_one_line_error(capsys, code, 2)
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["scatter", "--energy", "1:1.7976931348623157e308:3,log"],
+                                      ["theorem", "--lambda", "1e2:1.7976931348623157e308:5,log"]])
+    def test_log_grid_up_to_the_largest_double(self, tmp_path, args):
+        # the last point is hi itself: 10^log10(hi) overflows
+        code, out = run_cli(args, tmp_path)
+        assert code == 0
+        _, rows, _ = parse_csv(out)
+        assert float(rows[-1][0]) == sys.float_info.max
+
+    @pytest.mark.parametrize("args", [["scatter", "--energy", "1:1e308:5"], ["theorem", "--lambda", "1e2:1e308:5"]])
+    def test_overflowing_linear_grid(self, tmp_path, capsys, args):
+        code, out = run_cli(args, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+        assert "linear grid" in err and "overflows" in err
+        assert not out.exists()
+
     def test_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         code = main(["scatter", "--energy", "1", "--out", str(out)])
@@ -1218,7 +1268,8 @@ def test_scale_sweep(command, regulator, key, value, tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 FUZZ = settings(max_examples=100, derandomize=True, deadline=None)
-_good = st.sampled_from(["1", "0.5", "2e3", "0.01", "15", "4.5e-7", "1e-300", "1e300", "1e-320", "1e308", "3"])
+_good = st.sampled_from(["1", "0.5", "2e3", "0.01", "15", "4.5e-7", "1e-300", "1e300", "1e-320", "1e308", "3",
+                         "1.7976931348623157e308"])
 _bad = st.sampled_from(["-1", "0", "-0", "nan", "inf", "-inf", "x", ""])
 # one bad value in four
 _numbers = st.one_of(_good, _good, _good, _bad)

@@ -2,7 +2,8 @@
 is the bytes that json.dump writes for its own content, and every
 circular-well row of the deep bind binds, in both formats.  Each table comes
 from a fresh ``python -m transmute_lab.cli`` process, as the console script
-makes it, so the parser is built at its first main call."""
+makes it, so the parser is built at its first main call.  Scale ratios out
+of range end such a process with one stderr line and no traceback."""
 
 import csv
 import json
@@ -36,20 +37,24 @@ TABLES = {
 RUNS = [(name, "json") for name in TABLES] + [("bind_deep", "csv")]
 
 
+def console(args, cwd):
+    """A fresh ``python -m transmute_lab.cli`` process, which imports the same
+    package copy as this test, installed or not."""
+    src = os.path.dirname(os.path.dirname(transmute_lab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "transmute_lab.cli", *args], capture_output=True, cwd=cwd, env=env)
+
+
 @pytest.fixture(scope="module")
 def tables(tmp_path_factory):
     """stdout of each run, from fresh processes two at a time; each must exit
     0 with nothing on stderr."""
     work = tmp_path_factory.mktemp("console")
     (work / "phase.cfg").write_text("regulator = gaussian\nz_phase = 1.0\n", encoding="utf-8")
-    # the child imports the same package copy as this test, installed or not
-    src = os.path.dirname(os.path.dirname(transmute_lab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
     def run(key):
         name, fmt = key
-        argv = [sys.executable, "-m", "transmute_lab.cli", *TABLES[name], "--format", fmt]
-        proc = subprocess.run(argv, capture_output=True, cwd=work, env=env)
+        proc = console([*TABLES[name], "--format", fmt], work)
         assert (proc.returncode, proc.stderr) == (0, b""), (key, proc.stderr)
         return proc.stdout
 
@@ -73,3 +78,17 @@ def test_every_deep_well_binds(tables, fmt):
         names = [c["name"] for c in table["columns"]]
         rows = [dict(zip(names, r)) for r in table["rows"]]
     assert sum(r["regulator"] == "circular-well" and r["status"] == "OK" for r in rows) == 25
+
+
+# kinetic_constant/a^2 underflows: a usage error (exit 2); the well depth
+# overflows at eps = 10: a numerical failure naming the row (exit 1)
+@pytest.mark.parametrize("config, args, code", [
+    ("kinetic_constant = 1e-300\na = 1e100\n", ["--regulator", "gaussian", "--epsilon", "1e300"], 2),
+    ("kinetic_constant = 1e-300\na = 1e100\n", ["--regulator", "circular-well", "--epsilon", "1e300"], 2),
+    ("kinetic_constant = 1e300\na = 1e-4\n", ["--regulator", "gaussian,circular-well", "--epsilon", "1:100:3,log"], 1),
+])
+def test_scale_ratios_out_of_range(tmp_path, config, args, code):
+    (tmp_path / "scales.cfg").write_text(config, encoding="utf-8")
+    proc = console(["bind", *args, "--config", "scales.cfg"], tmp_path)
+    err = proc.stderr.decode()
+    assert proc.returncode == code and "Traceback" not in err and len(err.splitlines()) == 1, err
