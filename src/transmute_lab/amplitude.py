@@ -51,7 +51,7 @@ from .energy_plane import (
     PhysicalScales,
     as_energy,
     complex_divide_array,
-    exp_libm,
+    libm,
     log_bracket_root,
     log_ratio_array,
     log_search_floor,
@@ -251,7 +251,7 @@ def bound_states(epsilon, model, scales: PhysicalScales = NATURAL_UNITS) -> tupl
         nominal = model.cutoff
         x_root = np.array([_sharp_log_pole(e, nominal) for e in eps.tolist()])
         x_root[~((log_search_floor(nominal) <= x_root) & (x_root <= math.log(nominal)))] = np.nan
-        energy = exp_libm(x_root)
+        energy = libm(math.exp, x_root)
     elif isinstance(model, GaussianFormFactor):
         nominal = scales.kinetic_constant / model.length**2
         x_floor, x_top = log_search_floor(nominal), math.log(nominal)
@@ -265,7 +265,7 @@ def bound_states(epsilon, model, scales: PhysicalScales = NATURAL_UNITS) -> tupl
             j = (-1.0 / (4.0 * math.pi)) * exp1_scaled_positive(be)
             return 1.0 + e * j, e * (be * j + 1.0 / (4.0 * math.pi))
 
-        energy = exp_libm(log_bracket_root(mismatch, x_floor, x_top, x_top - EULER_GAMMA - 4.0 * math.pi / eps))
+        energy = libm(math.exp, log_bracket_root(mismatch, x_floor, x_top, x_top - EULER_GAMMA - 4.0 * math.pi / eps))
     else:
         # the circular well of radius model
         nominal = scales.kinetic_constant / model**2

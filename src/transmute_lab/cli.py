@@ -16,12 +16,12 @@ closed form; bind solves the bound states of all its couplings as one
 column per regulator.
 numpy's elementary functions may round differently from the C library's, so
 array-evaluated tables may differ from earlier versions in the last digits,
-within the 8-ulp budget of tests/test_array_forms.py.  Every command
-declares each column of its table once, as (name, description, cells) or
-(name, description, cells, blank), and that list goes through Table to the
-renderer: cells are a float64 array, with blank the mask of its empty cells,
-or a list of str or of int cells.  A non-finite float cell that is not blank
-is a numerical failure naming its row and column.
+within the 8-ulp budget of tests/test_array_forms.py.  Grids parse into
+float64 arrays, and every command declares each column of its table once,
+in numpy arrays that reach the renderer with no per-row Python: float cells
+with an optional blank mask, or (labels, codes), codes indexing a tuple of
+str or int labels.  A non-finite float cell that is not blank is a
+numerical failure naming its row and column.
 Exit codes: 0 success, 1 numerical failure (partial output suppressed),
 2 usage or configuration error.
 """
@@ -46,7 +46,7 @@ from .amplitude import (
     renormalized_amplitude_array,
     transmutation_schedule,
 )
-from .energy_plane import ComplexEnergy, PhysicalScales, complex_divide_array, log_ratio_array
+from .energy_plane import ComplexEnergy, PhysicalScales, complex_divide_array, libm, log_ratio_array
 from .errors import DomainError, TransmuteLabError
 from .observables import continuum_observables_array, tau_from_phase_shift_array
 from .regulators import REGULATOR_NAMES, regulator_from_name, slide_kernels_along
@@ -58,7 +58,7 @@ from .tolerances import (
     UNITARITY_DEFECT_TOL,
 )
 from .oracle.well import well_from_coupling, well_phase_shift_array
-from .render import csv_lines, fmt_cell as _fmt, json_lines
+from .render import csv_lines, fmt_cell as _fmt, json_lines, row_count
 
 __all__ = ["main"]
 
@@ -91,9 +91,9 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> np.ndarray:
     """Grid syntax: single value 'v', or 'lo:hi:n' (linear), or
-    'lo:hi:n,log' (log-spaced); endpoints exact."""
+    'lo:hi:n,log' (log-spaced), as a float64 array; endpoints exact."""
     text = text.strip()
     spacing = "linear"
     if "," in text:
@@ -108,7 +108,7 @@ def _parse_grid(text: str) -> list[float]:
             value = float(parts[0])
             if not (0.0 < value < math.inf):
                 raise UsageError(f"grid values must be positive and finite, got {value}")
-            return [value]
+            return np.array([value])
         if len(parts) != 3:
             raise ValueError
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
@@ -119,18 +119,22 @@ def _parse_grid(text: str) -> list[float]:
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
         raise UsageError(f"grid bounds must be positive and finite, got {lo} and {hi}")
     if n == 1:
-        return [lo]
-    # the ends are lo and hi themselves: 10^log10(hi) may overflow
+        return np.array([lo])
+    try:
+        pts, i = np.empty(n), np.arange(1, n - 1)
+    except (MemoryError, ValueError, OverflowError):
+        raise UsageError(f"grid {text!r} has too many points to hold in memory") from None
+    # the ends are lo and hi themselves: 10^log10(hi) may overflow.  Inner
+    # points take the IEEE operations of lo + (hi - lo) * i / (n - 1), or of
+    # base-10 exponents (exact decades) and libm pow, not np.power
     if spacing == "log":
         la, lb = math.log10(lo), math.log10(hi)
-        # base-10 exponents keep decade schedules exact; the exponents take
-        # the IEEE operations of la + (lb - la) * i / (n - 1) in that order,
-        # and libm pow, not np.power, which may differ in the last bit
-        inner = map(math.pow, itertools.repeat(10.0), (la + (lb - la) * np.arange(1, n - 1) / (n - 1)).tolist())
+        inner = np.fromiter(map(math.pow, itertools.repeat(10.0), (la + (lb - la) * i / (n - 1)).tolist()),
+                            np.float64, n - 2)
     else:
-        inner = (lo + (hi - lo) * i / (n - 1) for i in range(1, n - 1))
-    pts = [lo, *inner, hi]
-    if not all(map(math.isfinite, pts)):
+        inner = lo + (hi - lo) * i / (n - 1)
+    pts[0], pts[1:-1], pts[-1] = lo, inner, hi
+    if not np.isfinite(pts).all():
         raise UsageError(f"linear grid {text!r} overflows: (hi - lo) * i exceeds the largest double; use a log grid")
     return pts
 
@@ -166,33 +170,18 @@ class Options:
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.values.get(key, default)
 
-    def get_float(self, key: str, default: float | None = None) -> float:
+    def get_number(self, key: str, default, parse=float, kind: str = "a number"):
+        """The value of a key by parse (float, or int), or default if unset."""
         raw = self.values.get(key)
         if raw is None:
-            if default is None:
-                raise UsageError(f"missing required configuration key {key!r}")
             return default
         try:
-            return float(raw)
+            return parse(raw)
         except ValueError:
-            raise UsageError(f"configuration key {key!r} expects a number, got {raw!r}") from None
+            raise UsageError(f"configuration key {key!r} expects {kind}, got {raw!r}") from None
 
-    def get_int(self, key: str, default: int | None = None) -> int:
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
-                raise UsageError(f"missing required configuration key {key!r}")
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise UsageError(f"configuration key {key!r} expects an integer, got {raw!r}") from None
-
-    def get_grid(self, key: str, default: str | None = None) -> list[float]:
-        raw = self.values.get(key, default)
-        if raw is None:
-            raise UsageError(f"missing required configuration key {key!r}")
-        return _parse_grid(raw)
+    def get_grid(self, key: str, default: str) -> np.ndarray:
+        return _parse_grid(self.values.get(key, default))
 
     def effective(self) -> dict[str, str]:
         # the output path is not part of the experiment: echoing it would
@@ -202,7 +191,7 @@ class Options:
 
 def _scales(opts: Options) -> PhysicalScales:
     try:
-        return PhysicalScales(opts.get_float("kinetic_constant", 1.0))
+        return PhysicalScales(opts.get_number("kinetic_constant", 1.0))
     except DomainError as exc:
         raise UsageError(str(exc)) from None
 
@@ -222,7 +211,8 @@ class Table:
     """A table as the commands make it and the writers render it: each
     column is (name, description, cells) or (name, description, cells,
     blank), its cells a float64 array, with blank the mask of its empty
-    (None) cells or None, or a list of str or of int cells."""
+    (None) cells or None, or (labels, codes), an int or bool array codes
+    indexing a tuple of distinct str or int labels."""
 
     command: str
     description: str
@@ -286,7 +276,7 @@ def _table(command: str, description: str, opts: Options, columns: list[tuple]) 
             if bad.any():
                 i = int(np.argmax(bad))
                 raise TransmuteLabError(f"non-finite {name} = {float(cells[i])!r} in row {i + 1}")
-    return Table(command, description, opts.effective(), columns, {"rows": len(columns[0][2])})
+    return Table(command, description, opts.effective(), columns, {"rows": row_count(columns)})
 
 
 class _Chunks(list):
@@ -344,15 +334,22 @@ def _write_stdout(chunks: list[bytes]) -> None:
     binary.flush()
 
 
-def _fit_line(xs: list[float], ys: list[float]) -> tuple[float, float]:
-    """Least-squares slope and intercept."""
+def _sum(values: np.ndarray) -> float:
+    """A sum added left to right from 0.0, as Python's sum adds floats
+    before 3.12; the + 0.0 gives all -0.0 the sign of 0.0 + -0.0."""
+    return float(np.add.accumulate(values)[-1]) + 0.0
+
+
+def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope and intercept, by sums added left to right, each
+    square by libm pow as float ** 2 takes it: np.square may round apart."""
     n = len(xs)
     if n < 2:
         raise TransmuteLabError("fit needs at least two points")
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    mx, my = _sum(xs) / n, _sum(ys) / n
+    dx = xs - mx
+    sxx = _sum(np.fromiter(map(math.pow, dx.tolist(), itertools.repeat(2.0)), np.float64, n))
+    sxy = _sum(dx * (ys - my))
     if sxx == 0.0:
         raise TransmuteLabError("fit abscissae are degenerate")
     slope = sxy / sxx
@@ -362,7 +359,7 @@ def _fit_line(xs: list[float], ys: list[float]) -> tuple[float, float]:
 def _positive(opts: Options, key: str, squared: bool = False) -> float:
     """A scalar key that must be positive and finite; a length is squared by
     the model, so its square must not underflow or overflow either."""
-    value = opts.get_float(key, 1.0)
+    value = opts.get_number(key, 1.0)
     if not 0.0 < value < math.inf:
         raise UsageError(f"{key} must be positive and finite, got {value!r}")
     if squared and not sys.float_info.min <= value * value < math.inf:
@@ -391,7 +388,7 @@ def _model(name: str, opts: Options, scales: PhysicalScales, well: bool = False)
 
 
 def _finite(opts: Options, key: str, default: float) -> float:
-    value = opts.get_float(key, default)
+    value = opts.get_number(key, default)
     if not math.isfinite(value):
         raise UsageError(f"{key} must be finite, got {value!r}")
     return value
@@ -405,10 +402,9 @@ def _config_energy(opts: Options, key: str, re: float, im: float) -> ComplexEner
         raise UsageError(f"invalid {key}: {exc}") from None
 
 
-def _ray(magnitudes: list[float], phase: float) -> tuple[np.ndarray, np.ndarray]:
-    """Re and Im of the points at these magnitudes on the ray of this phase;
+def _ray(m: np.ndarray, phase: float) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of the points at magnitudes m on the ray of this phase;
     the axis phases are exact."""
-    m = np.array(magnitudes)
     if phase == 0.0:
         return m, np.zeros_like(m)
     if phase == 0.5 * math.pi:
@@ -434,7 +430,7 @@ def cmd_flow(opts: Options) -> Table:
         raise UsageError("flow anchor z0 must be nonzero")
     tau0 = complex(_finite(opts, "tau0_re", FOUR_PI), _finite(opts, "tau0_im", 0.0))
     reg = _model(opts.get("regulator", "pure-delta"), opts, scales)
-    phase = opts.get_float("z_phase", 0.5 * math.pi)
+    phase = opts.get_number("z_phase", 0.5 * math.pi)
     re, im = _ray(opts.get_grid("energy", "1:2980.9579870417283:9,log"), phase)
     kappa = scales.kinetic_constant
     if tau0 == 0:
@@ -464,7 +460,7 @@ def cmd_flow(opts: Options) -> Table:
     if tau0 != 0 and steps.size:
         defect = inv[1:] - (inv[:-1] - kappa * steps)
         max_defect = float(np.max(np.hypot(defect.real, defect.imag)))
-    defect_tol = opts.get_float("flow_defect_tol", FLOW_GROUP_RTOL)
+    defect_tol = opts.get_number("flow_defect_tol", FLOW_GROUP_RTOL)
     if not max_defect <= defect_tol:
         raise TransmuteLabError(
             f"flow composition defect {max_defect:.3e} exceeds {defect_tol:.1e}"
@@ -479,8 +475,7 @@ def cmd_bind(opts: Options) -> Table:
     in for Lambda when the regulator is smeared.  amplitude.bound_states
     solves each regulator's column, the circular well's included."""
     scales = _scales(opts)
-    eps_grid = opts.get_grid("epsilon", "1:4:3,log")
-    eps = np.array(eps_grid)
+    eps = opts.get_grid("epsilon", "1:4:3,log")
     names = [n.strip() for n in (opts.get("regulator") or "sharp-cutoff,gaussian,circular-well,pure-delta").split(",")]
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
@@ -489,16 +484,16 @@ def cmd_bind(opts: Options) -> Table:
     for name in names:
         energy, none, nominal = bound_states(eps, _model(name, opts, scales, well=True), scales)
         solvers.append(energy)
-        closed_forms.append(np.where(none, math.nan, [nominal * math.exp(-FOUR_PI / e) for e in eps_grid]))
+        closed_forms.append(np.where(none, math.nan, nominal * libm(math.exp, -FOUR_PI / eps)))
         unbound.append(none)
     solver, closed, blank = np.concatenate(solvers), np.concatenate(closed_forms), np.concatenate(unbound)
     columns = [
         ("epsilon", "dimensionless attractive coupling", np.tile(eps, len(names))),
-        ("regulator", "regulator name", [name for name in names for _ in eps_grid]),
+        ("regulator", "regulator name", (tuple(names), np.repeat(np.arange(len(names)), eps.size))),
         ("E_B_solver", "root of 1 + eps*I(-E) = 0 (or exact well matching)", solver, blank),
         ("E_B_closed_form", "Lambda_nominal * exp(-4 pi / eps)", closed, blank),
         ("rel_dev", "(E_B_solver - E_B_closed_form)/E_B_closed_form", (solver - closed) / closed, blank),
-        ("status", "OK or NO_BOUND_STATE", np.where(blank, "NO_BOUND_STATE", "OK").tolist()),
+        ("status", "OK or NO_BOUND_STATE", (("OK", "NO_BOUND_STATE"), blank)),
     ]
     # the cell check comes before the fit, which would carry a non-finite
     # root into the footer
@@ -507,7 +502,7 @@ def cmd_bind(opts: Options) -> Table:
     fits: dict[str, tuple[float, float]] = {}
     for name, energy, none in zip(names, solvers, unbound):
         if (~none).sum() >= 2:
-            slope, intercept = _fit_line((-FOUR_PI / eps[~none]).tolist(), list(map(math.log, energy[~none].tolist())))
+            slope, intercept = _fit_line(-FOUR_PI / eps[~none], libm(math.log, energy[~none]))
             fits[name] = (slope, math.exp(intercept))
     footer = table.footer
     for name, (slope, lam_eff) in fits.items():
@@ -530,11 +525,11 @@ def cmd_theorem(opts: Options) -> Table:
     |z| e^{4 pi/eps} overflows."""
     scales = _scales(opts)
     eps_grid = opts.get_grid("epsilon", "1")
-    if len(eps_grid) != 1:
+    if eps_grid.size != 1:
         raise UsageError("theorem takes a single epsilon")
-    eps = eps_grid[0]
+    eps = float(eps_grid[0])
     z = _config_energy(opts, "z", 0.0, 1.0)
-    schedule = np.array(opts.get_grid("lambda", "1e2:1e12:6,log"))
+    schedule = opts.get_grid("lambda", "1e2:1e12:6,log")
     if (schedule[1:] <= schedule[:-1]).any():
         raise UsageError("the lambda schedule must be strictly increasing")
     magnitude = z.magnitude()
@@ -572,7 +567,7 @@ def cmd_theorem(opts: Options) -> Table:
     else:
         footer["ln_peak_lambda"] = ln_peak
     if tail.size >= 2:
-        slope, _ = _fit_line(np.log(schedule[beyond]).tolist(), (1.0 / tail).tolist())
+        slope, _ = _fit_line(np.log(schedule[beyond]), 1.0 / tail)
         footer["fit_slope_beyond_peak"] = slope
         footer["fit_slope_target"] = 1.0 / FOUR_PI
     if not monotone:
@@ -589,7 +584,7 @@ def cmd_transmute(opts: Options) -> Table:
     scales = _scales(opts)
     e_b = _positive(opts, "e_b")
     z = _config_energy(opts, "z", 2.0, 0.0)
-    steps = opts.get_int("steps", 10)
+    steps = opts.get_number("steps", 10, int, "an integer")
     if steps < 2:
         raise UsageError("transmute needs steps >= 2")
     try:
@@ -603,7 +598,7 @@ def cmd_transmute(opts: Options) -> Table:
     tau = np.array([s.amplitude.tau for s in schedule])
     deviations = np.array([s.deviation for s in schedule])
     columns = [
-        ("n", "step index; Lambda_n = e_b * 10^n", [s.index for s in schedule]),
+        ("n", "step index; Lambda_n = e_b * 10^n", (tuple(s.index for s in schedule), np.arange(len(schedule)))),
         ("Lambda_n", "sharp cutoff at this step", np.array([s.cutoff for s in schedule])),
         ("epsilon_n", "coupling 4 pi / ln(Lambda_n/e_b)", np.array([s.coupling for s in schedule])),
         ("re_tau", "Re tau_{eps_n, Lambda_n}(z)", tau.real),
@@ -628,14 +623,14 @@ def cmd_scatter(opts: Options) -> Table:
         opts.values.pop("model", None)
     name = opts.get("model") or opts.get("regulator") or "renormalized"
     energies = opts.get_grid("energy", "1e-3:1e3:13,log")
-    unitarity_tol = opts.get_float("unitarity_defect_tol", UNITARITY_DEFECT_TOL)
+    unitarity_tol = opts.get_number("unitarity_defect_tol", UNITARITY_DEFECT_TOL)
     if name == "renormalized":
         tau = renormalized_amplitude_array(_positive(opts, "e_b"), energies)
     else:
         eps = _positive(opts, "epsilon")
         model = _model(name, opts, scales, well=True)
         if name == "circular-well":
-            k = np.sqrt(np.asarray(energies) / scales.kinetic_constant)
+            k = np.sqrt(energies / scales.kinetic_constant)
             well = well_from_coupling(eps, model, scales)
             tau = tau_from_phase_shift_array(well_phase_shift_array(well, k, scales))
         else:
@@ -643,7 +638,7 @@ def cmd_scatter(opts: Options) -> Table:
     obs = continuum_observables_array(tau, energies, scales, unitarity_tol)
     violation = obs["violation"]
     columns = [
-        ("E", "continuum energy (E + i0+)", np.array(energies)),
+        ("E", "continuum energy (E + i0+)", energies),
         ("k", "wavenumber sqrt(E/kinetic_constant)", obs["k"]),
         ("re_f", "Re f(E), f = -sqrt(1/(8 pi k)) tau", obs["f"].real),
         ("im_f", "Im f(E)", obs["f"].imag),
@@ -652,7 +647,7 @@ def cmd_scatter(opts: Options) -> Table:
         ("L_from_im_tau", "total target length -(1/k) Im tau", obs["L_from_im_tau"]),
         ("delta0", "phase shift in (-pi/2, pi/2] with tau = -4 e^{i delta0} sin delta0", obs["phase_shift"], violation),
         ("unitarity_defect", "2 pi |f|^2 - sqrt(8 pi/k) Im f; zero for elastic unitary rows", obs["optical_defect"]),
-        ("status", "OK or UNITARITY_VIOLATION", np.where(violation, "UNITARITY_VIOLATION", "OK").tolist()),
+        ("status", "OK or UNITARITY_VIOLATION", (("OK", "UNITARITY_VIOLATION"), violation)),
     ]
     table = _table("scatter", f"continuum observables for the {name} model", opts, columns)
     # the two target-length routes must agree row by row
@@ -660,9 +655,8 @@ def cmd_scatter(opts: Options) -> Table:
     disagree = np.abs(l_optical - l_from_tau) > ROUTE_AGREEMENT_RTOL * np.maximum(np.abs(l_from_tau), 1e-300)
     if disagree.any():
         i = int(np.argmax(disagree))
-        raise TransmuteLabError(
-            f"target-length routes disagree at E = {energies[i]!r}: {float(l_optical[i])!r} vs {float(l_from_tau[i])!r}"
-        )
+        raise TransmuteLabError(f"target-length routes disagree at E = {float(energies[i])!r}: "
+                                f"{float(l_optical[i])!r} vs {float(l_from_tau[i])!r}")
     table.footer.update(unitarity_violations=int(violation.sum()), unitarity_defect_tol=unitarity_tol)
     return table
 

@@ -243,10 +243,11 @@ def log_search_floor(nominal: float) -> float:
     return max(math.log(nominal) + math.log(1e-300), math.log(sys.float_info.min))
 
 
-def exp_libm(x) -> np.ndarray:
-    """e^x elementwise by the C library's exp, which numpy's loop may round
-    differently: a bound-state energy keeps the bits of its exact ln E."""
-    return np.array(list(map(math.exp, np.asarray(x, dtype=float).tolist())))
+def libm(fn, x) -> np.ndarray:
+    """A math function (the C library's) elementwise over a float64 array,
+    where numpy's loop may round differently: a bound-state energy keeps
+    the bits of its exact ln E under math.exp."""
+    return np.fromiter(map(fn, np.asarray(x, dtype=float).tolist()), np.float64)
 
 
 def log_bracket_root(f, x_floor, x_top, guess) -> np.ndarray:

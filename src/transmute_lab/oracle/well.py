@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..energy_plane import NATURAL_UNITS, PhysicalScales, exp_libm, log_bracket_root, log_search_floor
+from ..energy_plane import NATURAL_UNITS, PhysicalScales, libm, log_bracket_root, log_search_floor
 from ..errors import DomainError, NoBoundStateError
 from ..special import EULER_GAMMA, bessel_j_k_scaled_array, bessel_jy_array
 
@@ -152,7 +152,7 @@ def well_bound_states(radius: float, depth, scales: PhysicalScales = NATURAL_UNI
         value = gamma * k1 * j0 - k_in * j1 * k0
         return value, (0.5 * radius) * gamma * (j1 * k1 * v / (kappa * k_in) + value)
 
-    energy = exp_libm(log_bracket_root(matching, x_floor, x_top, guess))
+    energy = libm(math.exp, log_bracket_root(matching, x_floor, x_top, guess))
     return energy, np.isnan(energy)
 
 

@@ -9,32 +9,32 @@ shortest-digit mode always does; about 0.9 us a cell.  The kernels render
 the same bytes in a fixed number of array operations per table, from one
 digit core, ``digits17``:
 
-1. E = floor(log10|x|), from the binary exponent b of |x| (np.frexp):
-   floor((b - 1) log10 2) or one more, as a table of the smallest double
+1. E = floor(log10|x|), from the biased exponent k of |x| (bits >> 52):
+   floor((k - 1023) log10 2) or one more, as a table of the smallest double
    >= 10^(E + 1) tells.  E is exact, so 10^16 <= y < 10^17 below.
-2. y = |x| 10^(16 - E) as the unevaluated sum hp + t, from Dekker's product
-   (Numer. Math. 18, 1971).  The table holds 10^(16 - E) as a high part
-   rounded to 26 bits and the correctly rounded remainder lo.  |x| is split
-   into a high part ch of 27 bits and cl of 26 (its bits cut), so hp = ch *
-   high and cl * high are exact, and t = cl * high + |x| * lo.  Both terms
-   of t are at most about 2^-26 y, under 1.7e9 where y < 1.1e17, so the
-   rounding of |x| * lo, of lo itself and of the sum leave t within 5.5e-7
-   of y - hp.  Where the power is exact in 26 bits (E from 5 to 16), t and
-   y are exact.
+2. y = c p, c = |x| 2^s and p = 10^(16 - E) 2^-s, s about -E log2 10 per
+   row: both stay normal for any normal |x|.  y is the unevaluated sum hp +
+   t, from Dekker's product (Numer. Math. 18, 1971).  The table holds p as a
+   high part rounded to 26 bits and the correctly rounded remainder lo.  c
+   is split into a high part ch of 27 bits and cl of 26 (its bits cut), so
+   hp = ch * high and cl * high are exact, and t = cl * high + c * lo.  Both
+   terms of t are at most about 2^-26 y, under 1.7e9 where y < 1.1e17, so
+   the rounding of c * lo, of lo itself and of the sum leave t within 5.5e-7
+   of y - hp.  Where p is exact in 26 bits (E from 5 to 16), t and y are
+   exact.
 3. N = hp + rint(t), with the residual t - rint(t).  N is the correctly
    rounded 17-digit significand where the residual is not within 1e-6 of
    1/2, unless y is exact: then rint rounds a tie to even, as '%.16e' does.
    An N of 10^17 (y within 1/2 below it) is 10^16 at E + 1.  A cell that
-   step 3 cannot prove, or whose |x| lies outside [1e-281, 1e280], where the
-   products could underflow or overflow, is rendered by '%.16e' or repr
-   itself.  Zeros render exactly, -0.0 too.
+   step 3 cannot prove, or that is subnormal or not finite, is rendered by
+   '%.16e' or repr itself.  Zeros render exactly, -0.0 too.
 
 ``format_e16`` lays N out as '%.16e': the 17 digits from a table of the
 10^4 four-digit strings, the sign and the lead digit from a table of 20, the
 exponent from a table of suffixes.
 
 ``format_repr`` finds repr's shortest digits in y's units.  The half-ulp of
-|x| = f 2^b (np.frexp) is h = 10^(16 - E) 2^(b - 54), in [0.55, 11]; below a
+|x| = f 2^b (np.frexp) is h = p 2^(b + s - 54), in [0.55, 11]; below a
 power of two (f = 1/2) the doubles lie twice as dense, and the interval
 reaches h/2 down.  Every decimal whose digits round-trip lies strictly
 inside the interval around y, so repr takes the integer inside it with the
@@ -65,33 +65,35 @@ its file as these bytes, with no text in between.  A block holds at most
 kernels gather into contiguous arrays that are copied into their columns.
 A column is (name, description, cells) or (name, description, cells,
 blank), as the CLI declares it: its cells a float64 array, with blank the
-mask of its blank (None) cells or None, or a list of str or of int cells;
-any other cell raises TypeError.
-Each distinct str or int of a table is encoded once, and its cells and the
-blank ones take their bytes from that per-table lookup; a column of one
-distinct cell is written into the row template.
+mask of its blank (None) cells or None, or a label column (labels, codes),
+an int or bool array codes indexing a tuple of distinct str or int labels;
+any other label raises TypeError.  Each label of a table is encoded once,
+and the label and blank cells take their bytes from that per-table lookup
+by code; a column whose codes are all equal is written into the row
+template.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-__all__ = ["csv_lines", "digits17", "fmt_cell", "format_e16", "format_repr", "json_cell", "json_lines"]
+__all__ = ["csv_lines", "digits17", "fmt_cell", "format_e16", "format_repr", "json_cell", "json_lines", "row_count"]
 
 _PAD_WORD = 0xFFFFFFFF
 # a '%.16e' cell in 4-byte words: sign and lead digit, 16 digits, exponent
 _E16_WORDS = 7
-# the exponents E whose 10^(16 - E) the product takes: |x| in [1e-281, 1e280]
-_E_MIN, _E_MAX = -282, 280
+# the decimal exponents E of the normal doubles
+_E_MIN, _E_MAX = -308, 308
 _TIE_BAND = 1e-6
 # the operands of the kernels' array operations, as 0-d arrays: a Python
 # number costs each call a conversion, a third of it on small tables
-_LO, _HI = np.array(1e-281), np.array(1e280)
+_TINY, _MAX = np.array(2.0**-1022), np.array(1.7976931348623157e308)
 _HIGH27 = np.array(0xFFFFFFFFFC000000, np.uint64)  # the top 27 bits of a double
-_ZERO, _HALF = np.array(0.0), np.array(0.5)
+_ZERO, _HALF, _MANTISSA_BITS = np.array(0.0), np.array(0.5), np.array(52)
 _TEN, _10E4, _10E8, _10E17 = (np.array(10**k) for k in (1, 4, 8, 17))
 # rows per block at most: the kernels' temporaries, about 110 bytes per
 # float cell for '%.16e' and 330 for repr, are a table's peak memory
@@ -103,8 +105,6 @@ _BLOCK_ROWS = 512
 # that glibc's malloc gives back to the system after each block and faults
 # in again at the next
 _BLOCK_BYTES = 240 << 10
-# the cell types of a list column: equal cells of these encode alike
-_LIST_CELLS = frozenset((str, int))
 
 
 def fmt_cell(value) -> str:
@@ -145,31 +145,35 @@ def _by_exponent(values) -> np.ndarray:
 
 @functools.cache
 def _powers() -> tuple[np.ndarray, ...]:
-    """Per exponent E: 10^(16 - E) rounded to 26 bits, the remainder, the
-    residual bound of step 3, the smallest double >= 10^(E + 1), and
-    10^(16 - E) 2^-54; per binary exponent b of |x| (a negative b counts
-    from the end) floor((b - 1) log10 2).  Built at the first render, by
-    int arithmetic only: int true division rounds correctly."""
+    """Per exponent E: p = 10^(16 - E) 2^-s rounded to 26 bits, the rest,
+    the residual bound of step 3, the smallest double >= 10^(E + 1), p 2^-54
+    and the shift s; per biased binary exponent k of a double (its bits >>
+    52) floor((k - 1023) log10 2).  Built at the first render, by int
+    arithmetic only: int true division rounds correctly."""
     exponents = range(_E_MIN, _E_MAX + 2)
-    powers = [(10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16)) for e in exponents]
-    # Veltkamp's split rounds to the top 26 bits
-    p = np.array([num / den for num, den in powers])
-    c = 134217729.0 * p
-    highs = c - (c - p)
-    lows = np.array([(num * q - p * den) / (den * q)
-                     for (num, den), (p, q) in zip(powers, map(float.as_integer_ratio, highs.tolist()))])
+    shifts = [round(-e * math.log2(10.0)) for e in exponents]
+    highs, lows = np.empty(len(exponents)), np.empty(len(exponents))
+    for i, (e, s) in enumerate(zip(exponents, shifts)):
+        num, den = 10 ** max(16 - e, 0) << max(-s, 0), 10 ** max(e - 16, 0) << max(s, 0)
+        # Veltkamp's split of p = num/den rounds to the top 26 bits
+        c = 134217729.0 * (num / den)
+        highs[i] = c - (c - num / den)
+        p, q = float(highs[i]).as_integer_ratio()
+        lows[i] = (num * q - p * den) / (den * q)
     # where the power is exact in 26 bits, y is exact and rint rounds a tie
     # to even, as '%.16e' does
     limits = np.where(lows == 0.0, 0.5, 0.5 - _TIE_BAND)
     above = []
-    for e in exponents:
+    for e in exponents[:-2]:
         num, den = (10 ** (e + 1), 1) if e >= -1 else (1, 10 ** -(e + 1))
         p, q = (num / den).as_integer_ratio()
         above.append(num / den if p * den >= num * q else np.nextafter(num / den, np.inf))
-    # exact in this integer form for |b| < 1650
-    b = np.arange(2048)
-    first = (np.where(b < 1024, b, b - 2048) - 1) * 78913 >> 18
-    return tuple(map(_by_exponent, (highs, lows, limits, above, np.ldexp(highs + lows, -54)))) + (first,)
+    # no double reaches 10^309
+    above += [math.inf] * 2
+    # exact in this integer form for |k - 1023| < 1650
+    first = (np.arange(2048) - 1023) * 78913 >> 18
+    tables = (highs, lows, limits, above, np.ldexp(highs + lows, -54), np.array(shifts, np.intc))
+    return tuple(map(_by_exponent, tables)) + (first,)
 
 
 @functools.cache
@@ -184,29 +188,31 @@ def digits17(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """The digit core of both layouts, per v of a 1-d float64 array: the
     decimal exponent E of |v|, the 17-digit significand N (0 for a zero),
     the residual y - N in units of N's last digit, whether N and the
-    residual are proven to within 5.5e-7, and the binary fraction and
-    exponent of |v| (np.frexp) where they are; see the module docstring."""
-    highs, lows, limits, above, _, first = _powers()
+    residual are proven to within 5.5e-7, and |v| clamped to the normal
+    doubles, 1.0 for a zero; see the module docstring."""
+    highs, lows, limits, above, _, shifts, first = _powers()
     # the operations write into their operands where they can: fewer live
     # arrays per block
     a = np.abs(x)
     zero = a == _ZERO
     # a zero is rendered as 1.0 with its lead digit 0; NaN turns into 0 here
-    # and into _LO below, so that c == a fails for it, as out of range
+    # and into _TINY below, so that c == a fails for it, as for a subnormal
+    # and an infinity
     np.fmax(a, zero, out=a)
-    c = np.fmin(a, _HI)
-    np.fmax(c, _LO, out=c)
-    # 2^(b-1) <= c < 2^b: E is floor((b - 1) log10 2) or one more
-    f, b = np.frexp(c)
-    e = first[b]
+    c = np.fmin(a, _MAX)
+    np.fmax(c, _TINY, out=c)
+    # 2^(k-1023) <= c < 2^(k-1022), k the biased exponent of c: E is
+    # floor((k - 1023) log10 2) or one more
+    e = first[c.view(np.int64) >> _MANTISSA_BITS]
     e += c >= above[e]
+    # cs = c 2^s, exactly, = ch + cl, ch of 27 bits and cl of 26, so that
+    # hp = ch * high and cl * high are exact; t = cl * high + cs * lo
+    cs = np.ldexp(c, shifts[e])
     high = highs[e]
-    # c = ch + cl, ch of 27 bits and cl of 26, so that hp = ch * high and
-    # cl * high are exact; t = cl * high + c * lo
-    ch = (c.view(np.uint64) & _HIGH27).view(np.float64)
-    t = c - ch
+    ch = (cs.view(np.uint64) & _HIGH27).view(np.float64)
+    t = cs - ch
     t *= high
-    t += c * lows[e]
+    t += cs * lows[e]
     n = (ch * high).astype(np.int64)
     r = np.rint(t)
     n += r.astype(np.int64)
@@ -219,7 +225,7 @@ def digits17(x: np.ndarray) -> tuple[np.ndarray, ...]:
         n[carry] = 10**16
         e[carry] += 1
         residual[carry] /= 10
-    return e, n, residual, proven, f, b
+    return e, n, residual, proven, c
 
 
 def _fallback(out: np.ndarray, x: np.ndarray, proven: np.ndarray, fmt) -> np.ndarray:
@@ -270,7 +276,7 @@ def format_e16(x: np.ndarray) -> np.ndarray:
     """'%.16e' % v of every v of a float64 array, as an (n, 7) uint32 matrix
     whose rows, viewed as bytes, hold the text padded with 0xFF."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    e, n, _, proven, _, _ = digits17(x)
+    e, n, _, proven, _ = digits17(x)
     lead, groups = _groups(n)
     # the sign picks the second ten heads
     lead += np.signbit(x) * _TEN
@@ -344,13 +350,15 @@ def format_repr(x: np.ndarray) -> np.ndarray:
     """repr(v) of every v of a float64 array, as an (n, 12) uint32 matrix
     whose rows, viewed as bytes, hold the text padded with 0xFF; a
     non-finite v raises ValueError, as in json.dump(allow_nan=False)."""
-    scales = _powers()[4]
+    scales, shifts = _powers()[4:6]
     heads, digits, ends, layouts, masks = _repr_tables()
     x = np.asarray(x, dtype=np.float64).ravel()
-    e, n, residual, proven, f, b = digits17(x)
-    # the half-ulp of |v| in units of N's last digit, above y and below it:
-    # below a power of two (f = 1/2), where the doubles lie twice as dense,
-    # half that
+    e, n, residual, proven, c = digits17(x)
+    # the half-ulp of |v| = f 2^b in units of N's last digit, above y and
+    # below it, p 2^(b + s - 54): below a power of two (f = 1/2), where the
+    # doubles lie twice as dense, half that
+    f, b = np.frexp(c)
+    b += shifts[e]
     scale = scales[e]
     above = np.ldexp(scale, b)
     below = np.ldexp(scale, b - (f == _HALF))
@@ -422,18 +430,23 @@ def _row_template(columns: int, words: int, frame: tuple[bytes, ...]) -> tuple[n
     return template, before
 
 
+def row_count(columns: list[tuple]) -> int:
+    """The rows of a table: its first column's cells, or their codes."""
+    cells = columns[0][2] if columns else np.empty(0)
+    return len(cells) if isinstance(cells, np.ndarray) else len(cells[1])
+
+
 def _lines(columns: list[tuple], kernel, float_words: int, encode, frame):
     """The bytes of the rows of these columns, one block of rows at a time;
     see csv_lines."""
-    n = len(columns[0][2]) if columns else 0
+    n = row_count(columns)
     if n == 0:
         return
     # the float columns of the table, with their positions; the masks of
-    # blank cells; per list column the codes of its cells in the table's
-    # lookup of encoded cells, or the one code of all its cells
+    # blank cells; per label column the rows of its cells in the table's
+    # lookup of encoded labels, or the one row of all its cells
     floats, positions, blanks, others, constants = [], [], [], [], []
-    codes: dict[str | int, int] = {}
-    encoded: list[bytes] = []
+    label_rows: dict[str | int, int] = {}
     for j, (_, _, col, *blank) in enumerate(columns):
         if isinstance(col, np.ndarray):
             empty = blank[0] if blank else None
@@ -443,29 +456,26 @@ def _lines(columns: list[tuple], kernel, float_words: int, encode, frame):
             floats.append(col)
             positions.append(j)
             continue
-        if not set(map(type, col)) <= _LIST_CELLS:
-            raise TypeError(f"column {j} holds a cell that is neither str nor int")
-        # str and int cells never compare equal: one lookup serves both
-        distinct = dict.fromkeys(col)
-        for value in distinct:
-            if value not in codes:
-                codes[value] = len(encoded)
-                # surrogatepass keeps any str, a lone surrogate too; no
-                # UTF-8 byte is 0xFF
-                encoded.append(encode(value).encode("utf-8", "surrogatepass"))
-        if len(distinct) == 1:
-            constants.append((j, codes[col[0]]))
+        labels, codes = col
+        if not set(map(type, labels)) <= {str, int}:
+            raise TypeError(f"column {j} has a label that is neither str nor int")
+        # str and int labels never compare equal: one lookup serves both
+        rows_of = np.array([label_rows.setdefault(value, len(label_rows)) for value in labels], np.intp)
+        if (codes == codes[0]).all():
+            constants.append((j, rows_of[int(codes[0])]))
         else:
-            others.append((j, np.fromiter(map(codes.__getitem__, col), np.intp, n)))
+            others.append((j, rows_of.take(codes)))
+    # surrogatepass keeps any str, a lone surrogate too; no UTF-8 byte is 0xFF
+    encoded = [encode(value).encode("utf-8", "surrogatepass") for value in label_rows]
     words = max(float_words, (max(map(len, encoded), default=0) + 3) // 4)
     lookup = _words(encoded + [encode(None).encode()], words)
     template, before = _row_template(len(columns), words, frame)
     cell = slice(before, before + words)
-    # a column of one distinct cell is written into the template
+    # a column whose codes are all equal is written into the template
     if constants:
         template = template.copy()
-        for j, code in constants:
-            template[j, cell] = lookup[code]
+        for j, row in constants:
+            template[j, cell] = lookup[row]
     if positions and positions[-1] - positions[0] == len(positions) - 1:
         positions = slice(positions[0], positions[-1] + 1)
     cell_type = _CELL_TYPES[float_words]
@@ -484,8 +494,8 @@ def _lines(columns: list[tuple], kernel, float_words: int, encode, frame):
             slots[:, positions] = kernel(x).view(cell_type).reshape(len(floats), len(block)).T
         for j, empty in blanks:
             block[empty[rows], j, cell] = lookup[-1]
-        for j, col_codes in others:
-            block[:, j, cell] = lookup[col_codes[rows]]
+        for j, cell_rows in others:
+            block[:, j, cell] = lookup[cell_rows[rows]]
         yield block.tobytes().translate(None, b"\xff")
 
 
@@ -493,8 +503,9 @@ def csv_lines(columns: list[tuple]):
     """Yield the CSV bytes (UTF-8) of the rows of these columns, one block
     of rows at a time.  A column is (name, description, cells) or (name,
     description, cells, blank): its cells a float64 array, with blank the
-    mask of its blank cells or None, or a list of str or of int cells.
-    Each cell renders as fmt_cell renders it."""
+    mask of its blank cells or None, or (labels, codes), an int or bool
+    array codes indexing a tuple of distinct str or int labels.  Each cell
+    renders as fmt_cell renders it."""
     return _lines(columns, format_e16, _E16_WORDS, fmt_cell, (b"", b"", _COMMA, _NEWLINE))
 
 

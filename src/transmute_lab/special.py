@@ -64,6 +64,7 @@ arrays of real x.  The Bessel names are their one-element calls.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -366,9 +367,11 @@ _E1_SERIES_COLUMNS = _columns(_E1_SERIES)
 _E1_ASYMPTOTIC_COLUMNS = _columns([(-1) ** k * float(math.factorial(k)) for k in range(40)])
 # x0 = _EI_ZERO + _EI_ZERO_LOW, ln of the Ramanujan-Soldner constant (DLMF
 # 6.13); e^{-x} Ei(x) = e^{-h} (h/x0) sum_k c_k h^k/(k+1) at h = x - x0,
-# the c_k those of e^h/(1 + h/x0), and (0.05/x0)^24 < 1e-20.
+# the c_k those of e^h/(1 + h/x0), and (0.05/x0)^24 < 1e-20.  Each c_k is
+# added left to right: Python 3.12's sum compensates, and would change bits.
 _EI_ZERO, _EI_ZERO_LOW = 0.3725074107813666, 1.3140183414386028e-17
-_EI_ZERO_COLUMNS = _columns([sum((-1 / _EI_ZERO) ** (k - j) / math.factorial(j) for j in range(k + 1))
+_EI_ZERO_COLUMNS = _columns([functools.reduce(float.__add__, ((-1 / _EI_ZERO) ** (k - j) / math.factorial(j)
+                                                              for j in range(k + 1)), 0.0)
                              / ((k + 1) * _EI_ZERO) for k in range(24)])
 
 

@@ -81,6 +81,68 @@ def test_log_grid_matches_the_per_point_formula(lo, hi, n):
     assert [v.hex() for v in cli._parse_grid(f"{lo!r}:{hi!r}:{n},log")] == [v.hex() for v in expected]
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lo=st.floats(1e-300, 1e300), hi=st.floats(1e-300, 1e300), n=st.integers(1, 400), log=st.booleans())
+def test_grids_are_float_arrays_of_the_per_point_formula(lo, hi, n, log):
+    # each inner point has the bits of its Python formula: libm pow for a
+    # log grid; the ends are lo and hi themselves
+    if log:
+        la, lb = math.log10(lo), math.log10(hi)
+        expected = [10.0 ** (la + (lb - la) * i / (n - 1)) for i in range(1, n - 1)]
+    else:
+        expected = [lo + (hi - lo) * i / (n - 1) for i in range(1, n - 1)]
+    expected = [lo] if n == 1 else [lo, *expected, hi]
+    grid = cli._parse_grid(f"{lo!r}:{hi!r}:{n}" + (",log" if log else ""))
+    assert isinstance(grid, np.ndarray) and grid.dtype == np.float64 and grid.shape == (n,)
+    assert [v.hex() for v in grid.tolist()] == [v.hex() for v in expected]
+
+
+def fit_by_loop(xs, ys):
+    """Least-squares slope and intercept over Python floats, each sum added
+    left to right from 0.0 in a plain loop; None where the abscissae are
+    degenerate."""
+    def total(values):
+        s = 0.0
+        for v in values:
+            s += v
+        return s
+
+    n = len(xs)
+    mx, my = total(xs) / n, total(ys) / n
+    sxx = total((x - mx) ** 2 for x in xs)
+    sxy = total((x - mx) * (y - my) for x, y in zip(xs, ys))
+    if sxx == 0.0:
+        return None
+    slope = sxy / sxx
+    return slope, my - slope * mx
+
+
+_fit_values = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, 0.0, 1e-300, -2.5]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(xs=st.lists(_fit_values, min_size=2, max_size=40, unique=True), data=st.data())
+def test_fit_line_adds_as_a_left_to_right_loop(xs, data):
+    # bit for bit, the sign of a zero sum too (all ys -0.0)
+    ys = data.draw(st.one_of(st.lists(_fit_values, min_size=len(xs), max_size=len(xs)),
+                             st.just([-0.0] * len(xs))))
+    expected = fit_by_loop(xs, ys)
+    if expected is None:
+        with pytest.raises(TransmuteLabError, match="degenerate"):
+            cli._fit_line(np.array(xs), np.array(ys))
+    else:
+        assert [v.hex() for v in cli._fit_line(np.array(xs), np.array(ys))] == [v.hex() for v in expected]
+
+
+def test_fit_line_squares_by_libm_pow():
+    # glibc's pow(d, 2) differs from d * d in about 1 of 1,200 doubles; the
+    # sxx = 2 d^2 of a two-point fit keeps the difference, in several of
+    # these 6,000 fits
+    rng = np.random.default_rng(24)
+    for xs, ys in zip(*rng.standard_normal((2, 6000, 2)) * 1e3):
+        assert [v.hex() for v in cli._fit_line(xs, ys)] == [v.hex() for v in fit_by_loop(xs.tolist(), ys.tolist())]
+
+
 class TestFlow:
     def test_inverse_amplitude_runs_linearly(self, tmp_path):
         code, out = run_cli(["flow", "--energy", "1:2980.9579870417283:9,log"], tmp_path)
@@ -572,8 +634,8 @@ class TestRender:
             np.array([-0.0, 0.0, 7.0, 2.5, 1e-5]),
             np.array([5e-324, -1e-300, 0.1, 1e22, 123456789.0]),
             np.array([1.7976931348623157e308, 2.0, 0.0, 1.0, -2.0]),
-            ["OK", "UNITARITY_VIOLATION", "", "OK", "OK"],
-            [3, -7, 0, 3, 11],
+            label_column(["OK", "UNITARITY_VIOLATION", "", "OK", "OK"]),
+            label_column([3, -7, 0, 3, 11]),
         ]
         blank = {1: np.array([False, True, True, False, False]), 3: np.array([False, False, True, False, False])}
         columns = [(f"c{j}", "", col, blank.get(j)) for j, col in enumerate(cells)]
@@ -586,7 +648,7 @@ class TestRender:
     def test_numpy_zero_cells_keep_their_sign(self):
         # 0.0 == -0.0: a lookup keyed by value would write the first zero's
         # sign for both
-        table = cli.Table("t", "d", {}, [("a", "", np.array([0.0, -0.0])), ("b", "", ["OK", "OK"])])
+        table = cli.Table("t", "d", {}, [("a", "", np.array([0.0, -0.0])), ("b", "", (("OK",), np.zeros(2, int)))])
         buf = io.BytesIO()
         table.write_csv(buf)
         assert buf.getvalue().splitlines()[-2:] == [b"0.0000000000000000e+00,OK", b"-0.0000000000000000e+00,OK"]
@@ -595,8 +657,8 @@ class TestRender:
 
     @pytest.mark.parametrize("bad", [True, 1.0, None, np.int64(1), np.float64(1.0), (1,), [1], {"a": 1}])
     def test_other_list_cells_raise(self, bad):
-        # a list column holds str or int cells only
-        table = cli.Table("t", "d", {}, [("a", "", [1, bad])])
+        # a label column holds str or int labels only
+        table = cli.Table("t", "d", {}, [("a", "", ((1, bad), np.array([0, 1])))])
         for write in (table.write_csv, table.write_json):
             with pytest.raises(TypeError, match="neither str nor int"):
                 write(io.BytesIO())
@@ -610,12 +672,12 @@ def block_rows(columns, lines):
 
 def edge_columns(n):
     """n rows of float columns, one with blank cells, a str column of
-    several cells, a str column of one, and an int column."""
+    several labels, a str column of one, and an int column."""
     rng = np.random.default_rng(n)
     floats = [rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for _ in range(3)]
     floats[1][::5] = 0.0
-    strings = [("OK", "NO_BOUND_STATE", "caf\u00e9 \"\u2211\"", "")[i % 4] for i in range(n)]
-    cells = floats + [strings, ["OK"] * n, [i * 7 - 50 for i in range(n)]]
+    strings = (("OK", "NO_BOUND_STATE", "caf\u00e9 \"\u2211\"", ""), np.arange(n) % 4)
+    cells = floats + [strings, (("OK",), np.zeros(n, int)), (tuple(range(-50, 7 * n - 50, 7)), np.arange(n))]
     return [(f"c{j}", "", col, np.arange(n) % 3 == 1) if j == 2 else (f"c{j}", "", col) for j, col in enumerate(cells)]
 
 
@@ -842,6 +904,31 @@ def test_powers_of_ten_are_proven(monkeypatch):
     assert fallbacks == [1e23, 1.0000000000000001e23]
 
 
+def test_normal_doubles_beyond_1e280_and_below_1e_281_are_proven(monkeypatch):
+    # there 10^(16 - E) alone would lose bits or overflow: the shift of E's
+    # row scales |x| and the power by 2^s and 2^-s, so the array pass
+    # renders every normal double
+    rng = np.random.default_rng(280)
+
+    def between(lo, hi):
+        return rng.integers(*np.array([lo, hi]).view(np.int64), 20000, endpoint=True).view(np.float64)
+
+    tiny, huge = 2.0**-1022, sys.float_info.max
+    values = np.concatenate([between(1e280, huge), between(tiny, 1e-281), [1e280, huge, tiny, 1e-281]])
+    values = np.concatenate([values, -values])
+    fallbacks = []
+    fallback = render._fallback
+
+    def recording(out, x, proven, fmt):
+        fallbacks.extend(x[~proven].tolist())
+        return fallback(out, x, proven, fmt)
+
+    monkeypatch.setattr(render, "_fallback", recording)
+    assert kernel_text(values) == percent_e16(values.tolist())
+    assert repr_text(values) == reprs(values.tolist())
+    assert fallbacks == []
+
+
 # SHA-256 of the CSV of small tables, pinned from the template renderer that
 # wrote one '%.16e' per cell.  Together they hold every kind of cell the
 # commands write: blank cells (a pole row, a zero anchor, the vacuous
@@ -939,6 +1026,12 @@ def test_csv_cells_read_back_as_json_cells(args, tmp_path):
     assert float in kinds
 
 
+def label_column(cells):
+    """A list of str or int cells as a label column (labels, codes)."""
+    labels = tuple(dict.fromkeys(cells))
+    return labels, np.array([labels.index(c) for c in cells], dtype=int)
+
+
 def row_lists(columns):
     """The rows of a table's columns as lists of cells, a blank cell None."""
     cols = []
@@ -946,6 +1039,9 @@ def row_lists(columns):
         if isinstance(col, np.ndarray):
             empty = blank[0] if blank and blank[0] is not None else np.zeros(col.shape, bool)
             col = [None if e else v for v, e in zip(col.tolist(), empty.tolist())]
+        else:
+            labels, codes = col
+            col = [labels[c] for c in codes.tolist()]
         cols.append(col)
     return [list(row) for row in zip(*cols)]
 
@@ -980,8 +1076,9 @@ _strings = st.one_of(st.text(), st.sampled_from(["OK", "NO_BOUND_STATE", 'a "quo
 
 @st.composite
 def table_columns(draw):
-    """Columns of every kind: float64 arrays with random blank masks, str
-    lists and int lists, all of one random length."""
+    """Columns of every kind: float64 arrays with random blank masks, and
+    str and int label columns, some of two or fewer labels with bool codes,
+    all of one random length."""
     n = draw(st.integers(0, 8))
     columns = []
     for j, kind in enumerate(draw(st.lists(st.sampled_from(["float", "str", "int"]), max_size=6))):
@@ -990,7 +1087,11 @@ def table_columns(draw):
             if draw(st.booleans()):
                 column += (np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),)
         else:
-            column = (f"c{j}", "", draw(st.lists(_strings if kind == "str" else st.integers(), min_size=n, max_size=n)))
+            labels, codes = label_column(draw(st.lists(_strings if kind == "str" else st.integers(), min_size=n,
+                                                       max_size=n)))
+            if len(labels) <= 2 and draw(st.booleans()):
+                codes = codes.astype(bool)
+            column = (f"c{j}", "", (labels, codes))
         columns.append(column)
     return columns
 
@@ -1007,7 +1108,7 @@ class TestJsonTemplates:
     def test_non_finite_cell_raises(self, bad, where):
         # as json.dump(allow_nan=False) does: a non-finite float is never
         # written as inf or nan, wherever its float column stands
-        cells = [["OK", "inf"], [3, 4]]
+        cells = [label_column(["OK", "inf"]), label_column([3, 4])]
         cells.insert(where, np.array([1.0, bad]))
         table = cli.Table("t", "d", {}, [(name, "", col) for name, col in zip("abc", cells)])
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
@@ -1016,7 +1117,7 @@ class TestJsonTemplates:
             json_of(table)
 
     def test_string_cells_spelling_inf_and_nan(self):
-        table = cli.Table("t", "d", {}, [("a", "", ["nan", "inf"]),
+        table = cli.Table("t", "d", {}, [("a", "", label_column(["nan", "inf"])),
                                          ("b", "", np.array([1.0, 0.0]), np.array([False, True]))])
         assert json_of(table) == reference_json(table)
 
@@ -1177,6 +1278,16 @@ class TestBoundaryErrors:
         err = capsys.readouterr().err
         assert code == 2 and "Traceback" not in err and len(err.strip().splitlines()) == 1, err
         assert "linear grid" in err and "overflows" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["1:2:1000000000000000", "1:2:1000000000000000,log", "1:2:" + "9" * 40])
+    def test_grid_too_large_to_hold(self, tmp_path, capsys, grid):
+        # 10**15 points would take 8 PB: the allocation fails at once, and
+        # nothing is allocated
+        code, out = run_cli(["scatter", "--energy", grid], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+        assert "too many points" in err
         assert not out.exists()
 
     def test_unwritable_out(self, tmp_path, capsys):
