@@ -29,17 +29,19 @@ scans below.
 
 Each closed form has one implementation, an *_array function over numpy
 arrays of couplings, cutoffs and energies; regulated_amplitude and
-renormalized_amplitude are its 0-d calls, and amplitudes_over_cutoffs and
-transmutation_schedule one array call each.  bound_states solves the
-bound states of a whole column of couplings at once for every model that
-bind tabulates, the three regulators and the circular well, and is the one
-dispatch on the model of the bound-state path; bound_state_pole is its
-one-element call for a regulator.
+renormalized_amplitude are its 0-d calls.  Each limiting process is one
+array function that checks its schedule (DomainError) before it evaluates
+its columns: amplitudes_over_cutoffs_array and transmutation_schedule_array,
+whose rows amplitudes_over_cutoffs and transmutation_schedule return as
+objects.  Each model of scatter and bind, a regulator or the circular well
+as its radius, has one dispatch: on_shell_amplitude_array on the continuum,
+bound_states over a column of couplings (bound_state_pole for one).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +64,7 @@ from .errors import (
     DomainError,
     NoBoundStateError,
     PoleSingularityError,
+    SingularInputError,
 )
 from .regulators import (
     GaussianFormFactor,
@@ -72,7 +75,7 @@ from .regulators import (
     resolvent_derivative,
     slide_kernel,
 )
-from .oracle.well import well_bound_states, well_depths
+from .oracle.well import well_bound_states, well_depths, well_from_coupling, well_phase_shift_array
 from .special import EULER_GAMMA, exp1_scaled_positive
 from .tolerances import POLE_GUARD
 
@@ -88,11 +91,15 @@ __all__ = [
     "bound_state_pole",
     "bound_states",
     "amplitudes_over_cutoffs",
+    "amplitudes_over_cutoffs_array",
     "transmutation_schedule",
+    "transmutation_schedule_array",
     "renormalized_amplitude_array",
     "regulated_amplitude_array",
     "on_shell_amplitude_array",
     "cutoff_envelope_array",
+    "tau_from_phase_shift",
+    "tau_from_phase_shift_array",
 ]
 
 
@@ -286,14 +293,15 @@ def bound_state_pole(epsilon: float, reg: Regulator, scales: PhysicalScales = NA
     return BoundState(energy=float(energy[0]), residue=float(1.0 / resolvent_derivative(reg, energy, scales)[0]))
 
 
-def amplitudes_over_cutoffs(
-    epsilon: float,
-    z,
-    cutoffs,
-    scales: PhysicalScales = NATURAL_UNITS,
-) -> list[Amplitude]:
-    """Sharp-cutoff amplitude tau_Lambda(z) along an increasing cutoff
-    schedule: the constructive view of the no-scattering theorem.
+def amplitudes_over_cutoffs(epsilon: float, z, cutoffs, scales: PhysicalScales = NATURAL_UNITS) -> list[Amplitude]:
+    """amplitudes_over_cutoffs_array as Amplitude objects, over any iterable of cutoffs."""
+    return [Amplitude(t) for t in amplitudes_over_cutoffs_array(epsilon, z, list(cutoffs), scales).tolist()]
+
+
+def amplitudes_over_cutoffs_array(epsilon: float, z, cutoffs, scales: PhysicalScales = NATURAL_UNITS) -> np.ndarray:
+    """Sharp-cutoff amplitude tau_Lambda(z) along a cutoff schedule, an
+    array that must be strictly increasing, finite and above |z|: the
+    constructive view of the no-scattering theorem.
 
     |tau_Lambda(z)| peaks where the generated bound state sweeps past |z|
     (Lambda ~ |z| e^{4 pi/eps}) and then falls like 4 pi / ln(Lambda/|z|),
@@ -303,51 +311,58 @@ def amplitudes_over_cutoffs(
 
     makes quantitative beyond the peak.  The Lambda -> inf limit is zero.
     """
-    _check_coupling(epsilon)
     ze = as_energy(z)
     magnitude = ze.magnitude()
-    cutoffs = np.array(list(cutoffs), dtype=float)
+    cutoffs = np.asarray(cutoffs, dtype=float)
     if (cutoffs[1:] <= cutoffs[:-1]).any():
         raise DomainError("cutoff schedule must be strictly increasing")
     bad = ~((cutoffs > magnitude) & np.isfinite(cutoffs))
     if bad.any():
         raise DomainError(f"cutoff {cutoffs[bad][0]} must be finite and exceed |z| = {magnitude}")
-    tau = regulated_amplitude_array(epsilon, cutoffs, ze.re, ze.im, scales)
-    return [Amplitude(t) for t in tau.tolist()]
+    return regulated_amplitude_array(epsilon, cutoffs, ze.re, ze.im, scales)
 
 
-def transmutation_schedule(
-    bound_energy: float,
-    z,
-    steps: int,
-    scales: PhysicalScales = NATURAL_UNITS,
-) -> list[TransmutationStep]:
+def transmutation_schedule(bound_energy: float, z, steps: int,
+                           scales: PhysicalScales = NATURAL_UNITS) -> list[TransmutationStep]:
+    """The rows of transmutation_schedule_array as TransmutationStep objects."""
+    n, cutoffs, couplings, tau, deviations, target = transmutation_schedule_array(bound_energy, z, steps, scales)
+    rows = zip(n.tolist(), cutoffs.tolist(), couplings.tolist(), map(Amplitude, tau.tolist()), deviations.tolist())
+    return [TransmutationStep(*row, closed_form=target) for row in rows]
+
+
+def _decade_cutoff(bound_energy: float, n: int) -> float:
+    """E_B * 10.0**n by libm pow, or inf where it overflows; where 10^n
+    itself does (n > 308), E_B is first scaled by 1e308 per 308 decades."""
+    while n > 308 and bound_energy < math.inf:
+        bound_energy, n = bound_energy * 1e308, n - 308
+    return bound_energy * 10.0**min(n, 308)
+
+
+def transmutation_schedule_array(bound_energy: float, z, steps: int, scales: PhysicalScales = NATURAL_UNITS) -> tuple:
     """The renormalization limiting process at fixed target E_B:
 
         Lambda_n = E_B * 10^n,   eps_n = 4 pi / ln(Lambda_n / E_B),
 
     so that Lambda_n e^{-4 pi/eps_n} = E_B at every step while eps_n -> 0 and
-    Lambda_n -> inf.  Reports the regulated amplitude and its deviation from
-    the renormalized closed form per step; the deviation falls like
-    E_B/Lambda_n, one decade per step.
+    Lambda_n -> inf.  Returns the columns n = 1..steps, Lambda_n, eps_n, the
+    regulated tau_n at z and |tau_n - tau_inf|, and the renormalized closed
+    form tau_inf = 4 pi / ln(-E_B/z); the deviation falls like E_B/Lambda_n,
+    one decade per step.  Needs E_B > 0, steps >= 2 and a finite Lambda_n.
     """
-    if not (bound_energy > 0.0):
-        raise DomainError(f"bound-state energy must be positive, got {bound_energy}")
-    if steps < 2:
-        raise DomainError("transmutation schedule needs at least 2 steps")
     ze = as_energy(z)
     target = renormalized_amplitude(bound_energy, ze).tau
-    index = range(1, steps + 1)
-    cutoffs = [bound_energy * 10.0**n for n in index]
-    if not math.isfinite(cutoffs[-1]):
+    if steps < 2:
+        raise DomainError("transmutation schedule needs at least 2 steps")
+    # the cutoffs rise with n, so the last is checked before any is formed
+    if _decade_cutoff(bound_energy, steps) == math.inf:
         raise DomainError(f"the last cutoff E_B * 10**{steps} overflows")
-    couplings = [4.0 * math.pi / (n * math.log(10.0)) for n in index]
-    tau = regulated_amplitude_array(np.array(couplings), np.array(cutoffs), ze.re, ze.im, scales)
-    return [
-        TransmutationStep(index=n, cutoff=lam, coupling=eps_n, amplitude=Amplitude(t), deviation=abs(t - target),
-                          closed_form=target)
-        for n, lam, eps_n, t in zip(index, cutoffs, couplings, tau.tolist())
-    ]
+    n = np.arange(1, steps + 1)
+    cutoffs = np.fromiter(map(_decade_cutoff, itertools.repeat(bound_energy), range(1, steps + 1)), np.float64, steps)
+    couplings = 4.0 * math.pi / (n * math.log(10.0))
+    tau = regulated_amplitude_array(couplings, cutoffs, ze.re, ze.im, scales)
+    # hypot, the C library's, as Python's abs of a complex takes it
+    difference = tau - target
+    return n, cutoffs, couplings, tau, np.hypot(difference.real, difference.imag), target
 
 
 def renormalized_amplitude_array(bound_energy: float, re, im=0.0) -> np.ndarray:
@@ -409,40 +424,58 @@ def regulated_amplitude_array(
     return complex_divide_array(-eps, denom)
 
 
-def on_shell_amplitude_array(
-    epsilon: float,
-    reg: Regulator,
-    energies,
-    scales: PhysicalScales = NATURAL_UNITS,
-) -> np.ndarray:
-    """Physical on-shell amplitude over an array of continuum energies E.
+def on_shell_amplitude_array(epsilon: float, model, energies, scales: PhysicalScales = NATURAL_UNITS) -> np.ndarray:
+    """Physical on-shell amplitude over an array of continuum energies E for
+    one model of scatter: a regulator, or the radius a of the circular well
+    as a float.  This is the one dispatch on the model of the continuum.
 
     The scattering matrix element carries the form factor at the on-shell
     wavenumber on both sides, tau_on(E) = |<k(E)|v>|^2 tau(E + i0+), which is
     what elastic unitarity constrains.  For the sharp cutoff below Lambda
     this is tau itself; above Lambda the model has no phase space and the
-    on-shell amplitude vanishes.
+    on-shell amplitude vanishes; SingularInputError carries the index of the
+    first energy at Lambda.  The well's is tau_from_phase_shift_array of its
+    exact phase shifts, at the depth of well_from_coupling.
     """
     energies = np.asarray(energies, dtype=float)
     if not (energies > 0.0).all():
         raise DomainError(f"on-shell amplitude requires E > 0, got {energies[~(energies > 0.0)][0]}")
     tau = np.zeros(energies.shape, dtype=complex)
-    if isinstance(reg, PureDelta):
+    if isinstance(model, PureDelta):
         return tau
     # the weight of form_factor_squared, with k = sqrt(E/kappa) rounded as
     # there: kappa k^2 <= Lambda, or exp(-(k a)^2)
     kappa = scales.kinetic_constant
     k = np.sqrt(energies / kappa)
-    if isinstance(reg, SharpCutoff):
-        weight = (kappa * k * k <= reg.cutoff).astype(float)
+    if isinstance(model, SharpCutoff):
+        weight = (kappa * k * k <= model.cutoff).astype(float)
+    elif isinstance(model, GaussianFormFactor):
+        weight = np.exp(-(k * model.length) ** 2)
     else:
-        weight = np.exp(-(k * reg.length) ** 2)
+        return tau_from_phase_shift_array(well_phase_shift_array(well_from_coupling(epsilon, model, scales), k, scales))
     inside = weight != 0.0
     if inside.any():
-        base = regulated_amplitude_array(epsilon, reg, energies[inside], 0.0, scales)
+        try:
+            base = regulated_amplitude_array(epsilon, model, energies[inside], 0.0, scales)
+        except SingularInputError as exc:
+            exc.index = int(np.flatnonzero(inside)[exc.index])
+            raise
         # tau * weight, as a complex times a float
         tau.real[inside], tau.imag[inside] = base.real * weight[inside], base.imag * weight[inside]
     return tau
+
+
+def tau_from_phase_shift_array(delta0) -> np.ndarray:
+    """Unitary amplitudes -4 e^{i delta0} sin(delta0) elementwise over an
+    array of phase shifts."""
+    delta0 = np.asarray(delta0, dtype=float)
+    return -4.0 * np.exp(1j * delta0) * np.sin(delta0)
+
+
+def tau_from_phase_shift(delta0: float) -> complex:
+    """Unitary amplitude -4 e^{i delta0} sin(delta0): the one-element call of
+    tau_from_phase_shift_array."""
+    return complex(tau_from_phase_shift_array([delta0])[0])
 
 
 def cutoff_envelope_array(epsilon: float, magnitude: float, cutoffs) -> np.ndarray:

@@ -11,17 +11,17 @@ Configuration is a flat key=value text file ('#' comments); command-line
 flags override file values.  Output is byte-deterministic across runs on one
 machine and numpy build: floats render at 17 significant digits, tables are
 evaluated in one thread, and no timestamps enter the data body.  Every
-command is evaluated as numpy columns, through the one array form of each
-closed form; bind solves the bound states of all its couplings as one
-column per regulator.
-numpy's elementary functions may round differently from the C library's, so
-array-evaluated tables may differ from earlier versions in the last digits,
-within the 8-ulp budget of tests/test_array_forms.py.  Grids parse into
-float64 arrays, and every command declares each column of its table once,
-in numpy arrays that reach the renderer with no per-row Python: float cells
-with an optional blank mask, or (labels, codes), codes indexing a tuple of
-str or int labels.  A non-finite float cell that is not blank is a
-numerical failure naming its row and column.
+command is evaluated as numpy columns by the library, and re-derives none
+of it: theorem and transmute take each schedule, checked, from one amplitude
+call, whose DomainError is a usage error, and scatter and bind their model
+dispatch from on_shell_amplitude_array and bound_states.  numpy's elementary
+functions may round apart from the C library's, within the 8-ulp budget of
+tests/test_array_forms.py.  Grids parse into float64 arrays, and every
+command declares each column of its table once, in numpy arrays that reach
+the renderer with no per-row Python: float cells with an optional blank
+mask, or (labels, codes), codes indexing a tuple of str or int labels.  A
+non-finite float cell that is not blank is a numerical failure naming its
+row and column.
 Exit codes: 0 success, 1 numerical failure (partial output suppressed),
 2 usage or configuration error.
 """
@@ -39,16 +39,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amplitude import (
+    amplitudes_over_cutoffs_array,
     bound_states,
     cutoff_envelope_array,
     on_shell_amplitude_array,
-    regulated_amplitude_array,
     renormalized_amplitude_array,
-    transmutation_schedule,
+    transmutation_schedule_array,
 )
 from .energy_plane import ComplexEnergy, PhysicalScales, complex_divide_array, libm, log_ratio_array
-from .errors import DomainError, TransmuteLabError
-from .observables import continuum_observables_array, tau_from_phase_shift_array
+from .errors import DomainError, SingularInputError, TransmuteLabError
+from .observables import continuum_observables_array
 from .regulators import REGULATOR_NAMES, regulator_from_name, slide_kernels_along
 from .tolerances import (
     FLOW_GROUP_RTOL,
@@ -57,7 +57,6 @@ from .tolerances import (
     THEOREM_ENVELOPE_RTOL,
     UNITARITY_DEFECT_TOL,
 )
-from .oracle.well import well_from_coupling, well_phase_shift_array
 from .render import csv_lines, fmt_cell as _fmt, json_lines, row_count
 
 __all__ = ["main"]
@@ -189,11 +188,16 @@ class Options:
         return dict(sorted((k, v) for k, v in self.values.items() if k != "out"))
 
 
-def _scales(opts: Options) -> PhysicalScales:
+def _checked(fn, *args):
+    """fn(*args), whose DomainErrors come from its input checks: a usage error."""
     try:
-        return PhysicalScales(opts.get_number("kinetic_constant", 1.0))
+        return fn(*args)
     except DomainError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _scales(opts: Options) -> PhysicalScales:
+    return _checked(PhysicalScales, opts.get_number("kinetic_constant", 1.0))
 
 
 def _ordered_map(fn, items):
@@ -530,14 +534,8 @@ def cmd_theorem(opts: Options) -> Table:
     eps = float(eps_grid[0])
     z = _config_energy(opts, "z", 0.0, 1.0)
     schedule = opts.get_grid("lambda", "1e2:1e12:6,log")
-    if (schedule[1:] <= schedule[:-1]).any():
-        raise UsageError("the lambda schedule must be strictly increasing")
+    tau = _checked(amplitudes_over_cutoffs_array, eps, z, schedule, scales)
     magnitude = z.magnitude()
-    below = schedule <= magnitude
-    if below.any():
-        raise UsageError(f"cutoff {float(schedule[below][0])} must exceed |z| = {magnitude}")
-
-    tau = regulated_amplitude_array(eps, schedule, z.re, z.im, scales)
     abs_tau = np.hypot(tau.real, tau.imag)
     naive = FOUR_PI / log_ratio_array(schedule, magnitude)
     envelope = cutoff_envelope_array(eps, magnitude, schedule)
@@ -585,31 +583,22 @@ def cmd_transmute(opts: Options) -> Table:
     e_b = _positive(opts, "e_b")
     z = _config_energy(opts, "z", 2.0, 0.0)
     steps = opts.get_number("steps", 10, int, "an integer")
-    if steps < 2:
-        raise UsageError("transmute needs steps >= 2")
-    try:
-        top_finite = math.isfinite(e_b * 10.0**steps)
-    except OverflowError:
-        top_finite = False
-    if not top_finite:
-        raise UsageError(f"steps = {steps} is too large: the last cutoff e_b * 10**steps overflows")
-    schedule = transmutation_schedule(e_b, z, steps, scales)
-    target = schedule[0].closed_form
-    tau = np.array([s.amplitude.tau for s in schedule])
-    deviations = np.array([s.deviation for s in schedule])
+    n, cutoffs, couplings, tau, deviations, target = _checked(transmutation_schedule_array, e_b, z, steps, scales)
     columns = [
-        ("n", "step index; Lambda_n = e_b * 10^n", (tuple(s.index for s in schedule), np.arange(len(schedule)))),
-        ("Lambda_n", "sharp cutoff at this step", np.array([s.cutoff for s in schedule])),
-        ("epsilon_n", "coupling 4 pi / ln(Lambda_n/e_b)", np.array([s.coupling for s in schedule])),
+        ("n", "step index; Lambda_n = e_b * 10^n", (tuple(n.tolist()), np.arange(n.size))),
+        ("Lambda_n", "sharp cutoff at this step", cutoffs),
+        ("epsilon_n", "coupling 4 pi / ln(Lambda_n/e_b)", couplings),
         ("re_tau", "Re tau_{eps_n, Lambda_n}(z)", tau.real),
         ("im_tau", "Im tau_{eps_n, Lambda_n}(z)", tau.imag),
         ("deviation_from_closed_form", "|tau_n(z) - 4 pi / ln(-e_b/z)|", deviations),
     ]
     table = _table("transmute", "renormalization limiting process at fixed bound-state energy", opts, columns)
-    monotone = bool(np.all(deviations[1:] < deviations[:-1]))
-    table.footer.update(closed_form_re=target.real, closed_form_im=target.imag, monotone_deviation=monotone)
-    if not monotone:
-        raise TransmuteLabError("transmutation deviations failed to decrease monotonically")
+    falls = deviations[1:] < deviations[:-1]
+    table.footer.update(closed_form_re=target.real, closed_form_im=target.imag, monotone_deviation=bool(falls.all()))
+    if not falls.all():
+        i = int(np.argmin(falls)) + 1
+        raise TransmuteLabError(f"transmutation deviations failed to decrease monotonically at step n = {i + 1}: "
+                                f"{float(deviations[i])!r} after {float(deviations[i - 1])!r}")
     return table
 
 
@@ -627,14 +616,11 @@ def cmd_scatter(opts: Options) -> Table:
     if name == "renormalized":
         tau = renormalized_amplitude_array(_positive(opts, "e_b"), energies)
     else:
-        eps = _positive(opts, "epsilon")
-        model = _model(name, opts, scales, well=True)
-        if name == "circular-well":
-            k = np.sqrt(energies / scales.kinetic_constant)
-            well = well_from_coupling(eps, model, scales)
-            tau = tau_from_phase_shift_array(well_phase_shift_array(well, k, scales))
-        else:
+        eps, model = _positive(opts, "epsilon"), _model(name, opts, scales, well=True)
+        try:
             tau = on_shell_amplitude_array(eps, model, energies, scales)
+        except SingularInputError as exc:
+            raise TransmuteLabError(f"{exc}: E = {float(energies[exc.index])!r} in row {exc.index + 1}") from None
     obs = continuum_observables_array(tau, energies, scales, unitarity_tol)
     violation = obs["violation"]
     columns = [

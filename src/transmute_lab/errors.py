@@ -17,7 +17,11 @@ class DomainError(TransmuteLabError, ValueError):
 
 
 class SingularInputError(TransmuteLabError):
-    """Evaluation requested exactly at a singular point (z = 0, z = cutoff edge)."""
+    """Evaluation requested exactly at a singular point (z = 0, z = cutoff edge), the first at index."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class DivergenceError(TransmuteLabError):

@@ -20,8 +20,8 @@ and carries the same length unit as 1/k.
 
 continuum_observables_array forms all of these over a whole energy grid in
 one numpy pass; f_from_tau and the other scalar names are its one-element
-calls, so they equal its rows to the bit.  tau_from_phase_shift is likewise
-the one-element call of tau_from_phase_shift_array.
+calls, so they equal its rows to the bit.  tau_from_phase_shift(_array),
+the inverse map, lives in amplitude and is re-exported here.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .amplitude import Amplitude
+from .amplitude import Amplitude, tau_from_phase_shift, tau_from_phase_shift_array
 from .energy_plane import NATURAL_UNITS, PhysicalScales, Wavenumber, complex_divide_array
 from .errors import DomainError, UnitarityViolationError
 from .tolerances import IM_TAU_POSITIVE_TOL, UNITARITY_DEFECT_TOL
@@ -110,19 +110,6 @@ def total_target_length(tau, k: Wavenumber) -> float:
 def unitarity_defect(tau) -> float:
     """Im(1/tau) - 1/4; zero for an elastic unitary amplitude."""
     return float(_one(tau)["unitarity_defect"][0])
-
-
-def tau_from_phase_shift_array(delta0) -> np.ndarray:
-    """Unitary amplitudes -4 e^{i delta0} sin(delta0) elementwise over an
-    array of phase shifts."""
-    delta0 = np.asarray(delta0, dtype=float)
-    return -4.0 * np.exp(1j * delta0) * np.sin(delta0)
-
-
-def tau_from_phase_shift(delta0: float) -> complex:
-    """Unitary amplitude -4 e^{i delta0} sin(delta0): the one-element call of
-    tau_from_phase_shift_array."""
-    return complex(tau_from_phase_shift_array([delta0])[0])
 
 
 def optical_theorem_defect(tau, k: Wavenumber) -> float:

@@ -218,7 +218,7 @@ def resolvent_array(reg, re, im, scales: PhysicalScales = NATURAL_UNITS) -> np.n
     plane.  Boundary values follow the limit-from-above branch policy: the
     gaussian takes every point through E1, continuum points (Im z = 0 < Re z)
     on the lower lip of its cut.  z = 0 and the sharp edge z = Lambda raise
-    SingularInputError.
+    SingularInputError with the flat index of the first such point.
     """
     if isinstance(reg, PureDelta):
         raise DivergenceError(
@@ -227,14 +227,16 @@ def resolvent_array(reg, re, im, scales: PhysicalScales = NATURAL_UNITS) -> np.n
         )
     re, im = np.broadcast_arrays(np.asarray(re, dtype=float), np.asarray(im, dtype=float))
     on_axis = im == 0.0
-    if (on_axis & (re == 0.0)).any():
-        raise SingularInputError("g(z) is singular at z = 0 (continuum endpoint)")
+    singular = on_axis & (re == 0.0)
+    if singular.any():
+        raise SingularInputError("g(z) is singular at z = 0 (continuum endpoint)", int(np.argmax(singular)))
     kappa = scales.kinetic_constant
     if isinstance(reg, GaussianFormFactor):
         return _gaussian_resolvent_array(reg.length, kappa, re, im)
     cutoff = reg.cutoff if isinstance(reg, SharpCutoff) else np.asarray(reg, dtype=float)
-    if (on_axis & (re == cutoff)).any():
-        raise SingularInputError("g(z) is singular at the cutoff edge z = Lambda")
+    singular = on_axis & (re == cutoff)
+    if singular.any():
+        raise SingularInputError("g(z) is singular at the cutoff edge z = Lambda", int(np.argmax(singular)))
     return complex_divide_array(principal_log_ratio_array(re, im, re - cutoff, im), 4.0 * math.pi * kappa)
 
 

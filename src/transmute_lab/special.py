@@ -54,7 +54,8 @@ levels of Horner's rule, the rule by einsum) in blocks of 1024 elements.  They
 are the one implementation of E1 and Ei on their domains; exp1_scaled and
 expi_scaled are their 0-d calls, at 30-70 us.
 bessel_jy_array gives J0, Y0, J1 and Y1 together over a numpy array and
-bessel_k_scaled_array e^x K0 and e^x K1, the rules in blocks of 64 rows;
+bessel_k_scaled_array e^x K0 and e^x K1, by the same _evaluate, the rule in
+blocks of 64 elements;
 bessel_j_k_scaled_array gives J0 and J1 at one array and e^x K0 and e^x K1
 at another, summing both series in one stacked pass.  The well takes all of
 its Bessel values from such passes, and the gaussian pole search e^x E1(x)
@@ -227,8 +228,8 @@ def _jy_rule(x):
             *_rotate(-4.0 / (math.pi * x**0.5), re1 - im1, re1 + im1, cos, sin))
 
 
-# Rows per block of the (rows, nodes) arrays of the rule: 64 ran fastest
-# against 32, 128 and 512, and larger blocks also raise peak memory.
+# Elements per block of the J, Y and K rule: 64 ran fastest against 32, 128
+# and 512, and larger blocks also raise peak memory.
 _JY_BLOCK = 64
 
 
@@ -241,33 +242,42 @@ def _positive_array(x, name: str) -> np.ndarray:
     return x
 
 
-def _cylinder_array(x: np.ndarray, rows: int, series, rule) -> tuple[np.ndarray, ...]:
-    """The ``rows`` functions that series and rule give, elementwise over an
-    array of x > 0: series at x <= _K_SWITCH, rule above in blocks of
-    _JY_BLOCK elements."""
+# Elements per block of every other branch, which bounds its temporaries: 96
+# nodes an element in the E1 rule, 13 complex rows in its series.
+_EVALUATE_BLOCK = 1024
+
+
+def _evaluate(x: np.ndarray, branches, rest, rows: int = 0, rest_block: int = _EVALUATE_BLOCK) -> np.ndarray:
+    """Each element of the array x by the first (mask, evaluate) of branches
+    whose mask it meets, in blocks of _EVALUATE_BLOCK, else by rest, in blocks
+    of rest_block.  An evaluate maps a 1-d array to one of its type, or to
+    ``rows`` such rows if rows > 0, stacked along a first axis."""
     flat = x.ravel()
-    low = flat <= _K_SWITCH
-    out = np.empty((rows, flat.size))
-    if low.any():
-        out[:, low] = series(flat[low])
-    high = np.flatnonzero(~low)
-    for start in range(0, high.size, _JY_BLOCK):
-        index = high[start:start + _JY_BLOCK]
-        out[:, index] = rule(flat[index])
-    return tuple(row.reshape(x.shape) for row in out)
+    out = np.empty((rows, flat.size) if rows else flat.size, x.dtype)
+    left = np.ones(flat.size, dtype=bool)
+    for mask, evaluate, block in [*((m, e, _EVALUATE_BLOCK) for m, e in branches), (left, rest, rest_block)]:
+        index = np.flatnonzero(mask.ravel() & left)
+        if index.size:
+            left[index] = False
+            v = flat[index]
+            for i in range(0, index.size, block):
+                out[..., index[i:i + block]] = evaluate(v[i:i + block])
+    return out.reshape((rows, *x.shape) if rows else x.shape)
 
 
 def bessel_jy_array(x):
     """J0, Y0, J1 and Y1 elementwise over an array of x > 0, in one pass:
     the power series at x <= _K_SWITCH, the Gauss rule of H0 and H1 above."""
-    return _cylinder_array(_positive_array(x, "bessel_jy_array"), 4, _jy_series, _jy_rule)
+    x = _positive_array(x, "bessel_jy_array")
+    return tuple(_evaluate(x, [(x <= _K_SWITCH, _jy_series)], _jy_rule, 4, _JY_BLOCK))
 
 
 def bessel_k_scaled_array(x):
     """e^x K0(x) and e^x K1(x) elementwise over an array of x > 0: the series
     of the J/Y table at q = +x^2/4 at x <= _K_SWITCH, the Gauss rule of the
     resummed asymptotic integral above."""
-    return _cylinder_array(_positive_array(x, "bessel_k_scaled_array"), 2, _k_series, _k_rule)
+    x = _positive_array(x, "bessel_k_scaled_array")
+    return tuple(_evaluate(x, [(x <= _K_SWITCH, _k_series)], _k_rule, 2, _JY_BLOCK))
 
 
 def bessel_j_k_scaled_array(x_j, x_k):
@@ -411,14 +421,13 @@ def exp1_scaled_real(x) -> np.ndarray:
     """e^x E1(x) elementwise over an array of real x > 0: the power series at
     x <= 1 as a Horner polynomial of 18 terms, the Stieltjes rule above.
     Measured over [1e-300, 1e300], the error is below 1.3e-15 of the value."""
-    x = _positive_array(x, "exp1_scaled_real")
-    return exp1_scaled_positive(x.ravel()).reshape(x.shape)
+    return exp1_scaled_positive(_positive_array(x, "exp1_scaled_real"))
 
 
 def exp1_scaled_positive(x: np.ndarray) -> np.ndarray:
-    """exp1_scaled_real over a 1-d float array whose elements the caller
-    knows to be positive and finite, unchecked: for a search that checks its
-    range once and evaluates within it every step."""
+    """exp1_scaled_real over a float array whose elements the caller knows
+    to be positive and finite, unchecked: for a search that checks its range
+    once and evaluates within it every step."""
     low = x <= 1.0
     # the series needs no blocks, whose temporaries bound the rule's memory
     if low.all():
@@ -460,26 +469,6 @@ def _e1_lower_lip_array(w: np.ndarray) -> np.ndarray:
     return out
 
 
-# Elements per block of a branch, which bounds the memory of its temporaries:
-# 96 nodes an element in the rule, 13 complex rows in the series.
-_EVALUATE_BLOCK = 1024
-
-
-def _evaluate(x: np.ndarray, branches, rest) -> np.ndarray:
-    """Each element of x by the first (mask, evaluate) of branches whose mask
-    it meets, and by rest where it meets none, in blocks of _EVALUATE_BLOCK."""
-    out = np.empty_like(x)
-    left = np.ones(x.shape, dtype=bool)
-    for mask, evaluate in [*branches, (left, rest)]:
-        mask = mask & left
-        if mask.any():
-            left &= ~mask
-            v = x[mask]
-            blocks = range(0, v.size, _EVALUATE_BLOCK)
-            out[mask] = np.concatenate([evaluate(v[i:i + _EVALUATE_BLOCK]) for i in blocks])
-    return out
-
-
 def _ei_near_zero_scaled_array(x: np.ndarray) -> np.ndarray:
     h = (x - _EI_ZERO) - _EI_ZERO_LOW
     return np.exp(-h) * h * _polynomial(h, _EI_ZERO_COLUMNS)
@@ -496,10 +485,9 @@ def _ei_asymptotic_scaled_array(x: np.ndarray) -> np.ndarray:
 def expi_scaled_array(x) -> np.ndarray:
     """e^{-x} Ei(x) elementwise over an array of x > 0."""
     x = _positive_array(x, "expi_scaled")
-    flat = x.ravel()
-    branches = [(np.abs(flat - _EI_ZERO) <= _EI_ZERO_RADIUS, _ei_near_zero_scaled_array),
-                (flat <= _E1_ASYMPTOTIC_RADIUS, _ei_series_scaled_array)]
-    return _evaluate(flat, branches, _ei_asymptotic_scaled_array).reshape(x.shape)
+    branches = [(np.abs(x - _EI_ZERO) <= _EI_ZERO_RADIUS, _ei_near_zero_scaled_array),
+                (x <= _E1_ASYMPTOTIC_RADIUS, _ei_series_scaled_array)]
+    return _evaluate(x, branches, _ei_asymptotic_scaled_array)
 
 
 def exp1_scaled_array(w) -> np.ndarray:
@@ -513,9 +501,8 @@ def exp1_scaled_array(w) -> np.ndarray:
         raise DomainError("E1 diverges at w = 0")
     if (w.imag > 0.0).any():
         raise DomainError("exp1 is implemented for Im w <= 0 only")
-    flat = w.ravel()
-    re, r = flat.real, np.abs(flat)
-    branches = [((flat.imag == 0.0) & (re < 0.0), _e1_lower_lip_array),
+    re, r = w.real, np.abs(w)
+    branches = [((w.imag == 0.0) & (re < 0.0), _e1_lower_lip_array),
                 (r >= _E1_ASYMPTOTIC_RADIUS, _e1_asymptotic_scaled_array),
                 (r + re <= _E1_NEAR_AXIS, _e1_series_scaled_array)]
-    return _evaluate(flat, branches, _e1_stieltjes_scaled_array).reshape(w.shape)
+    return _evaluate(w, branches, _e1_stieltjes_scaled_array)

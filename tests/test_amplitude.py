@@ -13,6 +13,7 @@ from transmute_lab.amplitude import (
     Amplitude,
     FlowPoint,
     amplitudes_over_cutoffs,
+    amplitudes_over_cutoffs_array,
     bound_state_pole,
     cutoff_envelope_array,
     on_shell_amplitude_array,
@@ -22,9 +23,16 @@ from transmute_lab.amplitude import (
     renormalized_amplitude_array,
     slide_amplitude,
     transmutation_schedule,
+    transmutation_schedule_array,
 )
 from transmute_lab.energy_plane import ComplexEnergy, PhysicalScales, principal_log_ratio
-from transmute_lab.errors import DomainError, NoBoundStateError, PoleSingularityError, TransmuteLabError
+from transmute_lab.errors import (
+    DomainError,
+    NoBoundStateError,
+    PoleSingularityError,
+    SingularInputError,
+    TransmuteLabError,
+)
 from transmute_lab.oracle.quadrature import quadrature_resolvent, upper_half_residue
 from transmute_lab.regulators import GaussianFormFactor, PureDelta, SharpCutoff
 from transmute_lab.tolerances import (
@@ -302,6 +310,11 @@ class TestCutoffRemoval:
         with pytest.raises(DomainError):
             amplitudes_over_cutoffs(1.0, ComplexEnergy(0.0, 2.0), [1.0, 10.0])
 
+    def test_objects_are_the_array(self):
+        z, schedule = ComplexEnergy(0.3, 1.0), np.geomspace(2.0, 1e200, 50)
+        tau = amplitudes_over_cutoffs_array(1.2, z, schedule)
+        assert [a.tau for a in amplitudes_over_cutoffs(1.2, z, iter(schedule.tolist()))] == tau.tolist()
+
 
 class TestTransmutation:
     def test_deviation_shrinks_monotonically(self):
@@ -336,6 +349,44 @@ class TestTransmutation:
             transmutation_schedule(0.0, ComplexEnergy(0.0, 1.0), 5)
         with pytest.raises(DomainError):
             transmutation_schedule(1.0, ComplexEnergy(0.0, 1.0), 1)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(log_e_b=st.floats(-300.0, 300.0), phase=st.floats(0.0, math.pi), log_z=st.floats(-3.0, 3.0),
+           steps=st.integers(2, 40))
+    def test_steps_are_the_columns(self, log_e_b, phase, log_z, steps):
+        # each step holds the bits of its row of the columns, and the columns
+        # the bits of the per-step formulas: e_b * 10.0**n, 4 pi/(n ln 10)
+        # and Python's abs of the complex difference
+        e_b, r = 10.0**log_e_b, 10.0**log_z
+        z = ComplexEnergy(r * math.cos(phase), r * math.sin(phase)) if 0.0 < phase < math.pi else \
+            ComplexEnergy(r if phase == 0.0 else -r, 0.0)
+        assume(e_b * 10.0**min(steps, 308) < math.inf)
+        try:
+            n, cutoffs, couplings, tau, deviations, target = transmutation_schedule_array(e_b, z, steps)
+        except (PoleSingularityError, SingularInputError):
+            return
+        assert n.tolist() == list(range(1, steps + 1))
+        assert cutoffs.tolist() == [e_b * 10.0**i for i in range(1, steps + 1)]
+        assert couplings.tolist() == [4.0 * math.pi / (i * math.log(10.0)) for i in range(1, steps + 1)]
+        assert deviations.tolist() == [abs(t - target) for t in tau.tolist()]
+        assert target == renormalized_amplitude(e_b, z).tau
+        schedule = transmutation_schedule(e_b, z, steps)
+        assert [(s.index, s.cutoff, s.coupling, s.amplitude.tau, s.deviation, s.closed_form) for s in schedule] == \
+            list(zip(n.tolist(), cutoffs.tolist(), couplings.tolist(), tau.tolist(), deviations.tolist(),
+                     [target] * steps))
+
+    def test_cutoffs_beyond_ten_to_the_308(self):
+        # 10**400 overflows a double, but e_b * 10**400 = 1e100 does not
+        n, cutoffs, *_ = transmutation_schedule_array(1e-300, ComplexEnergy.continuum(2.0), 400)
+        assert np.isfinite(cutoffs).all() and (cutoffs[1:] > cutoffs[:-1]).all()
+        assert cutoffs[299] == 1e-300 * 10.0**300
+        assert cutoffs[-1] == pytest.approx(1e100, rel=1e-14)
+        assert len(transmutation_schedule(1e-300, ComplexEnergy.continuum(2.0), 400)) == 400
+
+    @pytest.mark.parametrize("e_b, steps", [(1.0, 309), (1e10, 299), (5e-324, 633), (1.0, 10**15)])
+    def test_overflowing_last_cutoff(self, e_b, steps):
+        with pytest.raises(DomainError, match=f"10\\*\\*{steps} overflows"):
+            transmutation_schedule_array(e_b, ComplexEnergy.continuum(2.0), steps)
 
 
 class TestScalingCovariance:

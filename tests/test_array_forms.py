@@ -266,6 +266,22 @@ class TestAmplitudes:
             on_shell_amplitude_array(1.0, reg, [1.0, 3.0])
         assert str(array.value) == str(scalar.value)
 
+    def test_cutoff_edge_index_is_that_of_the_energies(self):
+        # 5.0 lies above the cutoff, so the edge is the second energy
+        # evaluated but the third given
+        with pytest.raises(SingularInputError) as edge:
+            on_shell_amplitude_array(1.0, SharpCutoff(3.0), [1.0, 5.0, 3.0, 3.0])
+        assert edge.value.index == 2
+
+    @pytest.mark.parametrize("eps,radius", [(1.0, 1.0), (0.7130104612422048, 1.0), (15.0, 3.0), (40.0, 1e-3)])
+    def test_on_shell_well_is_its_phase_shifts(self, eps, radius):
+        # the circular well, given as its radius, is the exact phase-shift
+        # route of the oracle, to the bit
+        energies = log_grid(-6, 6, 241)
+        k = np.sqrt(energies / KAPPA.kinetic_constant)
+        expected = tau_from_phase_shift_array(well_phase_shift_array(well_from_coupling(eps, radius, KAPPA), k, KAPPA))
+        assert on_shell_amplitude_array(eps, radius, energies, KAPPA).tolist() == expected.tolist()
+
     def test_sharp_over_cutoffs_matches_scalar(self):
         # z = -1 passes the pole at Lambda = e^{4 pi/1.1} - 1: tau is held to
         # the terms of its inverse there

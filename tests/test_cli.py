@@ -369,6 +369,55 @@ class TestTransmute:
         # the closed form echoed in the footer matches the final iterate
         assert float(footer["closed_form_re"]) == pytest.approx(float(cell(rows[-1], header, "re_tau")), rel=1e-8)
 
+    def test_deviation_that_does_not_fall_names_its_step(self, tmp_path, capsys):
+        # from step 18 on the deviation lies at the rounding floor of the
+        # difference |tau_n - tau_inf|
+        code, out = run_cli(["transmute"], tmp_path, config_text="steps = 18\n")
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.strip().splitlines()) == 1, err
+        deviations = amplitude.transmutation_schedule_array(1.0, 2.0, 18)[4].tolist()
+        assert f"at step n = 18: {deviations[17]!r} after {deviations[16]!r}" in err
+        assert not out.exists()
+
+    def test_cutoffs_beyond_ten_to_the_308_are_evaluated(self, tmp_path, capsys):
+        # 10**400 overflows a double but e_b * 10**400 = 1e100 does not: the
+        # table is evaluated, and fails only where the deviation reaches the
+        # rounding floor
+        code, out = run_cli(["transmute"], tmp_path, config_text="e_b = 1e-300\nsteps = 400\n")
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.strip().splitlines()) == 1, err
+        assert "failed to decrease monotonically at step n = " in err
+        assert not out.exists()
+
+    def test_one_schedule_call(self, tmp_path, monkeypatch):
+        # cmd_transmute holds no schedule check of its own: every column
+        # comes from one transmutation_schedule_array call
+        columns, calls = cli.transmutation_schedule_array, []
+        monkeypatch.setattr(cli, "transmutation_schedule_array", lambda *args: calls.append(args) or columns(*args))
+        code, out = run_cli(["transmute"], tmp_path, config_text="steps = 12\n")
+        assert code == 0 and len(calls) == 1
+        header, rows, _ = parse_csv(out)
+        n, cutoffs, *_ = columns(*calls[0])
+        assert [int(cell(r, header, "n")) for r in rows] == n.tolist()
+        assert [float(cell(r, header, "Lambda_n")) for r in rows] == cutoffs.tolist()
+
+
+@pytest.mark.parametrize("args, config", [
+    (["theorem", "--lambda", "1e4:1e2:3,log"], None),
+    (["theorem", "--lambda", "1:1e4:3,log"], None),
+    (["theorem", "--lambda", "0.5:1e4:3,log"], "z_re = 0.3\nz_im = 0.4\n"),
+    (["transmute"], "steps = 1\n"),
+    (["transmute"], "steps = -3\n"),
+    (["transmute"], "e_b = 1e-300\nsteps = 633\n"),
+    (["transmute"], "steps = 1000000000000000\n"),
+], ids=["not-increasing", "at-z", "below-z", "one-step", "negative-steps", "overflow", "huge-steps"])
+def test_bad_schedule_is_one_line_usage_error(args, config, tmp_path, capsys):
+    # the library's schedule check is the only one, and the CLI reports it
+    # as a usage error
+    code, out = run_cli(args, tmp_path, config_text=config)
+    assert_one_line_error(capsys, code, 2)
+    assert not out.exists()
+
 
 class TestScatter:
     def test_resonance_row(self, tmp_path):
@@ -416,6 +465,27 @@ class TestScatter:
                 vw = float(cell(row_w, header_w, name))
                 vr = float(cell(row_r, header_r, name))
                 assert abs(vw - vr) <= 0.03 * max(abs(vr), 1e-300), name
+
+    def test_cutoff_edge_names_its_row(self, tmp_path, capsys):
+        code, out = run_cli(["scatter", "--regulator", "sharp-cutoff", "--epsilon", "1", "--energy", "0.5:1.5:3"],
+                            tmp_path)
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.strip().splitlines()) == 1, err
+        assert "cutoff edge z = Lambda: E = 1.0 in row 2" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, model", [("sharp-cutoff", SharpCutoff(3.0)), ("gaussian", GaussianFormFactor(0.5)),
+                                             ("pure-delta", PureDelta()), ("circular-well", 0.5)])
+    def test_one_on_shell_call_per_model(self, tmp_path, monkeypatch, name, model):
+        # the one model dispatch of scatter lies in on_shell_amplitude_array
+        on_shell, calls = cli.on_shell_amplitude_array, []
+        monkeypatch.setattr(cli, "on_shell_amplitude_array", lambda *args: calls.append(args) or on_shell(*args))
+        code, _ = run_cli(["scatter", "--regulator", name, "--epsilon", "1.5", "--energy", "0.5:4:3,log"], tmp_path,
+                          config_text="a = 0.5\nlambda = 3\n")
+        assert code == 0
+        assert [args[1] for args in calls] == [model]
+        oracle = [getattr(well_module, attr) for attr in well_module.__all__]
+        assert [attr for attr, value in vars(cli).items() if any(value is f for f in oracle)] == []
 
     def test_sharp_cutoff_rows_above_cutoff_are_zero(self, tmp_path):
         cfg = "model = sharp-cutoff\nepsilon = 1\nlambda = 1\n"

@@ -21,7 +21,9 @@ import transmute_lab
 # asymptotic branches of Ei; the wide bind's well roots reach the series and
 # rules of J and K, and its sharp and gaussian rows turn NO_BOUND_STATE above
 # their search tops; the deep bind's wells reach depths where the search
-# starts at the infinitely deep well's ground state
+# starts at the infinitely deep well's ground state; the 17-step transmute,
+# the longest whose deviations still fall, and the theorem sweep to 1e300
+# run both schedule columns in fresh processes
 TABLES = {
     "flow": ["flow", "--regulator", "gaussian", "--energy", "1:1e3:7,log"],
     "flow_phase": ["flow", "--config", "phase.cfg", "--energy", "0.05:3000:90,log"],
@@ -31,6 +33,8 @@ TABLES = {
     "bind_deep": ["bind", "--regulator", "circular-well,gaussian", "--epsilon", "0.02:1e13:25,log"],
     "theorem": ["theorem", "--epsilon", "1", "--lambda", "1e2:1e12:6,log"],
     "transmute": ["transmute"],
+    "transmute_17": ["transmute", "--config", "steps.cfg"],
+    "theorem_1e300": ["theorem", "--epsilon", "1", "--lambda", "1e2:1e300:60,log"],
     "scatter": ["scatter", "--energy", "1e-6:1e6:200,log"],
     "well": ["scatter", "--regulator", "circular-well", "--epsilon", "1", "--energy", "1e-3:1e3:50,log"],
 }
@@ -51,6 +55,7 @@ def tables(tmp_path_factory):
     0 with nothing on stderr."""
     work = tmp_path_factory.mktemp("console")
     (work / "phase.cfg").write_text("regulator = gaussian\nz_phase = 1.0\n", encoding="utf-8")
+    (work / "steps.cfg").write_text("steps = 17\n", encoding="utf-8")
 
     def run(key):
         name, fmt = key

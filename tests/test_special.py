@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from transmute_lab import special
 from transmute_lab.errors import DomainError
 from transmute_lab.special import (
     _E1_ASYMPTOTIC_RADIUS,
@@ -124,6 +125,35 @@ def test_cylinder_columns_keep_shape_and_domain():
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match=f"{column_form.__name__} requires x > 0"):
                 column_form(np.array([3.0, bad]))
+
+
+def _series_then_rule_blocks(x, rows, series, rule):
+    """The cylinder columns as they were evaluated before the blocked
+    branch evaluator took them over: the series over every x <= 2 in one
+    call, the rule over the rest in blocks of 64 elements."""
+    out = np.empty((rows, x.size))
+    low = x <= 2.0
+    if low.any():
+        out[:, low] = series(x[low])
+    high = np.flatnonzero(~low)
+    for start in range(0, high.size, 64):
+        out[:, high[start:start + 64]] = rule(x[high[start:start + 64]])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 200])
+@pytest.mark.parametrize("lo", [0.01, 2.5], ids=["both-branches", "rule"])
+def test_cylinder_columns_keep_their_bits(n, lo):
+    # J0, Y0, J1, Y1, e^x K0 and e^x K1 at block edges of the rule: each row
+    # is summed alike whatever its block, so the bits are those of the
+    # unblocked series and the 64-element rule blocks
+    x = np.geomspace(lo, 300.0, n)
+    x = np.concatenate([x[::2], x[1::2]])
+    jy = _series_then_rule_blocks(x, 4, special._jy_series, special._jy_rule)
+    k = _series_then_rule_blocks(x, 2, special._k_series, special._k_rule)
+    for columns, reference in ((bessel_jy_array(x), jy), (bessel_k_scaled_array(x), k)):
+        for column, expected in zip(columns, reference):
+            assert column.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
