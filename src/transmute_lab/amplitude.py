@@ -331,11 +331,15 @@ def transmutation_schedule(bound_energy: float, z, steps: int,
 
 
 def _decade_cutoff(bound_energy: float, n: int) -> float:
-    """E_B * 10.0**n by libm pow, or inf where it overflows; where 10^n
-    itself does (n > 308), E_B is first scaled by 1e308 per 308 decades."""
-    while n > 308 and bound_energy < math.inf:
-        bound_energy, n = bound_energy * 1e308, n - 308
-    return bound_energy * 10.0**min(n, 308)
+    """E_B * 10.0**n by libm pow where 10^n is a double (n <= 308), else the
+    product rounded once; inf on overflow, as for every E_B > 0 at n >= 632."""
+    if n <= 308:
+        return bound_energy * 10.0**n
+    numerator, denominator = bound_energy.as_integer_ratio()
+    try:
+        return numerator * 10**n / denominator if n < 632 else math.inf
+    except OverflowError:
+        return math.inf
 
 
 def transmutation_schedule_array(bound_energy: float, z, steps: int, scales: PhysicalScales = NATURAL_UNITS) -> tuple:

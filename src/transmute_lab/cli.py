@@ -444,7 +444,13 @@ def cmd_flow(opts: Options) -> Table:
     else:
         # tabulate 1/tau directly: it runs through amplitude poles smoothly
         # (a pole is just a zero of 1/tau); tau cells stay empty there
-        from_anchor, steps = slide_kernels_along(reg, re, im, z0, scales)
+        try:
+            from_anchor, steps = slide_kernels_along(reg, re, im, z0, scales)
+        except SingularInputError as exc:
+            if exc.index is None:
+                raise UsageError(f"invalid z0: {exc}") from None
+            i = exc.index
+            raise TransmuteLabError(f"{exc}: z_re = {float(re[i])!r}, z_im = {float(im[i])!r} in row {i + 1}") from None
         inv = 1.0 / tau0 - kappa * from_anchor
         blank_inv = None
         at_pole = np.hypot(inv.real, inv.imag) < POLE_GUARD

@@ -1,25 +1,8 @@
-"""Independent brute-force verification layer.
-
-Everything here recomputes the model's closed forms by a different route:
-special functions from series/asymptotics (in ``transmute_lab.special``),
+"""Independent brute-force verification layer: each module recomputes the
+model's closed forms by a different route.  ``oracle.quadrature`` takes the
 spectral integrals by adaptive Gauss-Kronrod quadrature with explicit
-principal-value handling, and a genuine finite-range circular well solved by
-Bessel matching with no separable approximation anywhere.
+principal-value handling; ``oracle.well`` solves a genuine finite-range
+circular well by Bessel matching, with no separable approximation.  The
+package re-exports nothing: callers import the submodule they use, so the
+console path, which reaches only ``oracle.well``, never loads the quadrature.
 """
-
-from .quadrature import (  # noqa: F401
-    QuadratureSpec,
-    QuadratureResult,
-    integrate,
-    quadrature_resolvent,
-    quadrature_spectral_weight,
-    quadrature_decay_amplitude,
-    upper_half_residue,
-)
-from .well import (  # noqa: F401
-    WellParameters,
-    well_from_coupling,
-    well_bound_state,
-    well_phase_shift,
-    bound_energy_from_phase,
-)

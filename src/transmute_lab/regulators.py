@@ -273,17 +273,23 @@ def _gaussian_resolvent_array(length: float, kappa: float, re: np.ndarray, im: n
 def slide_kernels_along(reg: Regulator, re, im, z0, scales: PhysicalScales = NATURAL_UNITS):
     """Sliding kernels along a path of points z_i = re_i + i*im_i: the
     kernel G(z_i, z0) from the anchor to every point, and G(z_{i+1}, z_i)
-    between neighbours."""
+    between neighbours; SingularInputError carries the index of the first
+    singular point of the path, or None for the anchor."""
     re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     z0e = as_energy(z0)
     if isinstance(reg, PureDelta):
-        if z0e.is_zero or ((re == 0.0) & (im == 0.0)).any():
-            raise SingularInputError("sliding kernel is singular at z = 0")
+        zero = np.flatnonzero((re == 0.0) & (im == 0.0))
+        if z0e.is_zero or zero.size:
+            raise SingularInputError("sliding kernel is singular at z = 0", None if z0e.is_zero else int(zero[0]))
         scale = 4.0 * math.pi * scales.kinetic_constant
         return (complex_divide_array(principal_log_ratio_array(re, im, z0e.re, z0e.im), scale),
                 complex_divide_array(principal_log_ratio_array(re[1:], im[1:], re[:-1], im[:-1]), scale))
     # the anchor rides along as the last point; coincident regular points
     # cancel exactly, and singular ones raise from resolvent_array
-    g = resolvent_array(reg, np.append(re, z0e.re), np.append(im, z0e.im), scales)
+    try:
+        g = resolvent_array(reg, np.append(re, z0e.re), np.append(im, z0e.im), scales)
+    except SingularInputError as exc:
+        exc.index = None if exc.index == re.size else exc.index
+        raise
     g, g0 = g[:-1], g[-1]
     return g - g0, g[1:] - g[:-1]

@@ -3,15 +3,18 @@ sliding flow; bound-state poles; and the two limiting processes."""
 
 import math
 import random
+import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from transmute_lab.amplitude import (
     Amplitude,
     FlowPoint,
+    _decade_cutoff,
     amplitudes_over_cutoffs,
     amplitudes_over_cutoffs_array,
     bound_state_pole,
@@ -382,6 +385,21 @@ class TestTransmutation:
         assert cutoffs[299] == 1e-300 * 10.0**300
         assert cutoffs[-1] == pytest.approx(1e100, rel=1e-14)
         assert len(transmutation_schedule(1e-300, ComplexEnergy.continuum(2.0), 400)) == 400
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(e_b=st.floats(math.log(5e-324), math.log(sys.float_info.max)).map(math.exp).filter(lambda v: v > 0.0),
+           n=st.integers(309, 640))
+    @example(e_b=5e-324, n=631)
+    @example(e_b=1e-20, n=320)
+    @example(e_b=5e-324, n=632)
+    def test_cutoffs_beyond_ten_to_the_308_are_correctly_rounded(self, e_b, n):
+        # e_b log-uniform over the positive doubles: Lambda_n is the product
+        # e_b * 10^n rounded once, or inf where that overflows
+        try:
+            expected = float(Fraction(e_b) * 10**n)
+        except OverflowError:
+            expected = math.inf
+        assert _decade_cutoff(e_b, n) == expected
 
     @pytest.mark.parametrize("e_b, steps", [(1.0, 309), (1e10, 299), (5e-324, 633), (1.0, 10**15)])
     def test_overflowing_last_cutoff(self, e_b, steps):

@@ -192,6 +192,25 @@ class TestFlow:
         assert float(cell(rows[0], header, "re_tau")) == pytest.approx(2.5, rel=1e-15)
         assert float(cell(rows[0], header, "im_tau")) == pytest.approx(-0.5, rel=1e-15)
 
+    def test_cutoff_edge_names_its_row(self, tmp_path, capsys):
+        # the real ray meets the sharp cutoff edge at E = 1: a numerical
+        # failure naming the row
+        code, out = run_cli(["flow", "--regulator", "sharp-cutoff", "--lambda", "1", "--energy", "0.5:2:4"], tmp_path,
+                            config_text="z_phase = 0\n")
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.strip().splitlines()) == 1, err
+        assert "cutoff edge z = Lambda: z_re = 1.0, z_im = 0.0 in row 2" in err
+        assert not out.exists()
+
+    def test_anchor_on_the_cutoff_edge_is_a_usage_error(self, tmp_path, capsys):
+        # the anchor, unlike a row, is input: exit 2, naming z0
+        code, out = run_cli(["flow", "--regulator", "sharp-cutoff", "--lambda", "1", "--energy", "0.5:2:4"], tmp_path,
+                            config_text="z0_re = 1\nz0_im = 0\n")
+        err = capsys.readouterr().err
+        assert code == 2 and len(err.strip().splitlines()) == 1, err
+        assert "usage error: invalid z0: g(z) is singular at the cutoff edge z = Lambda" in err
+        assert not out.exists()
+
 
 class TestBind:
     def test_sharp_cutoff_closed_forms(self, tmp_path):

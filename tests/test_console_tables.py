@@ -1,9 +1,11 @@
-"""The tables of CI's console-script step, checked in tier-1: every JSON table
-is the bytes that json.dump writes for its own content, and every
-circular-well row of the deep bind binds, in both formats.  Each table comes
-from a fresh ``python -m transmute_lab.cli`` process, as the console script
-makes it, so the parser is built at its first main call.  Scale ratios out
-of range end such a process with one stderr line and no traceback."""
+"""The tables of CI's console-script step, checked in tier-1: every table,
+in both formats, is the same bytes on stdout and in its --out file; every
+JSON table is the bytes that json.dump writes for its own content; and every
+circular-well row of the deep bind binds.  Each table comes from a fresh
+``python -m transmute_lab.cli`` process, as the console script makes it, so
+the parser is built at its first main call, and such a process imports
+neither the quadrature oracle nor numpy.polynomial.  Scale ratios out of
+range end such a process with one stderr line and no traceback."""
 
 import csv
 import json
@@ -38,44 +40,63 @@ TABLES = {
     "scatter": ["scatter", "--energy", "1e-6:1e6:200,log"],
     "well": ["scatter", "--regulator", "circular-well", "--epsilon", "1", "--energy", "1e-3:1e3:50,log"],
 }
-RUNS = [(name, "json") for name in TABLES] + [("bind_deep", "csv")]
+FORMATS = ("csv", "json")
+# each table in each format, written to stdout and with --out
+RUNS = [(name, fmt, to_file) for name in TABLES for fmt in FORMATS for to_file in (False, True)]
+
+
+def fresh(argv, cwd):
+    """A fresh interpreter, which imports the same package copy as this test,
+    installed or not."""
+    src = os.path.dirname(os.path.dirname(transmute_lab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, cwd=cwd, env=env)
 
 
 def console(args, cwd):
-    """A fresh ``python -m transmute_lab.cli`` process, which imports the same
-    package copy as this test, installed or not."""
-    src = os.path.dirname(os.path.dirname(transmute_lab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "transmute_lab.cli", *args], capture_output=True, cwd=cwd, env=env)
+    """A fresh ``python -m transmute_lab.cli`` process."""
+    return fresh(["-m", "transmute_lab.cli", *args], cwd)
 
 
 @pytest.fixture(scope="module")
 def tables(tmp_path_factory):
-    """stdout of each run, from fresh processes two at a time; each must exit
-    0 with nothing on stderr."""
+    """The bytes of each run, from fresh processes two at a time; each must
+    exit 0 with nothing on stderr, and with nothing on stdout under --out."""
     work = tmp_path_factory.mktemp("console")
     (work / "phase.cfg").write_text("regulator = gaussian\nz_phase = 1.0\n", encoding="utf-8")
     (work / "steps.cfg").write_text("steps = 17\n", encoding="utf-8")
 
     def run(key):
-        name, fmt = key
-        proc = console([*TABLES[name], "--format", fmt], work)
+        name, fmt, to_file = key
+        out = work / f"{name}.{fmt}"
+        proc = console([*TABLES[name], "--format", fmt, *(["--out", out.name] if to_file else [])], work)
         assert (proc.returncode, proc.stderr) == (0, b""), (key, proc.stderr)
+        if to_file:
+            assert proc.stdout == b"", key
+            return out.read_bytes()
         return proc.stdout
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         return dict(zip(RUNS, pool.map(run, RUNS)))
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", TABLES)
+def test_stdout_is_the_out_file(tables, name, fmt):
+    # stdout goes through sys.stdout.buffer, --out through open(); the bytes
+    # are the same
+    assert tables[name, fmt, False] == tables[name, fmt, True]
+
+
 @pytest.mark.parametrize("name", TABLES)
 def test_json_table_is_the_bytes_json_dump_writes(tables, name):
-    data = tables[name, "json"]
+    data = tables[name, "json", False]
     assert (json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n").encode() == data
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fmt", FORMATS)
 def test_every_deep_well_binds(tables, fmt):
-    text = tables["bind_deep", fmt].decode("utf-8")
+    text = tables["bind_deep", fmt, False].decode("utf-8")
     if fmt == "csv":
         rows = list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
     else:
@@ -97,3 +118,13 @@ def test_scale_ratios_out_of_range(tmp_path, config, args, code):
     proc = console(["bind", *args, "--config", "scales.cfg"], tmp_path)
     err = proc.stderr.decode()
     assert proc.returncode == code and "Traceback" not in err and len(err.splitlines()) == 1, err
+
+
+def test_console_path_imports_only_what_it_runs(tmp_path):
+    # the quadrature oracle and numpy.polynomial serve only the tests; the
+    # console path imports neither (numpy before 2.0 imports the latter
+    # itself)
+    probe = ("import sys, numpy; loaded = set(sys.modules); import transmute_lab.cli; "
+             "print(sorted({'numpy.polynomial', 'transmute_lab.oracle.quadrature'} & set(sys.modules) - loaded))")
+    proc = fresh(["-c", probe], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")

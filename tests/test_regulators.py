@@ -25,6 +25,7 @@ from transmute_lab.regulators import (
     resolvent_derivative,
     resolvent_element,
     slide_kernel,
+    slide_kernels_along,
     spectral_weight,
 )
 from transmute_lab.tolerances import QUADRATURE_MATCH_RTOL, SPECIAL_FUNCTION_RTOL
@@ -315,6 +316,17 @@ class TestSlideKernel:
             )
             assert diff.real == pytest.approx(expected, abs=1e-5)
             assert abs(diff.imag) <= 1e-5
+
+    @pytest.mark.parametrize("reg, singular", [(SharpCutoff(2.0), (2.0, 0.0)), (PureDelta(), (0.0, 0.0))])
+    def test_singular_point_index(self, reg, singular):
+        # the first singular point of the path by its index; the anchor,
+        # which rides along as the last point, by index None
+        re, im = np.array([1.0, singular[0], singular[0]]), np.array([1.0, singular[1], singular[1]])
+        with pytest.raises(SingularInputError) as point:
+            slide_kernels_along(reg, re, im, ComplexEnergy(0.0, 1.0))
+        with pytest.raises(SingularInputError) as anchor:
+            slide_kernels_along(reg, re[:1], im[:1], ComplexEnergy(*singular))
+        assert (point.value.index, anchor.value.index) == (1, None)
 
 
 class TestNames:

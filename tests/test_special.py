@@ -19,6 +19,8 @@ from transmute_lab.special import (
     _EI_ZERO,
     _EI_ZERO_COLUMNS,
     _EI_ZERO_RADIUS,
+    _K_NODES,
+    _K_WEIGHTS,
     EULER_GAMMA,
     _columns,
     _composite_gauss,
@@ -446,7 +448,7 @@ def test_ei_zero_coefficients_add_left_to_right():
 
 
 # ----------------------------------------------------------------------
-# the Gauss rule of the Stieltjes integral
+# the Gauss rules of the Stieltjes and cylinder integrals
 # ----------------------------------------------------------------------
 
 def moment_errors(t, wt):
@@ -457,10 +459,18 @@ def moment_errors(t, wt):
             for k in range(2 * len(t))]
 
 
-@pytest.mark.parametrize("n", [24, 48])
+@pytest.mark.parametrize("n", [24, 48, 60])
 def test_gauss_legendre_moments(n):
     # numpy's leggauss(48) misses the t^2 moment by 5.5e-15
     assert max(moment_errors(*_gauss_legendre(n))) <= 6e-16
+
+
+def test_cylinder_rule_is_the_in_repo_generator():
+    # the J/Y/K rule: three panels of the 60-point rule of _gauss_legendre,
+    # e^{-u^2} folded into the weights, bit for bit
+    nodes, weights = _composite_gauss(((0.0, 1.5), (1.5, 4.0), (4.0, 9.0)), _gauss_legendre(60))
+    assert _K_NODES.tobytes() == nodes.tobytes()
+    assert _K_WEIGHTS.tobytes() == (weights * np.exp(-nodes**2)).tobytes()
 
 
 def test_stieltjes_panel_moments():
