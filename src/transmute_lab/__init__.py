@@ -57,7 +57,6 @@ from .regulators import (
     SharpCutoff,
     decay_amplitude,
     form_factor_squared,
-    regulator_from_name,
     resolvent_element,
     slide_kernel,
     spectral_weight,

@@ -11,17 +11,20 @@ Configuration is a flat key=value text file ('#' comments); command-line
 flags override file values.  Output is byte-deterministic across runs on one
 machine and numpy build: floats render at 17 significant digits, tables are
 evaluated in one thread, and no timestamps enter the data body.  Every
-command is evaluated as numpy columns by the library, and re-derives none
-of it: theorem and transmute take each schedule, checked, from one amplitude
-call, whose DomainError is a usage error, and scatter and bind their model
-dispatch from on_shell_amplitude_array and bound_states.  numpy's elementary
-functions may round apart from the C library's, within the 8-ulp budget of
-tests/test_array_forms.py.  Grids parse into float64 arrays, and every
-command declares each column of its table once, in numpy arrays that reach
-the renderer with no per-row Python: float cells with an optional blank
-mask, or (labels, codes), codes indexing a tuple of str or int labels.  A
-non-finite float cell that is not blank is a numerical failure naming its
-row and column.
+command is evaluated as numpy columns by the library: theorem and transmute
+take each schedule, checked, from one amplitude call, whose DomainError is a
+usage error, and scatter and bind their model dispatch from
+on_shell_amplitude_array and bound_states; only flow forms its running
+relation, pole mask and group defect itself.  numpy's elementary functions
+may round apart from the C library's, within the 8-ulp budget of
+tests/test_array_forms.py.  Numeric keys are read in a range by
+Options.get_number, regulator names map to models in _MODELS, and grids
+parse into float64 arrays.  Every command declares each column of its table
+once, in numpy arrays that reach the renderer with no per-row Python: float
+cells with an optional blank mask, or (labels, codes), codes indexing a
+tuple of str or int labels.  A non-finite float cell that is not blank, a
+row that fails a command's check (_row_failure names it) and a non-finite
+footer value are numerical failures.
 Exit codes: 0 success, 1 numerical failure (partial output suppressed),
 2 usage or configuration error.
 """
@@ -49,7 +52,7 @@ from .amplitude import (
 from .energy_plane import ComplexEnergy, PhysicalScales, complex_divide_array, libm, log_ratio_array
 from .errors import DomainError, SingularInputError, TransmuteLabError
 from .observables import continuum_observables_array
-from .regulators import REGULATOR_NAMES, regulator_from_name, slide_kernels_along
+from .regulators import GaussianFormFactor, PureDelta, SharpCutoff, slide_kernels_along
 from .tolerances import (
     FLOW_GROUP_RTOL,
     POLE_GUARD,
@@ -125,11 +128,16 @@ def _parse_grid(text: str) -> np.ndarray:
         raise UsageError(f"grid {text!r} has too many points to hold in memory") from None
     # the ends are lo and hi themselves: 10^log10(hi) may overflow.  Inner
     # points take the IEEE operations of lo + (hi - lo) * i / (n - 1), or of
-    # base-10 exponents (exact decades) and libm pow, not np.power
+    # base-10 exponents (exact decades) and libm pow, not np.power; where a
+    # pow overflows, the points at log10(hi) or above are hi, whose exact
+    # values lie in [lo, hi]
     if spacing == "log":
         la, lb = math.log10(lo), math.log10(hi)
-        inner = np.fromiter(map(math.pow, itertools.repeat(10.0), (la + (lb - la) * i / (n - 1)).tolist()),
-                            np.float64, n - 2)
+        exponents = (la + (lb - la) * i / (n - 1)).tolist()
+        try:
+            inner = np.fromiter(map(math.pow, itertools.repeat(10.0), exponents), np.float64, n - 2)
+        except OverflowError:
+            inner = np.array([math.pow(10.0, e) if e < lb else hi for e in exponents])
     else:
         inner = lo + (hi - lo) * i / (n - 1)
     pts[0], pts[1:-1], pts[-1] = lo, inner, hi
@@ -157,6 +165,13 @@ def _parse_tol_overrides(pairs: list[str]) -> dict[str, float]:
     return out
 
 
+# the ranges of numeric keys, as (test, name) pairs for Options.get_number
+FINITE = (math.isfinite, "finite")
+POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
+NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "non-negative and finite")
+PHASE = (lambda v: 0.0 <= v <= math.pi, "in [0, pi]")
+
+
 class Options:
     """Effective configuration: file values overridden by flags, with typed
     accessors that raise UsageError on malformed input."""
@@ -169,15 +184,18 @@ class Options:
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.values.get(key, default)
 
-    def get_number(self, key: str, default, parse=float, kind: str = "a number"):
-        """The value of a key by parse (float, or int), or default if unset."""
+    def get_number(self, key: str, default, within=None, parse=float, kind: str = "a number"):
+        """The value of a key by parse (float, or int), or default if unset.
+        within is the range of the value, a (test, name) pair such as
+        POSITIVE, or None where a library constructor checks it."""
         raw = self.values.get(key)
-        if raw is None:
-            return default
         try:
-            return parse(raw)
+            value = default if raw is None else parse(raw)
         except ValueError:
             raise UsageError(f"configuration key {key!r} expects {kind}, got {raw!r}") from None
+        if within is not None and not within[0](value):
+            raise UsageError(f"{key} must be {within[1]}, got {value!r}")
+        return value
 
     def get_grid(self, key: str, default: str) -> np.ndarray:
         return _parse_grid(self.values.get(key, default))
@@ -266,20 +284,25 @@ class Table:
         stream.write(b"\n  ]\n}\n")
 
 
-def _table(command: str, description: str, opts: Options, columns: list[tuple]) -> Table:
+def _row_failure(checks) -> TransmuteLabError | None:
+    """The numerical failure of the first check, in order, that marks a row,
+    or None.  A check is a (message, mask) pair: the failure reads
+    message(i), which names row i (from 0), for the first row i of mask."""
+    for message, mask in checks:
+        if mask.any():
+            return TransmuteLabError(message(int(np.argmax(mask))))
+
+
+def _table(command: str, description: str, opts: Options, columns: list[tuple], checks=()) -> Table:
     """The table of a command, with the effective configuration and the
     row count in its footer, to which the command adds its own entries.
-    Every float cell that is not blank must be finite; the first column
-    that holds a non-finite one makes the table a numerical failure naming
-    its row."""
-    for name, _, cells, *blank in columns:
-        if isinstance(cells, np.ndarray):
-            bad = ~np.isfinite(cells)
-            if blank and blank[0] is not None:
-                bad &= ~blank[0]
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise TransmuteLabError(f"non-finite {name} = {float(cells[i])!r} in row {i + 1}")
+    Every float cell that is not blank must be finite, and then no row may
+    fail the command's checks: the first failure is a numerical failure."""
+    cells = [(lambda i, name=name, cells=cells: f"non-finite {name} = {float(cells[i])!r} in row {i + 1}",
+              ~(np.isfinite(cells) | (blank[0] if blank and blank[0] is not None else False)))
+             for name, _, cells, *blank in columns if isinstance(cells, np.ndarray)]
+    if failure := _row_failure(itertools.chain(cells, checks)):
+        raise failure
     return Table(command, description, opts.effective(), columns, {"rows": row_count(columns)})
 
 
@@ -296,6 +319,9 @@ def _emit(table: Table, opts: Options) -> None:
     fmt = opts.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown output format {fmt!r}")
+    for key, value in table.footer.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise TransmuteLabError(f"non-finite footer {key} = {value!r}")
     chunks = _Chunks()
     if fmt == "csv":
         table.write_csv(chunks)
@@ -360,63 +386,51 @@ def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return slope, my - slope * mx
 
 
-def _positive(opts: Options, key: str, squared: bool = False) -> float:
-    """A scalar key that must be positive and finite; a length is squared by
-    the model, so its square must not underflow or overflow either."""
-    value = opts.get_number(key, 1.0)
-    if not 0.0 < value < math.inf:
-        raise UsageError(f"{key} must be positive and finite, got {value!r}")
-    if squared and not sys.float_info.min <= value * value < math.inf:
-        raise UsageError(f"{key} = {value!r} is out of range: its square underflows or overflows")
-    return value
+# the model of each name, from the scale keys (lambda, a): a separable
+# regulator, or the radius a of the oracle's circular well
+_MODELS = {
+    "pure-delta": lambda lam, a: PureDelta(),
+    "sharp-cutoff": lambda lam, a: SharpCutoff(lam),
+    "gaussian": lambda lam, a: GaussianFormFactor(a),
+    "circular-well": lambda lam, a: a,
+}
 
 
-def _model(name: str, opts: Options, scales: PhysicalScales, well: bool = False):
-    """The model that a regulator name and its scale keys select: a separable
-    regulator, or for circular-well, where ``well`` admits it (bind,
-    scatter), the radius a of the oracle's well.  flow admits only the
-    separable regulators."""
-    lam, length = _positive(opts, "lambda"), _positive(opts, "a", squared=True)
+def _model(name: str, opts: Options, scales: PhysicalScales, names=tuple(_MODELS)):
+    """The model of a name among the names a command admits (flow: the
+    separable regulators), built from lambda and a.  The model squares a,
+    so its square must not underflow or overflow either."""
+    lam, length = opts.get_number("lambda", 1.0, POSITIVE), opts.get_number("a", 1.0, POSITIVE)
+    if not sys.float_info.min <= length * length < math.inf:
+        raise UsageError(f"a = {length!r} is out of range: its square underflows or overflows")
     if name in ("gaussian", "circular-well"):
         # the model divides kinetic_constant by a^2 and a^2 by kinetic_constant
         kappa, a2 = scales.kinetic_constant, length * length
         if not (0.0 < kappa / a2 < math.inf and 0.0 < a2 / kappa < math.inf):
             raise UsageError(f"kinetic_constant = {kappa!r} and a = {length!r} are out of range: "
                              "kinetic_constant/a^2 or a^2/kinetic_constant underflows or overflows")
-    if name == "circular-well" and well:
-        return length
-    if name not in REGULATOR_NAMES:
-        names = REGULATOR_NAMES + ("circular-well",) if well else REGULATOR_NAMES
+    if name not in names:
         raise UsageError(f"regulator must be one of {', '.join(names)}; got {name!r}")
-    return regulator_from_name(name, cutoff=lam, length=length)
-
-
-def _finite(opts: Options, key: str, default: float) -> float:
-    value = opts.get_number(key, default)
-    if not math.isfinite(value):
-        raise UsageError(f"{key} must be finite, got {value!r}")
-    return value
+    return _MODELS[name](lam, length)
 
 
 def _config_energy(opts: Options, key: str, re: float, im: float) -> ComplexEnergy:
     """The energy point of the keys key_re and key_im."""
     try:
-        return ComplexEnergy(_finite(opts, f"{key}_re", re), _finite(opts, f"{key}_im", im))
+        return ComplexEnergy(opts.get_number(f"{key}_re", re, FINITE), opts.get_number(f"{key}_im", im, FINITE))
     except DomainError as exc:
         raise UsageError(f"invalid {key}: {exc}") from None
 
 
 def _ray(m: np.ndarray, phase: float) -> tuple[np.ndarray, np.ndarray]:
-    """Re and Im of the points at magnitudes m on the ray of this phase;
-    the axis phases are exact."""
+    """Re and Im of the points at magnitudes m on the ray of a phase in
+    [0, pi]; the axis phases are exact."""
     if phase == 0.0:
         return m, np.zeros_like(m)
     if phase == 0.5 * math.pi:
         return np.zeros_like(m), m
     if phase == math.pi:
         return -m, np.zeros_like(m)
-    if not (0.0 < phase < math.pi):
-        raise UsageError(f"ray phase must lie in [0, pi], got {phase}")
     return m * math.cos(phase), m * math.sin(phase)
 
 
@@ -432,9 +446,9 @@ def cmd_flow(opts: Options) -> Table:
     z0 = _config_energy(opts, "z0", 0.0, 1.0)
     if z0.is_zero:
         raise UsageError("flow anchor z0 must be nonzero")
-    tau0 = complex(_finite(opts, "tau0_re", FOUR_PI), _finite(opts, "tau0_im", 0.0))
-    reg = _model(opts.get("regulator", "pure-delta"), opts, scales)
-    phase = opts.get_number("z_phase", 0.5 * math.pi)
+    tau0 = complex(opts.get_number("tau0_re", FOUR_PI, FINITE), opts.get_number("tau0_im", 0.0, FINITE))
+    reg = _model(opts.get("regulator", "pure-delta"), opts, scales, ("pure-delta", "sharp-cutoff", "gaussian"))
+    phase = opts.get_number("z_phase", 0.5 * math.pi, PHASE)
     re, im = _ray(opts.get_grid("energy", "1:2980.9579870417283:9,log"), phase)
     kappa = scales.kinetic_constant
     if tau0 == 0:
@@ -449,8 +463,8 @@ def cmd_flow(opts: Options) -> Table:
         except SingularInputError as exc:
             if exc.index is None:
                 raise UsageError(f"invalid z0: {exc}") from None
-            i = exc.index
-            raise TransmuteLabError(f"{exc}: z_re = {float(re[i])!r}, z_im = {float(im[i])!r} in row {i + 1}") from None
+            raise _row_failure([(lambda i: f"{exc}: z_re = {float(re[i])!r}, z_im = {float(im[i])!r} in row {i + 1}",
+                                 np.arange(re.size) == exc.index)]) from None
         inv = 1.0 / tau0 - kappa * from_anchor
         blank_inv = None
         at_pole = np.hypot(inv.real, inv.imag) < POLE_GUARD
@@ -463,20 +477,28 @@ def cmd_flow(opts: Options) -> Table:
         ("re_tau", "Re tau(z) = Re[ tau0 / (1 - tau0 * kappa * (g(z)-g(z0))) ]", tau.real, at_pole),
         ("im_tau", "Im tau(z)", tau.imag, at_pole),
     ]
-    table = _table("flow", "sliding-scale running of the amplitude from a fixed anchor", opts, columns)
-    # group property row-to-row: re-anchoring 1/tau at row i must reproduce
-    # row i+1 through the kernel between consecutive points
-    max_defect = 0.0
-    if tau0 != 0 and steps.size:
-        defect = inv[1:] - (inv[:-1] - kappa * steps)
-        max_defect = float(np.max(np.hypot(defect.real, defect.imag)))
-    defect_tol = opts.get_number("flow_defect_tol", FLOW_GROUP_RTOL)
-    if not max_defect <= defect_tol:
-        raise TransmuteLabError(
-            f"flow composition defect {max_defect:.3e} exceeds {defect_tol:.1e}"
-        )
-    table.footer["max_flow_defect"] = max_defect
+    # group property row to row: re-anchoring 1/tau at row i - 1 must
+    # reproduce row i through the kernel between consecutive points
+    defect = np.zeros(re.size)
+    if tau0 != 0:
+        step = inv[1:] - (inv[:-1] - kappa * steps)
+        defect[1:] = np.hypot(step.real, step.imag)
+    defect_tol = opts.get_number("flow_defect_tol", FLOW_GROUP_RTOL, NON_NEGATIVE)
+    checks = [(lambda i: f"flow composition defect {defect[i]:.3e} exceeds {defect_tol:.1e} in row {i + 1}",
+               ~(defect <= defect_tol))]
+    table = _table("flow", "sliding-scale running of the amplitude from a fixed anchor", opts, columns, checks)
+    table.footer["max_flow_defect"] = float(np.max(defect))
     return table
+
+
+def _put_exp(footer: dict, key: str, ln_value: float, value: float | None = None) -> None:
+    """The footer entry key = value, by default e^ln_value, or ln_<key> =
+    ln_value where value overflows."""
+    try:
+        value = math.exp(ln_value) if value is None else value
+    except OverflowError:
+        value = math.inf
+    footer.update({key: value} if value < math.inf else {f"ln_{key}": ln_value})
 
 
 def cmd_bind(opts: Options) -> Table:
@@ -492,7 +514,7 @@ def cmd_bind(opts: Options) -> Table:
         raise UsageError(f"bind lists regulator {repeated[0]!r} twice")
     solvers, closed_forms, unbound = [], [], []
     for name in names:
-        energy, none, nominal = bound_states(eps, _model(name, opts, scales, well=True), scales)
+        energy, none, nominal = bound_states(eps, _model(name, opts, scales), scales)
         solvers.append(energy)
         closed_forms.append(np.where(none, math.nan, nominal * libm(math.exp, -FOUR_PI / eps)))
         unbound.append(none)
@@ -509,21 +531,21 @@ def cmd_bind(opts: Options) -> Table:
     # root into the footer
     table = _table("bind", "bound-state energy: ln E_B runs linearly in -4 pi/eps with a regulator-dependent prefactor",
                    opts, columns)
-    fits: dict[str, tuple[float, float]] = {}
-    for name, energy, none in zip(names, solvers, unbound):
-        if (~none).sum() >= 2:
-            slope, intercept = _fit_line(-FOUR_PI / eps[~none], libm(math.log, energy[~none]))
-            fits[name] = (slope, math.exp(intercept))
-    footer = table.footer
-    for name, (slope, lam_eff) in fits.items():
-        tag = name.replace("-", "_")
-        footer[f"fit_slope_{tag}"] = slope
-        footer[f"lambda_eff_{tag}"] = lam_eff
+    # each intercept is ln Lambda_eff, and the prefactor the quotient of two
+    # Lambda_eff, or e^(difference of intercepts) where one overflows
+    fits = {name: _fit_line(-FOUR_PI / eps[~none], libm(math.log, energy[~none]))
+            for name, energy, none in zip(names, solvers, unbound) if (~none).sum() >= 2}
+    footer, tags = table.footer, {name: name.replace("-", "_") for name in fits}
+    for name, (slope, intercept) in fits.items():
+        footer[f"fit_slope_{tags[name]}"] = slope
+        _put_exp(footer, f"lambda_eff_{tags[name]}", intercept)
     if "sharp-cutoff" in fits:
-        base = fits["sharp-cutoff"][1]
-        for name, (_, lam_eff) in fits.items():
+        base = footer.get("lambda_eff_sharp_cutoff")
+        for name, (_, intercept) in fits.items():
             if name != "sharp-cutoff":
-                footer[f"prefactor_vs_sharp_cutoff_{name.replace('-', '_')}"] = lam_eff / base
+                lam_eff = footer.get(f"lambda_eff_{tags[name]}")
+                _put_exp(footer, f"prefactor_vs_sharp_cutoff_{tags[name]}", intercept - fits["sharp-cutoff"][1],
+                         lam_eff / base if lam_eff is not None and base else None)
     return table
 
 
@@ -553,31 +575,30 @@ def cmd_theorem(opts: Options) -> Table:
         ("envelope_bound", "rigorous bound 4 pi / (ln((Lambda-|z|)/|z|) - 4 pi/eps) beyond the peak",
          envelope, vacuous),
     ]
-    table = _table("theorem", "cutoff removal at fixed coupling: the amplitude of the unregulated model is zero", opts,
-                   columns)
     # the peak |z| e^{4 pi/eps} overflows for eps below about 0.0177 at
-    # |z| = 1: decide in ln Lambda, and report ln Lambda where it overflows
+    # |z| = 1: decide in ln Lambda, and report ln Lambda where it overflows.
+    # The rows beyond it, a suffix of the increasing schedule, must fall
     ln_peak = math.log(magnitude) + FOUR_PI / eps
     beyond = np.log(schedule) > ln_peak
-    tail = abs_tau[beyond]
-    monotone = bool(np.all(tail[1:] < tail[:-1]))
-    envelope_ok = bool(np.all(vacuous | (abs_tau <= envelope * (1.0 + THEOREM_ENVELOPE_RTOL))))
+    rises = np.append(False, beyond[:-1] & ~(abs_tau[1:] < abs_tau[:-1]))
+    outside = ~(vacuous | (abs_tau <= envelope * (1.0 + THEOREM_ENVELOPE_RTOL)))
+    checks = [
+        (lambda i: f"|tau_Lambda| failed to decrease monotonically beyond the peak: abs_tau = {float(abs_tau[i])!r} "
+                   f"after {float(abs_tau[i - 1])!r} in row {i + 1}", rises),
+        (lambda i: f"|tau_Lambda| violated its rigorous envelope: abs_tau = {float(abs_tau[i])!r} exceeds "
+                   f"envelope_bound = {float(envelope[i])!r} in row {i + 1}", outside),
+    ]
+    table = _table("theorem", "cutoff removal at fixed coupling: the amplitude of the unregulated model is zero", opts,
+                   columns, checks)
     footer = table.footer
-    footer["monotone_beyond_peak"] = monotone
-    footer["envelope_respected"] = envelope_ok
+    footer.update(monotone_beyond_peak=True, envelope_respected=True)
     peak = magnitude * math.exp(FOUR_PI / eps) if FOUR_PI / eps < _LN_FLOAT_MAX else math.inf
-    if math.isfinite(peak):
-        footer["peak_lambda"] = peak
-    else:
-        footer["ln_peak_lambda"] = ln_peak
+    _put_exp(footer, "peak_lambda", ln_peak, peak)
+    tail = abs_tau[beyond]
     if tail.size >= 2:
         slope, _ = _fit_line(np.log(schedule[beyond]), 1.0 / tail)
         footer["fit_slope_beyond_peak"] = slope
         footer["fit_slope_target"] = 1.0 / FOUR_PI
-    if not monotone:
-        raise TransmuteLabError("|tau_Lambda| failed to decrease monotonically beyond the peak")
-    if not envelope_ok:
-        raise TransmuteLabError("|tau_Lambda| violated its rigorous envelope")
     return table
 
 
@@ -586,9 +607,9 @@ def cmd_transmute(opts: Options) -> Table:
     the coupling to zero along Lambda_n = E_B 10^n, eps_n = 4 pi/ln(Lambda_n/E_B);
     the regulated amplitude converges to 4 pi / ln(-E_B/z) one decade per step."""
     scales = _scales(opts)
-    e_b = _positive(opts, "e_b")
+    e_b = opts.get_number("e_b", 1.0, POSITIVE)
     z = _config_energy(opts, "z", 2.0, 0.0)
-    steps = opts.get_number("steps", 10, int, "an integer")
+    steps = opts.get_number("steps", 10, parse=int, kind="an integer")
     n, cutoffs, couplings, tau, deviations, target = _checked(transmutation_schedule_array, e_b, z, steps, scales)
     columns = [
         ("n", "step index; Lambda_n = e_b * 10^n", (tuple(n.tolist()), np.arange(n.size))),
@@ -598,13 +619,11 @@ def cmd_transmute(opts: Options) -> Table:
         ("im_tau", "Im tau_{eps_n, Lambda_n}(z)", tau.imag),
         ("deviation_from_closed_form", "|tau_n(z) - 4 pi / ln(-e_b/z)|", deviations),
     ]
-    table = _table("transmute", "renormalization limiting process at fixed bound-state energy", opts, columns)
-    falls = deviations[1:] < deviations[:-1]
-    table.footer.update(closed_form_re=target.real, closed_form_im=target.imag, monotone_deviation=bool(falls.all()))
-    if not falls.all():
-        i = int(np.argmin(falls)) + 1
-        raise TransmuteLabError(f"transmutation deviations failed to decrease monotonically at step n = {i + 1}: "
-                                f"{float(deviations[i])!r} after {float(deviations[i - 1])!r}")
+    stalls = np.append(False, ~(deviations[1:] < deviations[:-1]))
+    checks = [(lambda i: f"transmutation deviations failed to decrease monotonically at step n = {int(n[i])}: "
+                         f"{float(deviations[i])!r} after {float(deviations[i - 1])!r}", stalls)]
+    table = _table("transmute", "renormalization limiting process at fixed bound-state energy", opts, columns, checks)
+    table.footer.update(closed_form_re=target.real, closed_form_im=target.imag, monotone_deviation=True)
     return table
 
 
@@ -618,15 +637,16 @@ def cmd_scatter(opts: Options) -> Table:
         opts.values.pop("model", None)
     name = opts.get("model") or opts.get("regulator") or "renormalized"
     energies = opts.get_grid("energy", "1e-3:1e3:13,log")
-    unitarity_tol = opts.get_number("unitarity_defect_tol", UNITARITY_DEFECT_TOL)
+    unitarity_tol = opts.get_number("unitarity_defect_tol", UNITARITY_DEFECT_TOL, NON_NEGATIVE)
     if name == "renormalized":
-        tau = renormalized_amplitude_array(_positive(opts, "e_b"), energies)
+        tau = renormalized_amplitude_array(opts.get_number("e_b", 1.0, POSITIVE), energies)
     else:
-        eps, model = _positive(opts, "epsilon"), _model(name, opts, scales, well=True)
+        eps, model = opts.get_number("epsilon", 1.0, POSITIVE), _model(name, opts, scales)
         try:
             tau = on_shell_amplitude_array(eps, model, energies, scales)
         except SingularInputError as exc:
-            raise TransmuteLabError(f"{exc}: E = {float(energies[exc.index])!r} in row {exc.index + 1}") from None
+            raise _row_failure([(lambda i: f"{exc}: E = {float(energies[i])!r} in row {i + 1}",
+                                 np.arange(energies.size) == exc.index)]) from None
     obs = continuum_observables_array(tau, energies, scales, unitarity_tol)
     violation = obs["violation"]
     columns = [
@@ -641,14 +661,12 @@ def cmd_scatter(opts: Options) -> Table:
         ("unitarity_defect", "2 pi |f|^2 - sqrt(8 pi/k) Im f; zero for elastic unitary rows", obs["optical_defect"]),
         ("status", "OK or UNITARITY_VIOLATION", (("OK", "UNITARITY_VIOLATION"), violation)),
     ]
-    table = _table("scatter", f"continuum observables for the {name} model", opts, columns)
     # the two target-length routes must agree row by row
     l_optical, l_from_tau = obs["L_optical"], obs["L_from_im_tau"]
     disagree = np.abs(l_optical - l_from_tau) > ROUTE_AGREEMENT_RTOL * np.maximum(np.abs(l_from_tau), 1e-300)
-    if disagree.any():
-        i = int(np.argmax(disagree))
-        raise TransmuteLabError(f"target-length routes disagree at E = {float(energies[i])!r}: "
-                                f"{float(l_optical[i])!r} vs {float(l_from_tau[i])!r}")
+    checks = [(lambda i: f"target-length routes disagree at E = {float(energies[i])!r}: "
+                         f"{float(l_optical[i])!r} vs {float(l_from_tau[i])!r} in row {i + 1}", disagree)]
+    table = _table("scatter", f"continuum observables for the {name} model", opts, columns, checks)
     table.footer.update(unitarity_violations=int(violation.sum()), unitarity_defect_tol=unitarity_tol)
     return table
 

@@ -70,8 +70,6 @@ __all__ = [
     "SharpCutoff",
     "GaussianFormFactor",
     "Regulator",
-    "REGULATOR_NAMES",
-    "regulator_from_name",
     "form_factor_squared",
     "spectral_weight",
     "decay_amplitude",
@@ -110,23 +108,6 @@ class GaussianFormFactor:
 
 
 Regulator = Union[PureDelta, SharpCutoff, GaussianFormFactor]
-
-REGULATOR_NAMES = ("pure-delta", "sharp-cutoff", "gaussian")
-
-
-def regulator_from_name(name: str, cutoff: float | None = None, length: float | None = None) -> Regulator:
-    """Build a regulator from its CLI name and the relevant scale parameter."""
-    if name == "pure-delta":
-        return PureDelta()
-    if name == "sharp-cutoff":
-        if cutoff is None:
-            raise DomainError("sharp-cutoff requires a cutoff energy")
-        return SharpCutoff(cutoff)
-    if name == "gaussian":
-        if length is None:
-            raise DomainError("gaussian requires a smearing length")
-        return GaussianFormFactor(length)
-    raise DomainError(f"unknown regulator {name!r}; expected one of {REGULATOR_NAMES}")
 
 
 def form_factor_squared(reg: Regulator, k: float, scales: PhysicalScales = NATURAL_UNITS) -> float:

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import transmute_lab
 from transmute_lab import amplitude, cli, render, special
@@ -28,6 +28,7 @@ from transmute_lab.regulators import GaussianFormFactor, PureDelta, SharpCutoff
 from transmute_lab.tolerances import FLOW_GROUP_RTOL, ROUTE_AGREEMENT_RTOL, UNITARITY_DEFECT_TOL
 
 FOUR_PI = 4.0 * math.pi
+MAX = repr(sys.float_info.max)
 
 
 def run_cli(args, tmp_path, name="out.csv", config_text=None, env_threads=None):
@@ -70,6 +71,13 @@ def parse_csv(path):
 def cell(row, header, name):
     value = row[header.index(name)]
     return None if value == "" else value
+
+
+def read_footer(out, fmt):
+    """The footer of a table file as JSON values, in either format."""
+    if fmt == "json":
+        return json.loads(out.read_text(encoding="utf-8"))["footer"]
+    return {k: json.loads(v) for k, v in parse_csv(out)[2].items()}
 
 
 @pytest.mark.parametrize("lo, hi, n", [(1e-6, 1e6, 5000), (2.5, 3.7e300, 777), (1e-300, 1e-299, 2), (1e3, 1e-3, 13),
@@ -202,6 +210,23 @@ class TestFlow:
         assert "cutoff edge z = Lambda: z_re = 1.0, z_im = 0.0 in row 2" in err
         assert not out.exists()
 
+    def test_composition_defect_names_its_row(self, tmp_path, capsys, monkeypatch):
+        # a kernel step off by 1e-3 between rows 3 and 4: re-anchoring row 3
+        # misses row 4 by that much
+        slide = cli.slide_kernels_along
+
+        def off(*args):
+            from_anchor, steps = slide(*args)
+            steps[2] += 1e-3
+            return from_anchor, steps
+
+        monkeypatch.setattr(cli, "slide_kernels_along", off)
+        code, out = run_cli(["flow"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.strip().splitlines()) == 1, err
+        assert err.endswith(f": flow composition defect 1.000e-03 exceeds {FLOW_GROUP_RTOL:.1e} in row 4\n"), err
+        assert not out.exists()
+
     def test_anchor_on_the_cutoff_edge_is_a_usage_error(self, tmp_path, capsys):
         # the anchor, unlike a row, is input: exit 2, naming z0
         code, out = run_cli(["flow", "--regulator", "sharp-cutoff", "--lambda", "1", "--energy", "0.5:2:4"], tmp_path,
@@ -277,6 +302,32 @@ class TestBind:
                    well_module.well_bound_state, well_module.well_depths, log_bracket_root)
         assert [name for name, value in vars(cli).items() if any(value is f for f in solvers)] == []
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_lambda_eff_reported_in_log_space(self, tmp_path, fmt):
+        # at the largest cutoff e^intercept overflows: the footer carries
+        # ln_lambda_eff, and the prefactor against it stays finite
+        code, out = run_cli(["bind", "--regulator", "sharp-cutoff,gaussian", "--lambda", MAX, "--epsilon", "1:4:3,log",
+                             "--format", fmt], tmp_path, f"out.{fmt}")
+        assert code == 0
+        footer = read_footer(out, fmt)
+        assert "lambda_eff_sharp_cutoff" not in footer
+        ln_sharp = footer["ln_lambda_eff_sharp_cutoff"]
+        assert ln_sharp > math.log(sys.float_info.max)
+        ratio = math.exp(math.log(footer["lambda_eff_gaussian"]) - ln_sharp)
+        assert footer["prefactor_vs_sharp_cutoff_gaussian"] == pytest.approx(ratio, rel=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_prefactor_reported_in_log_space(self, tmp_path, fmt):
+        # Lambda_eff of 6e299 over 1e-300 overflows: the footer carries the
+        # log of the prefactor, where CSV wrote inf and JSON raised
+        code, out = run_cli(["bind", "--regulator", "gaussian,sharp-cutoff", "--lambda", "1e-300",
+                             "--epsilon", "1:4:3,log", "--format", fmt], tmp_path, f"out.{fmt}", config_text="a = 1e-150\n")
+        assert code == 0
+        footer = read_footer(out, fmt)
+        assert "prefactor_vs_sharp_cutoff_gaussian" not in footer
+        ln_ratio = math.log(footer["lambda_eff_gaussian"]) - math.log(footer["lambda_eff_sharp_cutoff"])
+        assert footer["ln_prefactor_vs_sharp_cutoff_gaussian"] == pytest.approx(ln_ratio, rel=1e-12)
+
     def test_repeated_regulator_is_usage_error(self, tmp_path, capsys):
         # a second fit of one name would overwrite the first in the footer
         code, out = run_cli(["bind", "--regulator", "gaussian,sharp-cutoff,gaussian"], tmp_path)
@@ -298,6 +349,41 @@ class TestTheorem:
         mags = [float(cell(r, header, "abs_tau")) for r in rows]
         beyond = [m for lam, m in zip(lams, mags) if lam > peak]
         assert all(b < a for a, b in zip(beyond, beyond[1:]))
+
+    def test_rise_beyond_the_peak_names_its_row(self, tmp_path, capsys, monkeypatch):
+        # rows 3 to 6 lie beyond the peak at e^{4 pi}; row 5 made to rise
+        amplitudes = cli.amplitudes_over_cutoffs_array
+
+        def rising(*args):
+            tau = amplitudes(*args)
+            tau[4] *= 10.0
+            return tau
+
+        monkeypatch.setattr(cli, "amplitudes_over_cutoffs_array", rising)
+        code, out = run_cli(["theorem"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.strip().splitlines()) == 1, err
+        tau = amplitudes(1.0, cli.ComplexEnergy(0.0, 1.0), np.array([1e8, 1e10])) * np.array([1.0, 10.0])
+        before, after = np.hypot(tau.real, tau.imag).tolist()
+        assert err.endswith(f"beyond the peak: abs_tau = {after!r} after {before!r} in row 5\n"), err
+        assert not out.exists()
+
+    def test_envelope_violation_names_its_row(self, tmp_path, capsys, monkeypatch):
+        envelope = cli.cutoff_envelope_array
+
+        def halved(*args):
+            bound = envelope(*args)
+            bound[5] *= 0.5
+            return bound
+
+        monkeypatch.setattr(cli, "cutoff_envelope_array", halved)
+        code, out = run_cli(["theorem"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.strip().splitlines()) == 1, err
+        bound = float(envelope(1.0, 1.0, np.array([1e12]))[0]) * 0.5
+        assert "violated its rigorous envelope: abs_tau = " in err
+        assert err.endswith(f" exceeds envelope_bound = {bound!r} in row 6\n"), err
+        assert not out.exists()
 
     def test_cutoff_below_z_rejected(self, tmp_path):
         code, _ = run_cli(["theorem", "--lambda", "0.5"], tmp_path)
@@ -485,6 +571,22 @@ class TestScatter:
                 vr = float(cell(row_r, header_r, name))
                 assert abs(vw - vr) <= 0.03 * max(abs(vr), 1e-300), name
 
+    def test_route_disagreement_names_its_row(self, tmp_path, capsys, monkeypatch):
+        observables = cli.continuum_observables_array
+
+        def doubled(*args):
+            obs = observables(*args)
+            obs["L_optical"][7] *= 2.0
+            return obs
+
+        monkeypatch.setattr(cli, "continuum_observables_array", doubled)
+        code, out = run_cli(["scatter"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.strip().splitlines()) == 1, err
+        energy = float(cli._parse_grid("1e-3:1e3:13,log")[7])
+        assert f"target-length routes disagree at E = {energy!r}: " in err and err.endswith(" in row 8\n"), err
+        assert not out.exists()
+
     def test_cutoff_edge_names_its_row(self, tmp_path, capsys):
         code, out = run_cli(["scatter", "--regulator", "sharp-cutoff", "--epsilon", "1", "--energy", "0.5:1.5:3"],
                             tmp_path)
@@ -628,6 +730,28 @@ class TestTolOverride:
         assert code == 0
         header, rows, _ = parse_csv(out)
         assert any(cell(r, header, "status") == "UNITARITY_VIOLATION" for r in rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command, name", [("scatter", "unitarity_defect_tol"), ("flow", "flow_defect_tol")])
+    def test_tolerance_out_of_range_is_usage_error(self, tmp_path, capsys, command, name, value, where, fmt):
+        # a tolerance must be non-negative and finite: nan and inf reached
+        # the JSON footer as a traceback, and -1 flagged every scatter row
+        # and failed every flow as a numerical failure
+        args, config = [command, "--format", fmt], f"{name} = {value}\n"
+        if where == "flag":
+            args, config = args + ["--tol-override", f"{name}={value}"], None
+        code, out = run_cli(args, tmp_path, f"out.{fmt}", config_text=config)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"transmute-lab: usage error: {name} must be non-negative and finite, got {float(value)!r}\n"
+        assert not out.exists()
+
+    def test_zero_tolerance_is_accepted(self, tmp_path):
+        code, out = run_cli(["scatter", "--tol-override", "unitarity_defect_tol=0"], tmp_path)
+        assert code == 0
+        assert float(parse_csv(out)[2]["unitarity_defect_tol"]) == 0.0
 
     def test_malformed_override_is_usage_error(self, tmp_path):
         code, _ = run_cli(["scatter", "--tol-override", "nonsense"], tmp_path)
@@ -1361,6 +1485,31 @@ class TestBoundaryErrors:
         _, rows, _ = parse_csv(out)
         assert float(rows[-1][0]) == sys.float_info.max
 
+    @pytest.mark.parametrize("args", [["scatter", "--energy", f"{MAX}:{MAX}:3,log"],
+                                      ["bind", "--epsilon", f"{MAX}:{MAX}:3,log"]])
+    def test_log_grid_whose_inner_pow_overflows(self, tmp_path, args):
+        # 10^log10(hi) overflows at the inner point too, which is then hi
+        assert cli._parse_grid(args[-1]).tolist() == [sys.float_info.max] * 3
+        code, _ = run_cli(args, tmp_path)
+        assert code == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_footer_is_numerical_failure(self, tmp_path, capsys, monkeypatch, fmt):
+        # the footer has the cells' finiteness check, so CSV (which wrote
+        # inf) and JSON (which raised) fail alike
+        scatter = cli._COMMANDS["scatter"]
+
+        def broken(opts):
+            table = scatter(opts)
+            table.footer["broken"] = math.inf
+            return table
+
+        monkeypatch.setitem(cli._COMMANDS, "scatter", broken)
+        code, out = run_cli(["scatter", "--energy", "1", "--format", fmt], tmp_path, f"out.{fmt}")
+        err = capsys.readouterr().err
+        assert code == 1 and err == "transmute-lab: numerical failure: non-finite footer broken = inf\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [["scatter", "--energy", "1:1e308:5"], ["theorem", "--lambda", "1e2:1e308:5"]])
     def test_overflowing_linear_grid(self, tmp_path, capsys, args):
         code, out = run_cli(args, tmp_path)
@@ -1507,12 +1656,20 @@ def command_lines(draw):
     return argv, "\n".join(lines) + "\n"
 
 
+# the numerical failures of a whole table, which name no row
+_TABLE_FAILURES = ("fit abscissae are degenerate", "bound-state pole", "well depth eps*kappa/(pi a^2) overflows")
+
+
 @FUZZ
 @given(case=command_lines())
+@example(case=(["scatter", "--format", "json", "--tol-override", "unitarity_defect_tol=inf"], "\n"))
+@example(case=(["bind", "--regulator", "sharp-cutoff", "--lambda", MAX, "--epsilon", "1:4:3,log"], "\n"))
+@example(case=(["bind", "--epsilon", f"{MAX}:{MAX}:3,log"], "\n"))
 def test_fuzzed_command_lines(case):
     # any command line and config ends in exit 0, 1 or 2; a failure prints
-    # exactly one stderr line, success writes the output file, and no
-    # traceback ever escapes main
+    # exactly one stderr line, success writes the output file, no traceback
+    # ever escapes main, and a numerical failure names its row (transmute:
+    # its step) unless it is one of a whole table
     argv, config = case
     with tempfile.TemporaryDirectory() as tmp:
         out, cfg = os.path.join(tmp, "out"), os.path.join(tmp, "cfg.txt")
@@ -1526,3 +1683,5 @@ def test_fuzzed_command_lines(case):
         assert code in (0, 1, 2)
         assert lines == [] if code == 0 else len(lines) == 1, lines
         assert os.path.exists(out) == (code == 0)
+        if code == 1:
+            assert any(name in lines[0] for name in (" in row ", " at step n = ", *_TABLE_FAILURES)), lines

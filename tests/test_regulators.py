@@ -20,7 +20,6 @@ from transmute_lab.regulators import (
     PureDelta,
     SharpCutoff,
     decay_amplitude,
-    regulator_from_name,
     resolvent_array,
     resolvent_derivative,
     resolvent_element,
@@ -330,15 +329,6 @@ class TestSlideKernel:
 
 
 class TestNames:
-    def test_round_trip(self):
-        assert regulator_from_name("pure-delta") == PureDelta()
-        assert regulator_from_name("sharp-cutoff", cutoff=3.0) == SharpCutoff(3.0)
-        assert regulator_from_name("gaussian", length=0.5) == GaussianFormFactor(0.5)
-
-    def test_unknown_name(self):
-        with pytest.raises(DomainError):
-            regulator_from_name("lattice")
-
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             SharpCutoff(-1.0)
