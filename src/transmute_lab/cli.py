@@ -31,13 +31,12 @@ Exit codes: 0 success, 1 numerical failure (partial output suppressed),
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
-import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -60,12 +59,14 @@ from .tolerances import (
     THEOREM_ENVELOPE_RTOL,
     UNITARITY_DEFECT_TOL,
 )
-from .render import csv_lines, fmt_cell as _fmt, json_lines, row_count
+from .render import csv_lines, fmt_cell as _fmt, json_cell, json_lines, row_count
 
 __all__ = ["main"]
 
 FOUR_PI = 4.0 * math.pi
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
+# the smallest theorem coupling: 4 pi/eps overflows below it
+_THEOREM_EPS_MIN = FOUR_PI / sys.float_info.max
 
 
 class UsageError(Exception):
@@ -177,9 +178,8 @@ class Options:
     accessors that raise UsageError on malformed input."""
 
     def __init__(self, file_values: dict[str, str], flag_values: dict[str, str]):
-        self.values = dict(file_values)
-        self.flags = {k: v for k, v in flag_values.items() if v is not None}
-        self.values.update(self.flags)
+        self.values = {**file_values, **flag_values}
+        self.flags = flag_values
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.values.get(key, default)
@@ -228,6 +228,12 @@ def _ordered_map(fn, items):
 # table model and deterministic rendering
 # ----------------------------------------------------------------------
 
+def _json_members(items: list[str], brackets: str) -> str:
+    """Members, each already written, as a list or object (brackets "[]" or
+    "{}") at depth 1 of a document that json.dumps(indent=2) writes."""
+    return f"{brackets[0]}\n    " + ",\n    ".join(items) + f"\n  {brackets[1]}" if items else brackets
+
+
 @dataclass
 class Table:
     """A table as the commands make it and the writers render it: each
@@ -257,18 +263,17 @@ class Table:
 
     def write_json(self, stream) -> None:
         """The table as json.dump(obj, sort_keys=True, indent=2,
-        allow_nan=False) writes it, in bytes, to a binary stream; the rows
-        go through json_lines, since with indent json.dump always runs its
-        pure-Python encoder."""
-        obj = {
-            "command": self.command,
-            "description": self.description,
-            "config": self.config,
-            "columns": [{"name": n, "description": d} for n, d, *_ in self.columns],
-            "rows": [],
-            "footer": {k: v for k, v in self.footer.items()},
-        }
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        allow_nan=False) writes it, in bytes, to a binary stream: the
+        document shell written here, since with indent json.dump always runs
+        its pure-Python encoder, with its keys in sorted order, and the rows
+        from json_lines."""
+        columns = [f'{{\n      "description": {_json_str(d)},\n      "name": {_json_str(n)}\n    }}'
+                   for n, d, *_ in self.columns]
+        config, footer = ([f"{_json_str(k)}: {json_cell(v)}" for k, v in sorted(m.items())]
+                          for m in (self.config, self.footer))
+        text = (f'{{\n  "columns": {_json_members(columns, "[]")},\n  "command": {_json_str(self.command)},\n'
+                f'  "config": {_json_members(config, "{}")},\n  "description": {_json_str(self.description)},\n'
+                f'  "footer": {_json_members(footer, "{}")},\n  "rows": []\n}}')
         chunks = json_lines(self.columns)
         last = next(chunks, None)
         if last is None:
@@ -297,13 +302,23 @@ def _table(command: str, description: str, opts: Options, columns: list[tuple], 
     """The table of a command, with the effective configuration and the
     row count in its footer, to which the command adds its own entries.
     Every float cell that is not blank must be finite, and then no row may
-    fail the command's checks: the first failure is a numerical failure."""
-    cells = [(lambda i, name=name, cells=cells: f"non-finite {name} = {float(cells[i])!r} in row {i + 1}",
-              ~(np.isfinite(cells) | (blank[0] if blank and blank[0] is not None else False)))
-             for name, _, cells, *blank in columns if isinstance(cells, np.ndarray)]
-    if failure := _row_failure(itertools.chain(cells, checks)):
+    fail the command's checks: the first failure is a numerical failure.
+    One isfinite pass over the float columns, with their blank masks OR-ed
+    in, tests every cell at once; the per-column checks that name a failing
+    cell are built only where that pass fails."""
+    floats = [(name, cells, blank[0] if blank else None)
+              for name, _, cells, *blank in columns if isinstance(cells, np.ndarray)]
+    rows = row_count(columns)
+    finite = np.isfinite(np.concatenate([cells for _, cells, _ in floats] or [np.empty(0)])).reshape(len(floats), rows)
+    for ok, (_, _, blank) in zip(finite, floats):
+        if blank is not None:
+            ok |= blank
+    if not finite.all():
+        checks = [(lambda i, name=name, cells=cells: f"non-finite {name} = {float(cells[i])!r} in row {i + 1}", ~ok)
+                  for ok, (name, cells, _) in zip(finite, floats)] + list(checks)
+    if failure := _row_failure(checks):
         raise failure
-    return Table(command, description, opts.effective(), columns, {"rows": row_count(columns)})
+    return Table(command, description, opts.effective(), columns, {"rows": rows})
 
 
 class _Chunks(list):
@@ -560,6 +575,9 @@ def cmd_theorem(opts: Options) -> Table:
     if eps_grid.size != 1:
         raise UsageError("theorem takes a single epsilon")
     eps = float(eps_grid[0])
+    if FOUR_PI / eps == math.inf:
+        raise UsageError(f"theorem takes epsilon of at least 4 pi/max double = {_THEOREM_EPS_MIN:.5g}, got {eps!r}: "
+                         "below it the peak |z| e^(4 pi/eps) lies beyond every double, even in log space")
     z = _config_energy(opts, "z", 0.0, 1.0)
     schedule = opts.get_grid("lambda", "1e2:1e12:6,log")
     tau = _checked(amplitudes_over_cutoffs_array, eps, z, schedule, scales)
@@ -684,47 +702,108 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that reports a bad command line as a UsageError,
-    one line and exit 2, in place of argparse's usage block."""
+# the flags of every command, with a metavar and help each: --tol-override
+# appends, and any other flag given twice keeps its last value
+_FLAGS = {
+    "--config": ("PATH", "flat key=value configuration file"),
+    "--regulator": ("NAME", "regulator name (bind: comma-separated list)"),
+    "--epsilon": ("GRID", "coupling value or grid v1:v2:n[,log]"),
+    "--lambda": ("GRID", "cutoff value or schedule lo:hi:n[,log]"),
+    "--energy": ("GRID", "energy grid lo:hi:n[,log]"),
+    "--out": ("PATH", "output path (default stdout)"),
+    "--format": ("FORMAT", "output format, csv (the default) or json"),
+    "--tol-override": ("NAME=VALUE", "override a named tolerance"),
+    "--help": ("", "print this help"),
+}
+# a token that begins with '-' and is still a value: a negative number
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+
+def _option(token: str) -> tuple[str, str | None] | None:
+    """The flag that a token names and its value after '=' (or None), or
+    None for a value, as argparse tells them apart: a unique prefix names a
+    flag, -h takes what follows it as its value (-hh is -h twice), and a
+    token that begins with '-' is a value only as a negative number or with
+    a space in it; any other is an unknown flag, named by itself."""
+    if len(token) < 2 or token[0] != "-":
+        return None
+    if token in _FLAGS:
+        return token, None
+    if token[1] != "-":
+        if token.startswith("-h"):
+            return "--help", token[2:].lstrip("h") or None
+    else:
+        name, eq, value = token.partition("=")
+        matches = [flag for flag in _FLAGS if flag.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {name} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (token, None)
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built at the first main call of a process and
-    shared by the later ones: parse_args leaves it unchanged, and the append
-    action copies its default list before appending."""
-    parser = _Parser(prog="transmute-lab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=(fn.__doc__ or "").split("\n")[0])
-        p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--regulator", help="regulator name (bind: comma-separated list)")
-        p.add_argument("--epsilon", help="coupling value or grid v1:v2:n[,log]")
-        p.add_argument("--lambda", dest="lambda", help="cutoff value or schedule lo:hi:n[,log]")
-        p.add_argument("--energy", help="energy grid lo:hi:n[,log]")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        p.add_argument("--tol-override", action="append", default=[],
-                       metavar="NAME=VALUE", help="override a named tolerance")
-    return parser
+def _read_argv(argv: list[str]) -> tuple[str, dict[str, str], list[str]] | None:
+    """The command, the flag values by key and the --tol-override values of a
+    command line, or None where it asks for help.  The command comes first,
+    and each flag takes its value as --flag value or --flag=value.  Every
+    token is told apart before any is read, so that an ambiguous prefix is an
+    error wherever it stands; after '--' every token is a value.  The tokens
+    are then read in order: help, a missing value and a bad format end the
+    reading there, and a token that no flag takes is an error at the end."""
+    command, *tokens = argv or [""]
+    if command not in _COMMANDS:
+        if _option(command) == ("--help", None):
+            return None
+        raise UsageError(f"the command must be one of {', '.join(_COMMANDS)}; got {command!r}")
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_option(token) for token in tokens[:end]] + [None] * (len(tokens) - end)
+    values, overrides, stray, i = {}, [], [], 0
+    while i < len(tokens):
+        kind, i = kinds[i], i + 1
+        if kind is None or kind[0] not in _FLAGS:
+            stray.append(tokens[i - 1])
+            continue
+        flag, value = kind
+        if flag == "--help":
+            if value is None:
+                return None
+            raise UsageError(f"--help takes no value, got {value!r}")
+        if value is None:
+            if i >= end or kinds[i] is not None:
+                raise UsageError(f"{flag} expects a value")
+            value, i = tokens[i], i + 1
+        if flag == "--format" and value not in ("csv", "json"):
+            raise UsageError(f"--format must be csv or json, got {value!r}")
+        if flag == "--tol-override":
+            overrides.append(value)
+        else:
+            values[flag[2:]] = value
+    if stray:
+        raise UsageError(f"unrecognized arguments: {' '.join(stray)}")
+    return command, values, overrides
+
+
+def _help() -> str:
+    flags = "".join(f"  {(flag + ' ' + metavar).strip():<26} {text}\n" for flag, (metavar, text) in _FLAGS.items())
+    return (f"usage: transmute-lab <command> [--flag VALUE | --flag=VALUE] ...\n\n{__doc__}\n"
+            f"flags (a unique prefix will do: --eps for --epsilon; -h for --help):\n{flags}")
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        file_values = _read_config_file(args.config) if args.config else {}
-        flag_values = {k: v for k, v in vars(args).items() if k not in ("command", "config", "tol_override")}
-        opts = Options(file_values, flag_values)
-        for name, value in _parse_tol_overrides(args.tol_override).items():
+        read = _read_argv(sys.argv[1:] if argv is None else argv)
+        if read is None:
+            sys.stdout.write(_help())
+            return 0
+        command, flag_values, overrides = read
+        config = flag_values.pop("config", None)
+        opts = Options(_read_config_file(config) if config else {}, flag_values)
+        for name, value in _parse_tol_overrides(overrides).items():
             opts.values[name] = repr(value)
         # a non-finite column value is reported by the cell check in _table,
         # not by a numpy warning on stderr
         with np.errstate(all="ignore"):
-            table = _COMMANDS[args.command](opts)
+            table = _COMMANDS[command](opts)
         _emit(table, opts)
     except UsageError as exc:
         print(f"transmute-lab: usage error: {exc}", file=sys.stderr)

@@ -121,12 +121,17 @@ def fmt_cell(value) -> str:
     return f"{value:.16e}"
 
 
-def json_cell(value: str | int | None) -> str:
-    """A None, int or str table cell as json.dump writes it."""
+def json_cell(value: str | int | float | None) -> str:
+    """A None, bool, int, float or str value as json.dump(allow_nan=False)
+    writes it, or refuses to: a non-finite float raises ValueError."""
     if value is None:
         return "null"
-    if type(value) is int:
-        return "%d" % value
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
     # this is json.dumps's own string encoder
     return encode_basestring_ascii(value)
 
@@ -343,7 +348,7 @@ def _json_float(value: float) -> str:
     """A float as json.dump(allow_nan=False) writes it, or refuses to."""
     if value - value != 0.0:
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return repr(value)
+    return float.__repr__(value)
 
 
 def format_repr(x: np.ndarray) -> np.ndarray:
@@ -460,11 +465,12 @@ def _lines(columns: list[tuple], kernel, float_words: int, encode, frame):
         if not set(map(type, labels)) <= {str, int}:
             raise TypeError(f"column {j} has a label that is neither str nor int")
         # str and int labels never compare equal: one lookup serves both
-        rows_of = np.array([label_rows.setdefault(value, len(label_rows)) for value in labels], np.intp)
-        if (codes == codes[0]).all():
+        rows_of = [label_rows.setdefault(value, len(label_rows)) for value in labels]
+        # a column of one label or of one row takes no array operation
+        if len(rows_of) == 1 or n == 1 or (codes == codes[0]).all():
             constants.append((j, rows_of[int(codes[0])]))
         else:
-            others.append((j, rows_of.take(codes)))
+            others.append((j, np.array(rows_of, np.intp).take(codes)))
     # surrogatepass keeps any str, a lone surrogate too; no UTF-8 byte is 0xFF
     encoded = [encode(value).encode("utf-8", "surrogatepass") for value in label_rows]
     words = max(float_words, (max(map(len, encoded), default=0) + 3) // 4)

@@ -1,6 +1,7 @@
 """End-to-end command tests: emitted tables, determinism, exit codes and
 config/flag precedence."""
 
+import argparse
 import contextlib
 import hashlib
 import inspect
@@ -1365,9 +1366,8 @@ def _mixed_command_lines(tmp_path):
 
 def test_repeated_main_matches_fresh_processes(tmp_path):
     # one process calls main over and over: every result equals that of a
-    # fresh interpreter, which builds its parser at its one main call, so the
-    # shared parser carries nothing from one call to the next (the
-    # --tol-override default list included)
+    # fresh interpreter, which makes its one main call, so no call carries
+    # anything over to the next (the --tol-override values included)
     src = os.path.dirname(os.path.dirname(transmute_lab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     runs = _mixed_command_lines(tmp_path)
@@ -1665,6 +1665,7 @@ _TABLE_FAILURES = ("fit abscissae are degenerate", "bound-state pole", "well dep
 @example(case=(["scatter", "--format", "json", "--tol-override", "unitarity_defect_tol=inf"], "\n"))
 @example(case=(["bind", "--regulator", "sharp-cutoff", "--lambda", MAX, "--epsilon", "1:4:3,log"], "\n"))
 @example(case=(["bind", "--epsilon", f"{MAX}:{MAX}:3,log"], "\n"))
+@example(case=(["theorem", "--epsilon", "1e-320"], "\n"))
 def test_fuzzed_command_lines(case):
     # any command line and config ends in exit 0, 1 or 2; a failure prints
     # exactly one stderr line, success writes the output file, no traceback
@@ -1685,3 +1686,179 @@ def test_fuzzed_command_lines(case):
         assert os.path.exists(out) == (code == 0)
         if code == 1:
             assert any(name in lines[0] for name in (" in row ", " at step n = ", *_TABLE_FAILURES)), lines
+
+
+# ----------------------------------------------------------------------
+# the argv reader against the argparse parser it replaced
+# ----------------------------------------------------------------------
+
+class ArgparseError(Exception):
+    pass
+
+
+def argparse_reference() -> argparse.ArgumentParser:
+    """The argparse parser that read the command line before cli._read_argv,
+    with its errors raised as ArgparseError."""
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ArgparseError(message)
+
+    parser = Parser(prog="transmute-lab", description=cli.__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, fn in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=(fn.__doc__ or "").split("\n")[0])
+        p.add_argument("--config", help="flat key=value configuration file")
+        p.add_argument("--regulator", help="regulator name (bind: comma-separated list)")
+        p.add_argument("--epsilon", help="coupling value or grid v1:v2:n[,log]")
+        p.add_argument("--lambda", dest="lambda", help="cutoff value or schedule lo:hi:n[,log]")
+        p.add_argument("--energy", help="energy grid lo:hi:n[,log]")
+        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+        p.add_argument("--tol-override", action="append", default=[],
+                       metavar="NAME=VALUE", help="override a named tolerance")
+    return parser
+
+
+REFERENCE = argparse_reference()
+
+
+def argparse_reads(argv):
+    """(command, flag values, --tol-override values) as the reference reads
+    argv, None where it prints its help, or "error"."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            ns = REFERENCE.parse_args(argv)
+    except ArgparseError:
+        return "error"
+    except SystemExit as exc:
+        return None if exc.code == 0 else "error"
+    values = {key: value for key, value in vars(ns).items()
+              if value is not None and key not in ("command", "tol_override")}
+    return ns.command, values, ns.tol_override
+
+
+def reader_reads(argv):
+    try:
+        return cli._read_argv(argv)
+    except cli.UsageError:
+        return "error"
+
+
+def assert_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert (code, out.getvalue(), len(lines)) == (2, "", 1), (argv, lines)
+    assert lines[0].startswith("transmute-lab: usage error: "), lines
+
+
+# the reader keeps the rules of Python 3.11's argparse where later versions
+# may differ: '-1e3' is an unknown option, not a value, and '--' ends the
+# options, after which no token is read.  test_pinned_tokens pins both
+PINNED = sys.version_info[:2] == (3, 11)
+# prefixes (unique, ambiguous), '=' forms, negative numbers, an unknown
+# option, a bare '-', a flag whose value may be missing and extra
+# positionals; the pinned tokens under 3.11 only
+_READER_TOKENS = ["--eps", "--e", "--tol", "--tol=flow_defect_tol=1e-9", "--eps=2", "--energy=", "--format=json",
+                  "--format=xml", "--form", "-1", "-.5", "-x", "-", "--energy", "--out", "extra", "1", "-1 2",
+                  "--bogus"] + (["-1e3", "--"] if PINNED else [])
+
+
+@st.composite
+def reader_lines(draw):
+    argv, _ = draw(command_lines())
+    for token in draw(st.lists(st.sampled_from(_READER_TOKENS), max_size=3)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=reader_lines())
+@example(argv=["scatter", "--epsilon", "-1"])
+@example(argv=["scatter", "--eps", "2", "--e", "1"])
+@example(argv=["scatter", "--epsilon=-.5", "--epsilon", "3"])
+@example(argv=["bind", "--tol", "a=1", "--tol-override=b=2", "--format", "json", "--form=csv"])
+@example(argv=["flow", "--energy"])
+@example(argv=["flow", "--energy", "--out", "x"])
+@example(argv=["flow", "-", "1"])
+@example(argv=["-x", "flow"])
+@example(argv=[])
+def test_reader_matches_argparse(argv):
+    # where argparse reads a command line, the reader reads the same flag
+    # values; where argparse rejects it, the reader ends main in a usage
+    # error of one stderr line
+    expected = argparse_reads(argv)
+    assert reader_reads(argv) == expected, argv
+    if expected == "error":
+        assert_usage_error(argv)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["scatter", "--epsilon", "-1e3"], "error"),
+    (["scatter", "--epsilon", "-1e3", "-h"], "error"),
+    (["scatter", "-1e3"], "error"),
+    (["scatter", "--"], "error"),
+    (["scatter", "--epsilon", "2", "--"], "error"),
+    (["scatter", "--epsilon", "--", "2"], "error"),
+    (["scatter", "--", "--epsilon", "2"], "error"),
+    (["--", "scatter"], "error"),
+    (["scatter", "--", "-h"], "error"),
+    (["scatter", "-h", "--"], None),
+])
+def test_pinned_tokens(argv, expected):
+    # '-1e3' is an unknown option, so no flag takes it as its value; after
+    # '--' every token is a value, which no flag takes.  Pinned from Python
+    # 3.11's argparse
+    assert reader_reads(argv) == expected
+    if PINNED:
+        assert argparse_reads(argv) == expected
+
+
+def test_double_dash_after_equals_is_the_value():
+    # argparse 3.11 dropped it and set the flag to an empty list, which
+    # escaped main as a traceback where a command read it
+    assert reader_reads(["bind", "--epsilon=--"]) == ("bind", {"epsilon": "--"}, [])
+    assert_usage_error(["bind", "--epsilon=--"])
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"], ["scatter", "--help"], ["bind", "-h", "--bogus"],
+                                  ["flow", "--epsilon", "1", "--h"], ["theorem", "extra", "-hh"]])
+def test_help(argv, capsys):
+    # help prints the module docstring and the flags to stdout and returns
+    # 0, wherever argparse printed its help
+    assert argparse_reads(argv) is None
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert all(f"transmute-lab {name}" in captured.out for name in cli._COMMANDS)
+    assert all(flag in captured.out for flag in ("--epsilon", "--tol-override", "--format"))
+
+
+@pytest.mark.parametrize("argv", [["--help=1"], ["scatter", "--help=1"], ["scatter", "-hx"],
+                                  ["scatter", "--format", "xml", "-h"]])
+def test_help_with_a_value_is_a_usage_error(argv):
+    assert argparse_reads(argv) == "error"
+    assert_usage_error(argv)
+
+
+@pytest.mark.parametrize("epsilon", ["1e-320", "6.9e-308", "6.99e-308"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_theorem_below_its_smallest_coupling(epsilon, fmt, tmp_path, capsys):
+    # below 4 pi/max double, 4 pi/eps overflows: the peak |z| e^(4 pi/eps)
+    # lies beyond every double, even in log space.  A usage error that
+    # names the bound
+    code, out = run_cli(["theorem", "--epsilon", epsilon, "--format", fmt], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err == (f"transmute-lab: usage error: theorem takes epsilon of at least 4 pi/max double = 6.9903e-308, "
+                   f"got {float(epsilon)!r}: below it the peak |z| e^(4 pi/eps) lies beyond every double, even in "
+                   "log space\n")
+
+
+@pytest.mark.parametrize("epsilon", [repr(FOUR_PI / sys.float_info.max), "6.991e-308", "7e-308"])
+def test_theorem_at_its_smallest_coupling(epsilon, tmp_path):
+    code, out = run_cli(["theorem", "--epsilon", epsilon, "--format", "json"], tmp_path)
+    assert code == 0
+    assert "ln_peak_lambda" in json.loads(out.read_text(encoding="utf-8"))["footer"]

@@ -2,10 +2,10 @@
 in both formats, is the same bytes on stdout and in its --out file; every
 JSON table is the bytes that json.dump writes for its own content; and every
 circular-well row of the deep bind binds.  Each table comes from a fresh
-``python -m transmute_lab.cli`` process, as the console script makes it, so
-the parser is built at its first main call, and such a process imports
-neither the quadrature oracle nor numpy.polynomial.  Scale ratios out of
-range end such a process with one stderr line and no traceback."""
+``python -m transmute_lab.cli`` process, as the console script makes it, and
+such a process imports neither the quadrature oracle nor numpy.polynomial,
+nor argparse.  Scale ratios out of range end such a process with one stderr
+line and no traceback."""
 
 import csv
 import json
@@ -121,10 +121,13 @@ def test_scale_ratios_out_of_range(tmp_path, config, args, code):
 
 
 def test_console_path_imports_only_what_it_runs(tmp_path):
-    # the quadrature oracle and numpy.polynomial serve only the tests; the
-    # console path imports neither (numpy before 2.0 imports the latter
-    # itself)
-    probe = ("import sys, numpy; loaded = set(sys.modules); import transmute_lab.cli; "
-             "print(sorted({'numpy.polynomial', 'transmute_lab.oracle.quadrature'} & set(sys.modules) - loaded))")
+    # the quadrature oracle and numpy.polynomial serve only the tests, and
+    # the command line is read without argparse (nor the gettext it loads):
+    # a console call imports none of them (numpy before 2.0 imports
+    # numpy.polynomial itself)
+    probe = ("import sys, numpy; loaded = set(sys.modules); import transmute_lab.cli as cli; "
+             "code = cli.main(['scatter', '--format', 'json', '--out', 'probe.json']); "
+             "print(code, sorted({'argparse', 'gettext', 'numpy.polynomial', 'transmute_lab.oracle.quadrature'}"
+             " & set(sys.modules) - loaded))")
     proc = fresh(["-c", probe], tmp_path)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0 []\n", b"")
