@@ -27,20 +27,21 @@ Lambda -> inf, eps -> 0+ with Lambda e^{-4 pi/eps} held fixed reproduces it
 for any chosen E_B.  Both limiting processes are implemented as schedule
 scans below.
 
-Each closed form has one implementation, an *_array function over numpy
-arrays of couplings, cutoffs and energies; regulated_amplitude and
+Each closed form has one *_array entry point over numpy arrays of
+couplings, cutoffs and energies (the regulated one checks the coupling and
+calls the regulator's amplitude form); regulated_amplitude and
 renormalized_amplitude are its 0-d calls.  Each limiting process is one
 array function that checks its schedule (DomainError) before it evaluates
 its columns: amplitudes_over_cutoffs_array and transmutation_schedule_array,
 whose rows amplitudes_over_cutoffs and transmutation_schedule return as
-objects.  Each model of scatter and bind, a regulator or the circular well
-as its radius, has one dispatch: on_shell_amplitude_array on the continuum,
-bound_states over a column of couplings (bound_state_pole for one).
+objects.  flow_array runs the sliding relation along a path.  A model of
+scatter and bind, a regulator or the oracle's CircularWell, carries its own
+forms, which on_shell_amplitude_array and bound_states (bound_state_pole for
+one coupling) call: this module branches on no model's type.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,30 +54,11 @@ from .energy_plane import (
     PhysicalScales,
     as_energy,
     complex_divide_array,
-    libm,
-    log_bracket_root,
     log_ratio_array,
-    log_search_floor,
     principal_log_ratio_array,
 )
-from .errors import (
-    DivergenceError,
-    DomainError,
-    NoBoundStateError,
-    PoleSingularityError,
-    SingularInputError,
-)
-from .regulators import (
-    GaussianFormFactor,
-    PureDelta,
-    Regulator,
-    SharpCutoff,
-    resolvent_array,
-    resolvent_derivative,
-    slide_kernel,
-)
-from .oracle.well import well_bound_states, well_depths, well_from_coupling, well_phase_shift_array
-from .special import EULER_GAMMA, exp1_scaled_positive
+from .errors import DomainError, NoBoundStateError, PoleSingularityError
+from .regulators import PureDelta, Regulator, SharpCutoff, resolvent_derivative, slide_kernel, slide_kernels_along
 from .tolerances import POLE_GUARD
 
 __all__ = [
@@ -97,6 +79,7 @@ __all__ = [
     "renormalized_amplitude_array",
     "regulated_amplitude_array",
     "on_shell_amplitude_array",
+    "flow_array",
     "cutoff_envelope_array",
     "tau_from_phase_shift",
     "tau_from_phase_shift_array",
@@ -166,26 +149,17 @@ def _check_coupling(epsilon) -> None:
         raise DomainError(f"coupling must be positive (attractive), got {eps[bad][0]}")
 
 
-def regulated_amplitude(
-    epsilon: float,
-    reg: Regulator,
-    z,
-    scales: PhysicalScales = NATURAL_UNITS,
-) -> Amplitude:
+def regulated_amplitude(epsilon: float, reg: Regulator, z, scales: PhysicalScales = NATURAL_UNITS) -> Amplitude:
     """tau(z) = -eps / (1 + eps*I(z)) for a regulated interaction: the 0-d
     case of regulated_amplitude_array.  The pure delta returns the exact zero
     amplitude."""
     ze = as_energy(z)
     tau = complex(regulated_amplitude_array(epsilon, reg, [ze.re], [ze.im], scales)[0])
-    return ZERO_AMPLITUDE if isinstance(reg, PureDelta) else Amplitude(tau)
+    return ZERO_AMPLITUDE if reg.exact_zero else Amplitude(tau)
 
 
-def slide_amplitude(
-    anchor: FlowPoint,
-    z,
-    reg: Regulator = PureDelta(),
-    scales: PhysicalScales = NATURAL_UNITS,
-) -> Amplitude:
+def slide_amplitude(anchor: FlowPoint, z, reg: Regulator = PureDelta(),
+                    scales: PhysicalScales = NATURAL_UNITS) -> Amplitude:
     """Transport the amplitude from the anchor scale z0 to z:
 
         tau(z) = tau(z0) / (1 - tau(z0) * kappa * G(z, z0)).
@@ -200,12 +174,9 @@ def slide_amplitude(
     kernel = scales.kinetic_constant * slide_kernel(reg, ze, anchor.z0, scales)
     denom = 1.0 - tau0 * kernel
     if abs(denom) < POLE_GUARD * (1.0 + abs(tau0 * kernel)):
-        pole: complex | None = None
-        if isinstance(reg, PureDelta):
-            pole = anchor.z0.z * cmath.exp(4.0 * math.pi / tau0)
         raise PoleSingularityError(
             "sliding denominator vanished: target energy sits on the amplitude pole",
-            pole_energy=pole,
+            pole_energy=reg.slide_pole(anchor.z0.z, tau0),
         )
     return Amplitude(tau0 / denom)
 
@@ -217,66 +188,21 @@ def renormalized_amplitude(bound_energy: float, z) -> Amplitude:
     return Amplitude(complex(renormalized_amplitude_array(bound_energy, [ze.re], [ze.im])[0]))
 
 
-def _sharp_log_pole(epsilon: float, cutoff: float) -> float:
-    """ln E of the exact sharp-cutoff pole Lambda / expm1(4 pi/eps), as
-    ln Lambda - ln expm1(4 pi/eps) with ln expm1(t) = t + ln(1 - e^{-t}):
-    finite for every coupling, where expm1 itself overflows below eps ~ 0.018."""
-    t = 4.0 * math.pi / epsilon
-    return math.log(cutoff) - (t + math.log(-math.expm1(-t)))
-
-
 def bound_states(epsilon, model, scales: PhysicalScales = NATURAL_UNITS) -> tuple:
-    """The bound states over a 1-d array of couplings for one model of bind:
-    a regulator, or the radius a of the circular well as a float.  Returns
+    """The bound states over a 1-d array of couplings for one model of bind,
+    a regulator or the oracle's CircularWell, by its bound_states form:
     an array of E_B, NaN in the rows of the mask returned second, which have
-    none in the search range, and the nominal cutoff Lambda_nominal of the
-    closed form Lambda_nominal e^{-4 pi/eps}: Lambda for the sharp cutoff,
-    kappa/a^2 for the gaussian and for the well (that of a gaussian of the
-    same length), and NaN for the pure delta, which never binds.  This is
-    the one dispatch on the model of the bound-state path.
-
-    For a regulator E_B is the root of 1 + eps*I(-E) = 0 on the negative
-    real axis (limit from above).  E_B spans hundreds of orders of magnitude
-    in eps, so the root is sought in ln E, between Lambda_nominal and the
-    floor of log_search_floor (Lambda_nominal*1e-300, never below the
-    smallest normal double); a row whose root lies outside has none.  For
-    the sharp cutoff the root is exact, E_B = Lambda / (e^{4 pi/eps} - 1),
-    i.e. Lambda e^{-4 pi/eps} up to O(E_B/Lambda), and nothing is searched.
-    The gaussian roots are searched by log_bracket_root from the
-    small-coupling asymptote ln E_B = ln(kappa/a^2) - gamma_E - 4 pi/eps,
-    Newton's method on 1 + eps*J(E) and its slope eps*(bE*J + 1/(4 pi)) in
-    ln E.  The well's ground states are oracle.well.well_bound_states' at
-    the depths of well_depths, whose matching function, range and guess
-    stay with the well.
+    none in the search range, and the model's nominal cutoff Lambda_nominal
+    of the closed form Lambda_nominal e^{-4 pi/eps}, NaN for the pure delta,
+    which never binds.  For a regulator E_B is the root of 1 + eps*I(-E) = 0
+    on the negative real axis (limit from above), sought in ln E between
+    Lambda_nominal and the floor of log_search_floor (Lambda_nominal*1e-300,
+    never below the smallest normal double); a row whose root lies outside
+    has none.
     """
     eps = np.asarray(epsilon, dtype=float)
     _check_coupling(eps)
-    if isinstance(model, PureDelta):
-        nan = np.full(eps.shape, np.nan)
-        return nan, np.isnan(nan), math.nan
-    if isinstance(model, SharpCutoff):
-        nominal = model.cutoff
-        x_root = np.array([_sharp_log_pole(e, nominal) for e in eps.tolist()])
-        x_root[~((log_search_floor(nominal) <= x_root) & (x_root <= math.log(nominal)))] = np.nan
-        energy = libm(math.exp, x_root)
-    elif isinstance(model, GaussianFormFactor):
-        nominal = scales.kinetic_constant / model.length**2
-        x_floor, x_top = log_search_floor(nominal), math.log(nominal)
-        b = model.length**2 / scales.kinetic_constant
-
-        def mismatch(index, x):
-            # 1 + eps*J with J = kappa g(-E) = -e^{bE} E1(bE)/(4 pi), and its
-            # slope in ln E, eps*(bE*J + 1/(4 pi)); every bE of the range is
-            # positive, so no step checks its column
-            be, e = b * np.exp(x), eps[index]
-            j = (-1.0 / (4.0 * math.pi)) * exp1_scaled_positive(be)
-            return 1.0 + e * j, e * (be * j + 1.0 / (4.0 * math.pi))
-
-        energy = libm(math.exp, log_bracket_root(mismatch, x_floor, x_top, x_top - EULER_GAMMA - 4.0 * math.pi / eps))
-    else:
-        # the circular well of radius model
-        nominal = scales.kinetic_constant / model**2
-        energy = well_bound_states(model, well_depths(eps, model, scales), scales)[0]
+    energy, nominal = model.bound_states(eps, scales)
     return energy, np.isnan(energy), nominal
 
 
@@ -319,7 +245,7 @@ def amplitudes_over_cutoffs_array(epsilon: float, z, cutoffs, scales: PhysicalSc
     bad = ~((cutoffs > magnitude) & np.isfinite(cutoffs))
     if bad.any():
         raise DomainError(f"cutoff {cutoffs[bad][0]} must be finite and exceed |z| = {magnitude}")
-    return regulated_amplitude_array(epsilon, cutoffs, ze.re, ze.im, scales)
+    return regulated_amplitude_array(epsilon, SharpCutoff(cutoffs), ze.re, ze.im, scales)
 
 
 def transmutation_schedule(bound_energy: float, z, steps: int,
@@ -363,7 +289,7 @@ def transmutation_schedule_array(bound_energy: float, z, steps: int, scales: Phy
     n = np.arange(1, steps + 1)
     cutoffs = np.fromiter(map(_decade_cutoff, itertools.repeat(bound_energy), range(1, steps + 1)), np.float64, steps)
     couplings = 4.0 * math.pi / (n * math.log(10.0))
-    tau = regulated_amplitude_array(couplings, cutoffs, ze.re, ze.im, scales)
+    tau = regulated_amplitude_array(couplings, SharpCutoff(cutoffs), ze.re, ze.im, scales)
     # hypot, the C library's, as Python's abs of a complex takes it
     difference = tau - target
     return n, cutoffs, couplings, tau, np.hypot(difference.real, difference.imag), target
@@ -388,85 +314,59 @@ def renormalized_amplitude_array(bound_energy: float, re, im=0.0) -> np.ndarray:
     return complex_divide_array(4.0 * math.pi, log_ratio)
 
 
-def regulated_amplitude_array(
-    epsilon,
-    reg,
-    re,
-    im=0.0,
-    scales: PhysicalScales = NATURAL_UNITS,
-) -> np.ndarray:
+def regulated_amplitude_array(epsilon, reg: Regulator, re, im=0.0,
+                              scales: PhysicalScales = NATURAL_UNITS) -> np.ndarray:
     """tau(z) = -eps / (1 + eps*I(z)) elementwise over broadcastable arrays of
-    couplings eps and of Re z, Im z.  reg is a regulator, or an array of
-    sharp cutoffs that broadcasts with them, as in resolvent_array: a cutoff
-    schedule.
+    couplings eps and of Re z, Im z, by the regulator's amplitude form; a
+    SharpCutoff over an array of cutoffs broadcasts with them (a cutoff
+    schedule).
 
-    The pure delta gives zeros: its divergent I is surfaced by the resolvent
-    and consumed here, which is the content of the no-scattering theorem
-    rather than an error condition.  A row on a pole, |1 + eps*I| <
-    POLE_GUARD, raises PoleSingularityError with the pole energy where it is
-    exact: -Lambda/expm1(4 pi/eps) for the sharp cutoff.
+    The pure delta gives zeros: its divergent I is the content of the
+    no-scattering theorem rather than an error condition.  A row on a pole,
+    |1 + eps*I| < POLE_GUARD, raises PoleSingularityError with the pole
+    energy where it is exact: -Lambda/expm1(4 pi/eps) for the sharp cutoff.
     """
     _check_coupling(epsilon)
-    try:
-        resolvent = scales.kinetic_constant * resolvent_array(reg, re, im, scales)
-    except DivergenceError:
-        return np.zeros(np.broadcast_shapes(np.shape(epsilon), np.shape(re), np.shape(im)), dtype=complex)
-    eps = np.asarray(epsilon, dtype=float)
-    denom = 1.0 + eps * resolvent
-    at_pole = np.hypot(denom.real, denom.imag) < POLE_GUARD
-    if at_pole.any():
-        i = int(np.argmax(at_pole))
-        pole = None
-        if not isinstance(reg, GaussianFormFactor):
-            cutoff = reg.cutoff if isinstance(reg, SharpCutoff) else reg
-            eps_i, lam_i = (float(np.broadcast_to(v, denom.shape).flat[i]) for v in (eps, cutoff))
-            pole = -math.exp(_sharp_log_pole(eps_i, lam_i))
-        raise PoleSingularityError(
-            f"amplitude evaluated at a bound-state pole (|1 + eps*I| = {abs(denom.flat[i]):.3e})",
-            pole_energy=pole,
-        )
-    return complex_divide_array(-eps, denom)
+    return reg.amplitude(epsilon, re, im, scales)
 
 
 def on_shell_amplitude_array(epsilon: float, model, energies, scales: PhysicalScales = NATURAL_UNITS) -> np.ndarray:
     """Physical on-shell amplitude over an array of continuum energies E for
-    one model of scatter: a regulator, or the radius a of the circular well
-    as a float.  This is the one dispatch on the model of the continuum.
-
-    The scattering matrix element carries the form factor at the on-shell
-    wavenumber on both sides, tau_on(E) = |<k(E)|v>|^2 tau(E + i0+), which is
-    what elastic unitarity constrains.  For the sharp cutoff below Lambda
-    this is tau itself; above Lambda the model has no phase space and the
-    on-shell amplitude vanishes; SingularInputError carries the index of the
-    first energy at Lambda.  The well's is tau_from_phase_shift_array of its
-    exact phase shifts, at the depth of well_from_coupling.
+    one model of scatter, a regulator or the oracle's CircularWell, by its
+    on_shell form.  A regulator's scattering matrix element carries the form
+    factor at the on-shell wavenumber on both sides, tau_on(E) = |<k(E)|v>|^2
+    tau(E + i0+), which is what elastic unitarity constrains: above a sharp
+    cutoff it vanishes.  The well's is that of its exact phase shifts.
     """
+    _check_coupling(epsilon)
     energies = np.asarray(energies, dtype=float)
     if not (energies > 0.0).all():
         raise DomainError(f"on-shell amplitude requires E > 0, got {energies[~(energies > 0.0)][0]}")
-    tau = np.zeros(energies.shape, dtype=complex)
-    if isinstance(model, PureDelta):
-        return tau
-    # the weight of form_factor_squared, with k = sqrt(E/kappa) rounded as
-    # there: kappa k^2 <= Lambda, or exp(-(k a)^2)
+    return model.on_shell(epsilon, energies, scales)
+
+
+def flow_array(tau0: complex, reg: Regulator, re, im, z0, scales: PhysicalScales = NATURAL_UNITS) -> tuple:
+    """The running relation 1/tau(z) = 1/tau0 - kappa G(z, z0) from the anchor
+    (z0, tau0) along a path of points z_i = re_i + i*im_i: 1/tau, tau, the
+    mask of the poles |1/tau| < POLE_GUARD, and each row's group defect
+    |1/tau_i - (1/tau_{i-1} - kappa G(z_i, z_{i-1}))|, 0 in the first.  At the
+    fixed point tau0 = 0 tau stays 0 and 1/tau is infinite.  SingularInputError
+    carries the index of the first singular point, or None for the anchor.
+    """
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    defect = np.zeros(re.size)
+    if tau0 == 0:
+        zero = np.zeros(re.shape, dtype=complex)
+        return zero + math.inf, zero, np.zeros(re.shape, dtype=bool), defect
     kappa = scales.kinetic_constant
-    k = np.sqrt(energies / kappa)
-    if isinstance(model, SharpCutoff):
-        weight = (kappa * k * k <= model.cutoff).astype(float)
-    elif isinstance(model, GaussianFormFactor):
-        weight = np.exp(-(k * model.length) ** 2)
-    else:
-        return tau_from_phase_shift_array(well_phase_shift_array(well_from_coupling(epsilon, model, scales), k, scales))
-    inside = weight != 0.0
-    if inside.any():
-        try:
-            base = regulated_amplitude_array(epsilon, model, energies[inside], 0.0, scales)
-        except SingularInputError as exc:
-            exc.index = int(np.flatnonzero(inside)[exc.index])
-            raise
-        # tau * weight, as a complex times a float
-        tau.real[inside], tau.imag[inside] = base.real * weight[inside], base.imag * weight[inside]
-    return tau
+    from_anchor, steps = slide_kernels_along(reg, re, im, z0, scales)
+    # a pole is just a zero of 1/tau, through which 1/tau runs smoothly
+    inv = 1.0 / tau0 - kappa * from_anchor
+    # re-anchoring 1/tau at row i - 1 must reproduce row i through the
+    # kernel between consecutive points
+    step = inv[1:] - (inv[:-1] - kappa * steps)
+    defect[1:] = np.hypot(step.real, step.imag)
+    return inv, complex_divide_array(1.0, inv), np.hypot(inv.real, inv.imag) < POLE_GUARD, defect
 
 
 def tau_from_phase_shift_array(delta0) -> np.ndarray:

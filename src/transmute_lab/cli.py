@@ -13,9 +13,9 @@ machine and numpy build: floats render at 17 significant digits, tables are
 evaluated in one thread, and no timestamps enter the data body.  Every
 command is evaluated as numpy columns by the library: theorem and transmute
 take each schedule, checked, from one amplitude call, whose DomainError is a
-usage error, and scatter and bind their model dispatch from
-on_shell_amplitude_array and bound_states; only flow forms its running
-relation, pole mask and group defect itself.  numpy's elementary functions
+usage error, scatter and bind each model's forms through
+on_shell_amplitude_array and bound_states, and flow its running relation,
+pole mask and group defect from flow_array.  numpy's elementary functions
 may round apart from the C library's, within the 8-ulp budget of
 tests/test_array_forms.py.  Numeric keys are read in a range by
 Options.get_number, regulator names map to models in _MODELS, and grids
@@ -44,21 +44,17 @@ from .amplitude import (
     amplitudes_over_cutoffs_array,
     bound_states,
     cutoff_envelope_array,
+    flow_array,
     on_shell_amplitude_array,
     renormalized_amplitude_array,
     transmutation_schedule_array,
 )
-from .energy_plane import ComplexEnergy, PhysicalScales, complex_divide_array, libm, log_ratio_array
+from .energy_plane import ComplexEnergy, PhysicalScales, libm, log_ratio_array
 from .errors import DomainError, SingularInputError, TransmuteLabError
 from .observables import continuum_observables_array
-from .regulators import GaussianFormFactor, PureDelta, SharpCutoff, slide_kernels_along
-from .tolerances import (
-    FLOW_GROUP_RTOL,
-    POLE_GUARD,
-    ROUTE_AGREEMENT_RTOL,
-    THEOREM_ENVELOPE_RTOL,
-    UNITARITY_DEFECT_TOL,
-)
+from .oracle.well import CircularWell
+from .regulators import GaussianFormFactor, PureDelta, SharpCutoff
+from .tolerances import FLOW_GROUP_RTOL, ROUTE_AGREEMENT_RTOL, THEOREM_ENVELOPE_RTOL, UNITARITY_DEFECT_TOL
 from .render import csv_lines, fmt_cell as _fmt, json_cell, json_lines, row_count
 
 __all__ = ["main"]
@@ -89,7 +85,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
                 key, value = line.split("=", 1)
                 values[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -402,12 +398,12 @@ def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
 
 
 # the model of each name, from the scale keys (lambda, a): a separable
-# regulator, or the radius a of the oracle's circular well
+# regulator, or the oracle's circular well of radius a
 _MODELS = {
     "pure-delta": lambda lam, a: PureDelta(),
     "sharp-cutoff": lambda lam, a: SharpCutoff(lam),
     "gaussian": lambda lam, a: GaussianFormFactor(a),
-    "circular-well": lambda lam, a: a,
+    "circular-well": lambda lam, a: CircularWell(a),
 }
 
 
@@ -465,25 +461,16 @@ def cmd_flow(opts: Options) -> Table:
     reg = _model(opts.get("regulator", "pure-delta"), opts, scales, ("pure-delta", "sharp-cutoff", "gaussian"))
     phase = opts.get_number("z_phase", 0.5 * math.pi, PHASE)
     re, im = _ray(opts.get_grid("energy", "1:2980.9579870417283:9,log"), phase)
-    kappa = scales.kinetic_constant
-    if tau0 == 0:
-        # zero is a fixed point of the flow: tau stays 0 and 1/tau is blank
-        tau = inv = np.zeros(re.shape, dtype=complex)
-        blank_inv, at_pole = np.ones(re.shape, dtype=bool), None
-    else:
-        # tabulate 1/tau directly: it runs through amplitude poles smoothly
-        # (a pole is just a zero of 1/tau); tau cells stay empty there
-        try:
-            from_anchor, steps = slide_kernels_along(reg, re, im, z0, scales)
-        except SingularInputError as exc:
-            if exc.index is None:
-                raise UsageError(f"invalid z0: {exc}") from None
-            raise _row_failure([(lambda i: f"{exc}: z_re = {float(re[i])!r}, z_im = {float(im[i])!r} in row {i + 1}",
-                                 np.arange(re.size) == exc.index)]) from None
-        inv = 1.0 / tau0 - kappa * from_anchor
-        blank_inv = None
-        at_pole = np.hypot(inv.real, inv.imag) < POLE_GUARD
-        tau = complex_divide_array(1.0, inv)
+    try:
+        inv, tau, at_pole, defect = flow_array(tau0, reg, re, im, z0, scales)
+    except SingularInputError as exc:
+        if exc.index is None:
+            raise UsageError(f"invalid z0: {exc}") from None
+        raise _row_failure([(lambda i: f"{exc}: z_re = {float(re[i])!r}, z_im = {float(im[i])!r} in row {i + 1}",
+                             np.arange(re.size) == exc.index)]) from None
+    # tabulate 1/tau directly, and leave tau empty at its poles; at the fixed
+    # point tau0 = 0, 1/tau is infinite and its cells empty
+    blank_inv = np.ones(re.shape, dtype=bool) if tau0 == 0 else None
     columns = [
         ("z_re", "Re z of the evaluation point", re),
         ("z_im", "Im z of the evaluation point", im),
@@ -492,12 +479,6 @@ def cmd_flow(opts: Options) -> Table:
         ("re_tau", "Re tau(z) = Re[ tau0 / (1 - tau0 * kappa * (g(z)-g(z0))) ]", tau.real, at_pole),
         ("im_tau", "Im tau(z)", tau.imag, at_pole),
     ]
-    # group property row to row: re-anchoring 1/tau at row i - 1 must
-    # reproduce row i through the kernel between consecutive points
-    defect = np.zeros(re.size)
-    if tau0 != 0:
-        step = inv[1:] - (inv[:-1] - kappa * steps)
-        defect[1:] = np.hypot(step.real, step.imag)
     defect_tol = opts.get_number("flow_defect_tol", FLOW_GROUP_RTOL, NON_NEGATIVE)
     checks = [(lambda i: f"flow composition defect {defect[i]:.3e} exceeds {defect_tol:.1e} in row {i + 1}",
                ~(defect <= defect_tol))]

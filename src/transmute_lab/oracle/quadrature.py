@@ -10,7 +10,8 @@ contour, so those evaluations are split as
 with the principal value computed by subtracting Q(E0) on an interval
 symmetric about the pole (plus the closed-form logarithm of the remainder).
 This module never looks at the closed forms in ``regulators`` beyond the
-spectral weight Q itself, which is the integrand both routes share.
+spectral weight Q itself, which is the integrand both routes share, and its
+support, whose integrals diverge for the pure delta (DivergenceError).
 """
 
 from __future__ import annotations
@@ -21,19 +22,8 @@ from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
 from ..energy_plane import NATURAL_UNITS, PhysicalScales, as_energy
-from ..errors import (
-    DivergenceError,
-    DomainError,
-    PrecisionFailureError,
-    SingularInputError,
-)
-from ..regulators import (
-    PureDelta,
-    Regulator,
-    SharpCutoff,
-    form_factor_squared,
-    spectral_weight,
-)
+from ..errors import DomainError, PrecisionFailureError, SingularInputError
+from ..regulators import Regulator, form_factor_squared, spectral_weight
 
 __all__ = [
     "QuadratureSpec",
@@ -181,12 +171,6 @@ def integrate(
     )
 
 
-def _upper_limit(reg: Regulator) -> float:
-    if isinstance(reg, SharpCutoff):
-        return reg.cutoff
-    return math.inf
-
-
 def quadrature_resolvent(
     reg: Regulator,
     z,
@@ -199,11 +183,9 @@ def quadrature_resolvent(
     principal-value decomposition PV - i pi Q(E0).
     """
     ze = as_energy(z)
-    if isinstance(reg, PureDelta):
-        raise DivergenceError("the unregulated resolvent integral diverges; nothing to quadrate")
+    upper = reg.support()
     if ze.is_zero:
         raise SingularInputError("resolvent integral singular at z = 0")
-    upper = _upper_limit(reg)
     q = lambda e: spectral_weight(reg, e, scales)
 
     if ze.im > 0.0 or (ze.im == 0.0 and ze.re < 0.0):
@@ -276,9 +258,7 @@ def quadrature_decay_amplitude(
     """Brute-force q(t) = Int_0^inf Q(E) e^{-iEt} dE (hbar = 1)."""
     if not (t > 0.0):
         raise DomainError(f"decay-amplitude oracle requires t > 0, got {t}")
-    if isinstance(reg, PureDelta):
-        raise DivergenceError("the unregulated decay integral is not absolutely convergent")
-    upper = _upper_limit(reg)
+    upper = reg.support()
     q = lambda e: spectral_weight(reg, e, scales)
     return integrate(lambda e: q(e) * complex(math.cos(e * t), -math.sin(e * t)), 0.0, upper, spec)
 

@@ -28,8 +28,8 @@ from one bessel_jy_array pass over the interior and exterior arguments
 [k_in a, k a]; well_phase_shift is its one-element call.  well_bound_states
 solves the ground states of a whole column of depths at once, each matching
 step one bessel_j_k_scaled_array pass; well_bound_state is its one-element
-call, and amplitude.bound_states its caller for bind's circular-well rows,
-at the depths of well_depths.
+call.  CircularWell, the well of one radius, is a model of scatter and bind
+with the method names of the separable regulators.
 """
 
 from __future__ import annotations
@@ -40,11 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..amplitude import tau_from_phase_shift_array
 from ..energy_plane import NATURAL_UNITS, PhysicalScales, libm, log_bracket_root, log_search_floor
 from ..errors import DomainError, NoBoundStateError
 from ..special import EULER_GAMMA, bessel_j_k_scaled_array, bessel_jy_array
 
 __all__ = [
+    "CircularWell",
     "WellParameters",
     "well_from_coupling",
     "well_depths",
@@ -85,6 +87,27 @@ class WellParameters:
         _check_radius(self.radius)
         if not (self.depth > 0.0 and math.isfinite(self.depth)):
             raise DomainError(f"well depth must be positive, got {self.depth}")
+
+
+@dataclass(frozen=True)
+class CircularWell:
+    """The circular well of one radius, its depth set by each coupling as
+    in well_depths."""
+
+    radius: float
+
+    def __post_init__(self):
+        _check_radius(self.radius)
+
+    def bound_states(self, eps: np.ndarray, scales: PhysicalScales) -> tuple:
+        # the ground states at the depths of well_depths, and the nominal
+        # cutoff kappa/a^2 of a gaussian of the same length
+        depths = well_depths(eps, self.radius, scales)
+        return well_bound_states(self.radius, depths, scales)[0], scales.kinetic_constant / self.radius**2
+
+    def on_shell(self, eps: float, energies: np.ndarray, scales: PhysicalScales) -> np.ndarray:
+        well, k = well_from_coupling(eps, self.radius, scales), np.sqrt(energies / scales.kinetic_constant)
+        return tau_from_phase_shift_array(well_phase_shift_array(well, k, scales))
 
 
 def well_depths(epsilon, radius: float, scales: PhysicalScales = NATURAL_UNITS) -> np.ndarray:

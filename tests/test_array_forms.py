@@ -50,7 +50,7 @@ from transmute_lab.observables import (
     tau_from_phase_shift,
     tau_from_phase_shift_array,
 )
-from transmute_lab.oracle.well import well_from_coupling, well_phase_shift, well_phase_shift_array
+from transmute_lab.oracle.well import CircularWell, well_from_coupling, well_phase_shift, well_phase_shift_array
 from transmute_lab.regulators import GaussianFormFactor, PureDelta, SharpCutoff, slide_kernel, slide_kernels_along
 from transmute_lab.tolerances import POLE_GUARD, UNITARITY_DEFECT_TOL
 
@@ -275,19 +275,19 @@ class TestAmplitudes:
 
     @pytest.mark.parametrize("eps,radius", [(1.0, 1.0), (0.7130104612422048, 1.0), (15.0, 3.0), (40.0, 1e-3)])
     def test_on_shell_well_is_its_phase_shifts(self, eps, radius):
-        # the circular well, given as its radius, is the exact phase-shift
-        # route of the oracle, to the bit
+        # the circular well is the exact phase-shift route of the oracle,
+        # to the bit
         energies = log_grid(-6, 6, 241)
         k = np.sqrt(energies / KAPPA.kinetic_constant)
         expected = tau_from_phase_shift_array(well_phase_shift_array(well_from_coupling(eps, radius, KAPPA), k, KAPPA))
-        assert on_shell_amplitude_array(eps, radius, energies, KAPPA).tolist() == expected.tolist()
+        assert on_shell_amplitude_array(eps, CircularWell(radius), energies, KAPPA).tolist() == expected.tolist()
 
     def test_sharp_over_cutoffs_matches_scalar(self):
         # z = -1 passes the pole at Lambda = e^{4 pi/1.1} - 1: tau is held to
         # the terms of its inverse there
         cutoffs = log_grid(0.5, 300, 400)
         for z in [(0.0, 1.0), (2.0, 0.0), (-1.0, -0.0), (0.3, 0.2)]:
-            values = regulated_amplitude_array(1.1, cutoffs, *z, KAPPA)
+            values = regulated_amplitude_array(1.1, SharpCutoff(cutoffs), *z, KAPPA)
             scalar = [regulated_amplitude(1.1, SharpCutoff(lam), complex(*z), KAPPA).tau for lam in cutoffs[::20].tolist()]
             assert values[::20].tolist() == scalar
             with mp.workdps(DPS):
@@ -298,7 +298,7 @@ class TestAmplitudes:
         # the transmute schedule: one coupling per cutoff
         cutoffs = np.array([10.0**n for n in range(1, 12)])
         couplings = 4.0 * math.pi / np.log(cutoffs)
-        values = regulated_amplitude_array(couplings, cutoffs, 2.0, 0.0)
+        values = regulated_amplitude_array(couplings, SharpCutoff(cutoffs), 2.0, 0.0)
         with mp.workdps(DPS):
             reference, scale = zip(*(tau_mp(e, sharp_resolvent_mp(lam, 2.0, 0.0))
                                      for e, lam in zip(couplings.tolist(), cutoffs.tolist())))

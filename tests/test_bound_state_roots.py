@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import exp1, j0, j1, k0e, k1e
 
-from transmute_lab import amplitude
+from transmute_lab import regulators
 from transmute_lab.amplitude import bound_state_pole, bound_states
 from transmute_lab.energy_plane import PhysicalScales, log_bracket_root, log_search_floor
 from transmute_lab.errors import NoBoundStateError
 from transmute_lab.oracle import well as well_module
 from transmute_lab.oracle.well import (
+    CircularWell,
     WellParameters,
     well_bound_state,
     well_bound_states,
@@ -272,7 +273,7 @@ class TestEvaluationCounts:
     def evaluations(self, monkeypatch):
         """Evaluation points per element of every column search."""
         seen = {}
-        for module in (amplitude, well_module):
+        for module in (regulators, well_module):
             inner = module.log_bracket_root
             monkeypatch.setattr(module, "log_bracket_root", lambda f, *a, inner=inner: inner(traced(f, seen), *a))
         return seen
@@ -324,7 +325,7 @@ class TestEvaluationCounts:
         # each search's f returns its slope in ln E: a central difference of
         # its values agrees about every point the search evaluates
         searches = []
-        for module in (amplitude, well_module):
+        for module in (regulators, well_module):
             def record(f, *args, inner=module.log_bracket_root):
                 seen = {}
                 searches.append((f, seen))
@@ -393,7 +394,7 @@ class TestAgainstMpmath:
 
 class TestOneDispatch:
     """bound_states solves every model of bind: the three regulators and the
-    circular well's radius."""
+    circular well."""
 
     # the first row's root lies below the search floor
     EPS = np.geomspace(0.01, 40.0, 9)
@@ -401,7 +402,7 @@ class TestOneDispatch:
     def test_nominal_cutoff_per_model(self):
         scales = PhysicalScales(2.0)
         solves = [bound_states(self.EPS, model, scales)
-                  for model in (SharpCutoff(3.0), GaussianFormFactor(0.7), 0.7, PureDelta())]
+                  for model in (SharpCutoff(3.0), GaussianFormFactor(0.7), CircularWell(0.7), PureDelta())]
         assert [nominal for _, _, nominal in solves[:3]] == [3.0, 2.0 / 0.7**2, 2.0 / 0.7**2]
         energy, unbound, nominal = solves[3]
         assert math.isnan(nominal) and unbound.all() and np.isnan(energy).all()
@@ -409,7 +410,7 @@ class TestOneDispatch:
     @pytest.mark.parametrize("radius,kappa", [(1.0, 1.0), (0.7, 2.0), (1e-3, 5.0)])
     def test_well_rows_are_the_oracle_columns(self, radius, kappa):
         scales = PhysicalScales(kappa)
-        energy, unbound, _ = bound_states(self.EPS, radius, scales)
+        energy, unbound, _ = bound_states(self.EPS, CircularWell(radius), scales)
         expected, expected_unbound = well_bound_states(radius, well_depths(self.EPS, radius, scales), scales)
         assert energy.tobytes() == expected.tobytes() and unbound.tolist() == expected_unbound.tolist()
         assert unbound[0] and not unbound[1:].any()

@@ -25,6 +25,7 @@ from transmute_lab.cli import main
 from transmute_lab.energy_plane import log_bracket_root
 from transmute_lab.errors import TransmuteLabError
 from transmute_lab.oracle import well as well_module
+from transmute_lab.oracle.well import CircularWell
 from transmute_lab.regulators import GaussianFormFactor, PureDelta, SharpCutoff
 from transmute_lab.tolerances import FLOW_GROUP_RTOL, ROUTE_AGREEMENT_RTOL, UNITARITY_DEFECT_TOL
 
@@ -214,14 +215,14 @@ class TestFlow:
     def test_composition_defect_names_its_row(self, tmp_path, capsys, monkeypatch):
         # a kernel step off by 1e-3 between rows 3 and 4: re-anchoring row 3
         # misses row 4 by that much
-        slide = cli.slide_kernels_along
+        slide = amplitude.slide_kernels_along
 
         def off(*args):
             from_anchor, steps = slide(*args)
             steps[2] += 1e-3
             return from_anchor, steps
 
-        monkeypatch.setattr(cli, "slide_kernels_along", off)
+        monkeypatch.setattr(amplitude, "slide_kernels_along", off)
         code, out = run_cli(["flow"], tmp_path)
         err = capsys.readouterr().err
         assert code == 1 and len(err.strip().splitlines()) == 1, err
@@ -297,7 +298,8 @@ class TestBind:
         code, _ = run_cli(["bind", "--epsilon", "0.5:4:3,log", "--regulator", names], tmp_path,
                           config_text="a = 0.5\nlambda = 3\n")
         assert code == 0
-        assert [model for _, model in calls] == [0.5, PureDelta(), GaussianFormFactor(0.5), SharpCutoff(3.0)]
+        models = [CircularWell(0.5), PureDelta(), GaussianFormFactor(0.5), SharpCutoff(3.0)]
+        assert [model for _, model in calls] == models
         assert all(eps == calls[0][0] and len(eps) == 3 for eps, _ in calls)
         solvers = (amplitude.bound_states, amplitude.bound_state_pole, well_module.well_bound_states,
                    well_module.well_bound_state, well_module.well_depths, log_bracket_root)
@@ -597,16 +599,17 @@ class TestScatter:
         assert not out.exists()
 
     @pytest.mark.parametrize("name, model", [("sharp-cutoff", SharpCutoff(3.0)), ("gaussian", GaussianFormFactor(0.5)),
-                                             ("pure-delta", PureDelta()), ("circular-well", 0.5)])
+                                             ("pure-delta", PureDelta()), ("circular-well", CircularWell(0.5))])
     def test_one_on_shell_call_per_model(self, tmp_path, monkeypatch, name, model):
-        # the one model dispatch of scatter lies in on_shell_amplitude_array
+        # the one model dispatch of scatter lies in on_shell_amplitude_array:
+        # cli builds the well's model type and calls no function of the oracle
         on_shell, calls = cli.on_shell_amplitude_array, []
         monkeypatch.setattr(cli, "on_shell_amplitude_array", lambda *args: calls.append(args) or on_shell(*args))
         code, _ = run_cli(["scatter", "--regulator", name, "--epsilon", "1.5", "--energy", "0.5:4:3,log"], tmp_path,
                           config_text="a = 0.5\nlambda = 3\n")
         assert code == 0
         assert [args[1] for args in calls] == [model]
-        oracle = [getattr(well_module, attr) for attr in well_module.__all__]
+        oracle = [f for f in map(vars(well_module).get, well_module.__all__) if inspect.isfunction(f)]
         assert [attr for attr, value in vars(cli).items() if any(value is f for f in oracle)] == []
 
     def test_sharp_cutoff_rows_above_cutoff_are_zero(self, tmp_path):
@@ -641,6 +644,41 @@ class TestDeterminism:
                 assert len(mantissa) == 18  # d.dddddddddddddddd
 
 
+class TestKappaInvariance:
+    """Tables are dimensionless: with a = sqrt(kinetic_constant), so that
+    kappa/a^2 = 1, the energy columns of bind and the 1/tau and tau columns
+    of flow keep every bit at each power-of-two kinetic_constant."""
+
+    KAPPAS = (0.25, 1.0, 4.0, 1024.0)
+
+    def bits(self, tmp_path, args, names):
+        """The columns names of the table of args at each kinetic_constant,
+        each cell as the hex of its double, or None where it is blank."""
+        tables = []
+        for kappa in self.KAPPAS:
+            code, out = run_cli(args, tmp_path, f"kappa{kappa}.csv",
+                                config_text=f"kinetic_constant = {kappa!r}\na = {math.sqrt(kappa)!r}\n")
+            assert code == 0
+            header, rows, _ = parse_csv(out)
+            tables.append([[v if v is None else float(v).hex() for v in (cell(row, header, n) for n in names)]
+                           for row in rows])
+        return tables
+
+    def test_bind(self, tmp_path):
+        args = ["bind", "--regulator", "sharp-cutoff,gaussian,circular-well,pure-delta", "--epsilon", "0.3:15:9,log"]
+        tables = self.bits(tmp_path, args, ["E_B_solver", "E_B_closed_form", "rel_dev"])
+        # every row of the three models that bind has its root
+        assert len(tables[0]) == 36 and all(None not in row for row in tables[0][:27])
+        assert tables[1:] == tables[:1] * 3
+
+    @pytest.mark.parametrize("name", ["pure-delta", "sharp-cutoff", "gaussian"])
+    def test_flow(self, tmp_path, name):
+        tables = self.bits(tmp_path, ["flow", "--regulator", name], ["re_inv_tau", "im_inv_tau", "re_tau", "im_tau"])
+        # tau is blank at the pure delta's pole in row 2, 1/tau nowhere
+        assert len(tables[0]) == 9 and all(None not in row[:2] for row in tables[0])
+        assert tables[1:] == tables[:1] * 3
+
+
 class TestExitCodes:
     def test_usage_error_bad_grid(self, tmp_path):
         code, _ = run_cli(["scatter", "--energy", "banana"], tmp_path)
@@ -657,6 +695,17 @@ class TestExitCodes:
     def test_usage_error_unreadable_config(self, tmp_path):
         code = main(["flow", "--config", str(tmp_path / "missing.txt")])
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_config_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys, fmt):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"\xff\xfe")
+        out = tmp_path / f"out.{fmt}"
+        code = main(["transmute", "--config", str(config), "--format", fmt, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+        assert err.startswith(f"transmute-lab: usage error: cannot read config file {config}: "), err
+        assert not out.exists()
 
     def test_flow_rejects_circular_well(self, tmp_path, capsys):
         # the circular well lives only in the oracle; flow has no coupling
@@ -1462,7 +1511,7 @@ class TestBoundaryErrors:
         assert code == 1 and "Traceback" not in err and len(err.strip().splitlines()) == 1, err
         assert "non-finite E_B_solver = inf in row 2" in err
         assert not out.exists()
-        assert models == [SharpCutoff(1.0), GaussianFormFactor(1.0), 1.0]
+        assert models == [SharpCutoff(1.0), GaussianFormFactor(1.0), CircularWell(1.0)]
 
     def test_tolerance_defaults_come_from_tolerances(self, tmp_path):
         code, out = run_cli(["scatter", "--energy", "1"], tmp_path)

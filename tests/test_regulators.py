@@ -2,12 +2,15 @@
 resolvents and sliding kernels, checked against hand values, scaling laws and
 the quadrature oracle."""
 
+import ast
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import transmute_lab
 from transmute_lab.energy_plane import NATURAL_UNITS, ComplexEnergy, PhysicalScales, principal_log_ratio
 from transmute_lab.errors import (
     DivergenceError,
@@ -224,13 +227,13 @@ class TestResolvent:
         # an array of sharp cutoffs in place of the regulator: one point
         # over a schedule, each row the closed form ln[z/(z - Lambda)]/(4 pi)
         cutoffs = np.array([3.0, 50.0, 1e9])
-        values = resolvent_array(cutoffs, 1.0, 2.0)
+        values = resolvent_array(SharpCutoff(cutoffs), 1.0, 2.0)
         with mp.workdps(30):
             for lam, v in zip(cutoffs.tolist(), values.tolist()):
                 z = mp.mpc(1.0, 2.0)
                 assert abs(v - complex(mp.log(z / (z - lam)) / (4 * mp.pi))) <= 1e-15 * abs(v)
         with pytest.raises(SingularInputError):
-            resolvent_array(cutoffs, 50.0, -0.0)
+            resolvent_array(SharpCutoff(cutoffs), 50.0, -0.0)
 
     def test_negative_axis_resolvent_against_mpmath(self):
         # J(E) = kappa g(-E) = -e^{bE} E1(bE)/(4 pi) for the gaussian, over
@@ -334,3 +337,28 @@ class TestNames:
             SharpCutoff(-1.0)
         with pytest.raises(DomainError):
             GaussianFormFactor(0.0)
+
+
+class TestOneDispatch:
+    """Each model type carries its own forms: no module but the two that
+    define the model types picks a form by a model's type."""
+
+    MODEL_TYPES = {"Regulator", "PureDelta", "SharpCutoff", "GaussianFormFactor", "CircularWell", "WellParameters"}
+    OWNERS = {"regulators.py", "oracle/well.py"}
+
+    def test_no_other_module_branches_on_a_model_type(self):
+        package = Path(transmute_lab.__file__).parent
+        sites = []
+        for path in sorted(package.rglob("*.py")):
+            module = path.relative_to(package).as_posix()
+            if module in self.OWNERS:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                        and len(node.args) == 2):
+                    continue
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                names = {getattr(kind, "id", getattr(kind, "attr", None)) for kind in kinds}
+                if names & self.MODEL_TYPES:
+                    sites.append(f"{module}:{node.lineno}")
+        assert sites == []
